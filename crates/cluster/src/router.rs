@@ -658,27 +658,50 @@ impl RoutingClient {
     /// and a `StaleEpoch` here could only come from the re-bind
     /// handshake, after which the old session's locks are gone.
     pub fn unlock_all(&mut self) -> Result<UnlockReport, ClusterError> {
-        let mut total = UnlockReport {
-            released_locks: 0,
-            freed_slots: 0,
-        };
-        for i in 0..self.nodes.len() {
-            match self.nodes[i].unlock_all() {
-                Ok(r) => {
-                    total.released_locks += r.released_locks;
-                    total.freed_slots += r.freed_slots;
+        let mut total = UnlockReport::default();
+        let mut first_err: Option<ClusterError> = None;
+        self.unlock_all_nodes(|node, result| match result {
+            Ok(r) => {
+                total.released_locks += r.released_locks;
+                total.freed_slots += r.freed_slots;
+            }
+            Err(
+                ClientError::Reconnected
+                | ClientError::GaveUp { .. }
+                | ClientError::Io(_)
+                | ClientError::Busy
+                | ClientError::StaleEpoch { .. },
+            ) => {}
+            Err(e) => {
+                first_err.get_or_insert(classify(node, e));
+            }
+        });
+        first_err.map_or(Ok(total), Err)
+    }
+
+    /// Send `UnlockAll` to every node before collecting any reply, so
+    /// the nodes release in parallel and the call costs one round trip
+    /// instead of one per node. A failure on one node — in either phase
+    /// — never stops the others: each node's result goes to `on_node`.
+    fn unlock_all_nodes(
+        &mut self,
+        mut on_node: impl FnMut(usize, Result<UnlockReport, ClientError>),
+    ) {
+        let mut pending: Vec<Option<u64>> = Vec::with_capacity(self.nodes.len());
+        for (node, c) in self.nodes.iter_mut().enumerate() {
+            pending.push(match c.send_unlock_all() {
+                Ok(id) => Some(id),
+                Err(e) => {
+                    on_node(node, Err(e));
+                    None
                 }
-                Err(
-                    ClientError::Reconnected
-                    | ClientError::GaveUp { .. }
-                    | ClientError::Io(_)
-                    | ClientError::Busy
-                    | ClientError::StaleEpoch { .. },
-                ) => {}
-                Err(e) => return Err(classify(i, e)),
+            });
+        }
+        for (node, id) in pending.into_iter().enumerate() {
+            if let Some(id) = id {
+                on_node(node, self.nodes[node].wait_unlock_all(id));
             }
         }
-        Ok(total)
     }
 
     /// Run the accounting audit on every node. Strict: any node
@@ -727,11 +750,7 @@ impl RoutingClient {
     /// Drop every lock on every reachable node, ignoring failures —
     /// the consistency restore after a partial session loss.
     fn release_all_best_effort(&mut self) {
-        for c in &mut self.nodes {
-            if !c.gave_up() {
-                let _ = c.unlock_all();
-            }
-        }
+        self.unlock_all_nodes(|_, _| {});
     }
 }
 

@@ -178,15 +178,36 @@ impl AppLockState {
         Some(h)
     }
 
-    /// Drain every holding (commit / abort), returning them.
-    pub(crate) fn drain(&mut self) -> Vec<(ResourceId, HeldLock)> {
-        let mut all: Vec<(ResourceId, HeldLock)> = self.held.drain().collect();
-        // Deterministic release order: rows before tables, then by id,
-        // so queue processing is reproducible.
-        all.sort_by_key(|(r, _)| (!r.is_row(), *r));
+    /// Remove every row holding on `table` (escalation), handing each
+    /// to `release` in the held map's iteration order. Returns the
+    /// number of rows removed.
+    pub(crate) fn remove_table_rows(
+        &mut self,
+        table: TableId,
+        mut release: impl FnMut(ResourceId),
+    ) -> u64 {
+        let (mut rows, mut slots) = (0, 0);
+        self.held.retain(|res, h| match res {
+            ResourceId::Row(t, _) if *t == table => {
+                rows += 1;
+                slots += h.slots;
+                release(*res);
+                false
+            }
+            _ => true,
+        });
+        self.total_slots -= slots;
+        self.per_table.remove(&table);
+        rows
+    }
+
+    /// Drain every holding (commit / abort) in the held map's
+    /// iteration order; the accounting is reset up front, the map
+    /// keeps its capacity for the next transaction.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (ResourceId, HeldLock)> + '_ {
         self.per_table.clear();
         self.total_slots = 0;
-        all
+        self.held.drain()
     }
 
     /// True when nothing is held and nothing is awaited.
@@ -271,18 +292,37 @@ mod tests {
     }
 
     #[test]
-    fn drain_releases_rows_before_tables() {
+    fn drain_resets_accounting() {
         let mut a = AppLockState::default();
         a.record_grant(ResourceId::Table(TableId(1)), LockMode::IX, 2);
         a.record_grant(row(1, 5), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::X, 1);
-        let order: Vec<ResourceId> = a.drain().into_iter().map(|(r, _)| r).collect();
+        let mut drained: Vec<ResourceId> = a.drain().map(|(r, _)| r).collect();
+        drained.sort();
         assert_eq!(
-            order,
-            vec![row(1, 2), row(1, 5), ResourceId::Table(TableId(1))]
+            drained,
+            vec![ResourceId::Table(TableId(1)), row(1, 2), row(1, 5)]
         );
         assert_eq!(a.total_slots(), 0);
+        assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
         assert!(a.is_idle());
+    }
+
+    #[test]
+    fn remove_table_rows_leaves_other_tables_and_the_intent() {
+        let mut a = AppLockState::default();
+        a.record_grant(ResourceId::Table(TableId(1)), LockMode::IX, 2);
+        a.record_grant(row(1, 5), LockMode::X, 2);
+        a.record_grant(row(1, 2), LockMode::S, 1);
+        a.record_grant(row(2, 2), LockMode::S, 2);
+        let mut released = Vec::new();
+        assert_eq!(a.remove_table_rows(TableId(1), |r| released.push(r)), 2);
+        released.sort();
+        assert_eq!(released, vec![row(1, 2), row(1, 5)]);
+        assert_eq!(a.total_slots(), 4);
+        assert_eq!(a.held_count(), 2);
+        assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
+        assert_eq!(a.table_holdings(TableId(2)).rows, 1);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! queue ([`LockManager::take_notifications`]) so the engine can wake
 //! the blocked clients.
 
-use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolError, SlotHandle};
+use std::collections::hash_map::Entry;
+
+use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolError};
 
 use crate::app::{AppId, AppLockState};
 use crate::error::LockError;
@@ -17,7 +19,7 @@ use crate::hooks::TuningHooks;
 use crate::mode::LockMode;
 use crate::resource::{ResourceId, TableId};
 use crate::stats::LockStats;
-use crate::table::{EscalationTicket, Granted, LockHead, WaitKind, Waiter};
+use crate::table::{EscalationTicket, Granted, LockHead, SlotSet, WaitKind, Waiter};
 
 /// Structural configuration of the lock manager.
 #[derive(Debug, Clone, Copy)]
@@ -125,6 +127,9 @@ pub struct LockManager<P: PoolBackend = LockMemoryPool> {
     seq: u64,
     notifications: Vec<GrantNotice>,
     biases: FxHashMap<AppId, EscalationBias>,
+    /// Scratch for the heads a release leaves with waiters; kept so a
+    /// commit does not allocate.
+    worklist: Vec<ResourceId>,
 }
 
 impl<P: PoolBackend> LockManager<P> {
@@ -139,6 +144,7 @@ impl<P: PoolBackend> LockManager<P> {
             seq: 0,
             notifications: Vec::new(),
             biases: FxHashMap::default(),
+            worklist: Vec::new(),
         }
     }
 
@@ -174,6 +180,26 @@ impl<P: PoolBackend> LockManager<P> {
         self.apps.get(&app)
     }
 
+    /// Number of applications the manager keeps state for (every
+    /// application that ever requested a lock and was not forgotten).
+    pub fn known_apps(&self) -> usize {
+        self.apps.len()
+    }
+
+    /// Drop everything kept for a disconnected application: its lock
+    /// state (whose maps keep their capacity across transactions) and
+    /// its escalation bias. Not for commit — a live session reuses the
+    /// retained capacity every transaction.
+    ///
+    /// # Panics
+    /// Panics if `app` still holds or awaits a lock; release first.
+    pub fn forget_app(&mut self, app: AppId) {
+        if let Some(state) = self.apps.remove(&app) {
+            assert!(state.is_idle(), "{app} forgotten while holding or waiting");
+        }
+        self.biases.remove(&app);
+    }
+
     /// Number of resources with live lock heads.
     pub fn locked_resources(&self) -> usize {
         self.heads.len()
@@ -201,6 +227,11 @@ impl<P: PoolBackend> LockManager<P> {
     // ==================================================================
 
     /// Request `mode` on `res` for `app`.
+    ///
+    /// The grant path borrows the application's state and the lock head
+    /// once each (disjoint fields of `self`) and allocates while both
+    /// are still borrowed; only the cold fallbacks — escalation, memory
+    /// pressure — go back through `self` and probe again.
     pub fn lock(
         &mut self,
         app: AppId,
@@ -208,27 +239,37 @@ impl<P: PoolBackend> LockManager<P> {
         mode: LockMode,
         hooks: &mut dyn TuningHooks,
     ) -> Result<LockOutcome, LockError> {
-        let app_state = self.apps.entry(app).or_default();
-        if let Some(waiting) = app_state.waiting_on() {
+        let Self {
+            config,
+            heads,
+            apps,
+            pool,
+            stats,
+            seq,
+            biases,
+            ..
+        } = self;
+        let state = apps.entry(app).or_default();
+        if let Some(waiting) = state.waiting_on() {
             return Err(LockError::AlreadyWaiting(waiting));
         }
 
         // A held table lock may cover the row request entirely.
         if let ResourceId::Row(table, _) = res {
             let table_res = ResourceId::Table(table);
-            match app_state.held(&table_res) {
+            match state.held(&table_res) {
                 Some(h) if h.mode.covers(mode.escalation_table_mode()) => {
-                    self.stats.covered_by_table += 1;
+                    stats.covered_by_table += 1;
                     return Ok(LockOutcome::CoveredByTableLock);
                 }
                 Some(h)
-                    if self.config.enforce_intents
+                    if config.enforce_intents
                     // Intent must announce the row mode (IS for S, IX for X).
                     && !h.mode.covers(mode.intent_for_row_mode()) =>
                 {
                     return Err(LockError::MissingIntent(res));
                 }
-                None if self.config.enforce_intents => {
+                None if config.enforce_intents => {
                     return Err(LockError::MissingIntent(res));
                 }
                 _ => {}
@@ -236,30 +277,24 @@ impl<P: PoolBackend> LockManager<P> {
         }
 
         // §3.5: every lock-structure request refreshes the adaptive cap.
-        let cap_percent = hooks.on_lock_request(&self.pool.usage());
+        let cap_percent = hooks.on_lock_request(&pool.usage());
 
         // Existing holding: re-entrant grant or conversion.
-        if let Some(held) = self.apps[&app].held(&res) {
+        if let Some(held) = state.held(&res) {
             let held_mode = held.mode;
             if held_mode.covers(mode) {
-                self.apps
-                    .get_mut(&app)
-                    .expect("known app")
-                    .record_grant(res, mode, 0);
-                self.stats.grants += 1;
+                state.record_grant(res, mode, 0);
+                stats.grants += 1;
                 return Ok(LockOutcome::AlreadyHeld);
             }
             let target = held_mode.supremum(mode);
-            let seq = self.next_seq();
-            let head = self.heads.get_mut(&res).expect("held lock has a head");
+            let seq = next_seq(seq);
+            let head = heads.get_mut(&res).expect("held lock has a head");
             if head.compatible_for(app, target) {
                 head.holder_mut(app).expect("holder entry").mode = target;
-                self.apps
-                    .get_mut(&app)
-                    .expect("known app")
-                    .record_conversion(res, target);
-                self.stats.conversions += 1;
-                self.stats.grants += 1;
+                state.record_conversion(res, target);
+                stats.conversions += 1;
+                stats.grants += 1;
                 return Ok(LockOutcome::Granted);
             }
             // Conversions queue at the front: they beat new requests.
@@ -270,176 +305,131 @@ impl<P: PoolBackend> LockManager<P> {
                 seq,
                 escalation: None,
             });
-            self.apps
-                .get_mut(&app)
-                .expect("known app")
-                .set_waiting(Some(res));
-            self.stats.waits += 1;
+            state.set_waiting(Some(res));
+            stats.waits += 1;
             return Ok(LockOutcome::Queued);
         }
 
         // New request. FIFO: a non-empty queue means we wait behind it.
-        let head = self.heads.entry(res).or_default();
-        if !head.queue.is_empty() || !head.compatible_for(app, mode) {
-            let seq = self.seq;
-            self.seq += 1;
-            head.queue.push_back(Waiter {
-                app,
-                mode,
-                kind: WaitKind::New,
-                seq,
-                escalation: None,
-            });
-            self.apps
-                .get_mut(&app)
-                .expect("known app")
-                .set_waiting(Some(res));
-            self.stats.waits += 1;
-            return Ok(LockOutcome::Queued);
-        }
-
-        let slots_needed = if head.granted.is_empty() {
-            self.config.first_holder_slots
+        // A resource nobody holds has no head until the grant below
+        // inserts one, so the fallbacks leave no empty head behind.
+        let mut slot = heads.entry(res);
+        let first_holder = match &mut slot {
+            Entry::Occupied(occupied) => {
+                let head = occupied.get_mut();
+                if !head.queue.is_empty() || !head.compatible_for(app, mode) {
+                    return Ok(enqueue_new_request(head, state, stats, seq, app, res, mode));
+                }
+                head.granted.is_empty()
+            }
+            Entry::Vacant(_) => true,
+        };
+        let slots_needed = if first_holder {
+            config.first_holder_slots
         } else {
-            self.config.extra_holder_slots
+            config.extra_holder_slots
         };
 
-        // §6.1 selective escalation: an application that prefers
-        // escalation collapses its row locks as soon as its per-table
-        // threshold is reached, keeping lock memory small.
         if let ResourceId::Row(req_table, _) = res {
-            if let EscalationBias::PreferEscalation {
-                table_row_threshold,
-            } = self.escalation_bias(app)
-            {
-                let rows_held = self.apps[&app].table_holdings(req_table).rows;
-                if rows_held >= table_row_threshold {
-                    self.stats.voluntary_escalations += 1;
-                    return self.escalate_requester_on(app, Some(req_table), res, mode, hooks);
-                }
-            }
-        }
-
-        // MAXLOCKS / lockPercentPerApplication check (row locks only).
-        if res.is_row() {
-            let cap_slots = (cap_percent / 100.0 * self.pool.total_slots() as f64) as u64;
-            let app_slots = self.apps[&app].total_slots();
-            if app_slots + slots_needed as u64 > cap_slots {
-                // The tuned system prefers growing the pool over
-                // escalating (§3.5): ask for enough synchronous growth
-                // to bring this application's share back under the cap.
-                if cap_percent > 0.0 {
-                    let needed_total = ((app_slots + slots_needed as u64) as f64 * 100.0
-                        / cap_percent)
-                        .ceil() as u64;
-                    let total = self.pool.total_slots();
-                    if needed_total > total {
-                        let block = self.pool.config().block_bytes;
-                        let raw = (needed_total - total) * self.pool.config().lock_struct_bytes;
-                        let wanted = raw.div_ceil(block) * block;
-                        self.stats.sync_growth_requests += 1;
-                        let granted = hooks.sync_growth(wanted, &self.pool.usage());
-                        let blocks = granted / self.pool.config().block_bytes;
-                        if blocks > 0 {
-                            self.pool.grow_blocks(blocks);
-                            hooks.on_pool_resized(&self.pool.usage());
-                        }
+            // §6.1 selective escalation: an application that prefers
+            // escalation collapses its row locks as soon as its per-table
+            // threshold is reached, keeping lock memory small.
+            if !biases.is_empty() {
+                if let Some(EscalationBias::PreferEscalation {
+                    table_row_threshold,
+                }) = biases.get(&app)
+                {
+                    if state.table_holdings(req_table).rows >= *table_row_threshold {
+                        stats.voluntary_escalations += 1;
+                        return self.escalate_requester_on(app, Some(req_table), res, mode, hooks);
                     }
                 }
-                let cap_slots = (cap_percent / 100.0 * self.pool.total_slots() as f64) as u64;
-                if app_slots + slots_needed as u64 > cap_slots
-                    && self.apps[&app].most_locked_table().is_some()
-                {
+            }
+
+            // MAXLOCKS / lockPercentPerApplication check (row locks only).
+            let wanted_slots = state.total_slots() + slots_needed as u64;
+            let cap_slots = |pool: &P| (cap_percent / 100.0 * pool.total_slots() as f64) as u64;
+            if wanted_slots > cap_slots(pool) {
+                // The tuned system prefers growing the pool over
+                // escalating (§3.5).
+                if cap_percent > 0.0 {
+                    grow_under_cap(pool, stats, wanted_slots, cap_percent, hooks);
+                }
+                if wanted_slots > cap_slots(pool) && state.most_locked_table().is_some() {
                     return self.escalate_requester(app, res, mode, hooks);
                 }
             }
         }
 
-        // Allocate lock structures (synchronous growth, then memory-
-        // pressure escalation, are the fallbacks).
-        let handles = match self.allocate_slots(slots_needed, hooks) {
-            Ok(h) => h,
-            Err(()) => {
-                // Escalation may or may not report success, but the
-                // retry can also succeed through synchronous growth or
-                // a sibling-depot reclaim inside `allocate_slots` — so
-                // the retry's own result is the only thing that
-                // decides, and its handles must never be discarded
-                // (dropping a SlotHandle leaks the slot).
-                self.reclaim_by_escalation(slots_needed as u64, hooks);
-                match self.allocate_slots(slots_needed, hooks) {
-                    Ok(h) => h,
-                    Err(()) => {
-                        // No victim could be escalated in place. DB2's
-                        // last resort is the requester itself: collapse
-                        // its own row locks into a table lock, waiting
-                        // on that table lock if it is contended.
-                        if self.apps[&app].most_locked_table().is_some() {
-                            return self.escalate_requester(app, res, mode, hooks);
-                        }
-                        self.stats.denials += 1;
-                        return Err(LockError::OutOfLockMemory);
-                    }
-                }
-            }
+        // Allocate lock structures; under memory pressure the cold path
+        // reclaims by escalation and grants through fresh probes.
+        let Ok(slots) = allocate_slots(pool, stats, slots_needed, hooks) else {
+            return self.lock_under_memory_pressure(app, res, mode, slots_needed, hooks);
         };
-
-        let slots = handles.len() as u64;
-        self.heads.entry(res).or_default().granted.push(Granted {
-            app,
-            mode,
-            slots: handles,
-        });
-        self.apps
-            .get_mut(&app)
-            .expect("known app")
-            .record_grant(res, mode, slots);
-        self.stats.grants += 1;
+        let charged = slots.len() as u64;
+        let head = match slot {
+            Entry::Occupied(occupied) => occupied.into_mut(),
+            Entry::Vacant(vacant) => vacant.insert(LockHead::default()),
+        };
+        head.granted.push(Granted { app, mode, slots });
+        state.record_grant(res, mode, charged);
+        stats.grants += 1;
         Ok(LockOutcome::Granted)
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Allocate `n` lock structures, growing synchronously through the
-    /// hooks when the pool runs dry. On failure every slot already
-    /// taken is returned.
-    fn allocate_slots(
+    /// The pool ran dry and synchronous growth was denied: reclaim by
+    /// escalating other applications, then the requester itself.
+    #[cold]
+    fn lock_under_memory_pressure(
         &mut self,
-        n: u32,
+        app: AppId,
+        res: ResourceId,
+        mode: LockMode,
+        slots_needed: u32,
         hooks: &mut dyn TuningHooks,
-    ) -> Result<Vec<SlotHandle>, ()> {
-        let mut handles = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            loop {
-                match self.pool.allocate() {
-                    Ok(h) => {
-                        handles.push(h);
-                        break;
-                    }
-                    Err(PoolError::Exhausted) => {
-                        self.stats.sync_growth_requests += 1;
-                        let block = self.pool.config().block_bytes;
-                        let granted = hooks.sync_growth(block, &self.pool.usage());
-                        let blocks = granted / block;
-                        if blocks == 0 {
-                            self.stats.sync_growth_denied += 1;
-                            for h in handles {
-                                self.pool.free(h).expect("just allocated");
-                            }
-                            return Err(());
-                        }
-                        self.pool.grow_blocks(blocks);
-                        hooks.on_pool_resized(&self.pool.usage());
-                    }
-                    Err(e) => unreachable!("allocate cannot fail with {e}"),
-                }
+    ) -> Result<LockOutcome, LockError> {
+        // Escalation may or may not report success, but the retry can
+        // also succeed through synchronous growth or a sibling-depot
+        // reclaim inside `allocate_slots` — so the retry's own result
+        // is the only thing that decides.
+        self.reclaim_by_escalation(slots_needed as u64, hooks);
+        // The reclaim may have escalated a co-holder of `res` itself (its
+        // intent on the requested table is now S or X): the compatibility
+        // established before it no longer holds, so the request waits.
+        if let Some(head) = self.heads.get_mut(&res) {
+            if !head.compatible_for(app, mode) {
+                let state = self.apps.get_mut(&app).expect("known app");
+                return Ok(enqueue_new_request(
+                    head,
+                    state,
+                    &mut self.stats,
+                    &mut self.seq,
+                    app,
+                    res,
+                    mode,
+                ));
             }
         }
-        Ok(handles)
+        let Ok(slots) = allocate_slots(&mut self.pool, &mut self.stats, slots_needed, hooks) else {
+            // No victim could be escalated in place. DB2's last resort
+            // is the requester itself: collapse its own row locks into
+            // a table lock, waiting on that table lock if it is
+            // contended.
+            if self.apps[&app].most_locked_table().is_some() {
+                return self.escalate_requester(app, res, mode, hooks);
+            }
+            self.stats.denials += 1;
+            return Err(LockError::OutOfLockMemory);
+        };
+        let charged = slots.len() as u64;
+        let head = self.heads.entry(res).or_default();
+        head.granted.push(Granted { app, mode, slots });
+        self.apps
+            .get_mut(&app)
+            .expect("known app")
+            .record_grant(res, mode, charged);
+        self.stats.grants += 1;
+        Ok(LockOutcome::Granted)
     }
 
     // ==================================================================
@@ -507,7 +497,7 @@ impl<P: PoolBackend> LockManager<P> {
         }
         // Table lock contended: queue the escalation as a front-of-queue
         // conversion; the row locks are released when it is granted.
-        let seq = self.next_seq();
+        let seq = next_seq(&mut self.seq);
         let head = self.heads.entry(table_res).or_default();
         head.queue.push_front(Waiter {
             app,
@@ -591,16 +581,14 @@ impl<P: PoolBackend> LockManager<P> {
         hooks: &mut dyn TuningHooks,
     ) {
         let table_res = ResourceId::Table(table);
+        let state = self.apps.get_mut(&app).expect("known app");
         // Upgrade the existing table holding (the intent lock).
         let head = self.heads.entry(table_res).or_default();
         match head.holder_mut(app) {
             Some(g) => {
                 let new_mode = g.mode.supremum(target);
                 g.mode = new_mode;
-                self.apps
-                    .get_mut(&app)
-                    .expect("known app")
-                    .record_conversion(table_res, new_mode);
+                state.record_conversion(table_res, new_mode);
             }
             None => {
                 // No intent held (enforce_intents off): take the table
@@ -609,30 +597,14 @@ impl<P: PoolBackend> LockManager<P> {
                 head.granted.push(Granted {
                     app,
                     mode: target,
-                    slots: Vec::new(),
+                    slots: SlotSet::default(),
                 });
-                self.apps
-                    .get_mut(&app)
-                    .expect("known app")
-                    .record_grant(table_res, target, 0);
+                state.record_grant(table_res, target, 0);
             }
         }
 
-        // Release every row lock on the table.
-        let rows: Vec<ResourceId> = self.apps[&app]
-            .held_resources()
-            .filter_map(|(r, _)| match r {
-                ResourceId::Row(t, _) if *t == table => Some(*r),
-                _ => None,
-            })
-            .collect();
-        let mut worklist = Vec::with_capacity(rows.len());
-        let mut released = 0u64;
-        for res in rows {
-            released += 1;
-            self.release_one(app, res);
-            worklist.push(res);
-        }
+        let mut worklist = std::mem::take(&mut self.worklist);
+        let released = self.release_table_rows(app, table, &mut worklist);
         let exclusive = target == LockMode::X;
         self.stats.escalations += 1;
         if exclusive {
@@ -640,29 +612,54 @@ impl<P: PoolBackend> LockManager<P> {
         }
         self.stats.rows_escalated += released;
         hooks.on_escalation(app, table, exclusive);
-        self.process_queues(worklist, hooks);
+        self.process_queues(&mut worklist, hooks);
+        self.worklist = worklist;
     }
 
     // ==================================================================
     // Release paths
     // ==================================================================
 
-    /// Remove `app`'s granted entry on `res` and return its slots to
-    /// the pool. Does *not* process the queue (callers batch that).
-    fn release_one(&mut self, app: AppId, res: ResourceId) -> u64 {
-        let Some(head) = self.heads.get_mut(&res) else {
-            return 0;
+    /// Drop `app`'s holder entry from the head in `slot` and return its
+    /// lock structures to the pool, all in the one probe that found the
+    /// head: an emptied head leaves the table here, a head with waiters
+    /// goes on `worklist` for [`Self::process_queues`]. Returns the
+    /// slots freed, or `None` when `app` was not a holder.
+    fn release_holder(
+        slot: Entry<'_, ResourceId, LockHead>,
+        app: AppId,
+        pool: &mut P,
+        worklist: &mut Vec<ResourceId>,
+    ) -> Option<u64> {
+        let Entry::Occupied(mut slot) = slot else {
+            return None;
         };
-        let Some(pos) = head.granted.iter().position(|g| g.app == app) else {
-            return 0;
-        };
-        let granted = head.granted.swap_remove(pos);
-        let freed = granted.slots.len() as u64;
-        for h in granted.slots {
-            self.pool.free(h).expect("granted slots are live");
+        let head = slot.get_mut();
+        let granted = head.remove_holder(app)?;
+        let freed = free_slots(pool, &granted.slots);
+        if !head.queue.is_empty() {
+            worklist.push(*slot.key());
+        } else if head.granted.is_empty() {
+            slot.remove();
         }
-        self.apps.get_mut(&app).expect("known app").remove(&res);
-        freed
+        Some(freed)
+    }
+
+    /// Release every row lock `app` holds on `table` (the rows an
+    /// escalated table lock now covers). Returns the rows released.
+    fn release_table_rows(
+        &mut self,
+        app: AppId,
+        table: TableId,
+        worklist: &mut Vec<ResourceId>,
+    ) -> u64 {
+        let Self {
+            heads, apps, pool, ..
+        } = self;
+        let state = apps.get_mut(&app).expect("known app");
+        state.remove_table_rows(table, |row| {
+            Self::release_holder(heads.entry(row), app, pool, worklist);
+        })
     }
 
     /// Release one lock explicitly (non-2PL callers and tests).
@@ -672,40 +669,46 @@ impl<P: PoolBackend> LockManager<P> {
         res: ResourceId,
         hooks: &mut dyn TuningHooks,
     ) -> Result<UnlockReport, LockError> {
-        if self.apps.get(&app).and_then(|a| a.held(&res)).is_none() {
+        let state = self.apps.get_mut(&app);
+        if state.and_then(|a| a.remove(&res)).is_none() {
             return Err(LockError::NotHeld(res));
         }
-        let freed = self.release_one(app, res);
-        self.process_queues(vec![res], hooks);
+        let mut worklist = std::mem::take(&mut self.worklist);
+        let freed = Self::release_holder(self.heads.entry(res), app, &mut self.pool, &mut worklist);
+        self.process_queues(&mut worklist, hooks);
+        self.worklist = worklist;
         Ok(UnlockReport {
             released_locks: 1,
-            freed_slots: freed,
+            freed_slots: freed.unwrap_or(0),
         })
     }
 
     /// Release everything `app` holds (commit under strict 2PL).
+    ///
+    /// Locks are released straight out of the held-map drain, in the
+    /// map's order; that order is not observable, because only heads
+    /// that have waiters need further work and those are sorted before
+    /// their queues are processed.
     pub fn unlock_all(&mut self, app: AppId, hooks: &mut dyn TuningHooks) -> UnlockReport {
-        let Some(state) = self.apps.get_mut(&app) else {
+        let Self {
+            heads, apps, pool, ..
+        } = self;
+        let Some(state) = apps.get_mut(&app) else {
             return UnlockReport::default();
         };
-        let held = state.drain();
         let mut report = UnlockReport::default();
-        let mut worklist = Vec::with_capacity(held.len());
-        for (res, _) in held {
-            let Some(head) = self.heads.get_mut(&res) else {
-                continue;
-            };
-            if let Some(pos) = head.granted.iter().position(|g| g.app == app) {
-                let granted = head.granted.swap_remove(pos);
+        let mut worklist = std::mem::take(&mut self.worklist);
+        for (res, _) in state.drain() {
+            if let Some(freed) = Self::release_holder(heads.entry(res), app, pool, &mut worklist) {
                 report.released_locks += 1;
-                report.freed_slots += granted.slots.len() as u64;
-                for h in granted.slots {
-                    self.pool.free(h).expect("granted slots are live");
-                }
-                worklist.push(res);
+                report.freed_slots += freed;
             }
         }
-        self.process_queues(worklist, hooks);
+        // Deterministic queue processing: tables before rows, each by
+        // descending id (the worklist is popped from the back).
+        worklist.sort_unstable_by_key(|r| (!r.is_row(), *r));
+        self.process_queues(&mut worklist, hooks);
+        self.worklist = worklist;
         report
     }
 
@@ -719,10 +722,10 @@ impl<P: PoolBackend> LockManager<P> {
             return false;
         };
         state.set_waiting(None);
-        if let Some(head) = self.heads.get_mut(&res) {
-            head.remove_waiter(app);
-            if head.is_empty() {
-                self.heads.remove(&res);
+        if let Entry::Occupied(mut slot) = self.heads.entry(res) {
+            slot.get_mut().remove_waiter(app);
+            if slot.get().is_empty() {
+                slot.remove();
             }
         }
         self.stats.cancelled_waits += 1;
@@ -742,120 +745,98 @@ impl<P: PoolBackend> LockManager<P> {
     // ==================================================================
 
     /// Grant queued requests (strict FIFO) on every resource in the
-    /// worklist; escalation tickets completing here may extend the
-    /// worklist with the rows they release.
-    fn process_queues(&mut self, mut worklist: Vec<ResourceId>, hooks: &mut dyn TuningHooks) {
+    /// worklist, leaving it empty; escalation tickets completing here
+    /// extend the worklist with the rows they release that have waiters.
+    fn process_queues(&mut self, worklist: &mut Vec<ResourceId>, hooks: &mut dyn TuningHooks) {
         while let Some(res) = worklist.pop() {
-            // Not a `while let`: the loop body has three distinct exits
-            // (empty head, incompatible front, allocation failure).
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let Some(head) = self.heads.get_mut(&res) else {
-                    break;
-                };
-                let Some(front) = head.queue.front() else {
-                    if head.is_empty() {
-                        self.heads.remove(&res);
-                    }
-                    break;
-                };
-                let app = front.app;
-                let kind = front.kind;
-                let escalation = front.escalation;
-                let target = match kind {
-                    WaitKind::Conversion => {
-                        let held = head.holder(app).map(|g| g.mode);
-                        match held {
-                            Some(m) => m.supremum(front.mode),
-                            // Holder vanished (aborted): treat as new.
-                            None => front.mode,
-                        }
-                    }
-                    WaitKind::New => front.mode,
-                };
-                if !head.compatible_for(app, target) {
-                    break;
+            // One probe per visit to the head; a completed escalation
+            // ticket has to let go of it to release rows, then returns.
+            while self.grant_from_queue(res, worklist, hooks) {}
+        }
+    }
+
+    /// Grant waiters from the front of `res`'s queue until the queue is
+    /// empty, its front is incompatible or memory runs out, removing the
+    /// head if that leaves it empty. Returns true when it stopped early
+    /// to complete an escalation ticket and must be called again.
+    fn grant_from_queue(
+        &mut self,
+        res: ResourceId,
+        worklist: &mut Vec<ResourceId>,
+        hooks: &mut dyn TuningHooks,
+    ) -> bool {
+        let Entry::Occupied(mut slot) = self.heads.entry(res) else {
+            return false;
+        };
+        loop {
+            let head = slot.get_mut();
+            let Some(front) = head.queue.front() else {
+                if head.is_empty() {
+                    slot.remove();
                 }
-                // Grant the front waiter.
-                let needs_slots = match kind {
-                    WaitKind::Conversion if head.holder(app).is_some() => 0,
-                    _ => {
-                        if head.granted.is_empty() {
-                            self.config.first_holder_slots
-                        } else {
-                            self.config.extra_holder_slots
-                        }
-                    }
-                };
-                let handles = if needs_slots > 0 {
-                    match self.allocate_slots(needs_slots, hooks) {
-                        Ok(h) => h,
-                        // Out of memory: leave the waiter queued; a
-                        // future release or grow will retry.
-                        Err(()) => break,
-                    }
+                return false;
+            };
+            let app = front.app;
+            // A conversion whose holder vanished (aborted) is treated
+            // as a new request.
+            let held = match front.kind {
+                WaitKind::Conversion => head.holder(app).map(|g| g.mode),
+                WaitKind::New => None,
+            };
+            let target = held.map_or(front.mode, |m| m.supremum(front.mode));
+            if !head.compatible_for(app, target) {
+                return false;
+            }
+            // Grant the front waiter.
+            let slots = if held.is_some() {
+                SlotSet::default()
+            } else {
+                let needs_slots = if head.granted.is_empty() {
+                    self.config.first_holder_slots
                 } else {
-                    Vec::new()
+                    self.config.extra_holder_slots
                 };
-                let head = self.heads.get_mut(&res).expect("head existed");
-                let waiter = head.queue.pop_front().expect("front checked");
-                debug_assert_eq!(waiter.app, app);
-                let slots = handles.len() as u64;
-                match kind {
-                    WaitKind::Conversion if head.holder(app).is_some() => {
-                        head.holder_mut(app).expect("holder").mode = target;
-                        self.apps
-                            .get_mut(&app)
-                            .expect("known app")
-                            .record_conversion(res, target);
-                        self.stats.conversions += 1;
-                    }
-                    _ => {
-                        head.granted.push(Granted {
-                            app,
-                            mode: target,
-                            slots: handles,
-                        });
-                        self.apps
-                            .get_mut(&app)
-                            .expect("known app")
-                            .record_grant(res, target, slots);
-                    }
+                match allocate_slots(&mut self.pool, &mut self.stats, needs_slots, hooks) {
+                    Ok(slots) => slots,
+                    // Out of memory: leave the waiter queued; a future
+                    // release or grow will retry.
+                    Err(()) => return false,
                 }
-                self.apps
-                    .get_mut(&app)
-                    .expect("known app")
-                    .set_waiting(None);
-                self.stats.queue_grants += 1;
-                let completed_escalation = escalation.is_some();
-                self.notifications.push(GrantNotice {
+            };
+            let waiter = head.queue.pop_front().expect("front checked");
+            let state = self.apps.get_mut(&app).expect("known app");
+            if held.is_some() {
+                head.holder_mut(app).expect("holder").mode = target;
+                state.record_conversion(res, target);
+                self.stats.conversions += 1;
+            } else {
+                let charged = slots.len() as u64;
+                head.granted.push(Granted {
                     app,
-                    resource: res,
-                    completed_escalation,
+                    mode: target,
+                    slots,
                 });
-                if let Some(ticket) = escalation {
-                    // Complete the deferred escalation: drop the row
-                    // locks the table lock now covers.
-                    let rows: Vec<ResourceId> = self.apps[&app]
-                        .held_resources()
-                        .filter_map(|(r, _)| match r {
-                            ResourceId::Row(t, _) if *t == ticket.table => Some(*r),
-                            _ => None,
-                        })
-                        .collect();
-                    let exclusive = target == LockMode::X;
-                    let released = rows.len() as u64;
-                    for row in rows {
-                        self.release_one(app, row);
-                        worklist.push(row);
-                    }
-                    self.stats.escalations += 1;
-                    if exclusive {
-                        self.stats.exclusive_escalations += 1;
-                    }
-                    self.stats.rows_escalated += released;
-                    hooks.on_escalation(app, ticket.table, exclusive);
+                state.record_grant(res, target, charged);
+            }
+            state.set_waiting(None);
+            self.stats.queue_grants += 1;
+            self.notifications.push(GrantNotice {
+                app,
+                resource: res,
+                completed_escalation: waiter.escalation.is_some(),
+            });
+            if let Some(ticket) = waiter.escalation {
+                // Complete the deferred escalation: drop the row locks
+                // the table lock now covers.
+                let released = self.release_table_rows(app, ticket.table, worklist);
+                let exclusive = target == LockMode::X;
+                self.stats.escalations += 1;
+                if exclusive {
+                    self.stats.exclusive_escalations += 1;
                 }
+                self.stats.rows_escalated += released;
+                hooks.on_escalation(app, ticket.table, exclusive);
+                return true;
             }
         }
     }
@@ -876,7 +857,7 @@ impl<P: PoolBackend> LockManager<P> {
                         .unwrap_or(w.mode),
                     WaitKind::New => w.mode,
                 };
-                for g in &head.granted {
+                for g in head.granted.iter() {
                     if g.app != w.app && !target.compatible_with(g.mode) {
                         edges.push((w.app, g.app));
                     }
@@ -934,7 +915,7 @@ impl<P: PoolBackend> LockManager<P> {
         // Every granted entry matches the app's held map; every pair of
         // granted modes on a resource is compatible.
         for (res, head) in &self.heads {
-            for g in &head.granted {
+            for g in head.granted.iter() {
                 let held = self
                     .apps
                     .get(&g.app)
@@ -978,4 +959,105 @@ impl<P: PoolBackend> LockManager<P> {
             }
         }
     }
+}
+
+fn next_seq(seq: &mut u64) -> u64 {
+    let s = *seq;
+    *seq += 1;
+    s
+}
+
+/// Allocate `n` lock structures, growing synchronously through the
+/// hooks when the pool runs dry. On failure every slot already taken is
+/// returned (dropping a `SlotHandle` would leak its slot).
+fn allocate_slots<P: PoolBackend>(
+    pool: &mut P,
+    stats: &mut LockStats,
+    n: u32,
+    hooks: &mut dyn TuningHooks,
+) -> Result<SlotSet, ()> {
+    let mut handles = SlotSet::default();
+    for _ in 0..n {
+        loop {
+            match pool.allocate() {
+                Ok(h) => {
+                    handles.push(h);
+                    break;
+                }
+                Err(PoolError::Exhausted) => {
+                    stats.sync_growth_requests += 1;
+                    let block = pool.config().block_bytes;
+                    let granted = hooks.sync_growth(block, &pool.usage());
+                    let blocks = granted / block;
+                    if blocks == 0 {
+                        stats.sync_growth_denied += 1;
+                        free_slots(pool, &handles);
+                        return Err(());
+                    }
+                    pool.grow_blocks(blocks);
+                    hooks.on_pool_resized(&pool.usage());
+                }
+                Err(e) => unreachable!("allocate cannot fail with {e}"),
+            }
+        }
+    }
+    Ok(handles)
+}
+
+/// Return a released holding's lock structures to the pool.
+fn free_slots<P: PoolBackend>(pool: &mut P, slots: &SlotSet) -> u64 {
+    let mut freed = 0;
+    for &h in slots.iter() {
+        pool.free(h).expect("granted slots are live");
+        freed += 1;
+    }
+    freed
+}
+
+/// An application is about to exceed its `cap_percent` share: ask for
+/// enough synchronous growth to bring `wanted_slots` back under the cap.
+#[cold]
+fn grow_under_cap<P: PoolBackend>(
+    pool: &mut P,
+    stats: &mut LockStats,
+    wanted_slots: u64,
+    cap_percent: f64,
+    hooks: &mut dyn TuningHooks,
+) {
+    let needed_total = (wanted_slots as f64 * 100.0 / cap_percent).ceil() as u64;
+    let total = pool.total_slots();
+    if needed_total > total {
+        let block = pool.config().block_bytes;
+        let raw = (needed_total - total) * pool.config().lock_struct_bytes;
+        let wanted = raw.div_ceil(block) * block;
+        stats.sync_growth_requests += 1;
+        let granted = hooks.sync_growth(wanted, &pool.usage());
+        let blocks = granted / block;
+        if blocks > 0 {
+            pool.grow_blocks(blocks);
+            hooks.on_pool_resized(&pool.usage());
+        }
+    }
+}
+
+/// Queue a new (non-conversion) request at the back of `head`'s queue.
+fn enqueue_new_request(
+    head: &mut LockHead,
+    state: &mut AppLockState,
+    stats: &mut LockStats,
+    seq: &mut u64,
+    app: AppId,
+    res: ResourceId,
+    mode: LockMode,
+) -> LockOutcome {
+    head.queue.push_back(Waiter {
+        app,
+        mode,
+        kind: WaitKind::New,
+        seq: next_seq(seq),
+        escalation: None,
+    });
+    state.set_waiting(Some(res));
+    stats.waits += 1;
+    LockOutcome::Queued
 }

@@ -5,8 +5,13 @@ use std::collections::VecDeque;
 use locktune_memalloc::SlotHandle;
 
 use crate::app::AppId;
+use crate::inline::InlineVec;
 use crate::mode::LockMode;
 use crate::resource::TableId;
+
+/// The lock structures charged to one holding: inline up to the
+/// default `first_holder_slots` (2), on the heap beyond.
+pub type SlotSet = InlineVec<SlotHandle, 2>;
 
 /// One granted holding on a resource.
 #[derive(Debug)]
@@ -16,7 +21,7 @@ pub struct Granted {
     /// Granted mode (the supremum of every request the holder made).
     pub mode: LockMode,
     /// Lock structures charged to this holding.
-    pub slots: Vec<SlotHandle>,
+    pub slots: SlotSet,
 }
 
 /// Why a waiter is in the queue.
@@ -55,8 +60,8 @@ pub struct Waiter {
 /// Per-resource lock state ("lock head").
 #[derive(Debug, Default)]
 pub struct LockHead {
-    /// Current holders.
-    pub granted: Vec<Granted>,
+    /// Current holders; the first lives inside the head.
+    pub granted: InlineVec<Granted, 1>,
     /// FIFO wait queue (conversions are pushed to the front).
     pub queue: VecDeque<Waiter>,
 }
@@ -70,6 +75,12 @@ impl LockHead {
     /// Find the holder entry for `app`, mutably.
     pub fn holder_mut(&mut self, app: AppId) -> Option<&mut Granted> {
         self.granted.iter_mut().find(|g| g.app == app)
+    }
+
+    /// Remove and return `app`'s holder entry (`swap_remove` order).
+    pub fn remove_holder(&mut self, app: AppId) -> Option<Granted> {
+        let pos = self.granted.iter().position(|g| g.app == app)?;
+        Some(self.granted.swap_remove(pos))
     }
 
     /// Is `mode` compatible with every holder other than `app`?
@@ -114,7 +125,7 @@ mod tests {
         Granted {
             app: AppId(app),
             mode,
-            slots: Vec::new(),
+            slots: SlotSet::default(),
         }
     }
 
@@ -160,5 +171,17 @@ mod tests {
         h.granted.push(granted(1, LockMode::IS));
         h.granted.push(granted(2, LockMode::IX));
         assert_eq!(h.group_mode(), Some(LockMode::IX));
+    }
+
+    #[test]
+    fn remove_holder_keeps_swap_remove_order() {
+        let mut h = LockHead::default();
+        for a in 1..=4 {
+            h.granted.push(granted(a, LockMode::IS));
+        }
+        assert_eq!(h.remove_holder(AppId(1)).map(|g| g.app), Some(AppId(1)));
+        let order: Vec<u32> = h.granted.iter().map(|g| g.app.0).collect();
+        assert_eq!(order, vec![4, 2, 3], "the last holder fills the hole");
+        assert!(h.remove_holder(AppId(1)).is_none());
     }
 }

@@ -23,6 +23,14 @@ enum Op {
     Abort {
         app: u32,
     },
+    CancelWait {
+        app: u32,
+    },
+    UnlockRow {
+        app: u32,
+        table: u32,
+        rowid: u64,
+    },
     DetectDeadlocks,
 }
 
@@ -32,6 +40,9 @@ fn op_strategy(apps: u32, tables: u32, rows: u64) -> impl Strategy<Value = Op> {
             |(app, table, rowid, exclusive)| Op::LockRow { app, table, rowid, exclusive }),
         2 => (0..apps).prop_map(|app| Op::Commit { app }),
         1 => (0..apps).prop_map(|app| Op::Abort { app }),
+        1 => (0..apps).prop_map(|app| Op::CancelWait { app }),
+        1 => (0..apps, 0..tables, 0..rows).prop_map(
+            |(app, table, rowid)| Op::UnlockRow { app, table, rowid }),
         1 => Just(Op::DetectDeadlocks),
     ]
 }
@@ -55,13 +66,21 @@ impl TuningHooks for CappedGrow {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Six applications over 24 rows put three and more holders on one
+    /// head (past the inline holder); `first_holder_slots = 3` puts a
+    /// holding past its inline slots; the smaller growth caps (a pool of
+    /// 24 slots at the low end) force MAXLOCKS escalation and
+    /// reclaim-by-escalation.
     #[test]
     fn random_workload_preserves_invariants(
-        ops in proptest::collection::vec(op_strategy(6, 3, 8), 1..300)
+        first_holder_slots in 2u32..4,
+        max_blocks in 3u64..17,
+        ops in proptest::collection::vec(op_strategy(6, 3, 8), 1..300),
     ) {
         let pool = LockMemoryPool::with_bytes(PoolConfig::new(512, 64), 2 * 512);
-        let mut m = LockManager::new(pool, LockManagerConfig::default());
-        let mut hooks = CappedGrow { max_blocks: 16 };
+        let config = LockManagerConfig { first_holder_slots, ..LockManagerConfig::default() };
+        let mut m = LockManager::new(pool, config);
+        let mut hooks = CappedGrow { max_blocks };
         let detector = DeadlockDetector::new();
 
         for op in ops {
@@ -103,6 +122,16 @@ proptest! {
                 Op::Abort { app } => {
                     m.abort(AppId(app), &mut hooks);
                 }
+                Op::CancelWait { app } => {
+                    m.cancel_wait(AppId(app));
+                }
+                Op::UnlockRow { app, table, rowid } => {
+                    let res = ResourceId::Row(TableId(table), RowId(rowid));
+                    match m.unlock(AppId(app), res, &mut hooks) {
+                        Ok(report) => prop_assert_eq!(report.released_locks, 1),
+                        Err(e) => prop_assert_eq!(e, LockError::NotHeld(res)),
+                    }
+                }
                 Op::DetectDeadlocks => {
                     for v in detector.find_victims(&m.wait_edges()) {
                         m.abort(v.app, &mut hooks);
@@ -125,6 +154,10 @@ proptest! {
         m.validate();
         prop_assert_eq!(m.pool().used_slots(), 0, "all lock memory returned");
         prop_assert_eq!(m.locked_resources(), 0, "no stale lock heads");
+        for app in 0..6 {
+            m.forget_app(AppId(app));
+        }
+        prop_assert_eq!(m.known_apps(), 0, "no per-application state survives");
     }
 
     /// Escalation equivalence: locking N rows one-by-one under a tight

@@ -2,8 +2,8 @@
 //! escalations, memory pressure and deadlocks.
 
 use locktune_lockmgr::{
-    AppId, DeadlockDetector, LockError, LockManager, LockManagerConfig, LockMode, LockOutcome,
-    NoTuning, ResourceId, RowId, TableId, TuningHooks,
+    AppId, DeadlockDetector, EscalationBias, LockError, LockManager, LockManagerConfig, LockMode,
+    LockOutcome, NoTuning, ResourceId, RowId, TableId, TuningHooks,
 };
 use locktune_memalloc::{LockMemoryPool, PoolConfig, PoolUsage};
 
@@ -505,6 +505,40 @@ fn retry_allocation_after_failed_reclaim_keeps_its_slots() {
     m.validate();
 }
 
+/// Reclaim-by-escalation may pick a victim on the very table being
+/// requested: the victim's intent becomes a table X, and the requester,
+/// found compatible before the reclaim, must now wait instead of being
+/// granted beside it.
+#[test]
+fn reclaim_that_escalates_a_co_holder_queues_the_request() {
+    let mut m = small_manager(2); // 16 slots
+    let mut h = NoTuning {
+        max_locks_percent: 100.0,
+    };
+    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+    for r in 0..7 {
+        m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
+    }
+    assert_eq!(m.pool().free_slots(), 0);
+
+    // IX beside app 1's IX is compatible, but its one lock structure
+    // can only come from escalating app 1 on this table.
+    let out = m.lock(app(2), table(1), LockMode::IX, &mut h).unwrap();
+    assert_eq!(out, LockOutcome::Queued);
+    assert_eq!(m.stats().escalations, 1);
+    assert_eq!(
+        m.app(app(1)).unwrap().held(&table(1)).unwrap().mode,
+        LockMode::X
+    );
+    m.validate();
+
+    m.unlock_all(app(1), &mut h);
+    let n = m.take_notifications();
+    assert_eq!(n.len(), 1);
+    assert_eq!((n[0].app, n[0].resource), (app(2), table(1)));
+    m.validate();
+}
+
 #[test]
 fn deadlock_detected_and_victim_aborted() {
     let mut m = big_manager();
@@ -603,4 +637,122 @@ fn stats_track_activity() {
     assert_eq!(s.waits, 1);
     m.unlock_all(app(1), &mut h);
     assert_eq!(m.stats().queue_grants, 1);
+}
+
+/// The observable order of a commit: which waiters are granted, and in
+/// which order their notices come out. Tables are served before rows,
+/// each by descending id — whatever order the release itself walks the
+/// held set in.
+#[test]
+fn commit_grants_waiters_in_a_fixed_order() {
+    let mut m = big_manager();
+    let mut h = hooks();
+    // The holder: rows on two tables, and two whole tables.
+    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+    for r in [5, 2, 9] {
+        m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
+    }
+    m.lock(app(1), table(4), LockMode::IX, &mut h).unwrap();
+    m.lock(app(1), row(4, 1), LockMode::X, &mut h).unwrap();
+    m.lock(app(1), table(2), LockMode::X, &mut h).unwrap();
+    m.lock(app(1), table(3), LockMode::X, &mut h).unwrap();
+    // One waiter per contended resource, parked in an unrelated order.
+    let waiters = [
+        (2, row(1, 5)),
+        (3, row(1, 2)),
+        (5, table(2)),
+        (4, row(1, 9)),
+        (7, row(4, 1)),
+        (6, table(3)),
+    ];
+    for (a, res) in waiters {
+        let mode = if let ResourceId::Row(t, _) = res {
+            let intent = m.lock(app(a), ResourceId::Table(t), LockMode::IX, &mut h);
+            assert_eq!(intent, Ok(LockOutcome::Granted));
+            LockMode::X
+        } else {
+            LockMode::S
+        };
+        assert_eq!(m.lock(app(a), res, mode, &mut h), Ok(LockOutcome::Queued));
+    }
+
+    let report = m.unlock_all(app(1), &mut h);
+    assert_eq!(report.released_locks, 8);
+    let order: Vec<(AppId, ResourceId)> = m
+        .take_notifications()
+        .into_iter()
+        .map(|n| (n.app, n.resource))
+        .collect();
+    assert_eq!(
+        order,
+        vec![
+            (app(6), table(3)),
+            (app(5), table(2)),
+            (app(7), row(4, 1)),
+            (app(4), row(1, 9)),
+            (app(2), row(1, 5)),
+            (app(3), row(1, 2)),
+        ]
+    );
+    m.validate();
+}
+
+/// More holders than a head keeps inline and more slots than a holding
+/// keeps inline: the spilled representations account exactly, in every
+/// release order.
+#[test]
+fn spilled_holders_and_slots_account_exactly() {
+    let pool = LockMemoryPool::with_bytes(PoolConfig::default(), 4 << 20);
+    let config = LockManagerConfig {
+        first_holder_slots: 3,
+        ..LockManagerConfig::default()
+    };
+    let mut m = LockManager::new(pool, config);
+    let mut h = hooks();
+    for a in 1..=4 {
+        m.lock(app(a), table(1), LockMode::IS, &mut h).unwrap();
+        m.lock(app(a), row(1, 7), LockMode::S, &mut h).unwrap();
+        m.validate();
+    }
+    // Per head: 3 for the first holder, 1 for each of the other three.
+    assert_eq!(m.pool().used_slots(), 2 * (3 + 3));
+    // The first holder leaves from the middle of the commit order.
+    for (a, slots_left) in [(3, 10), (1, 4), (4, 2), (2, 0)] {
+        m.unlock_all(app(a), &mut h);
+        m.validate();
+        assert_eq!(m.pool().used_slots(), slots_left);
+    }
+    assert_eq!(m.locked_resources(), 0);
+}
+
+#[test]
+fn forget_app_drops_state_and_bias() {
+    let mut m = big_manager();
+    let mut h = hooks();
+    m.set_escalation_bias(
+        app(1),
+        EscalationBias::PreferEscalation {
+            table_row_threshold: 10,
+        },
+    );
+    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+    m.lock(app(2), table(1), LockMode::IX, &mut h).unwrap();
+    assert_eq!(m.known_apps(), 2);
+    m.unlock_all(app(1), &mut h);
+    assert_eq!(m.known_apps(), 2, "commit keeps the state for reuse");
+    m.forget_app(app(1));
+    assert_eq!(m.known_apps(), 1);
+    assert_eq!(m.escalation_bias(app(1)), EscalationBias::PreferGrowth);
+    assert!(m.app(app(1)).is_none());
+    m.forget_app(app(9)); // unknown: nothing to forget
+    m.validate();
+}
+
+#[test]
+#[should_panic(expected = "forgotten while holding")]
+fn forget_app_refuses_a_holder() {
+    let mut m = big_manager();
+    let mut h = hooks();
+    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+    m.forget_app(app(1));
 }

@@ -281,7 +281,15 @@ impl Client {
 
     /// Release everything this connection holds (commit).
     pub fn unlock_all(&mut self) -> Result<UnlockReport, ClientError> {
-        match self.call(&Request::UnlockAll)? {
+        let id = self.send(&Request::UnlockAll)?;
+        self.wait_unlock_all(id)
+    }
+
+    /// Collect the [`Reply::UnlockAll`] for a previously queued
+    /// `UnlockAll` id — the collect half of the router's all-node
+    /// release, like [`Client::wait_batch_outcomes`] for batches.
+    pub fn wait_unlock_all(&mut self, id: u64) -> Result<UnlockReport, ClientError> {
+        match self.wait(id)? {
             Reply::UnlockAll(Ok(report)) => Ok(report),
             Reply::UnlockAll(Err(e)) => Err(ClientError::Service(e)),
             other => Err(unexpected("UnlockAll", &other)),

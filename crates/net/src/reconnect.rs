@@ -27,7 +27,7 @@ use locktune_service::BatchOutcome;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::client::{Client, ClientError};
-use crate::wire::StatsSnapshot;
+use crate::wire::{Request, StatsSnapshot};
 
 /// Reconnect policy for a [`ReconnectingClient`].
 #[derive(Debug, Clone, Copy)]
@@ -447,6 +447,22 @@ impl ReconnectingClient {
         expected: usize,
     ) -> Result<Vec<BatchOutcome>, ClientError> {
         self.run(|c| c.wait_batch_outcomes(id, expected))
+    }
+
+    /// Queue one `UnlockAll` frame and flush it, without collecting
+    /// the reply — the send phase of the router's all-node release.
+    /// Collect with [`ReconnectingClient::wait_unlock_all`].
+    pub fn send_unlock_all(&mut self) -> Result<u64, ClientError> {
+        self.run(|c| {
+            let id = c.send(&Request::UnlockAll)?;
+            c.flush()?;
+            Ok(id)
+        })
+    }
+
+    /// Collect a previously queued `UnlockAll`'s report by request id.
+    pub fn wait_unlock_all(&mut self, id: u64) -> Result<UnlockReport, ClientError> {
+        self.run(|c| c.wait_unlock_all(id))
     }
 }
 

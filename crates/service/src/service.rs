@@ -998,6 +998,17 @@ impl LockService {
             .sum()
     }
 
+    /// Applications the shards keep lock state for (Σ per-shard
+    /// `known_apps`). Bounded by connected sessions × shards: a
+    /// session's drop makes every shard forget it.
+    pub fn known_apps(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.lock().known_apps())
+            .sum()
+    }
+
     /// Snapshot of the shared pool.
     pub fn pool_stats(&self) -> PoolStats {
         self.inner.pool.stats()
@@ -1724,12 +1735,15 @@ impl Drop for Session {
         // Strict 2PL connection teardown: abandon any wait, release all
         // locks, then unregister. Every shard is visited (not just the
         // touched mask) so teardown stays correct even if the mask and
-        // reality ever diverge.
+        // reality ever diverge. The shard then forgets the application:
+        // ids are never reused by the server, so state left behind here
+        // would grow every shard with each connection ever made.
         for shard in &self.inner.shards {
             let mut hooks = self.session_hooks();
             let mut m = shard.lock();
             m.cancel_wait(self.app);
             m.unlock_all(self.app, &mut hooks);
+            m.forget_app(self.app);
             let notices = m.take_notifications();
             drop(m);
             self.inner.deliver(notices);

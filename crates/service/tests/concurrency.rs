@@ -173,6 +173,34 @@ fn tuning_log_is_bounded_and_counters_are_not() {
 }
 
 /// Reconnecting after the previous session dropped is fine.
+/// Connection churn must not grow the shards: the server hands out
+/// ever-increasing application ids, so per-application state that
+/// outlived its session would accumulate without bound.
+#[test]
+fn disconnect_churn_leaves_no_per_app_state_behind() {
+    let service = LockService::start(ServiceConfig::fast(4)).unwrap();
+    let resident = service.connect(AppId(0));
+    resident.lock(table(0), LockMode::IS).unwrap();
+    for id in 1..=10_000u32 {
+        let s = service.connect(AppId(id));
+        // Two tables, so the session leaves state on more than one shard.
+        for t in [id % 7, id % 7 + 1] {
+            s.lock(table(t), LockMode::IX).unwrap();
+            s.lock(row(t, u64::from(id)), LockMode::X).unwrap();
+        }
+        drop(s);
+    }
+    assert!(
+        service.known_apps() <= service.shard_count(),
+        "{} per-shard app entries survive 10 000 disconnects",
+        service.known_apps()
+    );
+    service.validate();
+    resident.unlock_all().unwrap();
+    assert_eq!(service.charged_slots(), 0);
+    service.validate();
+}
+
 #[test]
 fn reconnect_after_drop_is_allowed() {
     let service = LockService::start(ServiceConfig::fast(2)).unwrap();

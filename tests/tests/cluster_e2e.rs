@@ -126,6 +126,51 @@ fn routed_batch_merges_in_request_order() {
     }
 }
 
+/// `unlock_all` sends to every node before collecting from any, so a
+/// dead node in the middle of the node list must neither stop the
+/// release on the nodes after it nor spoil the summed report.
+#[test]
+fn unlock_all_releases_outer_nodes_when_the_middle_node_is_dead() {
+    let (mut servers, services, mut config) = cluster(3, Duration::from_secs(5));
+    // A dead node must cost a bounded, short reconnect cycle.
+    config.reconnect = ReconnectConfig {
+        max_attempts: 2,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(2),
+        ..ReconnectConfig::default()
+    };
+    let mut rc = RoutingClient::connect(&config).expect("routing client");
+
+    let mut items = Vec::new();
+    for slot in 0..3 {
+        let t = table_for_slot(slot, 3);
+        items.push((ResourceId::Table(t), LockMode::IX));
+        for r in 0..=slot as u64 {
+            items.push((ResourceId::Row(t, RowId(r)), LockMode::X));
+        }
+    }
+    let outcomes = rc.lock_many(&items).expect("routed batch");
+    assert!(outcomes.iter().all(BatchOutcome::is_granted));
+
+    // Node 1 dies holding its share (IX + 2 rows); its teardown
+    // releases them server-side.
+    servers.remove(1).shutdown();
+
+    // Nodes 0 and 2 hold IX + 1 row and IX + 3 rows.
+    let report = rc.unlock_all().expect("a dead node is tolerated");
+    assert_eq!(report.released_locks, 2 + 4);
+    for (node, service) in services.iter().enumerate() {
+        assert!(
+            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
+            "node {node} still charges slots"
+        );
+        service.validate();
+    }
+    for s in servers {
+        s.shutdown();
+    }
+}
+
 /// The acceptance scenario: transactions A (gid 1) and B (gid 2) each
 /// hold an X lock on their own partition and then request the other's
 /// — a cycle spanning two nodes. Neither local sweeper can see it.
