@@ -3,7 +3,9 @@
 //! The tuning algorithm needs to know, per application: how many lock
 //! structures it holds (for the `lockPercentPerApplication` check) and
 //! on which table it holds the most row locks (the escalation victim
-//! table).
+//! table). Which resources an application holds, and in what mode, is
+//! recorded once, in the lock heads; kept here is only what commit and
+//! escalation need to find those heads again — the release list.
 
 use crate::hash::FxHashMap;
 use crate::mode::LockMode;
@@ -31,44 +33,59 @@ pub struct TableRowHoldings {
     pub write_rows: u64,
 }
 
+impl TableRowHoldings {
+    /// The table mode that escalating these rows needs.
+    pub fn escalation_mode(&self) -> LockMode {
+        if self.write_rows > 0 {
+            LockMode::X
+        } else {
+            LockMode::S
+        }
+    }
+}
+
+/// What one application holds on one table: the table lock itself and
+/// the rows under it. Kept while either exists.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TableRecord {
+    /// Mode of the table lock held, if any.
+    pub mode: Option<LockMode>,
+    /// Row holdings (escalation bookkeeping).
+    pub rows: TableRowHoldings,
+}
+
 /// Lock-related state of one application.
 #[derive(Debug, Default)]
 pub struct AppLockState {
-    /// Mode and reference count per held resource.
-    held: FxHashMap<ResourceId, HeldLock>,
-    /// Row holdings per table (escalation bookkeeping).
-    per_table: FxHashMap<TableId, TableRowHoldings>,
+    /// Every resource granted since the last commit, appended at grant.
+    /// Each holding appears at least once; an entry whose lock has
+    /// since been released (explicit unlock) is stale, and one locked
+    /// again after that appears twice. Releasing by this list skips
+    /// both, because the lock head says who still holds.
+    pub(crate) release_list: Vec<ResourceId>,
+    /// Holdings alive now (the release list minus stale and repeated
+    /// entries).
+    pub(crate) held_count: usize,
+    pub(crate) per_table: FxHashMap<TableId, TableRecord>,
     /// Total lock structure slots charged to this application.
-    total_slots: u64,
+    pub(crate) total_slots: u64,
     /// Resource this application is currently waiting on, if any.
-    waiting_on: Option<ResourceId>,
+    pub(crate) waiting_on: Option<ResourceId>,
 }
 
-/// One held lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeldLock {
-    /// Current granted mode.
-    pub mode: LockMode,
-    /// Re-entrant request count (released on `unlock_all` regardless).
-    pub count: u32,
-    /// Slots charged for this holding.
-    pub slots: u64,
+/// The record of a table the application holds something on.
+fn table_record(
+    per_table: &mut FxHashMap<TableId, TableRecord>,
+    table: TableId,
+) -> &mut TableRecord {
+    let record = per_table.get_mut(&table);
+    record.expect("every holding is counted in its table's record")
 }
 
 impl AppLockState {
-    /// The held lock on `res`, if any.
-    pub fn held(&self, res: &ResourceId) -> Option<&HeldLock> {
-        self.held.get(res)
-    }
-
-    /// Iterate over all held resources.
-    pub fn held_resources(&self) -> impl Iterator<Item = (&ResourceId, &HeldLock)> {
-        self.held.iter()
-    }
-
     /// Number of held resources.
     pub fn held_count(&self) -> usize {
-        self.held.len()
+        self.held_count
     }
 
     /// Total lock structure slots charged.
@@ -78,29 +95,30 @@ impl AppLockState {
 
     /// Row holdings on `table`.
     pub fn table_holdings(&self, table: TableId) -> TableRowHoldings {
-        self.per_table.get(&table).copied().unwrap_or_default()
+        self.per_table
+            .get(&table)
+            .map(|t| t.rows)
+            .unwrap_or_default()
+    }
+
+    /// Mode of the table lock held on `table`, if any.
+    pub fn table_mode(&self, table: TableId) -> Option<LockMode> {
+        self.per_table.get(&table)?.mode
     }
 
     /// The table with the most row-lock slots (the escalation victim),
     /// with deterministic tie-breaking on the lower table id.
     pub fn most_locked_table(&self) -> Option<TableId> {
-        self.per_table
-            .iter()
-            .filter(|(_, h)| h.rows > 0)
-            .max_by_key(|(t, h)| (h.slots, std::cmp::Reverse(t.0)))
-            .map(|(t, _)| *t)
+        self.row_holdings()
+            .max_by_key(|(id, rows)| (rows.slots, std::cmp::Reverse(id.0)))
+            .map(|(id, _)| id)
     }
 
-    /// Tables on which this application currently holds row locks.
-    pub fn tables_with_rows(&self) -> Vec<TableId> {
-        let mut v: Vec<TableId> = self
-            .per_table
-            .iter()
-            .filter(|(_, h)| h.rows > 0)
-            .map(|(t, _)| *t)
-            .collect();
-        v.sort();
-        v
+    /// Every table this application holds row locks on, with what it
+    /// holds there (in no particular order).
+    pub fn row_holdings(&self) -> impl Iterator<Item = (TableId, TableRowHoldings)> + '_ {
+        let with_rows = self.per_table.iter().filter(|(_, t)| t.rows.rows > 0);
+        with_rows.map(|(id, t)| (*id, t.rows))
     }
 
     /// Resource currently waited on.
@@ -108,111 +126,90 @@ impl AppLockState {
         self.waiting_on
     }
 
-    pub(crate) fn set_waiting(&mut self, res: Option<ResourceId>) {
-        self.waiting_on = res;
-    }
-
-    /// Record a newly granted lock charged `slots` structures.
+    /// Record a new holding charged `slots` structures.
     pub(crate) fn record_grant(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
-        let entry = self.held.entry(res).or_insert(HeldLock {
-            mode,
-            count: 0,
-            slots: 0,
-        });
-        entry.mode = entry.mode.supremum(mode);
-        entry.count += 1;
-        entry.slots += slots;
+        self.release_list.push(res);
+        self.held_count += 1;
         self.total_slots += slots;
-        if let ResourceId::Row(table, _) = res {
-            let t = self.per_table.entry(table).or_default();
-            // Only count the first grant of this row (count goes 0 -> 1).
-            if entry.count == 1 {
-                t.rows += 1;
-                if mode.escalation_table_mode() == LockMode::X {
-                    t.write_rows += 1;
-                }
-            } else if mode.escalation_table_mode() == LockMode::X
-                && entry.mode.escalation_table_mode() == LockMode::X
-                && entry.count > 1
-                && t.write_rows == 0
-            {
-                // Conversion S -> X via re-request: now a write row.
-                t.write_rows += 1;
-            }
-            t.slots += slots;
+        let t = self.per_table.entry(res.table()).or_default();
+        if res.is_row() {
+            t.rows.rows += 1;
+            t.rows.slots += slots;
+            t.rows.write_rows += u64::from(mode.escalation_table_mode() == LockMode::X);
+        } else {
+            t.mode = Some(mode);
         }
     }
 
-    /// Record an in-place conversion to `mode` (no new slots).
-    pub(crate) fn record_conversion(&mut self, res: ResourceId, mode: LockMode) {
-        if let Some(h) = self.held.get_mut(&res) {
-            let before = h.mode;
-            h.mode = h.mode.supremum(mode);
-            h.count += 1;
-            if let ResourceId::Row(table, _) = res {
-                if before.escalation_table_mode() != LockMode::X
-                    && h.mode.escalation_table_mode() == LockMode::X
-                {
-                    self.per_table.entry(table).or_default().write_rows += 1;
-                }
-            }
+    /// Record an in-place conversion from `before` to `after` (no new
+    /// slots).
+    pub(crate) fn record_conversion(&mut self, res: ResourceId, before: LockMode, after: LockMode) {
+        let t = table_record(&mut self.per_table, res.table());
+        if !res.is_row() {
+            t.mode = Some(after);
+        } else if before.escalation_table_mode() != LockMode::X
+            && after.escalation_table_mode() == LockMode::X
+        {
+            t.rows.write_rows += 1;
         }
     }
 
-    /// Remove the holding on `res`, returning the slots to credit back.
-    pub(crate) fn remove(&mut self, res: &ResourceId) -> Option<HeldLock> {
-        let h = self.held.remove(res)?;
-        self.total_slots -= h.slots;
-        if let ResourceId::Row(table, _) = res {
-            if let Some(t) = self.per_table.get_mut(table) {
-                t.rows -= 1;
-                t.slots -= h.slots;
-                if h.mode.escalation_table_mode() == LockMode::X {
-                    t.write_rows = t.write_rows.saturating_sub(1);
-                }
-                if t.rows == 0 {
-                    self.per_table.remove(table);
-                }
-            }
-        }
-        Some(h)
-    }
-
-    /// Remove every row holding on `table` (escalation), handing each
-    /// to `release` in the held map's iteration order. Returns the
-    /// number of rows removed.
-    pub(crate) fn remove_table_rows(
-        &mut self,
-        table: TableId,
-        mut release: impl FnMut(ResourceId),
-    ) -> u64 {
-        let (mut rows, mut slots) = (0, 0);
-        self.held.retain(|res, h| match res {
-            ResourceId::Row(t, _) if *t == table => {
-                rows += 1;
-                slots += h.slots;
-                release(*res);
-                false
-            }
-            _ => true,
-        });
+    /// Record the release of one holding that was held in `mode` and
+    /// charged `slots`. Its release-list entry stays behind, stale.
+    pub(crate) fn record_release(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
+        self.held_count -= 1;
         self.total_slots -= slots;
-        self.per_table.remove(&table);
-        rows
+        let table = res.table();
+        let t = table_record(&mut self.per_table, table);
+        if res.is_row() {
+            t.rows.rows -= 1;
+            t.rows.slots -= slots;
+            t.rows.write_rows -= u64::from(mode.escalation_table_mode() == LockMode::X);
+        } else {
+            t.mode = None;
+        }
+        if t.mode.is_none() && t.rows.rows == 0 {
+            self.per_table.remove(&table);
+        }
     }
 
-    /// Drain every holding (commit / abort) in the held map's
-    /// iteration order; the accounting is reset up front, the map
-    /// keeps its capacity for the next transaction.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (ResourceId, HeldLock)> + '_ {
+    /// Record that every row holding on `table` was released
+    /// (escalation): `rows` of them, which must be all there were.
+    pub(crate) fn record_table_rows_released(&mut self, table: TableId, rows: u64) {
+        let t = table_record(&mut self.per_table, table);
+        debug_assert_eq!(t.rows.rows, rows, "escalation released every row");
+        self.held_count -= rows as usize;
+        self.total_slots -= t.rows.slots;
+        t.rows = TableRowHoldings::default();
+        if t.mode.is_none() {
+            self.per_table.remove(&table);
+        }
+    }
+
+    /// Drop stale and repeated release-list entries once they outnumber
+    /// the live ones, so a transaction that locks and unlocks in a loop
+    /// keeps a bounded list. `still_held` answers from the lock heads.
+    pub(crate) fn compact_release_list(&mut self, still_held: impl FnMut(&ResourceId) -> bool) {
+        if self.release_list.len() > 2 * self.held_count + 16 {
+            self.release_list.sort_unstable();
+            self.release_list.dedup();
+            self.release_list.retain(still_held);
+        }
+    }
+
+    /// Take the release list for a commit or abort, resetting the
+    /// accounting up front; the list keeps its capacity for the next
+    /// transaction.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, ResourceId> {
         self.per_table.clear();
         self.total_slots = 0;
-        self.held.drain()
+        self.held_count = 0;
+        self.release_list.drain(..)
     }
 
     /// True when nothing is held and nothing is awaited.
     pub fn is_idle(&self) -> bool {
-        self.held.is_empty() && self.waiting_on.is_none()
+        self.held_count == 0 && self.waiting_on.is_none()
     }
 }
 
@@ -233,6 +230,7 @@ mod tests {
         a.record_grant(row(1, 2), LockMode::S, 1);
         assert_eq!(a.total_slots(), 5);
         assert_eq!(a.held_count(), 3);
+        assert_eq!(a.table_mode(TableId(1)), Some(LockMode::IX));
         let t = a.table_holdings(TableId(1));
         assert_eq!(t.rows, 2);
         assert_eq!(t.slots, 3);
@@ -249,7 +247,9 @@ mod tests {
             a.record_grant(row(2, r), LockMode::S, 1);
         }
         assert_eq!(a.most_locked_table(), Some(TableId(2)));
-        assert_eq!(a.tables_with_rows(), vec![TableId(1), TableId(2)]);
+        let mut tables: Vec<(u32, u64)> = a.row_holdings().map(|(t, h)| (t.0, h.rows)).collect();
+        tables.sort();
+        assert_eq!(tables, vec![(1, 3), (2, 5)]);
     }
 
     #[test]
@@ -268,27 +268,20 @@ mod tests {
     }
 
     #[test]
-    fn reentrant_grant_counts_one_row() {
-        let mut a = AppLockState::default();
-        a.record_grant(row(1, 1), LockMode::S, 2);
-        a.record_grant(row(1, 1), LockMode::S, 0);
-        let t = a.table_holdings(TableId(1));
-        assert_eq!(t.rows, 1);
-        assert_eq!(a.held(&row(1, 1)).unwrap().count, 2);
-    }
-
-    #[test]
-    fn remove_credits_slots() {
+    fn release_credits_slots_and_leaves_a_stale_entry() {
         let mut a = AppLockState::default();
         a.record_grant(row(1, 1), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::S, 1);
-        let h = a.remove(&row(1, 1)).unwrap();
-        assert_eq!(h.slots, 2);
+        a.record_release(row(1, 1), LockMode::X, 2);
         assert_eq!(a.total_slots(), 1);
+        assert_eq!(a.held_count(), 1);
         let t = a.table_holdings(TableId(1));
         assert_eq!(t.rows, 1);
         assert_eq!(t.write_rows, 0);
-        assert!(a.remove(&row(9, 9)).is_none());
+        assert_eq!(a.release_list, vec![row(1, 1), row(1, 2)]);
+        a.record_release(row(1, 2), LockMode::S, 1);
+        assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
+        assert!(a.per_table.is_empty(), "nothing left on the table");
     }
 
     #[test]
@@ -297,52 +290,69 @@ mod tests {
         a.record_grant(ResourceId::Table(TableId(1)), LockMode::IX, 2);
         a.record_grant(row(1, 5), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::X, 1);
-        let mut drained: Vec<ResourceId> = a.drain().map(|(r, _)| r).collect();
-        drained.sort();
+        let drained: Vec<ResourceId> = a.drain().collect();
         assert_eq!(
             drained,
-            vec![ResourceId::Table(TableId(1)), row(1, 2), row(1, 5)]
+            vec![ResourceId::Table(TableId(1)), row(1, 5), row(1, 2)],
+            "grant order"
         );
         assert_eq!(a.total_slots(), 0);
         assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
+        assert_eq!(a.table_mode(TableId(1)), None);
         assert!(a.is_idle());
     }
 
     #[test]
-    fn remove_table_rows_leaves_other_tables_and_the_intent() {
+    fn releasing_a_tables_rows_leaves_other_tables_and_the_intent() {
         let mut a = AppLockState::default();
         a.record_grant(ResourceId::Table(TableId(1)), LockMode::IX, 2);
         a.record_grant(row(1, 5), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::S, 1);
         a.record_grant(row(2, 2), LockMode::S, 2);
-        let mut released = Vec::new();
-        assert_eq!(a.remove_table_rows(TableId(1), |r| released.push(r)), 2);
-        released.sort();
-        assert_eq!(released, vec![row(1, 2), row(1, 5)]);
+        a.record_table_rows_released(TableId(1), 2);
         assert_eq!(a.total_slots(), 4);
         assert_eq!(a.held_count(), 2);
         assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
+        assert_eq!(a.table_mode(TableId(1)), Some(LockMode::IX));
         assert_eq!(a.table_holdings(TableId(2)).rows, 1);
     }
 
     #[test]
     fn conversion_upgrades_mode_and_write_rows() {
         let mut a = AppLockState::default();
+        a.record_grant(ResourceId::Table(TableId(1)), LockMode::IS, 2);
         a.record_grant(row(1, 1), LockMode::S, 2);
         assert_eq!(a.table_holdings(TableId(1)).write_rows, 0);
-        a.record_conversion(row(1, 1), LockMode::X);
-        assert_eq!(a.held(&row(1, 1)).unwrap().mode, LockMode::X);
+        a.record_conversion(row(1, 1), LockMode::S, LockMode::X);
         assert_eq!(a.table_holdings(TableId(1)).write_rows, 1);
+        a.record_conversion(ResourceId::Table(TableId(1)), LockMode::IS, LockMode::IX);
+        assert_eq!(a.table_mode(TableId(1)), Some(LockMode::IX));
+    }
+
+    #[test]
+    fn compaction_drops_stale_and_repeated_entries() {
+        let mut a = AppLockState::default();
+        a.record_grant(row(1, 0), LockMode::S, 2);
+        for _ in 0..20 {
+            a.record_grant(row(1, 1), LockMode::S, 2);
+            a.record_release(row(1, 1), LockMode::S, 2);
+        }
+        a.record_grant(row(1, 1), LockMode::S, 2);
+        assert_eq!(a.release_list.len(), 22);
+        a.compact_release_list(|_| true);
+        assert_eq!(a.release_list, vec![row(1, 0), row(1, 1)]);
+        a.compact_release_list(|_| false);
+        assert_eq!(a.release_list.len(), 2, "short lists are left alone");
     }
 
     #[test]
     fn waiting_state() {
         let mut a = AppLockState::default();
         assert!(a.is_idle());
-        a.set_waiting(Some(row(1, 1)));
+        a.waiting_on = Some(row(1, 1));
         assert_eq!(a.waiting_on(), Some(row(1, 1)));
         assert!(!a.is_idle());
-        a.set_waiting(None);
+        a.waiting_on = None;
         assert!(a.is_idle());
     }
 }

@@ -32,7 +32,6 @@ pub mod deadlock;
 pub mod error;
 pub mod hash;
 pub mod hooks;
-pub mod inline;
 pub mod manager;
 pub mod mode;
 pub mod partition;

@@ -10,16 +10,16 @@
 
 use std::collections::hash_map::Entry;
 
-use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolError};
+use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolError, SlotHandle};
 
 use crate::app::{AppId, AppLockState};
 use crate::error::LockError;
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet, LockTableMap};
 use crate::hooks::TuningHooks;
 use crate::mode::LockMode;
 use crate::resource::{ResourceId, TableId};
 use crate::stats::LockStats;
-use crate::table::{EscalationTicket, Granted, LockHead, SlotSet, WaitKind, Waiter};
+use crate::table::{LockHead, SpareBoxes, Waiter};
 
 /// Structural configuration of the lock manager.
 #[derive(Debug, Clone, Copy)]
@@ -120,16 +120,19 @@ pub struct UnlockReport {
 #[derive(Debug)]
 pub struct LockManager<P: PoolBackend = LockMemoryPool> {
     config: LockManagerConfig,
-    heads: FxHashMap<ResourceId, LockHead>,
+    heads: LockTableMap<LockHead>,
     apps: FxHashMap<AppId, AppLockState>,
     pool: P,
     stats: LockStats,
-    seq: u64,
     notifications: Vec<GrantNotice>,
     biases: FxHashMap<AppId, EscalationBias>,
     /// Scratch for the heads a release leaves with waiters; kept so a
     /// commit does not allocate.
     worklist: Vec<ResourceId>,
+    /// Scratch for the lock structures of the grant in progress.
+    slot_scratch: Vec<SlotHandle>,
+    /// Boxes emptied by contended heads, reused by the next one.
+    spare: SpareBoxes,
 }
 
 impl<P: PoolBackend> LockManager<P> {
@@ -137,14 +140,15 @@ impl<P: PoolBackend> LockManager<P> {
     pub fn new(pool: P, config: LockManagerConfig) -> Self {
         LockManager {
             config,
-            heads: FxHashMap::default(),
+            heads: LockTableMap::default(),
             apps: FxHashMap::default(),
             pool,
             stats: LockStats::default(),
-            seq: 0,
             notifications: Vec::new(),
             biases: FxHashMap::default(),
             worklist: Vec::new(),
+            slot_scratch: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -187,9 +191,9 @@ impl<P: PoolBackend> LockManager<P> {
     }
 
     /// Drop everything kept for a disconnected application: its lock
-    /// state (whose maps keep their capacity across transactions) and
-    /// its escalation bias. Not for commit — a live session reuses the
-    /// retained capacity every transaction.
+    /// state (whose release list keeps its capacity across
+    /// transactions) and its escalation bias. Not for commit — a live
+    /// session reuses the retained capacity every transaction.
     ///
     /// # Panics
     /// Panics if `app` still holds or awaits a lock; release first.
@@ -205,9 +209,23 @@ impl<P: PoolBackend> LockManager<P> {
         self.heads.len()
     }
 
+    /// The mode in which `app` holds `res`, if it holds it.
+    pub fn held_mode(&self, app: AppId, res: ResourceId) -> Option<LockMode> {
+        Some(self.heads.get(&res)?.holder(app)?.mode)
+    }
+
+    /// Move the grant notifications produced since the last drain onto
+    /// the end of `out`. Both buffers keep their capacity, so a caller
+    /// that reuses `out` drains without allocating.
+    pub fn drain_notifications_into(&mut self, out: &mut Vec<GrantNotice>) {
+        out.append(&mut self.notifications);
+    }
+
     /// Drain grant notifications produced since the last call.
     pub fn take_notifications(&mut self) -> Vec<GrantNotice> {
-        std::mem::take(&mut self.notifications)
+        let mut notices = Vec::new();
+        self.drain_notifications_into(&mut notices);
+        notices
     }
 
     /// Resize the pool towards `target_bytes` (whole blocks,
@@ -231,7 +249,8 @@ impl<P: PoolBackend> LockManager<P> {
     /// The grant path borrows the application's state and the lock head
     /// once each (disjoint fields of `self`) and allocates while both
     /// are still borrowed; only the cold fallbacks — escalation, memory
-    /// pressure — go back through `self` and probe again.
+    /// pressure — go back through `self` and probe again. The head is
+    /// also what says whether the application already holds `res`.
     pub fn lock(
         &mut self,
         app: AppId,
@@ -245,27 +264,27 @@ impl<P: PoolBackend> LockManager<P> {
             apps,
             pool,
             stats,
-            seq,
             biases,
+            slot_scratch,
+            spare,
             ..
         } = self;
         let state = apps.entry(app).or_default();
-        if let Some(waiting) = state.waiting_on() {
+        if let Some(waiting) = state.waiting_on {
             return Err(LockError::AlreadyWaiting(waiting));
         }
 
         // A held table lock may cover the row request entirely.
         if let ResourceId::Row(table, _) = res {
-            let table_res = ResourceId::Table(table);
-            match state.held(&table_res) {
-                Some(h) if h.mode.covers(mode.escalation_table_mode()) => {
+            match state.table_mode(table) {
+                Some(held) if held.covers(mode.escalation_table_mode()) => {
                     stats.covered_by_table += 1;
                     return Ok(LockOutcome::CoveredByTableLock);
                 }
-                Some(h)
+                Some(held)
                     if config.enforce_intents
                     // Intent must announce the row mode (IS for S, IX for X).
-                    && !h.mode.covers(mode.intent_for_row_mode()) =>
+                    && !held.covers(mode.intent_for_row_mode()) =>
                 {
                     return Err(LockError::MissingIntent(res));
                 }
@@ -279,48 +298,42 @@ impl<P: PoolBackend> LockManager<P> {
         // §3.5: every lock-structure request refreshes the adaptive cap.
         let cap_percent = hooks.on_lock_request(&pool.usage());
 
-        // Existing holding: re-entrant grant or conversion.
-        if let Some(held) = state.held(&res) {
-            let held_mode = held.mode;
-            if held_mode.covers(mode) {
-                state.record_grant(res, mode, 0);
-                stats.grants += 1;
-                return Ok(LockOutcome::AlreadyHeld);
-            }
-            let target = held_mode.supremum(mode);
-            let seq = next_seq(seq);
-            let head = heads.get_mut(&res).expect("held lock has a head");
-            if head.compatible_for(app, target) {
-                head.holder_mut(app).expect("holder entry").mode = target;
-                state.record_conversion(res, target);
-                stats.conversions += 1;
-                stats.grants += 1;
-                return Ok(LockOutcome::Granted);
-            }
-            // Conversions queue at the front: they beat new requests.
-            head.queue.push_front(Waiter {
-                app,
-                mode: target,
-                kind: WaitKind::Conversion,
-                seq,
-                escalation: None,
-            });
-            state.set_waiting(Some(res));
-            stats.waits += 1;
-            return Ok(LockOutcome::Queued);
-        }
-
-        // New request. FIFO: a non-empty queue means we wait behind it.
         // A resource nobody holds has no head until the grant below
         // inserts one, so the fallbacks leave no empty head behind.
         let mut slot = heads.entry(res);
         let first_holder = match &mut slot {
             Entry::Occupied(occupied) => {
                 let head = occupied.get_mut();
-                if !head.queue.is_empty() || !head.compatible_for(app, mode) {
-                    return Ok(enqueue_new_request(head, state, stats, seq, app, res, mode));
+                // Existing holding: re-entrant grant or conversion.
+                if let Some(held) = head.holder(app).map(|h| h.mode) {
+                    if held.covers(mode) {
+                        stats.grants += 1;
+                        return Ok(LockOutcome::AlreadyHeld);
+                    }
+                    let target = held.supremum(mode);
+                    if head.compatible_for(app, target) {
+                        head.holder_mut(app).expect("holder entry").mode = target;
+                        state.record_conversion(res, held, target);
+                        stats.conversions += 1;
+                        stats.grants += 1;
+                        return Ok(LockOutcome::Granted);
+                    }
+                    // Conversions queue at the front: they beat new requests.
+                    head.queue_mut(spare).push_front(Waiter {
+                        app,
+                        mode: target,
+                        completes_escalation: false,
+                    });
+                    return Ok(wait_on(res, state, stats));
                 }
-                head.granted.is_empty()
+                // New request. FIFO: a non-empty queue means we wait
+                // behind it.
+                if !head.queue().is_empty() || !head.compatible_for(app, mode) {
+                    return Ok(enqueue_new_request(
+                        head, state, stats, spare, app, res, mode,
+                    ));
+                }
+                !head.is_held()
             }
             Entry::Vacant(_) => true,
         };
@@ -347,7 +360,7 @@ impl<P: PoolBackend> LockManager<P> {
             }
 
             // MAXLOCKS / lockPercentPerApplication check (row locks only).
-            let wanted_slots = state.total_slots() + slots_needed as u64;
+            let wanted_slots = state.total_slots + slots_needed as u64;
             let cap_slots = |pool: &P| (cap_percent / 100.0 * pool.total_slots() as f64) as u64;
             if wanted_slots > cap_slots(pool) {
                 // The tuned system prefers growing the pool over
@@ -356,23 +369,21 @@ impl<P: PoolBackend> LockManager<P> {
                     grow_under_cap(pool, stats, wanted_slots, cap_percent, hooks);
                 }
                 if wanted_slots > cap_slots(pool) && state.most_locked_table().is_some() {
-                    return self.escalate_requester(app, res, mode, hooks);
+                    return self.escalate_requester_on(app, None, res, mode, hooks);
                 }
             }
         }
 
         // Allocate lock structures; under memory pressure the cold path
         // reclaims by escalation and grants through fresh probes.
-        let Ok(slots) = allocate_slots(pool, stats, slots_needed, hooks) else {
+        if allocate_slots(pool, stats, slots_needed, slot_scratch, hooks).is_err() {
             return self.lock_under_memory_pressure(app, res, mode, slots_needed, hooks);
-        };
-        let charged = slots.len() as u64;
+        }
         let head = match slot {
             Entry::Occupied(occupied) => occupied.into_mut(),
             Entry::Vacant(vacant) => vacant.insert(LockHead::default()),
         };
-        head.granted.push(Granted { app, mode, slots });
-        state.record_grant(res, mode, charged);
+        grant(head, state, slot_scratch, spare, app, res, mode);
         stats.grants += 1;
         Ok(LockOutcome::Granted)
     }
@@ -399,35 +410,27 @@ impl<P: PoolBackend> LockManager<P> {
         if let Some(head) = self.heads.get_mut(&res) {
             if !head.compatible_for(app, mode) {
                 let state = self.apps.get_mut(&app).expect("known app");
+                let (stats, spare) = (&mut self.stats, &mut self.spare);
                 return Ok(enqueue_new_request(
-                    head,
-                    state,
-                    &mut self.stats,
-                    &mut self.seq,
-                    app,
-                    res,
-                    mode,
+                    head, state, stats, spare, app, res, mode,
                 ));
             }
         }
-        let Ok(slots) = allocate_slots(&mut self.pool, &mut self.stats, slots_needed, hooks) else {
+        let (pool, stats, scratch) = (&mut self.pool, &mut self.stats, &mut self.slot_scratch);
+        if allocate_slots(pool, stats, slots_needed, scratch, hooks).is_err() {
             // No victim could be escalated in place. DB2's last resort
             // is the requester itself: collapse its own row locks into
             // a table lock, waiting on that table lock if it is
             // contended.
             if self.apps[&app].most_locked_table().is_some() {
-                return self.escalate_requester(app, res, mode, hooks);
+                return self.escalate_requester_on(app, None, res, mode, hooks);
             }
             self.stats.denials += 1;
             return Err(LockError::OutOfLockMemory);
-        };
-        let charged = slots.len() as u64;
+        }
         let head = self.heads.entry(res).or_default();
-        head.granted.push(Granted { app, mode, slots });
-        self.apps
-            .get_mut(&app)
-            .expect("known app")
-            .record_grant(res, mode, charged);
+        let state = self.apps.get_mut(&app).expect("known app");
+        grant(head, state, scratch, &mut self.spare, app, res, mode);
         self.stats.grants += 1;
         Ok(LockOutcome::Granted)
     }
@@ -436,18 +439,8 @@ impl<P: PoolBackend> LockManager<P> {
     // Escalation
     // ==================================================================
 
-    /// MAXLOCKS-triggered escalation of the requesting application.
-    fn escalate_requester(
-        &mut self,
-        app: AppId,
-        res: ResourceId,
-        mode: LockMode,
-        hooks: &mut dyn TuningHooks,
-    ) -> Result<LockOutcome, LockError> {
-        self.escalate_requester_on(app, None, res, mode, hooks)
-    }
-
-    /// Escalate the requester on `table` (or its most-locked table).
+    /// Escalate the requester on `table` (or, for a MAXLOCKS or
+    /// memory-pressure escalation, its most-locked table).
     fn escalate_requester_on(
         &mut self,
         app: AppId,
@@ -464,7 +457,7 @@ impl<P: PoolBackend> LockManager<P> {
         };
         // The escalated table lock must also cover the pending request
         // when it targets the same table.
-        let mut target = self.escalation_mode(app, table);
+        let mut target = self.apps[&app].table_holdings(table).escalation_mode();
         if res.table() == table {
             target = target.supremum(mode.escalation_table_mode());
         }
@@ -497,76 +490,43 @@ impl<P: PoolBackend> LockManager<P> {
         }
         // Table lock contended: queue the escalation as a front-of-queue
         // conversion; the row locks are released when it is granted.
-        let seq = next_seq(&mut self.seq);
         let head = self.heads.entry(table_res).or_default();
-        head.queue.push_front(Waiter {
+        head.queue_mut(&mut self.spare).push_front(Waiter {
             app,
             mode: target,
-            kind: WaitKind::Conversion,
-            seq,
-            escalation: Some(EscalationTicket { table }),
+            completes_escalation: true,
         });
-        self.apps
-            .get_mut(&app)
-            .expect("known app")
-            .set_waiting(Some(table_res));
-        self.stats.waits += 1;
+        let state = self.apps.get_mut(&app).expect("known app");
+        wait_on(table_res, state, &mut self.stats);
         Ok(LockOutcome::QueuedWithEscalation { table })
     }
 
-    /// The table mode an escalation of `app`'s rows on `table` needs.
-    fn escalation_mode(&self, app: AppId, table: TableId) -> LockMode {
-        let holdings = self.apps[&app].table_holdings(table);
-        if holdings.write_rows > 0 {
-            LockMode::X
-        } else {
-            LockMode::S
-        }
-    }
-
     /// Memory-pressure escalation: collapse row locks of the heaviest
-    /// applications until at least `needed` structures are free.
-    /// Returns true once enough memory is free.
-    fn reclaim_by_escalation(&mut self, needed: u64, hooks: &mut dyn TuningHooks) -> bool {
-        loop {
-            if self.pool.free_slots() >= needed {
-                return true;
-            }
+    /// applications until at least `needed` structures are free or no
+    /// candidate is left.
+    fn reclaim_by_escalation(&mut self, needed: u64, hooks: &mut dyn TuningHooks) {
+        while self.pool.free_slots() < needed {
             // Candidate: the (app, table) with the most row slots whose
             // escalation is immediately grantable.
-            let mut best: Option<(u64, AppId, TableId)> = None;
+            let mut best: Option<((u64, AppId, TableId), LockMode)> = None;
             for (&app, state) in &self.apps {
-                for table in state.tables_with_rows() {
-                    let holdings = state.table_holdings(table);
-                    let target = if holdings.write_rows > 0 {
-                        LockMode::X
-                    } else {
-                        LockMode::S
-                    };
-                    let table_res = ResourceId::Table(table);
-                    let compatible = self
-                        .heads
-                        .get(&table_res)
-                        .map(|h| h.compatible_for(app, target))
-                        .unwrap_or(true);
-                    if !compatible {
-                        continue;
-                    }
+                for (table, holdings) in state.row_holdings() {
+                    let target = holdings.escalation_mode();
+                    let head = self.heads.get(&ResourceId::Table(table));
                     // Escalation must net-free memory: it frees the row
                     // slots (>= 1 row with > 0 slots).
-                    if holdings.slots == 0 {
-                        continue;
-                    }
                     let key = (holdings.slots, app, table);
-                    if best.map(|(s, a, t)| key > (s, a, t)).unwrap_or(true) {
-                        best = Some(key);
+                    if holdings.slots > 0
+                        && head.is_none_or(|h| h.compatible_for(app, target))
+                        && best.is_none_or(|(best_key, _)| key > best_key)
+                    {
+                        best = Some((key, target));
                     }
                 }
             }
-            let Some((_, app, table)) = best else {
-                return self.pool.free_slots() >= needed;
+            let Some(((_, app, table), target)) = best else {
+                return;
             };
-            let target = self.escalation_mode(app, table);
             self.perform_escalation(app, table, target, hooks);
         }
     }
@@ -585,35 +545,38 @@ impl<P: PoolBackend> LockManager<P> {
         // Upgrade the existing table holding (the intent lock).
         let head = self.heads.entry(table_res).or_default();
         match head.holder_mut(app) {
-            Some(g) => {
-                let new_mode = g.mode.supremum(target);
-                g.mode = new_mode;
-                state.record_conversion(table_res, new_mode);
+            Some(h) => {
+                let before = h.mode;
+                h.mode = before.supremum(target);
+                state.record_conversion(table_res, before, h.mode);
             }
             None => {
                 // No intent held (enforce_intents off): take the table
                 // lock with zero structures — escalation must free
                 // memory, never consume it while the pool is dry.
-                head.granted.push(Granted {
-                    app,
-                    mode: target,
-                    slots: SlotSet::default(),
-                });
+                head.add_holder(app, target, &[], &mut self.spare);
                 state.record_grant(table_res, target, 0);
             }
         }
 
-        let mut worklist = std::mem::take(&mut self.worklist);
-        let released = self.release_table_rows(app, table, &mut worklist);
+        self.release_escalated_rows(app, table, target, hooks);
+        self.process_queues(hooks);
+    }
+
+    /// The table lock of an escalation is in place in mode `target`:
+    /// drop the row locks it now covers and report the escalation.
+    fn release_escalated_rows(
+        &mut self,
+        app: AppId,
+        table: TableId,
+        target: LockMode,
+        hooks: &mut dyn TuningHooks,
+    ) {
         let exclusive = target == LockMode::X;
         self.stats.escalations += 1;
-        if exclusive {
-            self.stats.exclusive_escalations += 1;
-        }
-        self.stats.rows_escalated += released;
+        self.stats.exclusive_escalations += u64::from(exclusive);
+        self.stats.rows_escalated += self.release_table_rows(app, table);
         hooks.on_escalation(app, table, exclusive);
-        self.process_queues(&mut worklist, hooks);
-        self.worklist = worklist;
     }
 
     // ==================================================================
@@ -623,43 +586,59 @@ impl<P: PoolBackend> LockManager<P> {
     /// Drop `app`'s holder entry from the head in `slot` and return its
     /// lock structures to the pool, all in the one probe that found the
     /// head: an emptied head leaves the table here, a head with waiters
-    /// goes on `worklist` for [`Self::process_queues`]. Returns the
-    /// slots freed, or `None` when `app` was not a holder.
+    /// goes on `worklist` for [`Self::process_queues`]. Returns the mode
+    /// released and the slots freed, or `None` when `app` was not a
+    /// holder (a stale or repeated release-list entry).
     fn release_holder(
         slot: Entry<'_, ResourceId, LockHead>,
         app: AppId,
         pool: &mut P,
+        spare: &mut SpareBoxes,
         worklist: &mut Vec<ResourceId>,
-    ) -> Option<u64> {
+    ) -> Option<(LockMode, u64)> {
         let Entry::Occupied(mut slot) = slot else {
             return None;
         };
         let head = slot.get_mut();
-        let granted = head.remove_holder(app)?;
-        let freed = free_slots(pool, &granted.slots);
-        if !head.queue.is_empty() {
+        let released = head.remove_holder(app, |h| {
+            pool.free(h).expect("granted slots are live");
+        })?;
+        if !head.queue().is_empty() {
             worklist.push(*slot.key());
-        } else if head.granted.is_empty() {
+        } else if head.trim(spare) {
             slot.remove();
         }
-        Some(freed)
+        Some(released)
     }
 
     /// Release every row lock `app` holds on `table` (the rows an
-    /// escalated table lock now covers). Returns the rows released.
-    fn release_table_rows(
-        &mut self,
-        app: AppId,
-        table: TableId,
-        worklist: &mut Vec<ResourceId>,
-    ) -> u64 {
+    /// escalated table lock now covers), dropping the table's rows from
+    /// the release list in the same pass. The rows left with waiters
+    /// are appended to the worklist in commit order. Returns the rows
+    /// released.
+    fn release_table_rows(&mut self, app: AppId, table: TableId) -> u64 {
         let Self {
-            heads, apps, pool, ..
+            heads,
+            apps,
+            pool,
+            spare,
+            worklist,
+            ..
         } = self;
         let state = apps.get_mut(&app).expect("known app");
-        state.remove_table_rows(table, |row| {
-            Self::release_holder(heads.entry(row), app, pool, worklist);
-        })
+        let appended = worklist.len();
+        let mut rows = 0;
+        state.release_list.retain(|res| match res {
+            ResourceId::Row(t, _) if *t == table => {
+                let slot = heads.entry(*res);
+                rows += u64::from(Self::release_holder(slot, app, pool, spare, worklist).is_some());
+                false
+            }
+            _ => true,
+        });
+        state.record_table_rows_released(table, rows);
+        worklist[appended..].sort_unstable_by_key(commit_order);
+        rows
     }
 
     /// Release one lock explicitly (non-2PL callers and tests).
@@ -669,46 +648,59 @@ impl<P: PoolBackend> LockManager<P> {
         res: ResourceId,
         hooks: &mut dyn TuningHooks,
     ) -> Result<UnlockReport, LockError> {
-        let state = self.apps.get_mut(&app);
-        if state.and_then(|a| a.remove(&res)).is_none() {
+        let Self {
+            heads,
+            apps,
+            pool,
+            spare,
+            worklist,
+            ..
+        } = self;
+        let Some((mode, freed)) =
+            Self::release_holder(heads.entry(res), app, pool, spare, worklist)
+        else {
             return Err(LockError::NotHeld(res));
-        }
-        let mut worklist = std::mem::take(&mut self.worklist);
-        let freed = Self::release_holder(self.heads.entry(res), app, &mut self.pool, &mut worklist);
-        self.process_queues(&mut worklist, hooks);
-        self.worklist = worklist;
+        };
+        let state = apps.get_mut(&app).expect("a holder is a known app");
+        state.record_release(res, mode, freed);
+        state.compact_release_list(|r| heads.get(r).is_some_and(|h| h.holder(app).is_some()));
+        self.process_queues(hooks);
         Ok(UnlockReport {
             released_locks: 1,
-            freed_slots: freed.unwrap_or(0),
+            freed_slots: freed,
         })
     }
 
     /// Release everything `app` holds (commit under strict 2PL).
     ///
-    /// Locks are released straight out of the held-map drain, in the
-    /// map's order; that order is not observable, because only heads
-    /// that have waiters need further work and those are sorted before
-    /// their queues are processed.
+    /// Locks are released in release-list (grant) order; that order is
+    /// not observable, because only heads that have waiters need
+    /// further work and those are sorted before their queues are
+    /// processed.
     pub fn unlock_all(&mut self, app: AppId, hooks: &mut dyn TuningHooks) -> UnlockReport {
         let Self {
-            heads, apps, pool, ..
+            heads,
+            apps,
+            pool,
+            spare,
+            worklist,
+            ..
         } = self;
         let Some(state) = apps.get_mut(&app) else {
             return UnlockReport::default();
         };
         let mut report = UnlockReport::default();
-        let mut worklist = std::mem::take(&mut self.worklist);
-        for (res, _) in state.drain() {
-            if let Some(freed) = Self::release_holder(heads.entry(res), app, pool, &mut worklist) {
+        for res in state.drain() {
+            let slot = heads.entry(res);
+            if let Some((_, freed)) = Self::release_holder(slot, app, pool, spare, worklist) {
                 report.released_locks += 1;
                 report.freed_slots += freed;
             }
         }
         // Deterministic queue processing: tables before rows, each by
         // descending id (the worklist is popped from the back).
-        worklist.sort_unstable_by_key(|r| (!r.is_row(), *r));
-        self.process_queues(&mut worklist, hooks);
-        self.worklist = worklist;
+        worklist.sort_unstable_by_key(commit_order);
+        self.process_queues(hooks);
         report
     }
 
@@ -721,10 +713,11 @@ impl<P: PoolBackend> LockManager<P> {
         let Some(res) = state.waiting_on() else {
             return false;
         };
-        state.set_waiting(None);
+        state.waiting_on = None;
         if let Entry::Occupied(mut slot) = self.heads.entry(res) {
-            slot.get_mut().remove_waiter(app);
-            if slot.get().is_empty() {
+            let queue = slot.get_mut().queue_mut(&mut self.spare);
+            queue.retain(|w| w.app != app);
+            if slot.get_mut().trim(&mut self.spare) {
                 slot.remove();
             }
         }
@@ -747,11 +740,11 @@ impl<P: PoolBackend> LockManager<P> {
     /// Grant queued requests (strict FIFO) on every resource in the
     /// worklist, leaving it empty; escalation tickets completing here
     /// extend the worklist with the rows they release that have waiters.
-    fn process_queues(&mut self, worklist: &mut Vec<ResourceId>, hooks: &mut dyn TuningHooks) {
-        while let Some(res) = worklist.pop() {
+    fn process_queues(&mut self, hooks: &mut dyn TuningHooks) {
+        while let Some(res) = self.worklist.pop() {
             // One probe per visit to the head; a completed escalation
             // ticket has to let go of it to release rows, then returns.
-            while self.grant_from_queue(res, worklist, hooks) {}
+            while self.grant_from_queue(res, hooks) {}
         }
     }
 
@@ -759,83 +752,62 @@ impl<P: PoolBackend> LockManager<P> {
     /// empty, its front is incompatible or memory runs out, removing the
     /// head if that leaves it empty. Returns true when it stopped early
     /// to complete an escalation ticket and must be called again.
-    fn grant_from_queue(
-        &mut self,
-        res: ResourceId,
-        worklist: &mut Vec<ResourceId>,
-        hooks: &mut dyn TuningHooks,
-    ) -> bool {
+    fn grant_from_queue(&mut self, res: ResourceId, hooks: &mut dyn TuningHooks) -> bool {
         let Entry::Occupied(mut slot) = self.heads.entry(res) else {
             return false;
         };
         loop {
             let head = slot.get_mut();
-            let Some(front) = head.queue.front() else {
-                if head.is_empty() {
+            let Some(front) = head.queue().front() else {
+                if head.trim(&mut self.spare) {
                     slot.remove();
                 }
                 return false;
             };
-            let app = front.app;
-            // A conversion whose holder vanished (aborted) is treated
-            // as a new request.
-            let held = match front.kind {
-                WaitKind::Conversion => head.holder(app).map(|g| g.mode),
-                WaitKind::New => None,
-            };
+            let (app, completes_escalation) = (front.app, front.completes_escalation);
+            // A holder at the front is converting.
+            let held = head.holder(app).map(|h| h.mode);
             let target = held.map_or(front.mode, |m| m.supremum(front.mode));
             if !head.compatible_for(app, target) {
                 return false;
             }
             // Grant the front waiter.
-            let slots = if held.is_some() {
-                SlotSet::default()
-            } else {
-                let needs_slots = if head.granted.is_empty() {
-                    self.config.first_holder_slots
-                } else {
+            if held.is_none() {
+                let needs_slots = if head.is_held() {
                     self.config.extra_holder_slots
+                } else {
+                    self.config.first_holder_slots
                 };
-                match allocate_slots(&mut self.pool, &mut self.stats, needs_slots, hooks) {
-                    Ok(slots) => slots,
-                    // Out of memory: leave the waiter queued; a future
-                    // release or grow will retry.
-                    Err(()) => return false,
+                let (pool, stats, scratch) =
+                    (&mut self.pool, &mut self.stats, &mut self.slot_scratch);
+                // Out of memory: leave the waiter queued; a future
+                // release or grow will retry.
+                if allocate_slots(pool, stats, needs_slots, scratch, hooks).is_err() {
+                    return false;
                 }
-            };
-            let waiter = head.queue.pop_front().expect("front checked");
-            let state = self.apps.get_mut(&app).expect("known app");
-            if held.is_some() {
-                head.holder_mut(app).expect("holder").mode = target;
-                state.record_conversion(res, target);
-                self.stats.conversions += 1;
-            } else {
-                let charged = slots.len() as u64;
-                head.granted.push(Granted {
-                    app,
-                    mode: target,
-                    slots,
-                });
-                state.record_grant(res, target, charged);
             }
-            state.set_waiting(None);
+            head.queue_mut(&mut self.spare).pop_front();
+            let state = self.apps.get_mut(&app).expect("known app");
+            match held {
+                Some(before) => {
+                    head.holder_mut(app).expect("holder").mode = target;
+                    state.record_conversion(res, before, target);
+                    self.stats.conversions += 1;
+                }
+                None => {
+                    let (scratch, spare) = (&mut self.slot_scratch, &mut self.spare);
+                    grant(head, state, scratch, spare, app, res, target);
+                }
+            }
+            state.waiting_on = None;
             self.stats.queue_grants += 1;
             self.notifications.push(GrantNotice {
                 app,
                 resource: res,
-                completed_escalation: waiter.escalation.is_some(),
+                completed_escalation: completes_escalation,
             });
-            if let Some(ticket) = waiter.escalation {
-                // Complete the deferred escalation: drop the row locks
-                // the table lock now covers.
-                let released = self.release_table_rows(app, ticket.table, worklist);
-                let exclusive = target == LockMode::X;
-                self.stats.escalations += 1;
-                if exclusive {
-                    self.stats.exclusive_escalations += 1;
-                }
-                self.stats.rows_escalated += released;
-                hooks.on_escalation(app, ticket.table, exclusive);
+            if completes_escalation {
+                self.release_escalated_rows(app, res.table(), target, hooks);
                 return true;
             }
         }
@@ -849,21 +821,16 @@ impl<P: PoolBackend> LockManager<P> {
     pub fn wait_edges(&self) -> Vec<(AppId, AppId)> {
         let mut edges = Vec::new();
         for head in self.heads.values() {
-            for (i, w) in head.queue.iter().enumerate() {
-                let target = match w.kind {
-                    WaitKind::Conversion => head
-                        .holder(w.app)
-                        .map(|g| g.mode.supremum(w.mode))
-                        .unwrap_or(w.mode),
-                    WaitKind::New => w.mode,
-                };
-                for g in head.granted.iter() {
-                    if g.app != w.app && !target.compatible_with(g.mode) {
-                        edges.push((w.app, g.app));
+            for (i, w) in head.queue().iter().enumerate() {
+                let held = head.holder(w.app).map(|h| h.mode);
+                let target = held.map_or(w.mode, |m| m.supremum(w.mode));
+                for h in head.holders() {
+                    if h.app != w.app && !target.compatible_with(h.mode) {
+                        edges.push((w.app, h.app));
                     }
                 }
                 // FIFO: a waiter also waits for everyone ahead of it.
-                for earlier in head.queue.iter().take(i) {
+                for earlier in head.queue().iter().take(i) {
                     if earlier.app != w.app {
                         edges.push((w.app, earlier.app));
                     }
@@ -871,17 +838,6 @@ impl<P: PoolBackend> LockManager<P> {
             }
         }
         edges
-    }
-
-    /// Applications currently blocked, with the resource they await.
-    pub fn waiting_apps(&self) -> Vec<(AppId, ResourceId)> {
-        let mut v: Vec<(AppId, ResourceId)> = self
-            .apps
-            .iter()
-            .filter_map(|(&a, s)| s.waiting_on().map(|r| (a, r)))
-            .collect();
-        v.sort();
-        v
     }
 
     /// Total slots charged across applications; must equal the pool's
@@ -912,20 +868,21 @@ impl<P: PoolBackend> LockManager<P> {
                 "app slot accounting must match pool usage"
             );
         }
-        // Every granted entry matches the app's held map; every pair of
-        // granted modes on a resource is compatible.
+        // Rebuild every application's accounting from the heads alone;
+        // every pair of granted modes on a resource is compatible.
+        let mut rebuilt: FxHashMap<AppId, AppLockState> = FxHashMap::default();
         for (res, head) in &self.heads {
-            for g in head.granted.iter() {
-                let held = self
-                    .apps
-                    .get(&g.app)
-                    .and_then(|a| a.held(res))
-                    .unwrap_or_else(|| panic!("{} granted on {res} but not in app state", g.app));
-                assert_eq!(held.mode, g.mode, "mode mismatch on {res}");
-                assert_eq!(held.slots, g.slots.len() as u64, "slot mismatch on {res}");
-            }
-            for (i, a) in head.granted.iter().enumerate() {
-                for b in head.granted.iter().skip(i + 1) {
+            assert!(
+                head.is_held() || !head.queue().is_empty(),
+                "empty head left behind on {res}"
+            );
+            for (i, a) in head.holders().enumerate() {
+                rebuilt
+                    .entry(a.app)
+                    .or_default()
+                    .record_grant(*res, a.mode, head.slots_of(a.app));
+                for b in head.holders().skip(i + 1) {
+                    assert_ne!(a.app, b.app, "{} holds {res} twice", a.app);
                     assert!(
                         a.mode.compatible_with(b.mode),
                         "incompatible co-holders {} ({}) and {} ({}) on {res}",
@@ -936,7 +893,7 @@ impl<P: PoolBackend> LockManager<P> {
                     );
                 }
             }
-            for w in &head.queue {
+            for w in head.queue() {
                 assert_eq!(
                     self.apps.get(&w.app).and_then(|a| a.waiting_on()),
                     Some(*res),
@@ -945,43 +902,51 @@ impl<P: PoolBackend> LockManager<P> {
                 );
             }
         }
-        // Every held entry has a matching granted entry.
+        // What each application believes it holds is exactly what the
+        // heads say, and its release list reaches every holding.
         for (app, state) in &self.apps {
-            for (res, _held) in state.held_resources() {
-                let head = self
-                    .heads
-                    .get(res)
-                    .unwrap_or_else(|| panic!("{app} holds {res} but no head exists"));
+            let heads_say = rebuilt.remove(app).unwrap_or_default();
+            assert_eq!(state.held_count, heads_say.held_count, "{app} held count");
+            assert_eq!(state.total_slots, heads_say.total_slots, "{app} slots");
+            assert_eq!(state.per_table, heads_say.per_table, "{app} per-table");
+            let listed: FxHashSet<&ResourceId> = state.release_list.iter().collect();
+            for res in &heads_say.release_list {
                 assert!(
-                    head.holder(*app).is_some(),
-                    "{app} holds {res} but is not granted"
+                    listed.contains(res),
+                    "{app} holds {res} but its release list does not reach it"
                 );
             }
         }
+        assert!(
+            rebuilt.is_empty(),
+            "holders without application state: {:?}",
+            rebuilt.keys()
+        );
     }
 }
 
-fn next_seq(seq: &mut u64) -> u64 {
-    let s = *seq;
-    *seq += 1;
-    s
+/// Sort key for heads whose queues a release must process: popped from
+/// the back, so tables come before rows, each by descending id.
+fn commit_order(res: &ResourceId) -> (bool, ResourceId) {
+    (!res.is_row(), *res)
 }
 
-/// Allocate `n` lock structures, growing synchronously through the
-/// hooks when the pool runs dry. On failure every slot already taken is
-/// returned (dropping a `SlotHandle` would leak its slot).
+/// Allocate `n` lock structures into `slots` (empty on entry), growing
+/// synchronously through the hooks when the pool runs dry. On failure
+/// every slot already taken is returned (dropping a `SlotHandle` would
+/// leak its slot) and `slots` is empty again.
 fn allocate_slots<P: PoolBackend>(
     pool: &mut P,
     stats: &mut LockStats,
     n: u32,
+    slots: &mut Vec<SlotHandle>,
     hooks: &mut dyn TuningHooks,
-) -> Result<SlotSet, ()> {
-    let mut handles = SlotSet::default();
+) -> Result<(), ()> {
     for _ in 0..n {
         loop {
             match pool.allocate() {
                 Ok(h) => {
-                    handles.push(h);
+                    slots.push(h);
                     break;
                 }
                 Err(PoolError::Exhausted) => {
@@ -991,7 +956,9 @@ fn allocate_slots<P: PoolBackend>(
                     let blocks = granted / block;
                     if blocks == 0 {
                         stats.sync_growth_denied += 1;
-                        free_slots(pool, &handles);
+                        for h in slots.drain(..) {
+                            pool.free(h).expect("just allocated");
+                        }
                         return Err(());
                     }
                     pool.grow_blocks(blocks);
@@ -1001,17 +968,23 @@ fn allocate_slots<P: PoolBackend>(
             }
         }
     }
-    Ok(handles)
+    Ok(())
 }
 
-/// Return a released holding's lock structures to the pool.
-fn free_slots<P: PoolBackend>(pool: &mut P, slots: &SlotSet) -> u64 {
-    let mut freed = 0;
-    for &h in slots.iter() {
-        pool.free(h).expect("granted slots are live");
-        freed += 1;
-    }
-    freed
+/// Make `app` a holder of `res` in `mode`, charged the lock structures
+/// in `slots` (left empty).
+fn grant(
+    head: &mut LockHead,
+    state: &mut AppLockState,
+    slots: &mut Vec<SlotHandle>,
+    spare: &mut SpareBoxes,
+    app: AppId,
+    res: ResourceId,
+    mode: LockMode,
+) {
+    head.add_holder(app, mode, slots, spare);
+    state.record_grant(res, mode, slots.len() as u64);
+    slots.clear();
 }
 
 /// An application is about to exceed its `cap_percent` share: ask for
@@ -1045,19 +1018,22 @@ fn enqueue_new_request(
     head: &mut LockHead,
     state: &mut AppLockState,
     stats: &mut LockStats,
-    seq: &mut u64,
+    spare: &mut SpareBoxes,
     app: AppId,
     res: ResourceId,
     mode: LockMode,
 ) -> LockOutcome {
-    head.queue.push_back(Waiter {
+    head.queue_mut(spare).push_back(Waiter {
         app,
         mode,
-        kind: WaitKind::New,
-        seq: next_seq(seq),
-        escalation: None,
+        completes_escalation: false,
     });
-    state.set_waiting(Some(res));
+    wait_on(res, state, stats)
+}
+
+/// Mark the application of `state` as waiting on `res`, just queued.
+fn wait_on(res: ResourceId, state: &mut AppLockState, stats: &mut LockStats) -> LockOutcome {
+    state.waiting_on = Some(res);
     stats.waits += 1;
     LockOutcome::Queued
 }

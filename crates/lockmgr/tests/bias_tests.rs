@@ -91,13 +91,9 @@ fn threshold_is_per_table() {
         let _ = m.lock(app, row(1, r), LockMode::X, &mut h).unwrap();
     }
     assert_eq!(m.stats().voluntary_escalations, 1);
-    assert!(
-        m.app(app)
-            .unwrap()
-            .held(&ResourceId::Table(TableId(1)))
-            .unwrap()
-            .mode
-            == LockMode::X
+    assert_eq!(
+        m.held_mode(app, ResourceId::Table(TableId(1))),
+        Some(LockMode::X)
     );
     assert_eq!(m.app(app).unwrap().table_holdings(TableId(2)).rows, 25);
     m.validate();

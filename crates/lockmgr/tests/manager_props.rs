@@ -2,9 +2,11 @@
 //! of lock/unlock/abort across many applications must preserve every
 //! cross-structure invariant and never leak lock memory.
 
+use std::collections::BTreeMap;
+
 use locktune_lockmgr::{
-    AppId, DeadlockDetector, LockError, LockManager, LockManagerConfig, LockMode, LockOutcome,
-    ResourceId, RowId, TableId, TuningHooks,
+    AppId, DeadlockDetector, GrantNotice, LockError, LockManager, LockManagerConfig, LockMode,
+    LockOutcome, ResourceId, RowId, TableId, TuningHooks,
 };
 use locktune_memalloc::{LockMemoryPool, PoolConfig, PoolUsage};
 use proptest::prelude::*;
@@ -47,9 +49,11 @@ fn op_strategy(apps: u32, tables: u32, rows: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Growth policy with a hard cap, like the real tuner's bounds.
+/// Growth policy with a hard cap, like the real tuner's bounds. Keeps
+/// the escalations it is told about for the reference model.
 struct CappedGrow {
     max_blocks: u64,
+    escalations: Vec<(AppId, TableId, bool)>,
 }
 
 impl TuningHooks for CappedGrow {
@@ -61,6 +65,142 @@ impl TuningHooks for CappedGrow {
         wanted.min(room)
     }
     fn on_pool_resized(&mut self, _: &PoolUsage) {}
+    fn on_escalation(&mut self, app: AppId, table: TableId, exclusive: bool) {
+        self.escalations.push((app, table, exclusive));
+    }
+}
+
+const APPS: u32 = 6;
+const TABLES: u32 = 3;
+const ROWS: u64 = 8;
+
+/// What the lock manager must be holding, worked out from nothing but
+/// what it told its caller: request outcomes, grant notices and the
+/// escalation hook. Value: granted mode and lock structures charged.
+#[derive(Default)]
+struct Model {
+    held: BTreeMap<(AppId, ResourceId), (LockMode, u64)>,
+    /// Queued request per blocked application: resource and the mode
+    /// it will hold once granted (`None` for an escalation ticket,
+    /// whose grant the escalation hook describes).
+    pending: BTreeMap<AppId, (ResourceId, Option<LockMode>)>,
+    first_holder_slots: u64,
+}
+
+impl Model {
+    fn mode(&self, app: AppId, res: ResourceId) -> Option<LockMode> {
+        self.held.get(&(app, res)).map(|&(mode, _)| mode)
+    }
+
+    /// Lock structures a new holder of `res` is charged right now.
+    fn charge(&self, res: ResourceId) -> u64 {
+        let nobody_holds = !self.held.keys().any(|&(_, r)| r == res);
+        if nobody_holds {
+            self.first_holder_slots
+        } else {
+            1
+        }
+    }
+
+    /// `app` becomes a holder of `res` charged `charge` structures, or
+    /// converts the holding it has.
+    fn grant(&mut self, app: AppId, res: ResourceId, mode: LockMode, charge: u64) {
+        let entry = self.held.entry((app, res)).or_insert((mode, charge));
+        entry.0 = entry.0.supremum(mode);
+    }
+
+    fn queue(&mut self, app: AppId, res: ResourceId, mode: LockMode) {
+        // A queued conversion waits for the supremum.
+        let target = self.mode(app, res).map_or(mode, |held| held.supremum(mode));
+        self.pending.insert(app, (res, Some(target)));
+    }
+
+    fn release_all(&mut self, app: AppId) {
+        self.held.retain(|&(a, _), _| a != app);
+        self.pending.remove(&app);
+    }
+
+    /// `app`'s rows on `table` collapsed into its table lock.
+    fn escalate(&mut self, app: AppId, table: TableId, exclusive: bool) {
+        self.held
+            .retain(|&(a, r), _| !(a == app && r.is_row() && r.table() == table));
+        let target = if exclusive { LockMode::X } else { LockMode::S };
+        let entry = self.held.get_mut(&(app, ResourceId::Table(table)));
+        let entry = entry.expect("intents are enforced, so the table lock exists");
+        entry.0 = entry.0.supremum(target);
+    }
+
+    /// Fold in what one operation reported besides its own outcome.
+    /// Escalations go first: they only release rows, and a waiter is
+    /// granted only once every incompatible holder is gone, so no
+    /// notice of the same operation can depend on a row they drop —
+    /// except a row granted to the escalated application itself on the
+    /// escalated table, where the two orders differ and only the
+    /// manager knows which happened.
+    fn absorb(&mut self, m: &LockManager, hooks: &mut CappedGrow, notices: Vec<GrantNotice>) {
+        let escalations = std::mem::take(&mut hooks.escalations);
+        for &(app, table, exclusive) in &escalations {
+            self.escalate(app, table, exclusive);
+        }
+        for n in notices {
+            let (res, mode) = self
+                .pending
+                .remove(&n.app)
+                .expect("a notice answers a queued request");
+            assert_eq!(res, n.resource);
+            assert_eq!(mode.is_none(), n.completed_escalation);
+            let Some(mode) = mode else { continue };
+            let escalated_since = escalations
+                .iter()
+                .any(|&(a, t, _)| (a, t) == (n.app, res.table()));
+            if res.is_row() && escalated_since && m.held_mode(n.app, res).is_none() {
+                continue;
+            }
+            self.grant(n.app, res, mode, self.charge(res));
+        }
+    }
+
+    /// The manager holds exactly what the model says, and every
+    /// per-application counter is the matching sum over the model.
+    fn check(&self, m: &LockManager) -> Result<(), TestCaseError> {
+        for app in (0..APPS).map(AppId) {
+            let mine = || self.held.iter().filter(move |(&(a, _), _)| a == app);
+            for t in (0..TABLES).map(TableId) {
+                let rows = (0..ROWS).map(|r| ResourceId::Row(t, RowId(r)));
+                for res in rows.chain([ResourceId::Table(t)]) {
+                    prop_assert_eq!(
+                        m.held_mode(app, res),
+                        self.mode(app, res),
+                        "{} on {}",
+                        app,
+                        res
+                    );
+                }
+                let on_table = || mine().filter(move |(&(_, r), _)| r.is_row() && r.table() == t);
+                let holdings = m.app(app).map(|s| s.table_holdings(t)).unwrap_or_default();
+                prop_assert_eq!(holdings.rows, on_table().count() as u64);
+                prop_assert_eq!(
+                    holdings.slots,
+                    on_table().map(|(_, &(_, slots))| slots).sum::<u64>()
+                );
+                let writes = on_table()
+                    .filter(|(_, &(mode, _))| mode == LockMode::X)
+                    .count();
+                prop_assert_eq!(holdings.write_rows, writes as u64);
+            }
+            let (held, slots) = m
+                .app(app)
+                .map_or((0, 0), |s| (s.held_count(), s.total_slots()));
+            prop_assert_eq!(held, mine().count(), "{} held count", app);
+            prop_assert_eq!(
+                slots,
+                mine().map(|(_, &(_, slots))| slots).sum::<u64>(),
+                "{} slots",
+                app
+            );
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -75,13 +215,36 @@ proptest! {
     fn random_workload_preserves_invariants(
         first_holder_slots in 2u32..4,
         max_blocks in 3u64..17,
-        ops in proptest::collection::vec(op_strategy(6, 3, 8), 1..300),
+        ops in proptest::collection::vec(op_strategy(APPS, TABLES, ROWS), 1..300),
     ) {
         let pool = LockMemoryPool::with_bytes(PoolConfig::new(512, 64), 2 * 512);
         let config = LockManagerConfig { first_holder_slots, ..LockManagerConfig::default() };
         let mut m = LockManager::new(pool, config);
-        let mut hooks = CappedGrow { max_blocks };
+        let mut hooks = CappedGrow { max_blocks, escalations: Vec::new() };
         let detector = DeadlockDetector::new();
+        let mut model = Model { first_holder_slots: first_holder_slots.into(), ..Model::default() };
+        // One request: the manager's answer, folded into the model.
+        let request = |m: &mut LockManager, hooks: &mut CappedGrow, model: &mut Model,
+                           app: AppId, res: ResourceId, mode: LockMode| {
+            // The charge is settled by who holds `res` on arrival, even
+            // if reclaiming memory for this request escalates them away.
+            let charge = model.charge(res);
+            let outcome = m.lock(app, res, mode, hooks);
+            let notices = m.take_notifications();
+            model.absorb(m, hooks, notices);
+            match outcome {
+                Ok(LockOutcome::Granted) => model.grant(app, res, mode, charge),
+                Ok(LockOutcome::GrantedAfterEscalation { table, .. }) if table != res.table() => {
+                    model.grant(app, res, mode, charge)
+                }
+                Ok(LockOutcome::Queued) => model.queue(app, res, mode),
+                Ok(LockOutcome::QueuedWithEscalation { table }) => {
+                    model.pending.insert(app, (ResourceId::Table(table), None));
+                }
+                _ => {}
+            }
+            outcome
+        };
 
         for op in ops {
             match op {
@@ -97,7 +260,7 @@ proptest! {
                     } else {
                         (LockMode::IS, LockMode::S)
                     };
-                    match m.lock(a, ResourceId::Table(t), tmode, &mut hooks) {
+                    match request(&mut m, &mut hooks, &mut model, a, ResourceId::Table(t), tmode) {
                         Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
                             continue
                         }
@@ -105,7 +268,8 @@ proptest! {
                         Err(LockError::OutOfLockMemory) => continue,
                         Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
                     }
-                    match m.lock(a, ResourceId::Row(t, RowId(rowid)), rmode, &mut hooks) {
+                    let row = ResourceId::Row(t, RowId(rowid));
+                    match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
                         Ok(_) => {}
                         Err(LockError::OutOfLockMemory) => {}
                         // The table intent may have queued above.
@@ -118,28 +282,43 @@ proptest! {
                     let a = AppId(app);
                     m.cancel_wait(a);
                     m.unlock_all(a, &mut hooks);
+                    model.release_all(a);
                 }
                 Op::Abort { app } => {
                     m.abort(AppId(app), &mut hooks);
+                    model.release_all(AppId(app));
                 }
                 Op::CancelWait { app } => {
                     m.cancel_wait(AppId(app));
+                    model.pending.remove(&AppId(app));
                 }
                 Op::UnlockRow { app, table, rowid } => {
                     let res = ResourceId::Row(TableId(table), RowId(rowid));
+                    let held = model.held.remove(&(AppId(app), res));
                     match m.unlock(AppId(app), res, &mut hooks) {
-                        Ok(report) => prop_assert_eq!(report.released_locks, 1),
-                        Err(e) => prop_assert_eq!(e, LockError::NotHeld(res)),
+                        Ok(report) => {
+                            prop_assert_eq!(report.released_locks, 1);
+                            prop_assert_eq!(Some(report.freed_slots), held.map(|(_, slots)| slots));
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(e, LockError::NotHeld(res));
+                            prop_assert_eq!(held, None);
+                        }
                     }
                 }
                 Op::DetectDeadlocks => {
                     for v in detector.find_victims(&m.wait_edges()) {
                         m.abort(v.app, &mut hooks);
+                        model.release_all(v.app);
+                        let notices = m.take_notifications();
+                        model.absorb(&m, &mut hooks, notices);
                     }
                 }
             }
             m.validate();
-            let _ = m.take_notifications();
+            let notices = m.take_notifications();
+            model.absorb(&m, &mut hooks, notices);
+            model.check(&m)?;
         }
 
         // Quiesce: resolve any residual deadlocks, then commit everyone.
@@ -201,9 +380,8 @@ proptest! {
             m.validate();
         }
         prop_assert!(escalated, "tight cap must escalate within {n_rows} rows");
-        let state = m.app(a).unwrap();
-        prop_assert_eq!(state.held_count(), 1, "rows collapsed into the table lock");
-        let table_mode = state.held(&ResourceId::Table(t)).unwrap().mode;
+        prop_assert_eq!(m.app(a).unwrap().held_count(), 1, "rows collapsed into the table lock");
+        let table_mode = m.held_mode(a, ResourceId::Table(t)).unwrap();
         prop_assert!(table_mode.covers(rmode.escalation_table_mode()));
         m.unlock_all(a, &mut hooks);
         prop_assert_eq!(m.pool().used_slots(), 0);

@@ -188,10 +188,7 @@ fn conversion_in_place_when_compatible() {
         LockOutcome::Granted
     );
     assert_eq!(m.pool().used_slots(), before, "conversions are free");
-    assert_eq!(
-        m.app(app(1)).unwrap().held(&row(1, 1)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(app(1), row(1, 1)), Some(LockMode::X));
     assert_eq!(m.stats().conversions, 1);
     m.validate();
 }
@@ -289,10 +286,7 @@ fn maxlocks_triggers_escalation_to_exclusive_table_lock() {
     assert!((5..20).contains(&at), "fired near the cap, at row {at}");
     // All row locks gone; only the table lock remains.
     assert_eq!(m.app(app(1)).unwrap().held_count(), 1);
-    assert_eq!(
-        m.app(app(1)).unwrap().held(&table(1)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(app(1), table(1)), Some(LockMode::X));
     assert_eq!(m.stats().escalations, 1);
     assert_eq!(m.stats().exclusive_escalations, 1);
     // Subsequent row locks are covered — no memory growth.
@@ -391,10 +385,7 @@ fn memory_pressure_escalates_other_heavy_app() {
     assert_eq!(out, LockOutcome::Granted);
     assert!(m.stats().escalations >= 1);
     // App 1 now holds a table X lock instead of rows.
-    assert_eq!(
-        m.app(app(1)).unwrap().held(&table(1)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(app(1), table(1)), Some(LockMode::X));
     m.validate();
 }
 
@@ -434,10 +425,7 @@ fn deferred_escalation_completes_when_table_lock_granted() {
     assert!(n[0].completed_escalation);
     assert_eq!(m.stats().escalations, 1);
     assert_eq!(m.app(app(1)).unwrap().held_count(), 1);
-    assert_eq!(
-        m.app(app(1)).unwrap().held(&table(1)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(app(1), table(1)), Some(LockMode::X));
     m.validate();
 }
 
@@ -526,10 +514,7 @@ fn reclaim_that_escalates_a_co_holder_queues_the_request() {
     let out = m.lock(app(2), table(1), LockMode::IX, &mut h).unwrap();
     assert_eq!(out, LockOutcome::Queued);
     assert_eq!(m.stats().escalations, 1);
-    assert_eq!(
-        m.app(app(1)).unwrap().held(&table(1)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(app(1), table(1)), Some(LockMode::X));
     m.validate();
 
     m.unlock_all(app(1), &mut h);
@@ -694,6 +679,60 @@ fn commit_grants_waiters_in_a_fixed_order() {
             (app(3), row(1, 2)),
         ]
     );
+    m.validate();
+}
+
+/// The rows an escalation releases hand over to their waiters in the
+/// commit order too (descending row id), not in whatever order the
+/// escalating application happened to lock them. Row waiters can only
+/// coexist with a table-lock escalation when intents are not enforced.
+#[test]
+fn escalation_grants_row_waiters_in_a_fixed_order() {
+    let pool = LockMemoryPool::with_bytes(PoolConfig::default(), 4 << 20);
+    let config = LockManagerConfig {
+        enforce_intents: false,
+        ..LockManagerConfig::default()
+    };
+    let mut m = LockManager::new(pool, config);
+    let mut h = hooks();
+    let locked = [5, 2, 9, 7, 1];
+    for r in locked {
+        m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
+    }
+    for (a, r) in [(2, 7), (3, 2), (4, 9), (5, 1)] {
+        assert_eq!(
+            m.lock(app(a), row(1, r), LockMode::X, &mut h),
+            Ok(LockOutcome::Queued)
+        );
+    }
+    m.set_escalation_bias(
+        app(1),
+        EscalationBias::PreferEscalation {
+            table_row_threshold: locked.len() as u64,
+        },
+    );
+    assert_eq!(
+        m.lock(app(1), row(1, 3), LockMode::X, &mut h),
+        Ok(LockOutcome::GrantedAfterEscalation {
+            table: TableId(1),
+            exclusive: true
+        })
+    );
+    let order: Vec<(AppId, ResourceId)> = m
+        .take_notifications()
+        .into_iter()
+        .map(|n| (n.app, n.resource))
+        .collect();
+    assert_eq!(
+        order,
+        vec![
+            (app(4), row(1, 9)),
+            (app(2), row(1, 7)),
+            (app(3), row(1, 2)),
+            (app(5), row(1, 1)),
+        ]
+    );
+    assert_eq!(m.app(app(1)).unwrap().held_count(), 1);
     m.validate();
 }
 

@@ -92,10 +92,7 @@ fn u_converts_to_x_once_readers_drain() {
     let n = m.take_notifications();
     assert_eq!(n.len(), 1);
     assert_eq!(n[0].app, AppId(1));
-    assert_eq!(
-        m.app(AppId(1)).unwrap().held(&row(7)).unwrap().mode,
-        LockMode::X
-    );
+    assert_eq!(m.held_mode(AppId(1), row(7)), Some(LockMode::X));
     // Conversion consumed no extra lock structures.
     m.validate();
 }

@@ -50,7 +50,7 @@
 //! the eviction deadline.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -61,6 +61,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use locktune_faults::FaultSite;
+use locktune_lockmgr::hash::FxHashMap;
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_obs::IoShardStats;
 use locktune_service::{BatchMachine, BatchOutcome, EventSink, ServiceError, SessionEvent, Step};
@@ -235,8 +236,8 @@ fn spawn_shard(
         events: ev_rx,
         sink: sink.clone(),
         stats: Arc::clone(stats),
-        conns: HashMap::new(),
-        by_app: HashMap::new(),
+        conns: FxHashMap::default(),
+        by_app: FxHashMap::default(),
         timers: BinaryHeap::new(),
         freelist: Vec::new(),
         read_buf: vec![0u8; READ_CHUNK],
@@ -356,9 +357,9 @@ struct Shard {
     events: Receiver<(AppId, SessionEvent)>,
     sink: EventSink,
     stats: Arc<Vec<ShardStats>>,
-    conns: HashMap<u64, Conn>,
+    conns: FxHashMap<u64, Conn>,
     /// App → connection token, for routing grant/abort events.
-    by_app: HashMap<AppId, u64>,
+    by_app: FxHashMap<AppId, u64>,
     /// Lazily-invalidated deadline heap (lock-wait timeouts, eviction
     /// pressure); stale entries fire and validate against the conn.
     timers: BinaryHeap<Reverse<(Instant, u64, u8)>>,
@@ -846,18 +847,19 @@ impl Shard {
             }
             let nslices;
             let written = {
-                let mut slices: Vec<IoSlice> =
-                    Vec::with_capacity(conn.wq.frames.len().min(MAX_IOVECS));
-                for (i, f) in conn.wq.frames.iter().take(MAX_IOVECS).enumerate() {
-                    let b = if i == 0 {
+                let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
+                let mut n = 0;
+                for (slice, f) in slices.iter_mut().zip(&conn.wq.frames) {
+                    let b = if n == 0 {
                         &f[conn.wq.head_off..]
                     } else {
                         &f[..]
                     };
-                    slices.push(IoSlice::new(b));
+                    *slice = IoSlice::new(b);
+                    n += 1;
                 }
-                nslices = slices.len() as u64;
-                match (&conn.stream).write_vectored(&slices) {
+                nslices = n as u64;
+                match (&conn.stream).write_vectored(&slices[..n]) {
                     Ok(0) => {
                         conn.dead = true;
                         return;

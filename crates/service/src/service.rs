@@ -47,7 +47,22 @@ use crate::tuning::{ServiceHooks, TuningShared};
 /// bench in `locktune-bench` holds this gate to its <2 % budget.
 pub(crate) const OBS_ENABLED: bool = cfg!(feature = "obs");
 
-pub(crate) type Shard = Mutex<LockManager<SharedLockMemoryPool>>;
+/// One shard: a lock manager behind its latch, on cache lines of its
+/// own. Shards sit side by side in a `Vec`; unpadded, the last fields
+/// of one share a line with the latch word and table counters of the
+/// next, so two sessions working on *different* shards invalidate each
+/// other's line on every lock. 128 rather than 64: the adjacent-line
+/// prefetcher pulls lines in pairs.
+#[repr(align(128))]
+pub(crate) struct Shard(Mutex<LockManager<SharedLockMemoryPool>>);
+
+impl std::ops::Deref for Shard {
+    type Target = Mutex<LockManager<SharedLockMemoryPool>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
 
 /// Errors surfaced to service clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,13 +438,14 @@ impl ServiceInner {
     }
 
     /// Forward grant notifications to the waiters' channels (or event
-    /// sinks). Call with no shard latch held.
-    pub(crate) fn deliver(&self, notices: Vec<GrantNotice>) {
+    /// sinks), leaving `notices` empty with its capacity. Call with no
+    /// shard latch held.
+    pub(crate) fn deliver(&self, notices: &mut Vec<GrantNotice>) {
         if notices.is_empty() {
             return;
         }
         let registry = self.registry.lock();
-        for n in notices {
+        for n in notices.drain(..) {
             match registry.get(&n.app) {
                 // A send can only fail if the session dropped; its
                 // locks are being torn down anyway.
@@ -501,12 +517,15 @@ impl ServiceInner {
     /// event records the abort.
     fn abort_confirmed_waiter(&self, app: AppId, remote: bool) -> bool {
         let mut still_waiting = false;
+        let mut notices = Vec::new();
         for shard in &self.shards {
-            let (cancelled, notices) = {
+            let cancelled = {
                 let mut m = shard.lock();
-                (m.cancel_wait(app), m.take_notifications())
+                let cancelled = m.cancel_wait(app);
+                m.drain_notifications_into(&mut notices);
+                cancelled
             };
-            self.deliver(notices);
+            self.deliver(&mut notices);
             still_waiting |= cancelled;
         }
         if !still_waiting {
@@ -527,14 +546,13 @@ impl ServiceInner {
         // The victim is out of every wait queue and parked on its
         // channel; nothing can grant it until the Aborted message
         // below wakes it, so releasing its locks is safe.
-        let mut notices = Vec::new();
         for shard in &self.shards {
             let mut hooks = self.hooks();
             let mut m = shard.lock();
             m.abort(app, &mut hooks);
-            notices.append(&mut m.take_notifications());
+            m.drain_notifications_into(&mut notices);
         }
-        self.deliver(notices);
+        self.deliver(&mut notices);
         self.send(app, WakeMessage::Aborted);
         true
     }
@@ -789,7 +807,7 @@ impl LockService {
         );
 
         let shards = (0..config.shards)
-            .map(|_| Mutex::new(LockManager::new(pool.clone(), config.manager)))
+            .map(|_| Shard(Mutex::new(LockManager::new(pool.clone(), config.manager))))
             .collect();
 
         let mem = Self::build_memory(&config, pool.total_bytes());
@@ -963,6 +981,7 @@ impl LockService {
             requests: std::cell::Cell::new(1),
             touched_shards: std::cell::Cell::new(0),
             obs_ticks: std::cell::Cell::new(0),
+            notices: std::cell::RefCell::new(Vec::new()),
         })
     }
 
@@ -1340,6 +1359,10 @@ pub struct Session {
     /// [`LATCH_SAMPLE_PERIOD`]-th one is timed. Session-local so the
     /// sampling tick is two `Cell` accesses, not a shared atomic.
     obs_ticks: std::cell::Cell<u64>,
+    /// Grant notices on their way from a shard to their waiters; one
+    /// buffer for the session's lifetime, so draining a shard's notices
+    /// under its latch does not allocate.
+    notices: std::cell::RefCell<Vec<GrantNotice>>,
 }
 
 impl Session {
@@ -1349,7 +1372,7 @@ impl Session {
     }
 
     /// Tuning hooks carrying this session's request counter.
-    pub(crate) fn session_hooks(&self) -> ServiceHooks<'_> {
+    fn session_hooks(&self) -> ServiceHooks<'_> {
         ServiceHooks {
             shared: &self.inner.tuning,
             requests: Some(&self.requests),
@@ -1364,7 +1387,7 @@ impl Session {
     /// shard latch; pair with [`Session::finish_latch`] after dropping
     /// it. Compiles to nothing in the obs-off build.
     #[inline]
-    pub(crate) fn latch_timer(&self) -> Option<Instant> {
+    fn latch_timer(&self) -> Option<Instant> {
         if !OBS_ENABLED {
             return None;
         }
@@ -1375,12 +1398,33 @@ impl Session {
 
     /// Record a sampled latch hold on shard `idx`.
     #[inline]
-    pub(crate) fn finish_latch(&self, idx: usize, t0: Option<Instant>) {
+    fn finish_latch(&self, idx: usize, t0: Option<Instant>) {
         if let Some(t0) = t0 {
             self.inner
                 .obs
                 .record_latch(idx, t0.elapsed().as_nanos() as u64);
         }
+    }
+
+    /// Run `f` on shard `idx` under its latch (sampling the hold time
+    /// when `timed`), then — latch dropped — deliver the grant notices
+    /// it produced.
+    pub(crate) fn on_shard<R>(
+        &self,
+        idx: usize,
+        timed: bool,
+        f: impl FnOnce(&mut LockManager<SharedLockMemoryPool>, &mut ServiceHooks<'_>) -> R,
+    ) -> R {
+        let mut notices = self.notices.borrow_mut();
+        let mut hooks = self.session_hooks();
+        let mut m = self.inner.shards[idx].lock();
+        let t0 = if timed { self.latch_timer() } else { None };
+        let result = f(&mut m, &mut hooks);
+        m.drain_notifications_into(&mut notices);
+        drop(m);
+        self.finish_latch(idx, t0);
+        self.inner.deliver(&mut notices);
+        result
     }
 
     /// Drain stale messages from the session channel; `true` if a
@@ -1421,17 +1465,7 @@ impl Session {
 
         let idx = self.inner.shard_index(res);
         self.mark_touched(idx);
-        let (outcome, notices) = {
-            let mut hooks = self.session_hooks();
-            let mut m = self.inner.shards[idx].lock();
-            let t0 = self.latch_timer();
-            let outcome = m.lock(self.app, res, mode, &mut hooks);
-            let notices = m.take_notifications();
-            drop(m);
-            self.finish_latch(idx, t0);
-            (outcome, notices)
-        };
-        self.inner.deliver(notices);
+        let outcome = self.on_shard(idx, true, |m, hooks| m.lock(self.app, res, mode, hooks));
         match outcome {
             Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
                 self.await_grant(res)
@@ -1524,15 +1558,12 @@ impl Session {
                 // after the latch drops — exactly where sequential
                 // `lock()` delivers them.
                 let mut queued: Option<(usize, ResourceId)> = None;
-                let notices = {
-                    let mut hooks = self.session_hooks();
-                    let mut m = self.inner.shards[shard_idx].lock();
-                    let t0 = self.latch_timer();
+                self.on_shard(shard_idx, true, |m, hooks| {
                     while pos < group.len() {
                         let i = group[pos];
                         let (res, mode) = reqs[i];
                         pos += 1;
-                        match m.lock(self.app, res, mode, &mut hooks) {
+                        match m.lock(self.app, res, mode, hooks) {
                             Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
                                 queued = Some((i, res));
                                 break;
@@ -1548,12 +1579,7 @@ impl Session {
                             }
                         }
                     }
-                    let notices = m.take_notifications();
-                    drop(m);
-                    self.finish_latch(shard_idx, t0);
-                    notices
-                };
-                self.inner.deliver(notices);
+                });
                 if let Some((i, res)) = queued {
                     match self.await_grant(res) {
                         Ok(o) => out[i] = BatchOutcome::Done(Ok(o)),
@@ -1654,13 +1680,7 @@ impl Session {
                     // reports nothing to cancel and the message is
                     // already in the channel; loop to receive it.
                     let idx = self.inner.shard_index(res);
-                    let (cancelled, notices) = {
-                        let mut m = self.inner.shards[idx].lock();
-                        let c = m.cancel_wait(self.app);
-                        (c, m.take_notifications())
-                    };
-                    self.inner.deliver(notices);
-                    if cancelled {
+                    if self.on_shard(idx, false, |m, _| m.cancel_wait(self.app)) {
                         return Err(ServiceError::Timeout);
                     }
                 }
@@ -1671,18 +1691,7 @@ impl Session {
     /// Release one lock.
     pub fn unlock(&self, res: ResourceId) -> Result<UnlockReport, ServiceError> {
         let idx = self.inner.shard_index(res);
-        let (report, notices) = {
-            let mut hooks = self.session_hooks();
-            let mut m = self.inner.shards[idx].lock();
-            let t0 = self.latch_timer();
-            let r = m.unlock(self.app, res, &mut hooks);
-            let notices = m.take_notifications();
-            drop(m);
-            self.finish_latch(idx, t0);
-            (r, notices)
-        };
-        self.inner.deliver(notices);
-        Ok(report?)
+        Ok(self.on_shard(idx, true, |m, hooks| m.unlock(self.app, res, hooks))?)
     }
 
     /// Record that shard `idx` has (or may have) state for this
@@ -1712,17 +1721,11 @@ impl Session {
         }
         let mut total = UnlockReport::default();
         let touched = self.touched_shards.replace(0);
-        for (i, shard) in self.inner.shards.iter().enumerate() {
+        for i in 0..self.inner.shards.len() {
             if touched & (1u64 << (i & 63)) == 0 {
                 continue;
             }
-            let (report, notices) = {
-                let mut hooks = self.session_hooks();
-                let mut m = shard.lock();
-                let r = m.unlock_all(self.app, &mut hooks);
-                (r, m.take_notifications())
-            };
-            self.inner.deliver(notices);
+            let report = self.on_shard(i, false, |m, hooks| m.unlock_all(self.app, hooks));
             total.released_locks += report.released_locks;
             total.freed_slots += report.freed_slots;
         }
@@ -1738,15 +1741,12 @@ impl Drop for Session {
         // reality ever diverge. The shard then forgets the application:
         // ids are never reused by the server, so state left behind here
         // would grow every shard with each connection ever made.
-        for shard in &self.inner.shards {
-            let mut hooks = self.session_hooks();
-            let mut m = shard.lock();
-            m.cancel_wait(self.app);
-            m.unlock_all(self.app, &mut hooks);
-            m.forget_app(self.app);
-            let notices = m.take_notifications();
-            drop(m);
-            self.inner.deliver(notices);
+        for i in 0..self.inner.shards.len() {
+            self.on_shard(i, false, |m, hooks| {
+                m.cancel_wait(self.app);
+                m.unlock_all(self.app, hooks);
+                m.forget_app(self.app);
+            });
         }
         self.inner.registry.lock().remove(&self.app);
         self.rx = None;

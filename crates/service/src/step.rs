@@ -188,13 +188,7 @@ impl BatchMachine {
             return Step::Done;
         };
         let idx = session.inner.shard_index(w.res);
-        let (cancelled, notices) = {
-            let mut m = session.inner.shards[idx].lock();
-            let c = m.cancel_wait(session.app());
-            (c, m.take_notifications())
-        };
-        session.inner.deliver(notices);
-        if !cancelled {
+        if !session.on_shard(idx, false, |m, _| m.cancel_wait(session.app())) {
             w.deadline = None;
             return Step::Waiting { deadline: None };
         }
@@ -233,15 +227,12 @@ impl BatchMachine {
                 // the group ends), delivering grant notices after the
                 // latch drops — same as `lock_many_into`.
                 let mut queued: Option<(usize, ResourceId)> = None;
-                let notices = {
-                    let mut hooks = session.session_hooks();
-                    let mut m = session.inner.shards[shard_idx].lock();
-                    let t0 = session.latch_timer();
+                session.on_shard(shard_idx, true, |m, hooks| {
                     while self.pos < group_len {
                         let i = self.groups[shard_idx][self.pos];
                         let (res, mode) = self.reqs[i];
                         self.pos += 1;
-                        match m.lock(session.app(), res, mode, &mut hooks) {
+                        match m.lock(session.app(), res, mode, hooks) {
                             Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
                                 queued = Some((i, res));
                                 break;
@@ -255,12 +246,7 @@ impl BatchMachine {
                             }
                         }
                     }
-                    let notices = m.take_notifications();
-                    drop(m);
-                    session.finish_latch(shard_idx, t0);
-                    notices
-                };
-                session.inner.deliver(notices);
+                });
                 if let Some((i, res)) = queued {
                     let deadline = session
                         .inner
