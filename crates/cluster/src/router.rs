@@ -324,6 +324,14 @@ pub struct RoutingClient {
     groups: Vec<Vec<usize>>,
     /// Scratch: the per-node sub-batches themselves.
     node_items: Vec<Vec<(ResourceId, LockMode)>>,
+    /// Scratch: per node, the request id in flight in a fan-out's
+    /// collect phase (`None` = nothing was sent there).
+    pending: Vec<Option<u64>>,
+    /// Per node: sent lock traffic since the last release. Strict 2PL
+    /// commits release on every node the transaction touched — but only
+    /// those; a one-node transaction does not wake the others for an
+    /// empty `UnlockAll` (the mirror of `Session`'s touched-shard mask).
+    touched: Vec<bool>,
 }
 
 impl RoutingClient {
@@ -363,6 +371,8 @@ impl RoutingClient {
         let mut rc = RoutingClient {
             groups: vec![Vec::new(); n],
             node_items: vec![Vec::new(); n],
+            pending: Vec::with_capacity(n),
+            touched: vec![false; n],
             addrs: config.nodes.clone(),
             reconnect: config.reconnect,
             gid: config.gid,
@@ -398,7 +408,10 @@ impl RoutingClient {
 
     /// Direct access to one node's session, for per-node operations
     /// (stats scrapes, audits) a harness wants to address explicitly.
+    /// The router cannot see what is sent through it, so the node
+    /// counts as touched until the next release.
     pub fn node(&mut self, i: usize) -> &mut ReconnectingClient {
+        self.touched[i] = true;
         &mut self.nodes[i]
     }
 
@@ -501,14 +514,16 @@ impl RoutingClient {
         // failure stops the fan-out but the collect phase below still
         // drains every node that *was* sent to, keeping those
         // pipelines clean.
-        let mut pending: Vec<Option<u64>> = vec![None; n];
+        self.pending.clear();
+        self.pending.resize(n, None);
         let mut first_err: Option<ClusterError> = None;
-        for (node, slot) in pending.iter_mut().enumerate() {
+        for node in 0..n {
             if self.node_items[node].is_empty() {
                 continue;
             }
+            self.touched[node] = true;
             match self.nodes[node].send_lock_batch(&self.node_items[node]) {
-                Ok(id) => *slot = Some(id),
+                Ok(id) => self.pending[node] = Some(id),
                 Err(e) => {
                     first_err = Some(classify(node, e));
                     break;
@@ -521,7 +536,9 @@ impl RoutingClient {
         let mut merged: Vec<BatchOutcome> =
             (0..items.len()).map(|_| BatchOutcome::Skipped).collect();
         for node in 0..n {
-            let Some(id) = pending[node] else { continue };
+            let Some(id) = self.pending[node] else {
+                continue;
+            };
             match self.nodes[node].wait_batch_outcomes(id, self.node_items[node].len()) {
                 Ok(outcomes) => {
                     for (j, o) in outcomes.into_iter().enumerate() {
@@ -572,8 +589,9 @@ impl RoutingClient {
         let mut stale: Option<ClusterError> = None;
 
         // Send phase: breaker-open nodes fail fast without a syscall.
-        let mut pending: Vec<Option<u64>> = vec![None; n];
-        for (node, slot) in pending.iter_mut().enumerate() {
+        self.pending.clear();
+        self.pending.resize(n, None);
+        for node in 0..n {
             if self.node_items[node].is_empty() {
                 continue;
             }
@@ -581,15 +599,18 @@ impl RoutingClient {
                 mark_unavailable(&mut merged, &self.groups[node], node, epoch);
                 continue;
             }
+            self.touched[node] = true;
             match self.nodes[node].send_lock_batch(&self.node_items[node]) {
-                Ok(id) => *slot = Some(id),
+                Ok(id) => self.pending[node] = Some(id),
                 Err(e) => self.fail_subbatch(&mut merged, &mut stale, node, epoch, e),
             }
         }
 
         // Collect phase.
         for node in 0..n {
-            let Some(id) = pending[node] else { continue };
+            let Some(id) = self.pending[node] else {
+                continue;
+            };
             match self.nodes[node].wait_batch_outcomes(id, self.node_items[node].len()) {
                 Ok(outcomes) => {
                     self.breakers[node].record_success();
@@ -637,6 +658,7 @@ impl RoutingClient {
     pub fn lock(&mut self, res: ResourceId, mode: LockMode) -> Result<LockOutcome, ClusterError> {
         self.sync_with_map();
         let node = self.partition_of(res);
+        self.touched[node] = true;
         self.nodes[node]
             .lock(res, mode)
             .map_err(|e| self.fail(node, e))
@@ -649,18 +671,21 @@ impl RoutingClient {
         self.nodes[node].unlock(res).map_err(|e| self.fail(node, e))
     }
 
-    /// Release everything on every node, summing the reports. Session
-    /// loss and node-down on individual nodes are tolerated — their
-    /// locks are already released by the server's disconnect teardown
-    /// (or will be, when the dead socket is noticed) — so a degraded
-    /// cluster can still be drained. Fenced sessions are tolerated
-    /// for the same reason: `UnlockAll` is never fenced server-side,
-    /// and a `StaleEpoch` here could only come from the re-bind
-    /// handshake, after which the old session's locks are gone.
+    /// Release everything the transaction holds, summing the reports.
+    /// Only nodes sent lock traffic since the last release are
+    /// contacted — a node's session can hold nothing the router never
+    /// asked it for. Session loss and node-down on individual nodes are
+    /// tolerated — their locks are already released by the server's
+    /// disconnect teardown (or will be, when the dead socket is
+    /// noticed) — so a degraded cluster can still be drained. Fenced
+    /// sessions are tolerated for the same reason: `UnlockAll` is never
+    /// fenced server-side, and a `StaleEpoch` here could only come from
+    /// the re-bind handshake, after which the old session's locks are
+    /// gone.
     pub fn unlock_all(&mut self) -> Result<UnlockReport, ClusterError> {
         let mut total = UnlockReport::default();
         let mut first_err: Option<ClusterError> = None;
-        self.unlock_all_nodes(|node, result| match result {
+        self.unlock_all_nodes(false, |node, result| match result {
             Ok(r) => {
                 total.released_locks += r.released_locks;
                 total.freed_slots += r.freed_slots;
@@ -679,26 +704,34 @@ impl RoutingClient {
         first_err.map_or(Ok(total), Err)
     }
 
-    /// Send `UnlockAll` to every node before collecting any reply, so
-    /// the nodes release in parallel and the call costs one round trip
-    /// instead of one per node. A failure on one node — in either phase
-    /// — never stops the others: each node's result goes to `on_node`.
+    /// Send `UnlockAll` to every touched node (`every_node`: to all of
+    /// them, touched or not) before collecting any reply, so the nodes
+    /// release in parallel and the call costs one round trip instead of
+    /// one per node. A failure on one node — in either phase — never
+    /// stops the others: each node's result goes to `on_node`. Clears
+    /// the touched flags either way.
     fn unlock_all_nodes(
         &mut self,
+        every_node: bool,
         mut on_node: impl FnMut(usize, Result<UnlockReport, ClientError>),
     ) {
-        let mut pending: Vec<Option<u64>> = Vec::with_capacity(self.nodes.len());
+        self.pending.clear();
         for (node, c) in self.nodes.iter_mut().enumerate() {
-            pending.push(match c.send_unlock_all() {
-                Ok(id) => Some(id),
-                Err(e) => {
-                    on_node(node, Err(e));
-                    None
+            let touched = std::mem::take(&mut self.touched[node]);
+            self.pending.push(if !(touched || every_node) {
+                None
+            } else {
+                match c.send_unlock_all() {
+                    Ok(id) => Some(id),
+                    Err(e) => {
+                        on_node(node, Err(e));
+                        None
+                    }
                 }
             });
         }
-        for (node, id) in pending.into_iter().enumerate() {
-            if let Some(id) = id {
+        for node in 0..self.nodes.len() {
+            if let Some(id) = self.pending[node] {
                 on_node(node, self.nodes[node].wait_unlock_all(id));
             }
         }
@@ -748,9 +781,11 @@ impl RoutingClient {
     }
 
     /// Drop every lock on every reachable node, ignoring failures —
-    /// the consistency restore after a partial session loss.
+    /// the consistency restore after a partial session loss. Visits
+    /// every node, not just the touched ones: this is the path that
+    /// runs when the router's own view of the transaction is in doubt.
     fn release_all_best_effort(&mut self) {
-        self.unlock_all_nodes(|_, _| {});
+        self.unlock_all_nodes(true, |_, _| {});
     }
 }
 

@@ -545,9 +545,17 @@ fn draw(addr: &str, snap: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) {
             } else {
                 sh.writev_frames as f64 / sh.writev_calls as f64
             };
+            // Share of readiness waits the spin caught before the
+            // shard blocked in epoll_wait; ~0 % on an idle server.
+            let waits = sh.spin_hits + sh.parks;
+            let spun = if waits == 0 {
+                0.0
+            } else {
+                100.0 * sh.spin_hits as f64 / waits as f64
+            };
             println!(
-                "  shard {:>2}   conns {:>6}   wakeups {:>9}   writev {:>9} ({:.2} frames/call)   write hwm {:>8} B",
-                sh.shard, sh.connections, sh.wakeups, sh.writev_calls, coalesce, sh.write_buf_hwm,
+                "  shard {:>2}   conns {:>6}   wakeups {:>9}   writev {:>9} ({:.2} frames/call)   write hwm {:>8} B   waits {:>9} ({:.0}% spun)",
+                sh.shard, sh.connections, sh.wakeups, sh.writev_calls, coalesce, sh.write_buf_hwm, waits, spun,
             );
         }
     }

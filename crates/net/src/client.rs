@@ -16,11 +16,13 @@
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_obs::MetricsSnapshot;
-use locktune_service::{BatchOutcome, ServiceError};
+use locktune_service::{BatchOutcome, ServiceError, SpinPark, SpinStats};
 
+use crate::poll;
 use crate::wire::{
     self, Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport,
     WaitGraphReply, MAX_BATCH,
@@ -119,6 +121,8 @@ pub struct Client {
     encode_buf: Vec<u8>,
     /// Reusable receive buffer for frame payloads.
     read_buf: Vec<u8>,
+    /// Spin-then-park state for reply waits.
+    spin: SpinPark,
 }
 
 impl Client {
@@ -135,6 +139,7 @@ impl Client {
             dirty: false,
             encode_buf: Vec::new(),
             read_buf: Vec::new(),
+            spin: SpinPark::new(),
         })
     }
 
@@ -193,6 +198,17 @@ impl Client {
         }
         self.flush()?;
         loop {
+            // Nothing buffered: the read below would park in the
+            // kernel until the server answers. Probe the socket first
+            // (the shared spin-then-park policy) — once replies have
+            // been seen to arrive inside the spin, the wake-up is never
+            // paid; until then, and whenever the server turns slow, the
+            // policy goes straight to the read.
+            if self.reader.buffer().is_empty() {
+                let fd = self.reader.get_ref().as_raw_fd();
+                self.spin
+                    .spin(None, || poll::readable_now(fd).then_some(()));
+            }
             if !wire::read_payload_into(&mut self.reader, &mut self.read_buf)? {
                 return Err(ClientError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -213,6 +229,12 @@ impl Client {
             }
             self.stash.insert(got, reply);
         }
+    }
+
+    /// How this connection's reply waits have gone: resolved by the
+    /// spin in front of the blocking read, or parked in it.
+    pub fn reply_wait_stats(&self) -> SpinStats {
+        self.spin.stats()
     }
 
     fn call(&mut self, req: &Request) -> Result<Reply, ClientError> {

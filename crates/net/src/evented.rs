@@ -64,7 +64,9 @@ use locktune_faults::FaultSite;
 use locktune_lockmgr::hash::FxHashMap;
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_obs::IoShardStats;
-use locktune_service::{BatchMachine, BatchOutcome, EventSink, ServiceError, SessionEvent, Step};
+use locktune_service::{
+    BatchMachine, BatchOutcome, EventSink, ServiceError, SessionEvent, SpinPark, Step,
+};
 
 use crate::poll::{PollEvent, Poller, WakeFd, EPOLLIN, EPOLLOUT};
 use crate::server::{self, Backend, ConnCtx, Shared};
@@ -102,6 +104,8 @@ struct ShardStats {
     writev_calls: AtomicU64,
     writev_frames: AtomicU64,
     write_buf_hwm: AtomicU64,
+    spin_hits: AtomicU64,
+    parks: AtomicU64,
 }
 
 /// A new admitted connection crossing from the accept thread to its
@@ -239,6 +243,7 @@ fn spawn_shard(
         conns: FxHashMap::default(),
         by_app: FxHashMap::default(),
         timers: BinaryHeap::new(),
+        spin: SpinPark::new(),
         freelist: Vec::new(),
         read_buf: vec![0u8; READ_CHUNK],
         payload: Vec::new(),
@@ -363,6 +368,8 @@ struct Shard {
     /// Lazily-invalidated deadline heap (lock-wait timeouts, eviction
     /// pressure); stale entries fire and validate against the conn.
     timers: BinaryHeap<Reverse<(Instant, u64, u8)>>,
+    /// Spin-then-park state for the readiness wait in [`Shard::run`].
+    spin: SpinPark,
     freelist: Vec<Vec<u8>>,
     read_buf: Vec<u8>,
     /// Current frame payload, copied out of the accumulator so the
@@ -375,8 +382,7 @@ impl Shard {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
-            let timeout = self.next_timeout();
-            if self.poller.wait(&mut events, timeout).is_err() {
+            if self.wait_ready(&mut events).is_err() {
                 break;
             }
             if self.shared.shutdown.load(Ordering::Acquire) {
@@ -412,9 +418,34 @@ impl Shard {
         &self.stats[self.index]
     }
 
-    fn next_timeout(&mut self) -> Option<Duration> {
-        let &Reverse((t, _, _)) = self.timers.peek()?;
-        Some(t.saturating_duration_since(Instant::now()))
+    /// Fill `events` with ready fds, blocking until there are some or
+    /// the earliest timer is due. Zero-timeout polls come first (the
+    /// shared spin-then-park policy): a request that follows the last
+    /// reply within microseconds is picked up without this thread — and
+    /// the vCPU under it — having gone to sleep in between. The spin
+    /// never runs past the earliest timer, and it has to be earned: an
+    /// idle or slowly-paced shard, or one on a saturated host, blocks
+    /// at once.
+    fn wait_ready(&mut self, events: &mut Vec<PollEvent>) -> std::io::Result<()> {
+        let next_timer = self.timers.peek().map(|&Reverse((t, _, _))| t);
+        let polled = self.spin.spin(next_timer, || {
+            match self.poller.wait(events, Some(Duration::ZERO)) {
+                Ok(()) if events.is_empty() => None,
+                result => Some(result),
+            }
+        });
+        let stats = self.spin.stats();
+        self.stat()
+            .spin_hits
+            .store(stats.spin_hits, Ordering::Relaxed);
+        self.stat().parks.store(stats.parks, Ordering::Relaxed);
+        match polled {
+            Some(result) => result,
+            None => {
+                let timeout = next_timer.map(|t| t.saturating_duration_since(Instant::now()));
+                self.poller.wait(events, timeout)
+            }
+        }
     }
 
     // ---- connection lifecycle ----------------------------------------
@@ -969,6 +1000,8 @@ impl Shard {
                 writev_calls: s.writev_calls.load(Ordering::Relaxed),
                 writev_frames: s.writev_frames.load(Ordering::Relaxed),
                 write_buf_hwm: s.write_buf_hwm.load(Ordering::Relaxed),
+                spin_hits: s.spin_hits.load(Ordering::Relaxed),
+                parks: s.parks.load(Ordering::Relaxed),
             })
             .collect()
     }

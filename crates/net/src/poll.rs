@@ -1,17 +1,20 @@
-//! Minimal epoll + eventfd bindings for the evented server core.
+//! Minimal epoll + eventfd bindings for the evented server core, plus
+//! the client's non-consuming socket readiness probe.
 //!
 //! Hand-rolled on `std::os::fd` — the workspace vendors no libc-style
 //! crate, and the evented core needs exactly four syscalls that std
 //! does not expose: `epoll_create1`, `epoll_ctl`, `epoll_wait` and
-//! `eventfd`. Everything else rides std (`TcpStream::write_vectored`
-//! for `writev`, `File` over an `OwnedFd` for eventfd reads/writes).
+//! `eventfd`; the client's spin-before-read needs a fifth, `recv` with
+//! `MSG_PEEK | MSG_DONTWAIT` ([`readable_now`]). Everything else rides
+//! std (`TcpStream::write_vectored` for `writev`, `File` over an
+//! `OwnedFd` for eventfd reads/writes).
 //! Linux-only, like the CI and the deployment target; the constants
 //! below are the kernel ABI values, stable since epoll shipped.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::os::raw::{c_int, c_uint};
+use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
 
 /// Readable (`EPOLLIN`).
@@ -29,6 +32,8 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
 const EFD_CLOEXEC: c_int = 0x80000;
 const EFD_NONBLOCK: c_int = 0x800;
+const MSG_PEEK: c_int = 0x2;
+const MSG_DONTWAIT: c_int = 0x40;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel
 /// declares it `__attribute__((packed))` there so 32- and 64-bit
@@ -46,6 +51,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -54,6 +60,26 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     } else {
         Ok(ret)
     }
+}
+
+/// Would a blocking read on socket `fd` return right now? A
+/// non-consuming, non-blocking one-byte peek: true when data is
+/// queued, and also at EOF or on a socket error — the read the caller
+/// makes next will not block and surfaces either properly. Leaves the
+/// socket's blocking mode and its queued bytes untouched, so it can sit
+/// in front of a `BufReader` whose buffer is empty.
+pub fn readable_now(fd: RawFd) -> bool {
+    let mut byte = 0u8;
+    // SAFETY: `byte` is a valid one-byte buffer for the call's duration.
+    let ret = unsafe {
+        recv(
+            fd,
+            (&mut byte as *mut u8).cast(),
+            1,
+            MSG_PEEK | MSG_DONTWAIT,
+        )
+    };
+    ret >= 0 || io::Error::last_os_error().kind() != io::ErrorKind::WouldBlock
 }
 
 /// One readiness notification out of [`Poller::wait`].
@@ -246,6 +272,36 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(1)))
             .unwrap();
         assert!(events.is_empty(), "drain consumed the pending wake");
+    }
+
+    #[test]
+    fn readable_now_peeks_without_consuming() {
+        use std::io::{Read as _, Write as _};
+        use std::net::{TcpListener, TcpStream};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        // Nothing sent: not readable, and the probe did not block.
+        assert!(!readable_now(server.as_raw_fd()));
+
+        client.write_all(b"hi").unwrap();
+        // Loopback delivery is asynchronous to the write returning.
+        while !readable_now(server.as_raw_fd()) {
+            std::thread::yield_now();
+        }
+        assert!(readable_now(server.as_raw_fd()), "a peek consumes nothing");
+        let mut buf = [0u8; 2];
+        server.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"hi");
+        assert!(!readable_now(server.as_raw_fd()));
+
+        // EOF counts as readable: the next read returns 0, not a block.
+        drop(client);
+        while !readable_now(server.as_raw_fd()) {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_obs::MetricsSnapshot;
-use locktune_service::BatchOutcome;
+use locktune_service::{BatchOutcome, SpinStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::client::{Client, ClientError};
@@ -210,6 +210,16 @@ impl ReconnectingClient {
     /// Recovery counters so far.
     pub fn stats(&self) -> ReconnectStats {
         self.stats
+    }
+
+    /// The live session's reply-wait counters
+    /// ([`Client::reply_wait_stats`]); zero while disconnected, and
+    /// starting over with every fresh session.
+    pub fn reply_wait_stats(&self) -> SpinStats {
+        self.client
+            .as_ref()
+            .map(Client::reply_wait_stats)
+            .unwrap_or_default()
     }
 
     /// True while a session is established.

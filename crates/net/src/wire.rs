@@ -1150,6 +1150,8 @@ fn put_obs_counters(out: &mut Vec<u8>, c: &ObsCounters) {
         c.epoch_bumps,
         c.fenced_requests,
         c.degraded_batches,
+        c.grant_spin_hits,
+        c.grant_parks,
     ] {
         put_u64(out, v);
     }
@@ -1178,6 +1180,8 @@ fn get_obs_counters(r: &mut Reader<'_>) -> Result<ObsCounters, WireError> {
         epoch_bumps: r.u64()?,
         fenced_requests: r.u64()?,
         degraded_batches: r.u64()?,
+        grant_spin_hits: r.u64()?,
+        grant_parks: r.u64()?,
     })
 }
 
@@ -1229,6 +1233,8 @@ fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
         put_u64(out, s.writev_calls);
         put_u64(out, s.writev_frames);
         put_u64(out, s.write_buf_hwm);
+        put_u64(out, s.spin_hits);
+        put_u64(out, s.parks);
     }
 }
 
@@ -1293,6 +1299,8 @@ fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
             writev_calls: r.u64()?,
             writev_frames: r.u64()?,
             write_buf_hwm: r.u64()?,
+            spin_hits: r.u64()?,
+            parks: r.u64()?,
         });
     }
     Ok(MetricsSnapshot {

@@ -318,9 +318,20 @@ fn shard_row() -> BoxedStrategy<IoShardStats> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
     )
         .prop_map(
-            |(shard, connections, wakeups, writev_calls, writev_frames, write_buf_hwm)| {
+            |(
+                shard,
+                connections,
+                wakeups,
+                writev_calls,
+                writev_frames,
+                write_buf_hwm,
+                spin_hits,
+                parks,
+            )| {
                 IoShardStats {
                     shard,
                     connections,
@@ -328,6 +339,8 @@ fn shard_row() -> BoxedStrategy<IoShardStats> {
                     writev_calls,
                     writev_frames,
                     write_buf_hwm,
+                    spin_hits,
+                    parks,
                 }
             },
         )
@@ -371,6 +384,8 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
                         epoch_bumps: s.0 ^ s.2,
                         fenced_requests: s.2 ^ s.1,
                         degraded_batches: s.3 ^ s.0,
+                        grant_spin_hits: s.0 ^ !s.1,
+                        grant_parks: s.2 ^ !s.3,
                         ..ObsCounters::default()
                     },
                     pool_bytes: pool.0,
@@ -739,6 +754,8 @@ fn max_metrics_reply_fits_one_frame() {
                 writev_calls: u64::MAX,
                 writev_frames: u64::MAX,
                 write_buf_hwm: u64::MAX,
+                spin_hits: u64::MAX,
+                parks: u64::MAX,
             })
             .collect(),
         ..MetricsSnapshot::default()
@@ -900,10 +917,10 @@ fn forged_wait_graph_counts_rejected() {
     );
 }
 
-/// Forged Metrics frames are rejected structurally: an event count
-/// above the wire bound, and a histogram with a duplicate (or
-/// non-ascending) bucket index, both fail before any allocation
-/// proportional to the forged count.
+/// Forged Metrics frames are rejected structurally: an event or
+/// I/O-shard count above the wire bound, and a histogram with a
+/// duplicate (or non-ascending) bucket index, all fail before any
+/// allocation proportional to the forged count.
 #[test]
 fn forged_metrics_counts_rejected() {
     let base = encode_reply(1, &Reply::Metrics(Box::default()));
@@ -911,10 +928,10 @@ fn forged_metrics_counts_rejected() {
 
     // The default snapshot encodes its four empty histograms as
     // (0 nonzero, sum, max) = 17 bytes each; the event count sits
-    // right after the fixed block of the header, 49 u64-width fields
-    // (uptime + 14 lock stats + 21 obs counters + 4 pool gauges +
+    // right after the fixed block of the header, 51 u64-width fields
+    // (uptime + 14 lock stats + 23 obs counters + 4 pool gauges +
     // 4 f64s + 4 tuning counters + fence epoch) and the 4 histograms.
-    let events_at = HEADER_LEN + 49 * 8 + 4 * 17;
+    let events_at = HEADER_LEN + 51 * 8 + 4 * 17;
     assert_eq!(
         &payload[events_at..events_at + 4],
         &0u32.to_le_bytes(),
@@ -930,8 +947,22 @@ fn forged_metrics_counts_rejected() {
         })
     );
 
+    // The I/O-shard row count closes the frame, behind the (empty)
+    // event list, its cursor, the (empty) tick list and its cursor.
+    let shards_at = events_at + 4 + 8 + 4 + 8;
+    assert_eq!(shards_at + 4, payload.len(), "shard-count offset drifted");
+    let mut forged = payload.to_vec();
+    forged[shards_at..].copy_from_slice(&((MAX_WIRE_IO_SHARDS as u32) + 1).to_le_bytes());
+    assert_eq!(
+        decode_reply(&forged),
+        Err(WireError::TooMany {
+            what: "io shards",
+            n: MAX_WIRE_IO_SHARDS + 1,
+        })
+    );
+
     // Duplicate bucket index: claim 2 nonzero buckets, both index 0.
-    let hist_at = HEADER_LEN + 49 * 8;
+    let hist_at = HEADER_LEN + 51 * 8;
     let mut forged = Vec::new();
     forged.extend_from_slice(&payload[..hist_at]);
     forged.push(2); // n_nonzero

@@ -56,6 +56,10 @@ struct ShardObs {
     lock_wait: AtomicHistogram,
     /// Sampled shard-latch hold times (ns).
     latch_hold: AtomicHistogram,
+    /// Grant waits resolved by the spin, without parking.
+    grant_spin_hits: AtomicU64,
+    /// Grant waits that parked on the session channel.
+    grant_parks: AtomicU64,
 }
 
 /// The service's instrumentation root: one per [`LockService`]
@@ -150,22 +154,37 @@ impl Obs {
 
     // -- hot-path recording ----------------------------------------------
 
+    /// `shard`'s instrumentation block (index masked: `Obs` is sized
+    /// to the service's shard count, a power of two).
+    #[inline]
+    fn shard(&self, shard: usize) -> &ShardObs {
+        &self.shards[shard & (self.shards.len() - 1)].0
+    }
+
     /// A blocked lock request on `shard` resolved after `micros` µs.
     #[inline]
     pub fn record_wait(&self, shard: usize, micros: u64) {
-        self.shards[shard & (self.shards.len() - 1)]
-            .0
-            .lock_wait
-            .record(micros);
+        self.shard(shard).lock_wait.record(micros);
     }
 
     /// A sampled shard-latch section on `shard` lasted `nanos` ns.
     #[inline]
     pub fn record_latch(&self, shard: usize, nanos: u64) {
-        self.shards[shard & (self.shards.len() - 1)]
-            .0
-            .latch_hold
-            .record(nanos);
+        self.shard(shard).latch_hold.record(nanos);
+    }
+
+    /// A grant wait on `shard` left the spin-then-park policy: `spun`
+    /// when a probe caught the grant, otherwise the session parked.
+    /// Kept in the shard's block, which the wait path already writes.
+    #[inline]
+    pub fn record_grant_wake(&self, shard: usize, spun: bool) {
+        let block = self.shard(shard);
+        let counter = if spun {
+            &block.grant_spin_hits
+        } else {
+            &block.grant_parks
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A lock wait ended in `LOCKTIMEOUT`.
@@ -337,6 +356,11 @@ impl Obs {
 
     /// Freeze the instrumentation counters.
     pub fn counters(&self) -> ObsCounters {
+        let (mut grant_spin_hits, mut grant_parks) = (0, 0);
+        for s in self.shards.iter() {
+            grant_spin_hits += s.0.grant_spin_hits.load(Ordering::Relaxed);
+            grant_parks += s.0.grant_parks.load(Ordering::Relaxed);
+        }
         ObsCounters {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -359,6 +383,8 @@ impl Obs {
             epoch_bumps: self.epoch_bumps.load(Ordering::Relaxed),
             fenced_requests: self.fenced_requests.load(Ordering::Relaxed),
             degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
+            grant_spin_hits,
+            grant_parks,
         }
     }
 
@@ -442,6 +468,9 @@ mod tests {
         obs.record_epoch_bump(2);
         obs.record_request_fenced(1);
         obs.record_degraded_batch();
+        obs.record_grant_wake(0, true);
+        obs.record_grant_wake(0, false);
+        obs.record_grant_wake(0, false);
 
         let c = obs.counters();
         assert_eq!(c.timeouts, 1);
@@ -463,6 +492,7 @@ mod tests {
         assert_eq!(c.epoch_bumps, 1);
         assert_eq!(c.fenced_requests, 1);
         assert_eq!(c.degraded_batches, 1);
+        assert_eq!((c.grant_spin_hits, c.grant_parks), (1, 2));
         // victim + sync growth + escalation + resize + reclaim
         // + restart + eviction + shed engage/release + fault
         // + remote cancel + epoch bump + request fenced = 13.

@@ -22,6 +22,14 @@ fn counter(out: &mut String, name: &str, help: &str, v: u64) {
     );
 }
 
+/// One counter family with a `site` label per park site.
+fn counter_by_site(out: &mut String, name: &str, help: &str, sites: &[(&str, u64)]) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
+    for (site, v) in sites {
+        let _ = writeln!(out, "{name}{{site=\"{site}\"}} {v}");
+    }
+}
+
 fn summary(out: &mut String, name: &str, help: &str, h: &locktune_metrics::HistogramSnapshot) {
     let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
     for q in [0.5, 0.9, 0.99] {
@@ -279,6 +287,23 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         "Batches served while holding slots reassigned from a dead peer.",
         c.degraded_batches,
     );
+    // The spin-then-park policy, per park site: grant waits from the
+    // service's own counters, readiness waits summed over the I/O
+    // shards (absent — zero — on a server without the evented core).
+    let io_spin_hits = snap.io_shards.iter().map(|s| s.spin_hits).sum();
+    let io_parks = snap.io_shards.iter().map(|s| s.parks).sum();
+    counter_by_site(
+        &mut out,
+        "locktune_wake_spin_hits_total",
+        "Waits resolved by a spin probe, without parking the thread.",
+        &[("grant", c.grant_spin_hits), ("io_shard", io_spin_hits)],
+    );
+    counter_by_site(
+        &mut out,
+        "locktune_wake_parks_total",
+        "Waits that parked in their blocking call.",
+        &[("grant", c.grant_parks), ("io_shard", io_parks)],
+    );
     counter(
         &mut out,
         "locktune_journal_events_total",
@@ -332,6 +357,14 @@ mod tests {
             ..Default::default()
         };
         snap.lock_stats.grants = 42;
+        snap.counters.grant_parks = 7;
+        snap.io_shards = vec![
+            crate::IoShardStats {
+                spin_hits: 5,
+                ..Default::default()
+            };
+            2
+        ];
         snap.lock_wait_micros = {
             let h = locktune_metrics::AtomicHistogram::new();
             h.record(100);
@@ -344,6 +377,8 @@ mod tests {
         assert!(page.contains("locktune_grants_total 42"));
         assert!(page.contains("locktune_lock_wait_micros{quantile=\"0.99\"}"));
         assert!(page.contains("locktune_lock_wait_micros_count 1"));
+        assert!(page.contains("locktune_wake_parks_total{site=\"grant\"} 7"));
+        assert!(page.contains("locktune_wake_spin_hits_total{site=\"io_shard\"} 10"));
         // Every series the CI smoke greps for must exist.
         for name in [
             "locktune_escalations_total",

@@ -61,6 +61,12 @@ pub struct ObsCounters {
     /// Lock batches served while this node held slots reassigned from
     /// a dead peer (degraded mode).
     pub degraded_batches: u64,
+    /// Blocked lock requests whose grant was caught by the session's
+    /// spin, without parking on its channel.
+    pub grant_spin_hits: u64,
+    /// Blocked lock requests that parked on the session channel
+    /// (`grant_spin_hits + grant_parks` counts every grant wait).
+    pub grant_parks: u64,
 }
 
 impl ObsCounters {
@@ -92,6 +98,8 @@ impl ObsCounters {
             epoch_bumps,
             fenced_requests,
             degraded_batches,
+            grant_spin_hits,
+            grant_parks,
         } = other;
         self.timeouts += timeouts;
         self.batches += batches;
@@ -114,6 +122,8 @@ impl ObsCounters {
         self.epoch_bumps += epoch_bumps;
         self.fenced_requests += fenced_requests;
         self.degraded_batches += degraded_batches;
+        self.grant_spin_hits += grant_spin_hits;
+        self.grant_parks += grant_parks;
     }
 }
 
@@ -178,6 +188,12 @@ pub struct IoShardStats {
     /// High-water mark of any one connection's write-buffer backlog,
     /// in bytes (the slow-client eviction trigger).
     pub write_buf_hwm: u64,
+    /// Waits for socket readiness resolved by the shard's spin (a
+    /// zero-timeout poll found work), without blocking in `epoll_wait`.
+    pub spin_hits: u64,
+    /// Waits that blocked in `epoll_wait`. An idle or slowly-paced
+    /// shard shows `parks` ≈ requests and `spin_hits` ≈ 0.
+    pub parks: u64,
 }
 
 /// Everything `LockService::observe` returns and opcode `0x88`

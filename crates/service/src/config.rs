@@ -80,12 +80,6 @@ pub struct ServiceConfig {
     /// How long a blocked lock request waits before giving up
     /// (`LOCKTIMEOUT`). `None` waits forever (DB2's default of -1).
     pub lock_wait_timeout: Option<Duration>,
-    /// How long a queued waiter polls its grant channel (cheap atomic
-    /// probes interleaved with `yield_now`) before parking on it. Lock
-    /// holds are short, so most grants arrive within this window and
-    /// skip the futex park/wake round-trip; long waits fall through
-    /// and park, so a waiter never burns more CPU than this budget.
-    pub grant_spin: Duration,
     /// Initial lock memory in bytes (rounded up to whole blocks).
     pub initial_lock_bytes: u64,
     /// How many [`IntervalReport`]s the tuning decision log retains
@@ -143,7 +137,6 @@ impl Default for ServiceConfig {
             tuning_interval: Duration::from_secs(30),
             deadlock_interval: Duration::from_millis(100),
             lock_wait_timeout: None,
-            grant_spin: Duration::from_micros(50),
             initial_lock_bytes: 2 * 1024 * 1024,
             tuning_log_capacity: 512,
             memory: MemoryConfig::default(),

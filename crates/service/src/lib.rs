@@ -20,7 +20,8 @@
 //! * a **deadlock sweeper** unioning per-shard wait-for edges into the
 //!   global graph;
 //! * blocking [`Session`] handles with grant notification delivery
-//!   over channels and `LOCKTIMEOUT` support;
+//!   over channels and `LOCKTIMEOUT` support, waiting through the
+//!   shared spin-then-park policy in [`spin`];
 //! * a [`stress`] driver mixing OLTP and DSS footprints across worker
 //!   threads.
 //!
@@ -29,6 +30,7 @@
 
 pub mod config;
 pub mod service;
+pub mod spin;
 pub mod step;
 pub mod stress;
 mod tuning;
@@ -39,5 +41,6 @@ pub use service::{
     BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ShutdownReport,
     ThreadExit, ThreadHealth, TuningCounters,
 };
+pub use spin::{SpinPark, SpinStats};
 pub use step::{BatchMachine, Step};
 pub use stress::{run_stress, StressConfig, StressReport};

@@ -40,6 +40,7 @@ use locktune_sim::SimDuration;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::{ConfigError, ServiceConfig};
+use crate::spin::SpinPark;
 use crate::tuning::{ServiceHooks, TuningShared};
 
 /// Whether the hot-path recording call sites are live. A `const` so
@@ -978,6 +979,7 @@ impl LockService {
             app,
             rx,
             ever_waited: std::cell::Cell::new(false),
+            spin: std::cell::Cell::new(SpinPark::new()),
             requests: std::cell::Cell::new(1),
             touched_shards: std::cell::Cell::new(0),
             obs_ticks: std::cell::Cell::new(0),
@@ -1363,6 +1365,8 @@ pub struct Session {
     /// buffer for the session's lifetime, so draining a shard's notices
     /// under its latch does not allocate.
     notices: std::cell::RefCell<Vec<GrantNotice>>,
+    /// This session's spin-then-park state for grant waits.
+    spin: std::cell::Cell<SpinPark>,
 }
 
 impl Session {
@@ -1596,10 +1600,6 @@ impl Session {
         }
     }
 
-    /// Channel probes between clock reads while a waiter polls its
-    /// grant channel (see [`ServiceConfig::grant_spin`]).
-    const GRANT_SPIN_STRIDE: u32 = 32;
-
     /// Park until the queued request on `res` resolves, timing the
     /// wait. The timer rides a path that already parks the thread, so
     /// the two clock reads are invisible next to the wait itself;
@@ -1629,28 +1629,24 @@ impl Session {
             .config
             .lock_wait_timeout
             .map(|t| Instant::now() + t);
-        let spin = self.inner.config.grant_spin;
+        let shard = self.inner.shard_index(res);
         loop {
-            let mut polled = None;
-            let spin_start = Instant::now();
-            'spin: while !spin.is_zero() {
-                for _ in 0..Self::GRANT_SPIN_STRIDE {
-                    match rx.try_recv() {
-                        Ok(m) => {
-                            polled = Some(m);
-                            break 'spin;
-                        }
-                        Err(channel::TryRecvError::Empty) => std::thread::yield_now(),
-                        Err(channel::TryRecvError::Disconnected) => {
-                            return Err(ServiceError::ShuttingDown)
-                        }
-                    }
-                }
-                let now = Instant::now();
-                if now - spin_start >= spin || deadline.is_some_and(|d| now >= d) {
-                    break;
-                }
+            // Probe the channel before parking on it (the shared
+            // spin-then-park policy: lock holds are short, so most
+            // grants arrive inside the spin and skip the futex
+            // park/wake round trip; a session whose waits are long
+            // stops probing).
+            let mut spin = self.spin.get();
+            let polled = spin.spin(deadline, || match rx.try_recv() {
+                Ok(m) => Some(Ok(m)),
+                Err(channel::TryRecvError::Empty) => None,
+                Err(channel::TryRecvError::Disconnected) => Some(Err(ServiceError::ShuttingDown)),
+            });
+            self.spin.set(spin);
+            if OBS_ENABLED {
+                self.inner.obs.record_grant_wake(shard, polled.is_some());
             }
+            let polled = polled.transpose()?;
             let msg = match (polled, deadline) {
                 (Some(m), _) => Some(m),
                 (None, None) => match rx.recv() {
@@ -1679,8 +1675,7 @@ impl Session {
                     // abort) may race the withdrawal — cancel_wait then
                     // reports nothing to cancel and the message is
                     // already in the channel; loop to receive it.
-                    let idx = self.inner.shard_index(res);
-                    if self.on_shard(idx, false, |m, _| m.cancel_wait(self.app)) {
+                    if self.on_shard(shard, false, |m, _| m.cancel_wait(self.app)) {
                         return Err(ServiceError::Timeout);
                     }
                 }

@@ -55,6 +55,13 @@ fn wait_histogram_count_matches_wait_stat() {
     );
     // Both waiters parked ~50ms; the histogram must have seen it.
     assert!(snap.lock_wait_micros.max >= 10_000, "waits were ~50ms");
+    // A fresh session has not earned a spin (and a 50 ms wait would
+    // outlive one anyway): both waiters parked on their channel.
+    assert_eq!(
+        (snap.counters.grant_spin_hits, snap.counters.grant_parks),
+        (0, 2),
+        "every grant wait ends in exactly one of the two counters"
+    );
 }
 
 /// Timeouts are counted by obs and also timed as waits.

@@ -12,12 +12,21 @@ use std::time::{Duration, Instant};
 use locktune_cluster::{BreakerConfig, ClusterConfig, ClusterDetector, RoutingClient};
 use locktune_lockmgr::partition::slot_of;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, RowId, TableId};
-use locktune_net::{Client, ClientError, ReconnectConfig, Server};
+use locktune_net::{Client, ClientError, IoModel, ReconnectConfig, Server, ServerConfig};
 use locktune_service::{BatchOutcome, LockService, ServiceConfig, ServiceError};
 
 /// Start an `n`-node cluster on loopback; each node is its own
 /// service + server, exactly what `locktune-server` runs per process.
 fn cluster(n: usize, timeout: Duration) -> (Vec<Server>, Vec<Arc<LockService>>, ClusterConfig) {
+    cluster_with(n, timeout, ServerConfig::default)
+}
+
+/// [`cluster`] with each node's server built from `server_config()`.
+fn cluster_with(
+    n: usize,
+    timeout: Duration,
+    server_config: impl Fn() -> ServerConfig,
+) -> (Vec<Server>, Vec<Arc<LockService>>, ClusterConfig) {
     let mut servers = Vec::new();
     let mut services = Vec::new();
     let mut addrs = Vec::new();
@@ -27,7 +36,8 @@ fn cluster(n: usize, timeout: Duration) -> (Vec<Server>, Vec<Arc<LockService>>, 
             ..ServiceConfig::fast(4)
         };
         let service = Arc::new(LockService::start(config).expect("service start"));
-        let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+        let server = Server::bind_with_config(Arc::clone(&service), "127.0.0.1:0", server_config())
+            .expect("bind loopback");
         addrs.push(server.local_addr().to_string());
         servers.push(server);
         services.push(service);
@@ -165,6 +175,96 @@ fn unlock_all_releases_outer_nodes_when_the_middle_node_is_dead() {
             "node {node} still charges slots"
         );
         service.validate();
+    }
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// `unlock_all` contacts only the nodes the transaction sent lock
+/// traffic to: a one-node transaction costs the other node nothing —
+/// not even an empty `UnlockAll` — and a following two-node
+/// transaction still releases on both. The per-node reply counter is
+/// the evented shard's `writev_calls` (one per reply on these strictly
+/// request/reply connections), read over a dedicated scrape connection
+/// whose own replies are the only other thing it counts.
+#[test]
+fn unlock_all_contacts_only_the_nodes_the_transaction_touched() {
+    let (servers, services, config) = cluster_with(2, Duration::from_secs(5), || ServerConfig {
+        io_model: IoModel::Evented,
+        io_shards: 1,
+        ..ServerConfig::default()
+    });
+    let mut rc = RoutingClient::connect(&config).expect("routing client");
+    let mut scrapers: Vec<Client> = config
+        .nodes
+        .iter()
+        .map(|addr| Client::connect(addr).expect("scrape connection"))
+        .collect();
+    let mut replies = || -> Vec<u64> {
+        scrapers
+            .iter_mut()
+            .map(|c| c.metrics(0, 0).expect("scrape").io_shards[0].writev_calls)
+            .collect()
+    };
+    let txn = |slots: &[usize]| -> Vec<(ResourceId, LockMode)> {
+        slots
+            .iter()
+            .flat_map(|&slot| {
+                let t = table_for_slot(slot, 2);
+                [
+                    (ResourceId::Table(t), LockMode::IX),
+                    (ResourceId::Row(t, RowId(1)), LockMode::X),
+                ]
+            })
+            .collect()
+    };
+
+    // One-node transaction: node 0 answers the batch and the release;
+    // node 1 answers nothing but the earlier scrape itself.
+    let before = replies();
+    let items = txn(&[0]);
+    assert!(rc
+        .lock_many(&items)
+        .expect("one-node batch")
+        .iter()
+        .all(BatchOutcome::is_granted));
+    let report = rc.unlock_all().expect("one-node release");
+    assert_eq!(report.released_locks, items.len() as u64);
+    let after = replies();
+    assert_eq!(
+        after[0] - before[0],
+        1 + 2,
+        "node 0: scrape + batch + release"
+    );
+    assert_eq!(after[1] - before[1], 1, "node 1 was contacted");
+
+    // Two-node transaction right behind it: both nodes release.
+    let items = txn(&[0, 1]);
+    assert!(rc
+        .lock_many(&items)
+        .expect("two-node batch")
+        .iter()
+        .all(BatchOutcome::is_granted));
+    let report = rc.unlock_all().expect("two-node release");
+    assert_eq!(report.released_locks, items.len() as u64);
+    let last = replies();
+    for node in 0..2 {
+        assert_eq!(last[node] - after[node], 1 + 2, "node {node}");
+    }
+    // A single routed lock marks its node too.
+    let t1 = table_for_slot(1, 2);
+    rc.lock(ResourceId::Table(t1), LockMode::S).expect("lock");
+    assert_eq!(rc.unlock_all().expect("release").released_locks, 1);
+
+    for r in rc.validate().expect("cluster audit") {
+        assert_eq!(r.charged_slots, 0);
+    }
+    for service in &services {
+        assert!(
+            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
+            "slots leaked on a node"
+        );
     }
     for s in servers {
         s.shutdown();
