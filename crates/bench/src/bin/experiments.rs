@@ -11,57 +11,32 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use locktune_bench::{experiments, Report};
-
-fn run_one(id: &str) -> Option<Report> {
-    match id {
-        "table1" => Some(experiments::table1()),
-        "curve" => Some(experiments::curve_experiment()),
-        "fig6" => Some(experiments::fig6()),
-        "fig7" => Some(experiments::fig7()),
-        "fig8" => Some(experiments::fig8()),
-        "fig9" => Some(experiments::fig9()),
-        "fig10" => Some(experiments::fig10()),
-        "fig11" => Some(experiments::fig11()),
-        "fig12" => Some(experiments::fig12()),
-        "constrained" => Some(experiments::constrained()),
-        "twodss" => Some(experiments::two_dss()),
-        "cmp" => Some(experiments::cmp()),
-        _ => None,
-    }
-}
+use locktune_bench::experiments::{self, EXPERIMENTS};
+use locktune_bench::Report;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let ids: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        [
-            "table1",
-            "curve",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "constrained",
-            "twodss",
-            "cmp",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+    let reports: Vec<Result<Report, &str>> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        experiments::all().into_iter().map(Ok).collect()
     } else {
-        args
+        args.iter()
+            .map(|id| match EXPERIMENTS.iter().find(|(name, _)| name == id) {
+                Some((_, run)) => Ok(run()),
+                None => Err(id.as_str()),
+            })
+            .collect()
     };
 
     let out_dir = PathBuf::from("results");
     let mut failures = 0;
-    for id in &ids {
-        let Some(report) = run_one(id) else {
-            eprintln!("unknown experiment: {id}");
-            failures += 1;
-            continue;
+    for report in reports {
+        let report = match report {
+            Ok(report) => report,
+            Err(id) => {
+                eprintln!("unknown experiment: {id}");
+                failures += 1;
+                continue;
+            }
         };
         print!("{}", report.render());
         if let Err(e) = report.write_csv(&out_dir) {

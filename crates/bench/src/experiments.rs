@@ -578,22 +578,29 @@ pub fn cmp() -> Report {
     r
 }
 
+/// An experiment's command-line id and the function that runs it.
+pub type Experiment = (&'static str, fn() -> Report);
+
+/// Every experiment by its command-line id, in paper order: the one
+/// list of experiments.
+pub const EXPERIMENTS: [Experiment; 12] = [
+    ("table1", table1),
+    ("curve", curve_experiment),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("constrained", constrained),
+    ("twodss", two_dss),
+    ("cmp", cmp),
+];
+
 /// All experiments, in paper order.
 pub fn all() -> Vec<Report> {
-    vec![
-        table1(),
-        curve_experiment(),
-        fig6(),
-        fig7(),
-        fig8(),
-        fig9(),
-        fig10(),
-        fig11(),
-        fig12(),
-        constrained(),
-        two_dss(),
-        cmp(),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
 }
 
 #[cfg(test)]
@@ -601,8 +608,8 @@ mod tests {
     use super::*;
 
     // The simulation-backed figures are exercised by the experiments
-    // binary / figures bench (they take seconds to minutes); the
-    // closed-form artifacts are cheap enough to pin in `cargo test`.
+    // binary (they take seconds to minutes); the closed-form artifacts
+    // are cheap enough to pin in `cargo test`.
 
     #[test]
     fn table1_matches_paper() {

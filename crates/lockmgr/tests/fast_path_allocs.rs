@@ -16,7 +16,8 @@ use locktune_memalloc::{LockMemoryPool, PoolConfig};
 /// Pass-through [`System`] allocator that counts this thread's
 /// allocation events (alloc + realloc) and the bytes they asked for.
 /// Per thread, because the test harness runs tests side by side.
-/// (Port of the counter in `crates/bench/benches/net_overhead.rs`.)
+/// (The same counter guards the wire codec in the perf ledger:
+/// `perf/src/alloc_count.rs`, gated as `wire.allocs_per_cycle == 0`.)
 struct CountingAlloc;
 
 thread_local! {

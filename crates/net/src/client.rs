@@ -25,7 +25,7 @@ use locktune_service::{BatchOutcome, ServiceError, SpinPark, SpinStats};
 use crate::poll;
 use crate::wire::{
     self, Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport,
-    WaitGraphReply, MAX_BATCH,
+    WaitGraphReply,
 };
 
 /// A client-side failure.
@@ -145,7 +145,13 @@ impl Client {
 
     // -- pipelining API --------------------------------------------------
 
+    /// Queue the frame in `encode_buf`. A frame the server must refuse
+    /// (an oversized ping, a batch over `MAX_BATCH` items) is refused
+    /// here instead, before a byte is written: the server would drop
+    /// the connection, and with it every lock this session holds.
     fn push_frame(&mut self) -> Result<u64, ClientError> {
+        wire::check_request_frame(&self.encode_buf)
+            .map_err(|e| ClientError::Protocol(format!("refusing to send: {e}")))?;
         let id = self.next_id;
         self.next_id += 1;
         self.writer.write_all(&self.encode_buf)?;
@@ -167,12 +173,6 @@ impl Client {
         &mut self,
         items: &[(ResourceId, LockMode)],
     ) -> Result<u64, ClientError> {
-        if items.len() > MAX_BATCH {
-            return Err(ClientError::Protocol(format!(
-                "lock batch of {} items exceeds MAX_BATCH ({MAX_BATCH})",
-                items.len()
-            )));
-        }
         wire::encode_lock_batch_into(&mut self.encode_buf, self.next_id, items);
         self.push_frame()
     }
@@ -256,8 +256,8 @@ impl Client {
     }
 
     /// Acquire a whole lock set in one frame and one round trip (at
-    /// most [`MAX_BATCH`] items). Returns one [`BatchOutcome`] per
-    /// item, in request order: the server stops at the first
+    /// most [`wire::MAX_BATCH`] items). Returns one [`BatchOutcome`]
+    /// per item, in request order: the server stops at the first
     /// session-fatal error (timeout, deadlock abort, shutdown) and
     /// reports everything it never attempted as
     /// [`BatchOutcome::Skipped`], so the granted prefix is exactly the

@@ -9,11 +9,13 @@
 //! Three layers, all `std::net` + threads — no async runtime, matching
 //! the service crate's design:
 //!
-//! * [`wire`] — compact length-prefixed binary frames (LOCK,
-//!   LOCK_BATCH, UNLOCK, UNLOCK_ALL, STATS, PING, VALIDATE and typed
-//!   replies) with explicit request-id correlation so clients can
-//!   pipeline, and `encode_*_into`/`read_payload_into` twins so the
-//!   hot path encodes and decodes without heap allocation;
+//! * [`wire`] — compact length-prefixed binary frames, one opcode per
+//!   [`Request`] and [`Reply`] variant (the frame tables in `wire.rs`
+//!   are the one opcode list: locks and batches, stats, metrics,
+//!   tenants, the cluster's wait graph, probes and epoch fencing),
+//!   with explicit request-id correlation so clients can pipeline,
+//!   and `encode_*_into`/`read_payload_into` twins so the hot path
+//!   encodes and decodes without heap allocation;
 //! * [`server`] — a TCP server owning a
 //!   [`LockService`](locktune_service::LockService), with two I/O
 //!   models behind [`ServerConfig::io_model`]: the **threaded** model

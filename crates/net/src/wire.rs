@@ -106,51 +106,6 @@ pub const MAX_WIRE_IO_SHARDS: usize = 64;
 /// two can never collide.
 pub const GID_RESERVED: u64 = 1 << 63;
 
-// Request opcodes.
-const OP_LOCK: u8 = 0x01;
-const OP_UNLOCK: u8 = 0x02;
-const OP_UNLOCK_ALL: u8 = 0x03;
-const OP_STATS: u8 = 0x04;
-const OP_PING: u8 = 0x05;
-const OP_VALIDATE: u8 = 0x06;
-const OP_LOCK_BATCH: u8 = 0x07;
-const OP_METRICS: u8 = 0x08;
-const OP_HELLO: u8 = 0x09;
-const OP_TENANT_STATS: u8 = 0x0A;
-const OP_TENANT_CTL: u8 = 0x0B;
-const OP_WAIT_GRAPH: u8 = 0x0C;
-const OP_BIND_GID: u8 = 0x0D;
-const OP_CANCEL_WAIT: u8 = 0x0E;
-const OP_PROBE: u8 = 0x0F;
-// 0x10 is unusable as a request opcode: its reply alias 0x10 | 0x80 =
-// 0x90 collides with OP_BUSY, so the request space skips to 0x11.
-const OP_BIND_EPOCH: u8 = 0x11;
-
-// Reply opcodes (request opcode | 0x80).
-const OP_LOCK_REPLY: u8 = 0x81;
-const OP_UNLOCK_REPLY: u8 = 0x82;
-const OP_UNLOCK_ALL_REPLY: u8 = 0x83;
-const OP_STATS_REPLY: u8 = 0x84;
-const OP_PONG: u8 = 0x85;
-const OP_VALIDATE_REPLY: u8 = 0x86;
-const OP_LOCK_BATCH_REPLY: u8 = 0x87;
-const OP_METRICS_REPLY: u8 = 0x88;
-const OP_HELLO_REPLY: u8 = 0x89;
-const OP_TENANT_STATS_REPLY: u8 = 0x8A;
-const OP_TENANT_CTL_REPLY: u8 = 0x8B;
-const OP_WAIT_GRAPH_REPLY: u8 = 0x8C;
-const OP_BIND_GID_REPLY: u8 = 0x8D;
-const OP_CANCEL_WAIT_REPLY: u8 = 0x8E;
-const OP_PROBE_ACK: u8 = 0x8F;
-// Server-initiated (no matching request opcode; sent with id 0 when
-// the connection is refused at admission).
-const OP_BUSY: u8 = 0x90;
-const OP_BIND_EPOCH_REPLY: u8 = 0x91;
-// Fencing reply: answers a Lock/LockBatch/BindEpoch whose connection
-// carries an epoch older than the server's fence (correlated by the
-// request id, like any other reply).
-const OP_WRONG_EPOCH: u8 = 0x92;
-
 /// A decoded client→server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -493,20 +448,26 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------
-// Primitive encode/decode
+// The codec: every layout declared once
 // ---------------------------------------------------------------------
+//
+// Each type on the wire has one `Wire` impl, and each impl comes from
+// a single declaration that both directions are derived from: a
+// primitive below, a `record!` (fields in wire order), a `tagged!`
+// union (a tag byte, then the variant's fields), or one of the two
+// frame tables (the same union shape, with the opcode as the tag and
+// the request id between it and the fields). Encoder and decoder
+// cannot disagree about an order they never spell out separately;
+// `tests/wire_golden.rs` pins the resulting bytes.
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+/// One type's wire encoding, both directions. Every codec function
+/// here is `#[inline]`: they are leaf-sized, and a frame decoder that
+/// cannot see through them runs the `wire.decode_*` rows 1.5–5× slower.
+trait Wire: Sized {
+    /// Append the encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Decode one value, consuming exactly its encoding.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
 /// Bounds-checked reader over a payload slice.
@@ -520,6 +481,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.buf.len() {
@@ -530,21 +492,11 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+    /// A `u32` length, then that many bytes.
+    #[inline]
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let len = u32::get(self)? as usize;
+        self.take(len)
     }
 
     /// Every decoder must end on this: leftover bytes mean the peer
@@ -559,351 +511,320 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Domain-type encodings
-// ---------------------------------------------------------------------
+// -- primitives ---------------------------------------------------------
 
-fn put_resource(out: &mut Vec<u8>, res: ResourceId) {
-    match res {
-        ResourceId::Table(t) => {
-            out.push(0);
-            put_u32(out, t.0);
-        }
-        ResourceId::Row(t, r) => {
-            out.push(1);
-            put_u32(out, t.0);
-            put_u64(out, r.0);
-        }
-    }
-}
+/// Integers travel little-endian at their full width.
+macro_rules! le_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
 
-fn get_resource(r: &mut Reader<'_>) -> Result<ResourceId, WireError> {
-    match r.u8()? {
-        0 => Ok(ResourceId::Table(TableId(r.u32()?))),
-        1 => Ok(ResourceId::Row(TableId(r.u32()?), RowId(r.u64()?))),
-        tag => Err(WireError::BadTag {
-            what: "resource",
-            tag,
-        }),
-    }
-}
-
-fn mode_tag(mode: LockMode) -> u8 {
-    match mode {
-        LockMode::IS => 0,
-        LockMode::IX => 1,
-        LockMode::S => 2,
-        LockMode::SIX => 3,
-        LockMode::U => 4,
-        LockMode::X => 5,
-    }
-}
-
-fn get_mode(r: &mut Reader<'_>) -> Result<LockMode, WireError> {
-    match r.u8()? {
-        0 => Ok(LockMode::IS),
-        1 => Ok(LockMode::IX),
-        2 => Ok(LockMode::S),
-        3 => Ok(LockMode::SIX),
-        4 => Ok(LockMode::U),
-        5 => Ok(LockMode::X),
-        tag => Err(WireError::BadTag { what: "mode", tag }),
-    }
-}
-
-fn put_outcome(out: &mut Vec<u8>, outcome: LockOutcome) {
-    match outcome {
-        LockOutcome::Granted => out.push(0),
-        LockOutcome::AlreadyHeld => out.push(1),
-        LockOutcome::CoveredByTableLock => out.push(2),
-        LockOutcome::Queued => out.push(3),
-        LockOutcome::GrantedAfterEscalation { table, exclusive } => {
-            out.push(4);
-            put_u32(out, table.0);
-            out.push(exclusive as u8);
-        }
-        LockOutcome::QueuedWithEscalation { table } => {
-            out.push(5);
-            put_u32(out, table.0);
-        }
-    }
-}
-
-fn get_outcome(r: &mut Reader<'_>) -> Result<LockOutcome, WireError> {
-    match r.u8()? {
-        0 => Ok(LockOutcome::Granted),
-        1 => Ok(LockOutcome::AlreadyHeld),
-        2 => Ok(LockOutcome::CoveredByTableLock),
-        3 => Ok(LockOutcome::Queued),
-        4 => Ok(LockOutcome::GrantedAfterEscalation {
-            table: TableId(r.u32()?),
-            exclusive: get_bool(r)?,
-        }),
-        5 => Ok(LockOutcome::QueuedWithEscalation {
-            table: TableId(r.u32()?),
-        }),
-        tag => Err(WireError::BadTag {
-            what: "outcome",
-            tag,
-        }),
-    }
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(WireError::BadTag { what: "bool", tag }),
-    }
-}
-
-fn put_lock_error(out: &mut Vec<u8>, e: &LockError) {
-    match e {
-        LockError::NotHeld(res) => {
-            out.push(0);
-            put_resource(out, *res);
-        }
-        LockError::NothingToEscalate => out.push(1),
-        LockError::OutOfLockMemory => out.push(2),
-        LockError::MissingIntent(res) => {
-            out.push(3);
-            put_resource(out, *res);
-        }
-        LockError::AlreadyWaiting(res) => {
-            out.push(4);
-            put_resource(out, *res);
-        }
-    }
-}
-
-fn get_lock_error(r: &mut Reader<'_>) -> Result<LockError, WireError> {
-    match r.u8()? {
-        0 => Ok(LockError::NotHeld(get_resource(r)?)),
-        1 => Ok(LockError::NothingToEscalate),
-        2 => Ok(LockError::OutOfLockMemory),
-        3 => Ok(LockError::MissingIntent(get_resource(r)?)),
-        4 => Ok(LockError::AlreadyWaiting(get_resource(r)?)),
-        tag => Err(WireError::BadTag {
-            what: "lock error",
-            tag,
-        }),
-    }
-}
-
-fn put_service_error(out: &mut Vec<u8>, e: &ServiceError) {
-    match e {
-        ServiceError::Lock(le) => {
-            out.push(0);
-            put_lock_error(out, le);
-        }
-        ServiceError::Timeout => out.push(1),
-        ServiceError::DeadlockVictim => out.push(2),
-        ServiceError::ShuttingDown => out.push(3),
-        ServiceError::AlreadyConnected(app) => {
-            out.push(4);
-            put_u32(out, app.0);
-        }
-        // Tag 5 + option<u32>: presence byte then the shedding
-        // tenant's id, so a multi-database client backs off exactly
-        // the tenant that rejected it.
-        ServiceError::Overloaded { tenant } => {
-            out.push(5);
-            match tenant {
-                Some(id) => {
-                    out.push(1);
-                    put_u32(out, *id);
-                }
-                None => out.push(0),
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns the width asked")))
             }
         }
+    )+};
+}
+
+le_int!(u8, u32, u64);
+
+/// The id newtypes travel as the integer they wrap.
+macro_rules! newtype {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($t(Wire::get(r)?))
+            }
+        }
+    )+};
+}
+
+newtype!(AppId, TableId, RowId);
+
+/// An `f64` travels as its IEEE-754 bits.
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_bits(u64::get(r)?))
     }
 }
 
-fn get_service_error(r: &mut Reader<'_>) -> Result<ServiceError, WireError> {
-    match r.u8()? {
-        0 => Ok(ServiceError::Lock(get_lock_error(r)?)),
-        1 => Ok(ServiceError::Timeout),
-        2 => Ok(ServiceError::DeadlockVictim),
-        3 => Ok(ServiceError::ShuttingDown),
-        4 => Ok(ServiceError::AlreadyConnected(AppId(r.u32()?))),
-        5 => {
-            let tenant = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(WireError::BadTag {
-                        what: "overloaded tenant",
-                        tag,
-                    })
-                }
-            };
-            Ok(ServiceError::Overloaded { tenant })
-        }
-        tag => Err(WireError::BadTag {
-            what: "service error",
-            tag,
-        }),
+/// One byte, strictly `0` or `1`: exactly one legal encoding.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
-}
 
-fn put_result<T>(
-    out: &mut Vec<u8>,
-    result: &Result<T, ServiceError>,
-    put_ok: impl FnOnce(&mut Vec<u8>, &T),
-) {
-    match result {
-        Ok(v) => {
-            out.push(0);
-            put_ok(out, v);
-        }
-        Err(e) => {
-            out.push(1);
-            put_service_error(out, e);
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
         }
     }
 }
 
-fn get_result<T>(
+/// Nothing at all: the `Ok` arm of a bare acknowledgement.
+impl Wire for () {
+    #[inline]
+    fn put(&self, _: &mut Vec<u8>) {}
+
+    #[inline]
+    fn get(_: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(())
+    }
+}
+
+#[inline]
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    (bytes.len() as u32).put(out);
+    out.extend_from_slice(bytes);
+}
+
+/// Opaque bytes (a ping echo): `u32` length, then the bytes.
+impl Wire for Vec<u8> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// A message: length-prefixed UTF-8, decoded lossily (it is only ever
+/// displayed).
+impl Wire for String {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(String::from_utf8_lossy(r.bytes()?).into_owned())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+// -- counted collections -----------------------------------------------
+
+/// A counted collection: `u32` count, then the items.
+#[inline]
+fn put_items<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
+    (items.len() as u32).put(out);
+    for item in items {
+        item.put(out);
+    }
+}
+
+/// Read a collection's count, refusing one above `max` with
+/// `too_many(n)` before anything is allocated for it.
+#[inline]
+fn get_count(
     r: &mut Reader<'_>,
-    get_ok: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
-) -> Result<Result<T, ServiceError>, WireError> {
-    match r.u8()? {
-        0 => Ok(Ok(get_ok(r)?)),
-        1 => Ok(Err(get_service_error(r)?)),
-        tag => Err(WireError::BadTag {
-            what: "result",
-            tag,
-        }),
-    }
-}
-
-fn put_batch_outcome(out: &mut Vec<u8>, item: &BatchOutcome) {
-    match item {
-        BatchOutcome::Done(Ok(o)) => {
-            out.push(0);
-            put_outcome(out, *o);
-        }
-        BatchOutcome::Done(Err(e)) => {
-            out.push(1);
-            put_service_error(out, e);
-        }
-        BatchOutcome::Skipped => out.push(2),
-    }
-}
-
-fn get_batch_outcome(r: &mut Reader<'_>) -> Result<BatchOutcome, WireError> {
-    match r.u8()? {
-        0 => Ok(BatchOutcome::Done(Ok(get_outcome(r)?))),
-        1 => Ok(BatchOutcome::Done(Err(get_service_error(r)?))),
-        2 => Ok(BatchOutcome::Skipped),
-        tag => Err(WireError::BadTag {
-            what: "batch outcome",
-            tag,
-        }),
-    }
-}
-
-/// Read and bounds-check a batch count prefix.
-fn get_batch_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    let n = r.u32()? as usize;
-    if n > MAX_BATCH {
-        return Err(WireError::BatchTooLarge(n));
+    max: usize,
+    too_many: impl FnOnce(usize) -> WireError,
+) -> Result<usize, WireError> {
+    let n = u32::get(r)? as usize;
+    if n > max {
+        return Err(too_many(n));
     }
     Ok(n)
 }
 
-fn put_unlock_report(out: &mut Vec<u8>, rep: &UnlockReport) {
-    put_u64(out, rep.released_locks);
-    put_u64(out, rep.freed_slots);
+/// Decode `n` items into `items`, cleared first (its capacity is
+/// reused, so a caller looping with one buffer allocates nothing).
+#[inline]
+fn get_items_into<T: Wire>(
+    r: &mut Reader<'_>,
+    n: usize,
+    items: &mut Vec<T>,
+) -> Result<(), WireError> {
+    items.clear();
+    items.reserve(n);
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(())
 }
 
-fn get_unlock_report(r: &mut Reader<'_>) -> Result<UnlockReport, WireError> {
-    Ok(UnlockReport {
-        released_locks: r.u64()?,
-        freed_slots: r.u64()?,
-    })
+/// A bounded collection inside a record: at most `max` items, a larger
+/// count is [`WireError::TooMany`] naming `what`.
+#[inline]
+fn get_counted<T: Wire>(
+    r: &mut Reader<'_>,
+    max: usize,
+    what: &'static str,
+) -> Result<Vec<T>, WireError> {
+    let n = get_count(r, max, |n| WireError::TooMany { what, n })?;
+    let mut items = Vec::new();
+    get_items_into(r, n, &mut items)?;
+    Ok(items)
 }
 
-fn put_lock_stats(out: &mut Vec<u8>, s: &LockStats) {
-    for v in [
-        s.grants,
-        s.waits,
-        s.conversions,
-        s.covered_by_table,
-        s.escalations,
-        s.exclusive_escalations,
-        s.rows_escalated,
-        s.voluntary_escalations,
-        s.sync_growth_requests,
-        s.sync_growth_denied,
-        s.denials,
-        s.queue_grants,
-        s.cancelled_waits,
-        s.deadlock_aborts,
-    ] {
-        put_u64(out, v);
+/// A lock batch's item count: at most [`MAX_BATCH`], a larger one is
+/// [`WireError::BatchTooLarge`].
+#[inline]
+fn get_batch_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
+    get_count(r, MAX_BATCH, WireError::BatchTooLarge)
+}
+
+/// Items of the two lock-batch collections ([`Request::LockBatch`] and
+/// [`Reply::BatchOutcomes`]).
+trait BatchItem: Wire {}
+
+impl BatchItem for (ResourceId, LockMode) {}
+impl BatchItem for BatchOutcome {}
+
+impl<T: BatchItem> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_items(out, self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = get_batch_len(r)?;
+        let mut items = Vec::new();
+        get_items_into(r, n, &mut items)?;
+        Ok(items)
     }
 }
 
-fn get_lock_stats(r: &mut Reader<'_>) -> Result<LockStats, WireError> {
-    Ok(LockStats {
-        grants: r.u64()?,
-        waits: r.u64()?,
-        conversions: r.u64()?,
-        covered_by_table: r.u64()?,
-        escalations: r.u64()?,
-        exclusive_escalations: r.u64()?,
-        rows_escalated: r.u64()?,
-        voluntary_escalations: r.u64()?,
-        sync_growth_requests: r.u64()?,
-        sync_growth_denied: r.u64()?,
-        denials: r.u64()?,
-        queue_grants: r.u64()?,
-        cancelled_waits: r.u64()?,
-        deadlock_aborts: r.u64()?,
-    })
+// -- records -----------------------------------------------------------
+
+/// `Name { field, field, … }`: the fields in declared order, each in
+/// its own encoding. A counted collection carries its bound and error
+/// label: `field [MAX, "what"]` (debug-asserted when encoding — the
+/// server truncates first — and refused before allocating when
+/// decoding). The decoder builds the struct literal, so a field the
+/// declaration forgets is a compile error.
+macro_rules! record {
+    (@put $out:ident, $v:expr) => {
+        $v.put($out)
+    };
+    (@put $out:ident, $v:expr, $max:expr, $what:literal) => {{
+        debug_assert!($v.len() <= $max, concat!($what, " exceed the wire bound"));
+        put_items($out, &$v)
+    }};
+    (@get $r:ident) => {
+        Wire::get($r)?
+    };
+    (@get $r:ident, $max:expr, $what:literal) => {
+        get_counted($r, $max, $what)?
+    };
+    ($($name:ident { $($f:ident $([$max:expr, $what:literal])?),+ $(,)? })+) => {$(
+        impl Wire for $name {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(record!(@put out, self.$f $(, $max, $what)?);)+
+            }
+
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $($f: record!(@get r $(, $max, $what)?),)+ })
+            }
+        }
+    )+};
 }
 
-fn put_snapshot(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    put_lock_stats(out, &s.stats);
-    put_u64(out, s.pool_bytes);
-    put_u64(out, s.pool_slots_total);
-    put_u64(out, s.pool_slots_used);
-    put_u64(out, s.connected_apps);
-    put_u64(out, s.tuning_intervals);
-    put_u64(out, s.grow_decisions);
-    put_u64(out, s.shrink_decisions);
-    put_u64(out, s.batches);
-    put_u64(out, s.batch_items);
-    put_u64(out, s.reply_queue_hwm);
-    put_u64(out, s.app_percent.to_bits());
-    put_u64(out, s.watchdog_restarts);
-}
-
-fn get_snapshot(r: &mut Reader<'_>) -> Result<StatsSnapshot, WireError> {
-    Ok(StatsSnapshot {
-        stats: get_lock_stats(r)?,
-        pool_bytes: r.u64()?,
-        pool_slots_total: r.u64()?,
-        pool_slots_used: r.u64()?,
-        connected_apps: r.u64()?,
-        tuning_intervals: r.u64()?,
-        grow_decisions: r.u64()?,
-        shrink_decisions: r.u64()?,
-        batches: r.u64()?,
-        batch_items: r.u64()?,
-        reply_queue_hwm: r.u64()?,
-        app_percent: f64::from_bits(r.u64()?),
-        watchdog_restarts: r.u64()?,
-    })
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn get_f64(r: &mut Reader<'_>) -> Result<f64, WireError> {
-    Ok(f64::from_bits(r.u64()?))
+record! {
+    UnlockReport { released_locks, freed_slots }
+    LockStats {
+        grants, waits, conversions, covered_by_table, escalations, exclusive_escalations,
+        rows_escalated, voluntary_escalations, sync_growth_requests, sync_growth_denied, denials,
+        queue_grants, cancelled_waits, deadlock_aborts,
+    }
+    StatsSnapshot {
+        stats, pool_bytes, pool_slots_total, pool_slots_used, connected_apps, tuning_intervals,
+        grow_decisions, shrink_decisions, batches, batch_items, reply_queue_hwm, app_percent,
+        watchdog_restarts,
+    }
+    ValidateReport { charged_slots, pool_used_slots }
+    ObsCounters {
+        timeouts, batches, batch_items, deadlock_victims, sync_growth_granted, sync_growth_denied,
+        depot_reclaim_sweeps, depot_reclaimed_slots, journal_recorded, journal_dropped,
+        watchdog_restarts, clients_evicted, shed_engaged, shed_released, shed_rejected,
+        faults_injected, remote_cancels, failover_probes, epoch_bumps, fenced_requests,
+        degraded_batches, grant_spin_hits, grant_parks,
+    }
+    JournalEvent { seq, at_ms, kind }
+    TuningTick {
+        seq, reason, target_bytes, current_bytes, lock_bytes_after, funded_bytes, released_bytes,
+        app_percent,
+    }
+    IoShardStats {
+        shard, connections, wakeups, writev_calls, writev_frames, write_buf_hwm, spin_hits, parks,
+    }
+    MetricsSnapshot {
+        uptime_ms, lock_stats, counters, pool_bytes, pool_slots_total, pool_slots_used,
+        connected_apps, app_percent, min_free_fraction, max_free_fraction, free_fraction,
+        tuning_intervals, grow_decisions, shrink_decisions, reply_queue_hwm, fence_epoch,
+        lock_wait_micros, latch_hold_nanos, batch_size, sync_stall_micros,
+        events [MAX_WIRE_EVENTS, "journal events"], next_event_seq,
+        ticks [MAX_WIRE_TICKS, "tuning ticks"], next_tick_seq,
+        io_shards [MAX_WIRE_IO_SHARDS, "io shards"],
+    }
+    TenantRow {
+        id, budget, floor, pool_bytes, pool_slots_used, free_fraction, benefit, connected_apps,
+        escalations, denials, shedding,
+    }
+    TenantDonation { seq, at_ms, from, to, bytes, from_benefit, to_benefit }
+    MachineRollup {
+        machine_budget, free_budget, arbitrations, donations, donated_bytes,
+        tenants [MAX_WIRE_TENANTS, "tenant rows"],
+    }
+    TenantStatsReply {
+        rollup, donations [MAX_WIRE_DONATIONS, "donations"], next_donation_seq,
+    }
+    WaitGraphReply {
+        edges [MAX_WIRE_EDGES, "wait edges"], gids [MAX_WIRE_GIDS, "gid bindings"],
+    }
 }
 
 /// Sparse histogram encoding: `u8` non-zero bucket count, then
@@ -912,647 +833,242 @@ fn get_f64(r: &mut Reader<'_>) -> Result<f64, WireError> {
 /// travels — the decoder re-derives it from the buckets
 /// ([`HistogramSnapshot::from_parts`]), so a frame cannot claim samples
 /// its buckets don't hold.
-fn put_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    let nonzero = h.counts.iter().filter(|&&c| c != 0).count() as u8;
-    out.push(nonzero);
-    for (k, &c) in h.counts.iter().enumerate() {
-        if c != 0 {
-            out.push(k as u8);
-            put_u64(out, c);
+impl Wire for HistogramSnapshot {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        let nonzero = self.counts.iter().filter(|&&c| c != 0).count() as u8;
+        nonzero.put(out);
+        for (k, &c) in self.counts.iter().enumerate() {
+            if c != 0 {
+                (k as u8).put(out);
+                c.put(out);
+            }
         }
+        self.sum.put(out);
+        self.max.put(out);
     }
-    put_u64(out, h.sum);
-    put_u64(out, h.max);
-}
 
-fn get_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, WireError> {
-    let nonzero = r.u8()? as usize;
-    if nonzero > BUCKETS {
-        return Err(WireError::TooMany {
-            what: "histogram buckets",
-            n: nonzero,
-        });
-    }
-    let mut counts = [0u64; BUCKETS];
-    let mut last: Option<usize> = None;
-    for _ in 0..nonzero {
-        let k = r.u8()? as usize;
-        // Strictly ascending, in range and non-zero: exactly one legal
-        // encoding per snapshot, so decode(encode(h)) == h and a forged
-        // duplicate index cannot double-count a bucket.
-        let c = r.u64()?;
-        if k >= BUCKETS || last.is_some_and(|p| k <= p) || c == 0 {
-            return Err(WireError::BadTag {
-                what: "histogram bucket",
-                tag: k as u8,
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let nonzero = u8::get(r)? as usize;
+        if nonzero > BUCKETS {
+            return Err(WireError::TooMany {
+                what: "histogram buckets",
+                n: nonzero,
             });
         }
-        counts[k] = c;
-        last = Some(k);
+        let mut counts = [0u64; BUCKETS];
+        let mut last: Option<usize> = None;
+        for _ in 0..nonzero {
+            let k = u8::get(r)? as usize;
+            // Strictly ascending, in range and non-zero: exactly one
+            // legal encoding per snapshot, so decode(encode(h)) == h and
+            // a forged duplicate index cannot double-count a bucket.
+            let c = u64::get(r)?;
+            if k >= BUCKETS || last.is_some_and(|p| k <= p) || c == 0 {
+                return Err(WireError::BadTag {
+                    what: "histogram bucket",
+                    tag: k as u8,
+                });
+            }
+            counts[k] = c;
+            last = Some(k);
+        }
+        let sum = u64::get(r)?;
+        let max = u64::get(r)?;
+        Ok(HistogramSnapshot::from_parts(counts, sum, max))
     }
-    let sum = r.u64()?;
-    let max = r.u64()?;
-    Ok(HistogramSnapshot::from_parts(counts, sum, max))
 }
 
-fn put_event(out: &mut Vec<u8>, e: &JournalEvent) {
-    put_u64(out, e.seq);
-    put_u64(out, e.at_ms);
-    match e.kind {
-        EventKind::Escalation {
-            app,
-            table,
-            exclusive,
-        } => {
-            out.push(0);
-            put_u32(out, app.0);
-            put_u32(out, table.0);
-            out.push(exclusive as u8);
+// -- tagged unions -----------------------------------------------------
+
+/// A tag byte, then the fields of the variant it names.
+trait Tagged: Sized {
+    /// Write the tag, then `between` (a frame's request id; nothing
+    /// anywhere else), then the variant's fields.
+    fn put_tagged(&self, out: &mut Vec<u8>, between: impl FnOnce(&mut Vec<u8>));
+    /// Decode the fields of the variant `tag` names.
+    fn get_fields(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// A `Tagged` type on its own (not as a frame): nothing between the
+/// tag and the fields.
+macro_rules! tagged_wire {
+    ($name:ident $(<$($g:ident),+>)?) => {
+        impl $(<$($g: Wire),+>)? Wire for $name $(<$($g),+>)? {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                self.put_tagged(out, |_| {});
+            }
+
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let tag = u8::get(r)?;
+                Self::get_fields(tag, r)
+            }
         }
-        EventKind::DeadlockVictim { app } => {
-            out.push(1);
-            put_u32(out, app.0);
+    };
+}
+
+/// `Name "what" { tag Variant, tag Variant(a, b), tag Variant { x, y }, … }`:
+/// each variant's tag and its fields in declared order; an unknown tag
+/// is [`WireError::BadTag`] naming `what`. `… as OP_NAME` also names
+/// the tag as a constant for the hand-written batch paths.
+macro_rules! tagged {
+    ($(
+        $name:ident $(<$($g:ident),+>)? $what:literal {
+            $($tag:literal $v:ident $(($($t:ident),+))? $({ $($f:ident),+ })? $(as $op:ident)?),+
+            $(,)?
         }
-        EventKind::SyncGrowth { granted_bytes } => {
-            out.push(2);
-            put_u64(out, granted_bytes);
+    )+) => {$(
+        $($(const $op: u8 = $tag;)?)+
+        tagged_wire!($name $(<$($g),+>)?);
+
+        impl $(<$($g: Wire),+>)? Tagged for $name $(<$($g),+>)? {
+            #[inline]
+            fn put_tagged(&self, out: &mut Vec<u8>, between: impl FnOnce(&mut Vec<u8>)) {
+                match self {$(
+                    $name::$v $(($($t),+))? $({ $($f),+ })? => {
+                        out.push($tag);
+                        between(out);
+                        $($($t.put(out);)+)?
+                        $($($f.put(out);)+)?
+                    }
+                )+}
+            }
+
+            #[allow(unused_variables)] // `r`, by unions without fields
+            #[inline]
+            fn get_fields(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $($tag => {
+                        $($(let $t = Wire::get(r)?;)+)?
+                        $($(let $f = Wire::get(r)?;)+)?
+                        $name::$v $(($($t),+))? $({ $($f),+ })?
+                    })+
+                    tag => return Err(WireError::BadTag { what: $what, tag }),
+                })
+            }
         }
-        EventKind::TunerResize {
-            from_bytes,
-            to_bytes,
-        } => {
-            out.push(3);
-            put_u64(out, from_bytes);
-            put_u64(out, to_bytes);
-        }
-        EventKind::DepotReclaim { slots } => {
-            out.push(4);
-            put_u64(out, slots);
-        }
+    )+};
+}
+
+tagged! {
+    Option<T> "option" { 0 None, 1 Some(v) }
+    Result<T, E> "result" { 0 Ok(v), 1 Err(e) }
+    LockMode "mode" { 0 IS, 1 IX, 2 S, 3 SIX, 4 U, 5 X }
+    ResourceId "resource" { 0 Table(t), 1 Row(t, row) }
+    LockOutcome "outcome" {
+        0 Granted, 1 AlreadyHeld, 2 CoveredByTableLock, 3 Queued,
+        4 GrantedAfterEscalation { table, exclusive },
+        5 QueuedWithEscalation { table },
+    }
+    LockError "lock error" {
+        0 NotHeld(res), 1 NothingToEscalate, 2 OutOfLockMemory, 3 MissingIntent(res),
+        4 AlreadyWaiting(res),
+    }
+    ServiceError "service error" {
+        0 Lock(e), 1 Timeout, 2 DeadlockVictim, 3 ShuttingDown, 4 AlreadyConnected(app),
+        // The shedding tenant's id, so a multi-database client backs
+        // off exactly the tenant that rejected it.
+        5 Overloaded { tenant },
+    }
+    EventKind "event" {
+        0 Escalation { app, table, exclusive }, 1 DeadlockVictim { app },
+        2 SyncGrowth { granted_bytes }, 3 TunerResize { from_bytes, to_bytes },
+        4 DepotReclaim { slots },
         // Tags 5–9 match the journal's own packing order.
-        EventKind::WatchdogRestart { thread } => {
-            out.push(5);
-            out.push(match thread {
-                ThreadRole::Tuner => 0,
-                ThreadRole::Sweeper => 1,
-            });
-        }
-        EventKind::ClientEvicted { app } => {
-            out.push(6);
-            put_u32(out, app.0);
-        }
-        EventKind::ShedEngaged { ooms } => {
-            out.push(7);
-            put_u64(out, ooms);
-        }
-        EventKind::ShedReleased => out.push(8),
-        EventKind::FaultInjected { site, count } => {
-            out.push(9);
-            out.push(site);
-            put_u64(out, count);
-        }
-        EventKind::RemoteCancel { app } => {
-            out.push(10);
-            put_u32(out, app.0);
-        }
-        EventKind::EpochBump { epoch } => {
-            out.push(11);
-            put_u64(out, epoch);
-        }
-        EventKind::RequestFenced { epoch } => {
-            out.push(12);
-            put_u64(out, epoch);
+        5 WatchdogRestart { thread }, 6 ClientEvicted { app }, 7 ShedEngaged { ooms },
+        8 ShedReleased, 9 FaultInjected { site, count }, 10 RemoteCancel { app },
+        11 EpochBump { epoch }, 12 RequestFenced { epoch },
+    }
+    ThreadRole "thread role" { 0 Tuner, 1 Sweeper }
+    TuningReason "tuning reason" {
+        0 GrowForFreeTarget, 1 WithinBand, 2 ShrinkDeltaReduce, 3 EscalationDoubling,
+        4 ClampedToMin, 5 ClampedToMax,
+    }
+    TenantCtl "tenant ctl" { 0 Create { tenant }, 1 Drop { tenant } }
+}
+
+/// `Skipped`'s tag: `Done(result)` travels as the result itself
+/// (tags 0 and 1), so a batch item is one tag byte either way.
+const SKIPPED: u8 = 2;
+
+tagged_wire!(BatchOutcome);
+
+impl Tagged for BatchOutcome {
+    #[inline]
+    fn put_tagged(&self, out: &mut Vec<u8>, between: impl FnOnce(&mut Vec<u8>)) {
+        match self {
+            BatchOutcome::Done(result) => result.put_tagged(out, between),
+            BatchOutcome::Skipped => {
+                out.push(SKIPPED);
+                between(out);
+            }
         }
     }
-}
 
-fn get_event(r: &mut Reader<'_>) -> Result<JournalEvent, WireError> {
-    let seq = r.u64()?;
-    let at_ms = r.u64()?;
-    let kind = match r.u8()? {
-        0 => EventKind::Escalation {
-            app: AppId(r.u32()?),
-            table: TableId(r.u32()?),
-            exclusive: get_bool(r)?,
-        },
-        1 => EventKind::DeadlockVictim {
-            app: AppId(r.u32()?),
-        },
-        2 => EventKind::SyncGrowth {
-            granted_bytes: r.u64()?,
-        },
-        3 => EventKind::TunerResize {
-            from_bytes: r.u64()?,
-            to_bytes: r.u64()?,
-        },
-        4 => EventKind::DepotReclaim { slots: r.u64()? },
-        5 => EventKind::WatchdogRestart {
-            thread: match r.u8()? {
-                0 => ThreadRole::Tuner,
-                1 => ThreadRole::Sweeper,
-                tag => {
-                    return Err(WireError::BadTag {
-                        what: "thread role",
-                        tag,
-                    })
-                }
-            },
-        },
-        6 => EventKind::ClientEvicted {
-            app: AppId(r.u32()?),
-        },
-        7 => EventKind::ShedEngaged { ooms: r.u64()? },
-        8 => EventKind::ShedReleased,
-        9 => EventKind::FaultInjected {
-            site: r.u8()?,
-            count: r.u64()?,
-        },
-        10 => EventKind::RemoteCancel {
-            app: AppId(r.u32()?),
-        },
-        11 => EventKind::EpochBump { epoch: r.u64()? },
-        12 => EventKind::RequestFenced { epoch: r.u64()? },
-        tag => return Err(WireError::BadTag { what: "event", tag }),
-    };
-    Ok(JournalEvent { seq, at_ms, kind })
-}
-
-fn reason_tag(reason: TuningReason) -> u8 {
-    match reason {
-        TuningReason::GrowForFreeTarget => 0,
-        TuningReason::WithinBand => 1,
-        TuningReason::ShrinkDeltaReduce => 2,
-        TuningReason::EscalationDoubling => 3,
-        TuningReason::ClampedToMin => 4,
-        TuningReason::ClampedToMax => 5,
-    }
-}
-
-fn get_reason(r: &mut Reader<'_>) -> Result<TuningReason, WireError> {
-    match r.u8()? {
-        0 => Ok(TuningReason::GrowForFreeTarget),
-        1 => Ok(TuningReason::WithinBand),
-        2 => Ok(TuningReason::ShrinkDeltaReduce),
-        3 => Ok(TuningReason::EscalationDoubling),
-        4 => Ok(TuningReason::ClampedToMin),
-        5 => Ok(TuningReason::ClampedToMax),
-        tag => Err(WireError::BadTag {
-            what: "tuning reason",
-            tag,
-        }),
-    }
-}
-
-fn put_tick(out: &mut Vec<u8>, t: &TuningTick) {
-    put_u64(out, t.seq);
-    out.push(reason_tag(t.reason));
-    put_u64(out, t.target_bytes);
-    put_u64(out, t.current_bytes);
-    put_u64(out, t.lock_bytes_after);
-    put_u64(out, t.funded_bytes);
-    put_u64(out, t.released_bytes);
-    put_f64(out, t.app_percent);
-}
-
-fn get_tick(r: &mut Reader<'_>) -> Result<TuningTick, WireError> {
-    Ok(TuningTick {
-        seq: r.u64()?,
-        reason: get_reason(r)?,
-        target_bytes: r.u64()?,
-        current_bytes: r.u64()?,
-        lock_bytes_after: r.u64()?,
-        funded_bytes: r.u64()?,
-        released_bytes: r.u64()?,
-        app_percent: get_f64(r)?,
-    })
-}
-
-fn put_obs_counters(out: &mut Vec<u8>, c: &ObsCounters) {
-    for v in [
-        c.timeouts,
-        c.batches,
-        c.batch_items,
-        c.deadlock_victims,
-        c.sync_growth_granted,
-        c.sync_growth_denied,
-        c.depot_reclaim_sweeps,
-        c.depot_reclaimed_slots,
-        c.journal_recorded,
-        c.journal_dropped,
-        c.watchdog_restarts,
-        c.clients_evicted,
-        c.shed_engaged,
-        c.shed_released,
-        c.shed_rejected,
-        c.faults_injected,
-        c.remote_cancels,
-        c.failover_probes,
-        c.epoch_bumps,
-        c.fenced_requests,
-        c.degraded_batches,
-        c.grant_spin_hits,
-        c.grant_parks,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn get_obs_counters(r: &mut Reader<'_>) -> Result<ObsCounters, WireError> {
-    Ok(ObsCounters {
-        timeouts: r.u64()?,
-        batches: r.u64()?,
-        batch_items: r.u64()?,
-        deadlock_victims: r.u64()?,
-        sync_growth_granted: r.u64()?,
-        sync_growth_denied: r.u64()?,
-        depot_reclaim_sweeps: r.u64()?,
-        depot_reclaimed_slots: r.u64()?,
-        journal_recorded: r.u64()?,
-        journal_dropped: r.u64()?,
-        watchdog_restarts: r.u64()?,
-        clients_evicted: r.u64()?,
-        shed_engaged: r.u64()?,
-        shed_released: r.u64()?,
-        shed_rejected: r.u64()?,
-        faults_injected: r.u64()?,
-        remote_cancels: r.u64()?,
-        failover_probes: r.u64()?,
-        epoch_bumps: r.u64()?,
-        fenced_requests: r.u64()?,
-        degraded_batches: r.u64()?,
-        grant_spin_hits: r.u64()?,
-        grant_parks: r.u64()?,
-    })
-}
-
-fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    debug_assert!(
-        m.events.len() <= MAX_WIRE_EVENTS,
-        "events exceed wire bound"
-    );
-    debug_assert!(m.ticks.len() <= MAX_WIRE_TICKS, "ticks exceed wire bound");
-    put_u64(out, m.uptime_ms);
-    put_lock_stats(out, &m.lock_stats);
-    put_obs_counters(out, &m.counters);
-    put_u64(out, m.pool_bytes);
-    put_u64(out, m.pool_slots_total);
-    put_u64(out, m.pool_slots_used);
-    put_u64(out, m.connected_apps);
-    put_f64(out, m.app_percent);
-    put_f64(out, m.min_free_fraction);
-    put_f64(out, m.max_free_fraction);
-    put_f64(out, m.free_fraction);
-    put_u64(out, m.tuning_intervals);
-    put_u64(out, m.grow_decisions);
-    put_u64(out, m.shrink_decisions);
-    put_u64(out, m.reply_queue_hwm);
-    put_u64(out, m.fence_epoch);
-    put_histogram(out, &m.lock_wait_micros);
-    put_histogram(out, &m.latch_hold_nanos);
-    put_histogram(out, &m.batch_size);
-    put_histogram(out, &m.sync_stall_micros);
-    put_u32(out, m.events.len() as u32);
-    for e in &m.events {
-        put_event(out, e);
-    }
-    put_u64(out, m.next_event_seq);
-    put_u32(out, m.ticks.len() as u32);
-    for t in &m.ticks {
-        put_tick(out, t);
-    }
-    put_u64(out, m.next_tick_seq);
-    debug_assert!(
-        m.io_shards.len() <= MAX_WIRE_IO_SHARDS,
-        "io shards exceed wire bound"
-    );
-    put_u32(out, m.io_shards.len() as u32);
-    for s in &m.io_shards {
-        put_u32(out, s.shard);
-        put_u64(out, s.connections);
-        put_u64(out, s.wakeups);
-        put_u64(out, s.writev_calls);
-        put_u64(out, s.writev_frames);
-        put_u64(out, s.write_buf_hwm);
-        put_u64(out, s.spin_hits);
-        put_u64(out, s.parks);
-    }
-}
-
-fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
-    let uptime_ms = r.u64()?;
-    let lock_stats = get_lock_stats(r)?;
-    let counters = get_obs_counters(r)?;
-    let pool_bytes = r.u64()?;
-    let pool_slots_total = r.u64()?;
-    let pool_slots_used = r.u64()?;
-    let connected_apps = r.u64()?;
-    let app_percent = get_f64(r)?;
-    let min_free_fraction = get_f64(r)?;
-    let max_free_fraction = get_f64(r)?;
-    let free_fraction = get_f64(r)?;
-    let tuning_intervals = r.u64()?;
-    let grow_decisions = r.u64()?;
-    let shrink_decisions = r.u64()?;
-    let reply_queue_hwm = r.u64()?;
-    let fence_epoch = r.u64()?;
-    let lock_wait_micros = get_histogram(r)?;
-    let latch_hold_nanos = get_histogram(r)?;
-    let batch_size = get_histogram(r)?;
-    let sync_stall_micros = get_histogram(r)?;
-    let n_events = r.u32()? as usize;
-    if n_events > MAX_WIRE_EVENTS {
-        return Err(WireError::TooMany {
-            what: "journal events",
-            n: n_events,
-        });
-    }
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        events.push(get_event(r)?);
-    }
-    let next_event_seq = r.u64()?;
-    let n_ticks = r.u32()? as usize;
-    if n_ticks > MAX_WIRE_TICKS {
-        return Err(WireError::TooMany {
-            what: "tuning ticks",
-            n: n_ticks,
-        });
-    }
-    let mut ticks = Vec::with_capacity(n_ticks);
-    for _ in 0..n_ticks {
-        ticks.push(get_tick(r)?);
-    }
-    let next_tick_seq = r.u64()?;
-    let n_shards = r.u32()? as usize;
-    if n_shards > MAX_WIRE_IO_SHARDS {
-        return Err(WireError::TooMany {
-            what: "io shards",
-            n: n_shards,
-        });
-    }
-    let mut io_shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        io_shards.push(IoShardStats {
-            shard: r.u32()?,
-            connections: r.u64()?,
-            wakeups: r.u64()?,
-            writev_calls: r.u64()?,
-            writev_frames: r.u64()?,
-            write_buf_hwm: r.u64()?,
-            spin_hits: r.u64()?,
-            parks: r.u64()?,
-        });
-    }
-    Ok(MetricsSnapshot {
-        uptime_ms,
-        lock_stats,
-        counters,
-        pool_bytes,
-        pool_slots_total,
-        pool_slots_used,
-        connected_apps,
-        app_percent,
-        min_free_fraction,
-        max_free_fraction,
-        free_fraction,
-        tuning_intervals,
-        grow_decisions,
-        shrink_decisions,
-        reply_queue_hwm,
-        fence_epoch,
-        lock_wait_micros,
-        latch_hold_nanos,
-        batch_size,
-        sync_stall_micros,
-        events,
-        next_event_seq,
-        ticks,
-        next_tick_seq,
-        io_shards,
-    })
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    Ok(String::from_utf8_lossy(&r.bytes()?).into_owned())
-}
-
-fn put_tenant_row(out: &mut Vec<u8>, row: &TenantRow) {
-    put_u32(out, row.id);
-    put_u64(out, row.budget);
-    put_u64(out, row.floor);
-    put_u64(out, row.pool_bytes);
-    put_u64(out, row.pool_slots_used);
-    put_f64(out, row.free_fraction);
-    put_f64(out, row.benefit);
-    put_u64(out, row.connected_apps);
-    put_u64(out, row.escalations);
-    put_u64(out, row.denials);
-    out.push(row.shedding as u8);
-}
-
-fn get_tenant_row(r: &mut Reader<'_>) -> Result<TenantRow, WireError> {
-    Ok(TenantRow {
-        id: r.u32()?,
-        budget: r.u64()?,
-        floor: r.u64()?,
-        pool_bytes: r.u64()?,
-        pool_slots_used: r.u64()?,
-        free_fraction: get_f64(r)?,
-        benefit: get_f64(r)?,
-        connected_apps: r.u64()?,
-        escalations: r.u64()?,
-        denials: r.u64()?,
-        shedding: get_bool(r)?,
-    })
-}
-
-fn put_donation(out: &mut Vec<u8>, d: &TenantDonation) {
-    put_u64(out, d.seq);
-    put_u64(out, d.at_ms);
-    match d.from {
-        Some(id) => {
-            out.push(1);
-            put_u32(out, id);
-        }
-        None => out.push(0),
-    }
-    put_u32(out, d.to);
-    put_u64(out, d.bytes);
-    put_f64(out, d.from_benefit);
-    put_f64(out, d.to_benefit);
-}
-
-fn get_donation(r: &mut Reader<'_>) -> Result<TenantDonation, WireError> {
-    let seq = r.u64()?;
-    let at_ms = r.u64()?;
-    let from = match r.u8()? {
-        0 => None,
-        1 => Some(r.u32()?),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "donation donor",
-                tag,
-            })
-        }
-    };
-    Ok(TenantDonation {
-        seq,
-        at_ms,
-        from,
-        to: r.u32()?,
-        bytes: r.u64()?,
-        from_benefit: get_f64(r)?,
-        to_benefit: get_f64(r)?,
-    })
-}
-
-fn put_tenant_stats(out: &mut Vec<u8>, t: &TenantStatsReply) {
-    debug_assert!(
-        t.rollup.tenants.len() <= MAX_WIRE_TENANTS,
-        "tenant rows exceed wire bound"
-    );
-    debug_assert!(
-        t.donations.len() <= MAX_WIRE_DONATIONS,
-        "donations exceed wire bound"
-    );
-    put_u64(out, t.rollup.machine_budget);
-    put_u64(out, t.rollup.free_budget);
-    put_u64(out, t.rollup.arbitrations);
-    put_u64(out, t.rollup.donations);
-    put_u64(out, t.rollup.donated_bytes);
-    put_u32(out, t.rollup.tenants.len() as u32);
-    for row in &t.rollup.tenants {
-        put_tenant_row(out, row);
-    }
-    put_u32(out, t.donations.len() as u32);
-    for d in &t.donations {
-        put_donation(out, d);
-    }
-    put_u64(out, t.next_donation_seq);
-}
-
-fn get_tenant_stats(r: &mut Reader<'_>) -> Result<TenantStatsReply, WireError> {
-    let machine_budget = r.u64()?;
-    let free_budget = r.u64()?;
-    let arbitrations = r.u64()?;
-    let donations_total = r.u64()?;
-    let donated_bytes = r.u64()?;
-    let n_rows = r.u32()? as usize;
-    if n_rows > MAX_WIRE_TENANTS {
-        return Err(WireError::TooMany {
-            what: "tenant rows",
-            n: n_rows,
-        });
-    }
-    let mut tenants = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        tenants.push(get_tenant_row(r)?);
-    }
-    let n_donations = r.u32()? as usize;
-    if n_donations > MAX_WIRE_DONATIONS {
-        return Err(WireError::TooMany {
-            what: "donations",
-            n: n_donations,
-        });
-    }
-    let mut donations = Vec::with_capacity(n_donations);
-    for _ in 0..n_donations {
-        donations.push(get_donation(r)?);
-    }
-    let next_donation_seq = r.u64()?;
-    Ok(TenantStatsReply {
-        rollup: MachineRollup {
-            machine_budget,
-            free_budget,
-            arbitrations,
-            donations: donations_total,
-            donated_bytes,
-            tenants,
-        },
-        donations,
-        next_donation_seq,
-    })
-}
-
-fn put_wait_graph(out: &mut Vec<u8>, g: &WaitGraphReply) {
-    debug_assert!(g.edges.len() <= MAX_WIRE_EDGES, "edges exceed wire bound");
-    debug_assert!(g.gids.len() <= MAX_WIRE_GIDS, "gids exceed wire bound");
-    put_u32(out, g.edges.len() as u32);
-    for &(waiter, holder) in &g.edges {
-        put_u32(out, waiter);
-        put_u32(out, holder);
-    }
-    put_u32(out, g.gids.len() as u32);
-    for &(app, gid) in &g.gids {
-        put_u32(out, app);
-        put_u64(out, gid);
-    }
-}
-
-fn get_wait_graph(r: &mut Reader<'_>) -> Result<WaitGraphReply, WireError> {
-    let n_edges = r.u32()? as usize;
-    if n_edges > MAX_WIRE_EDGES {
-        return Err(WireError::TooMany {
-            what: "wait edges",
-            n: n_edges,
-        });
-    }
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let waiter = r.u32()?;
-        let holder = r.u32()?;
-        edges.push((waiter, holder));
-    }
-    let n_gids = r.u32()? as usize;
-    if n_gids > MAX_WIRE_GIDS {
-        return Err(WireError::TooMany {
-            what: "gid bindings",
-            n: n_gids,
-        });
-    }
-    let mut gids = Vec::with_capacity(n_gids);
-    for _ in 0..n_gids {
-        let app = r.u32()?;
-        let gid = r.u64()?;
-        gids.push((app, gid));
-    }
-    Ok(WaitGraphReply { edges, gids })
-}
-
-/// String-error result: `0` + nothing, or `1` + length-prefixed
-/// message (Hello binds, TenantCtl refusals).
-fn put_string_result<T>(
-    out: &mut Vec<u8>,
-    result: &Result<T, String>,
-    put_ok: impl FnOnce(&mut Vec<u8>, &T),
-) {
-    match result {
-        Ok(v) => {
-            out.push(0);
-            put_ok(out, v);
-        }
-        Err(msg) => {
-            out.push(1);
-            put_string(out, msg);
+    #[inline]
+    fn get_fields(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match tag {
+            SKIPPED => Ok(BatchOutcome::Skipped),
+            tag => Ok(BatchOutcome::Done(Tagged::get_fields(tag, r)?)),
         }
     }
 }
 
-fn get_string_result<T>(
-    r: &mut Reader<'_>,
-    get_ok: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
-) -> Result<Result<T, String>, WireError> {
-    match r.u8()? {
-        0 => Ok(Ok(get_ok(r)?)),
-        1 => Ok(Err(get_string(r)?)),
-        tag => Err(WireError::BadTag {
-            what: "string result",
-            tag,
-        }),
+// ---------------------------------------------------------------------
+// Frame tables: the one list of opcodes
+// ---------------------------------------------------------------------
+
+tagged! {
+    Request "request opcode" {
+        0x01 Lock { res, mode },
+        0x02 Unlock { res },
+        0x03 UnlockAll,
+        0x04 Stats,
+        0x05 Ping(echo),
+        0x06 Validate,
+        0x07 LockBatch(items) as OP_LOCK_BATCH,
+        0x08 Metrics { reports_since, max_events },
+        0x09 Hello { tenant },
+        0x0A TenantStats { donations_since },
+        0x0B TenantCtl(action),
+        0x0C WaitGraph,
+        0x0D BindGid { gid },
+        0x0E CancelWait { app },
+        0x0F Probe { epoch, degraded },
+        // 0x10 is unusable as a request opcode: its reply alias
+        // 0x10 | 0x80 = 0x90 collides with Busy, so the request space
+        // skips to 0x11.
+        0x11 BindEpoch { epoch },
+    }
+
+    // Reply opcodes are the request opcode | 0x80.
+    Reply "reply opcode" {
+        0x81 Lock(result),
+        0x82 Unlock(result),
+        0x83 UnlockAll(result),
+        0x84 Stats(snapshot),
+        0x85 Pong(echo),
+        0x86 Validate(result),
+        0x87 BatchOutcomes(items) as OP_BATCH_OUTCOMES,
+        0x88 Metrics(snapshot),
+        0x89 Hello(result),
+        0x8A TenantStats(stats),
+        0x8B TenantCtl(result),
+        0x8C WaitGraph(graph),
+        0x8D BindGid(result),
+        0x8E CancelWait(cancelled),
+        0x8F ProbeAck { epoch, stale_sessions },
+        // Server-initiated (no matching request opcode; sent with id 0
+        // when the connection is refused at admission).
+        0x90 Busy,
+        0x91 BindEpoch,
+        // Fencing reply: answers a Lock/LockBatch/BindEpoch whose
+        // connection carries an epoch older than the server's fence
+        // (correlated by the request id, like any other reply).
+        0x92 WrongEpoch { current },
     }
 }
 
@@ -1560,98 +1076,58 @@ fn get_string_result<T>(
 // Frame encode/decode
 // ---------------------------------------------------------------------
 
-/// Write one frame (length prefix, header, body) into `out`, which is
-/// cleared first. The hot-path entry point: a caller reusing `out`
-/// across frames encodes with **zero** steady-state heap allocation
-/// (the buffer keeps its capacity; everything is `extend_from_slice`).
-fn frame_into(out: &mut Vec<u8>, opcode: u8, id: u64, body: impl FnOnce(&mut Vec<u8>)) {
+/// Write one frame into `out`, which is cleared first: a `u32` length
+/// prefix, patched once `payload` has written opcode, id and body. The
+/// hot-path entry point: a caller reusing `out` across frames encodes
+/// with **zero** steady-state heap allocation (the buffer keeps its
+/// capacity; everything is `extend_from_slice`).
+fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     out.clear();
-    // Length placeholder, patched below.
-    put_u32(out, 0);
-    out.push(opcode);
-    put_u64(out, id);
-    body(out);
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_le_bytes());
-    // MAX_PAYLOAD is enforced where it protects someone: in
-    // `read_payload`, on the receiving side. An oversize frame (only
-    // possible via a huge Ping echo) is rejected by the peer.
+    // MAX_PAYLOAD is enforced where it protects someone: on the
+    // receiving side (`check_len`), and by `Client` before it writes.
+}
+
+/// Decode a payload (frame minus the length prefix) of either table.
+fn decode_frame<T: Tagged>(payload: &[u8]) -> Result<(u64, T), WireError> {
+    let mut r = Reader::new(payload);
+    let opcode = u8::get(&mut r)?;
+    let id = u64::get(&mut r)?;
+    let msg = T::get_fields(opcode, &mut r)?;
+    r.finish()?;
+    Ok((id, msg))
 }
 
 /// Encode `req` as a complete frame into `out` (cleared first; length
 /// prefix included). Reuse `out` across calls for allocation-free
 /// steady-state encoding.
 pub fn encode_request_into(out: &mut Vec<u8>, id: u64, req: &Request) {
-    match req {
-        Request::Lock { res, mode } => frame_into(out, OP_LOCK, id, |out| {
-            put_resource(out, *res);
-            out.push(mode_tag(*mode));
-        }),
-        Request::Unlock { res } => frame_into(out, OP_UNLOCK, id, |out| put_resource(out, *res)),
-        Request::UnlockAll => frame_into(out, OP_UNLOCK_ALL, id, |_| {}),
-        Request::Stats => frame_into(out, OP_STATS, id, |_| {}),
-        Request::Ping(echo) => frame_into(out, OP_PING, id, |out| put_bytes(out, echo)),
-        Request::Validate => frame_into(out, OP_VALIDATE, id, |_| {}),
-        Request::LockBatch(items) => encode_lock_batch_into(out, id, items),
-        Request::Metrics {
-            reports_since,
-            max_events,
-        } => frame_into(out, OP_METRICS, id, |out| {
-            put_u64(out, *reports_since);
-            put_u32(out, *max_events);
-        }),
-        Request::Hello { tenant } => frame_into(out, OP_HELLO, id, |out| put_u32(out, *tenant)),
-        Request::TenantStats { donations_since } => frame_into(out, OP_TENANT_STATS, id, |out| {
-            put_u64(out, *donations_since)
-        }),
-        Request::TenantCtl(action) => frame_into(out, OP_TENANT_CTL, id, |out| match action {
-            TenantCtl::Create { tenant } => {
-                out.push(0);
-                put_u32(out, *tenant);
-            }
-            TenantCtl::Drop { tenant } => {
-                out.push(1);
-                put_u32(out, *tenant);
-            }
-        }),
-        Request::WaitGraph => frame_into(out, OP_WAIT_GRAPH, id, |_| {}),
-        Request::BindGid { gid } => frame_into(out, OP_BIND_GID, id, |out| put_u64(out, *gid)),
-        Request::CancelWait { app } => {
-            frame_into(out, OP_CANCEL_WAIT, id, |out| put_u32(out, *app))
-        }
-        Request::Probe { epoch, degraded } => frame_into(out, OP_PROBE, id, |out| {
-            put_u64(out, *epoch);
-            out.push(*degraded as u8);
-        }),
-        Request::BindEpoch { epoch } => {
-            frame_into(out, OP_BIND_EPOCH, id, |out| put_u64(out, *epoch))
-        }
-    }
+    frame_into(out, |out| req.put_tagged(out, |out| id.put(out)));
 }
 
 /// Encode a [`Request::LockBatch`] frame straight from a slice, so
 /// callers batching from their own buffers need not build (and heap-
 /// allocate) a `Request` first. `items.len()` must be ≤ [`MAX_BATCH`]
-/// (debug-asserted here, enforced by the peer's decoder).
+/// (checked by [`crate::Client`] before it writes, enforced by the
+/// peer's decoder).
 pub fn encode_lock_batch_into(out: &mut Vec<u8>, id: u64, items: &[(ResourceId, LockMode)]) {
-    debug_assert!(items.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-    frame_into(out, OP_LOCK_BATCH, id, |out| {
-        put_u32(out, items.len() as u32);
-        for (res, mode) in items {
-            put_resource(out, *res);
-            out.push(mode_tag(*mode));
-        }
+    frame_into(out, |out| {
+        out.push(OP_LOCK_BATCH);
+        id.put(out);
+        put_items(out, items);
     });
 }
 
 /// Encode a [`Reply::BatchOutcomes`] frame straight from a slice (the
 /// server reuses one outcome buffer across batches).
 pub fn encode_batch_outcomes_into(out: &mut Vec<u8>, id: u64, items: &[BatchOutcome]) {
-    frame_into(out, OP_LOCK_BATCH_REPLY, id, |out| {
-        put_u32(out, items.len() as u32);
-        for item in items {
-            put_batch_outcome(out, item);
-        }
+    frame_into(out, |out| {
+        out.push(OP_BATCH_OUTCOMES);
+        id.put(out);
+        put_items(out, items);
     });
 }
 
@@ -1665,66 +1141,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 
 /// Decode a request payload (frame minus the length prefix).
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
-    let mut r = Reader::new(payload);
-    let opcode = r.u8()?;
-    let id = r.u64()?;
-    let req = match opcode {
-        OP_LOCK => Request::Lock {
-            res: get_resource(&mut r)?,
-            mode: get_mode(&mut r)?,
-        },
-        OP_UNLOCK => Request::Unlock {
-            res: get_resource(&mut r)?,
-        },
-        OP_UNLOCK_ALL => Request::UnlockAll,
-        OP_STATS => Request::Stats,
-        OP_PING => Request::Ping(r.bytes()?),
-        OP_VALIDATE => Request::Validate,
-        OP_LOCK_BATCH => {
-            let n = get_batch_len(&mut r)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                let res = get_resource(&mut r)?;
-                let mode = get_mode(&mut r)?;
-                items.push((res, mode));
-            }
-            Request::LockBatch(items)
-        }
-        OP_METRICS => Request::Metrics {
-            reports_since: r.u64()?,
-            max_events: r.u32()?,
-        },
-        OP_HELLO => Request::Hello { tenant: r.u32()? },
-        OP_TENANT_STATS => Request::TenantStats {
-            donations_since: r.u64()?,
-        },
-        OP_TENANT_CTL => Request::TenantCtl(match r.u8()? {
-            0 => TenantCtl::Create { tenant: r.u32()? },
-            1 => TenantCtl::Drop { tenant: r.u32()? },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "tenant ctl",
-                    tag,
-                })
-            }
-        }),
-        OP_WAIT_GRAPH => Request::WaitGraph,
-        OP_BIND_GID => Request::BindGid { gid: r.u64()? },
-        OP_CANCEL_WAIT => Request::CancelWait { app: r.u32()? },
-        OP_PROBE => Request::Probe {
-            epoch: r.u64()?,
-            degraded: get_bool(&mut r)?,
-        },
-        OP_BIND_EPOCH => Request::BindEpoch { epoch: r.u64()? },
-        tag => {
-            return Err(WireError::BadTag {
-                what: "request opcode",
-                tag,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((id, req))
+    decode_frame(payload)
 }
 
 /// If `payload` is a [`Request::LockBatch`] frame, decode its items
@@ -1737,82 +1154,35 @@ pub fn decode_lock_batch_into(
     items: &mut Vec<(ResourceId, LockMode)>,
 ) -> Result<Option<u64>, WireError> {
     let mut r = Reader::new(payload);
-    if r.u8()? != OP_LOCK_BATCH {
+    if u8::get(&mut r)? != OP_LOCK_BATCH {
         return Ok(None);
     }
-    let id = r.u64()?;
+    let id = u64::get(&mut r)?;
     let n = get_batch_len(&mut r)?;
-    items.clear();
-    items.reserve(n);
-    for _ in 0..n {
-        let res = get_resource(&mut r)?;
-        let mode = get_mode(&mut r)?;
-        items.push((res, mode));
-    }
+    get_items_into(&mut r, n, items)?;
     r.finish()?;
     Ok(Some(id))
+}
+
+/// The checks a peer applies to a request frame before its body: the
+/// payload length, and a lock batch's item count. The client runs them
+/// on each encoded frame before writing it — a frame the server must
+/// refuse would cost the connection and every lock its session holds.
+pub(crate) fn check_request_frame(frame: &[u8]) -> Result<(), WireError> {
+    check_len(frame.len() - 4)?;
+    let mut r = Reader::new(&frame[4..]);
+    if u8::get(&mut r)? == OP_LOCK_BATCH {
+        u64::get(&mut r)?;
+        get_batch_len(&mut r)?;
+    }
+    Ok(())
 }
 
 /// Encode `reply` as a complete frame into `out` (cleared first;
 /// length prefix included). Reuse `out` across calls for
 /// allocation-free steady-state encoding.
 pub fn encode_reply_into(out: &mut Vec<u8>, id: u64, reply: &Reply) {
-    match reply {
-        Reply::Lock(res) => frame_into(out, OP_LOCK_REPLY, id, |out| {
-            put_result(out, res, |out, o| put_outcome(out, *o))
-        }),
-        Reply::Unlock(res) => frame_into(out, OP_UNLOCK_REPLY, id, |out| {
-            put_result(out, res, put_unlock_report)
-        }),
-        Reply::UnlockAll(res) => frame_into(out, OP_UNLOCK_ALL_REPLY, id, |out| {
-            put_result(out, res, put_unlock_report)
-        }),
-        Reply::Stats(snap) => frame_into(out, OP_STATS_REPLY, id, |out| put_snapshot(out, snap)),
-        Reply::Pong(echo) => frame_into(out, OP_PONG, id, |out| put_bytes(out, echo)),
-        Reply::Validate(res) => frame_into(out, OP_VALIDATE_REPLY, id, |out| match res {
-            Ok(rep) => {
-                out.push(0);
-                put_u64(out, rep.charged_slots);
-                put_u64(out, rep.pool_used_slots);
-            }
-            Err(msg) => {
-                out.push(1);
-                put_bytes(out, msg.as_bytes());
-            }
-        }),
-        Reply::BatchOutcomes(items) => encode_batch_outcomes_into(out, id, items),
-        Reply::Metrics(snap) => frame_into(out, OP_METRICS_REPLY, id, |out| put_metrics(out, snap)),
-        Reply::Hello(res) => frame_into(out, OP_HELLO_REPLY, id, |out| {
-            put_string_result(out, res, |_, ()| {})
-        }),
-        Reply::TenantStats(t) => frame_into(out, OP_TENANT_STATS_REPLY, id, |out| {
-            put_tenant_stats(out, t)
-        }),
-        Reply::TenantCtl(res) => frame_into(out, OP_TENANT_CTL_REPLY, id, |out| {
-            put_string_result(out, res, |out, bytes| put_u64(out, *bytes))
-        }),
-        Reply::WaitGraph(g) => {
-            frame_into(out, OP_WAIT_GRAPH_REPLY, id, |out| put_wait_graph(out, g))
-        }
-        Reply::BindGid(res) => frame_into(out, OP_BIND_GID_REPLY, id, |out| {
-            put_string_result(out, res, |_, ()| {})
-        }),
-        Reply::CancelWait(cancelled) => frame_into(out, OP_CANCEL_WAIT_REPLY, id, |out| {
-            out.push(*cancelled as u8)
-        }),
-        Reply::Busy => frame_into(out, OP_BUSY, id, |_| {}),
-        Reply::ProbeAck {
-            epoch,
-            stale_sessions,
-        } => frame_into(out, OP_PROBE_ACK, id, |out| {
-            put_u64(out, *epoch);
-            put_u64(out, *stale_sessions);
-        }),
-        Reply::BindEpoch => frame_into(out, OP_BIND_EPOCH_REPLY, id, |_| {}),
-        Reply::WrongEpoch { current } => {
-            frame_into(out, OP_WRONG_EPOCH, id, |out| put_u64(out, *current))
-        }
-    }
+    frame_into(out, |out| reply.put_tagged(out, |out| id.put(out)));
 }
 
 /// Encode `reply` as a complete frame (length prefix included).
@@ -1825,59 +1195,7 @@ pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
 
 /// Decode a reply payload (frame minus the length prefix).
 pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), WireError> {
-    let mut r = Reader::new(payload);
-    let opcode = r.u8()?;
-    let id = r.u64()?;
-    let reply = match opcode {
-        OP_LOCK_REPLY => Reply::Lock(get_result(&mut r, get_outcome)?),
-        OP_UNLOCK_REPLY => Reply::Unlock(get_result(&mut r, get_unlock_report)?),
-        OP_UNLOCK_ALL_REPLY => Reply::UnlockAll(get_result(&mut r, get_unlock_report)?),
-        OP_STATS_REPLY => Reply::Stats(get_snapshot(&mut r)?),
-        OP_PONG => Reply::Pong(r.bytes()?),
-        OP_VALIDATE_REPLY => Reply::Validate(match r.u8()? {
-            0 => Ok(ValidateReport {
-                charged_slots: r.u64()?,
-                pool_used_slots: r.u64()?,
-            }),
-            1 => Err(String::from_utf8_lossy(&r.bytes()?).into_owned()),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "validate result",
-                    tag,
-                })
-            }
-        }),
-        OP_LOCK_BATCH_REPLY => {
-            let n = get_batch_len(&mut r)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(get_batch_outcome(&mut r)?);
-            }
-            Reply::BatchOutcomes(items)
-        }
-        OP_METRICS_REPLY => Reply::Metrics(Box::new(get_metrics(&mut r)?)),
-        OP_HELLO_REPLY => Reply::Hello(get_string_result(&mut r, |_| Ok(()))?),
-        OP_TENANT_STATS_REPLY => Reply::TenantStats(Box::new(get_tenant_stats(&mut r)?)),
-        OP_TENANT_CTL_REPLY => Reply::TenantCtl(get_string_result(&mut r, |r| r.u64())?),
-        OP_WAIT_GRAPH_REPLY => Reply::WaitGraph(get_wait_graph(&mut r)?),
-        OP_BIND_GID_REPLY => Reply::BindGid(get_string_result(&mut r, |_| Ok(()))?),
-        OP_CANCEL_WAIT_REPLY => Reply::CancelWait(get_bool(&mut r)?),
-        OP_BUSY => Reply::Busy,
-        OP_PROBE_ACK => Reply::ProbeAck {
-            epoch: r.u64()?,
-            stale_sessions: r.u64()?,
-        },
-        OP_BIND_EPOCH_REPLY => Reply::BindEpoch,
-        OP_WRONG_EPOCH => Reply::WrongEpoch { current: r.u64()? },
-        tag => {
-            return Err(WireError::BadTag {
-                what: "reply opcode",
-                tag,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((id, reply))
+    decode_frame(payload)
 }
 
 // ---------------------------------------------------------------------
@@ -1886,6 +1204,17 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), WireError> {
 
 fn wire_to_io(e: WireError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+/// A payload must hold at least a header and at most [`MAX_PAYLOAD`]
+/// bytes — checked before any of it is buffered, so a hostile length
+/// prefix cannot balloon memory.
+fn check_len(len: usize) -> Result<(), WireError> {
+    if (HEADER_LEN..=MAX_PAYLOAD).contains(&len) {
+        Ok(())
+    } else {
+        Err(WireError::BadLength(len))
+    }
 }
 
 /// Read one length-prefixed payload into `buf`, which is resized to
@@ -1911,9 +1240,7 @@ pub fn read_payload_into(r: &mut impl std::io::Read, buf: &mut Vec<u8>) -> std::
         }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if !(HEADER_LEN..=MAX_PAYLOAD).contains(&len) {
-        return Err(wire_to_io(WireError::BadLength(len)));
-    }
+    check_len(len).map_err(wire_to_io)?;
     buf.resize(len, 0);
     r.read_exact(buf)?;
     Ok(true)
@@ -1976,9 +1303,7 @@ impl FrameAccum {
             return Ok(None);
         }
         let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes checked")) as usize;
-        if !(HEADER_LEN..=MAX_PAYLOAD).contains(&len) {
-            return Err(wire_to_io(WireError::BadLength(len)));
-        }
+        check_len(len).map_err(wire_to_io)?;
         if avail.len() < 4 + len {
             return Ok(None);
         }

@@ -702,6 +702,34 @@ fn metrics_scrape_over_the_wire(model: IoModel) {
     server.shutdown();
 }
 
+/// A frame the server would have to refuse (a lock batch over
+/// `MAX_BATCH`, a ping over `MAX_PAYLOAD`) is refused by the client
+/// before a byte is written: the connection, and the lock its session
+/// holds, survive an oversized `send`.
+fn oversized_send_is_refused_before_the_wire(model: IoModel) {
+    let (server, addr) = server(model, None);
+    let mut client = Client::connect(&addr).unwrap();
+    let table = ResourceId::Table(TableId(4));
+    client.lock(table, LockMode::X).unwrap();
+
+    let batch = vec![(table, LockMode::X); wire::MAX_BATCH + 1];
+    let ping = vec![0u8; wire::MAX_PAYLOAD];
+    for req in [Request::LockBatch(batch), Request::Ping(ping)] {
+        match client.send(&req) {
+            Err(ClientError::Protocol(_)) => {}
+            other => panic!("oversized frame must be refused locally, got {other:?}"),
+        }
+    }
+
+    // Same connection, same session: the lock is still held.
+    assert_eq!(
+        client.lock(table, LockMode::X).unwrap(),
+        LockOutcome::AlreadyHeld
+    );
+    assert_eq!(client.stats().unwrap().connected_apps, 1);
+    server.shutdown();
+}
+
 /// Expand every body once per I/O model. One list, two `#[test]`
 /// matrices — the models cannot drift apart without a test noticing.
 macro_rules! io_model_matrix {
@@ -738,5 +766,6 @@ mod matrix {
         ping_and_stats_round_trip,
         server_shutdown_disconnects_clients,
         metrics_scrape_over_the_wire,
+        oversized_send_is_refused_before_the_wire,
     );
 }

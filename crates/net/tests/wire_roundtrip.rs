@@ -205,20 +205,76 @@ fn lock_result<T: std::fmt::Debug + Clone + 'static>(
     prop_oneof![ok.prop_map(Ok), service_error().prop_map(Err)].boxed()
 }
 
+/// Every field drawn independently, so a codec that swapped two of
+/// them fails the round trip.
+fn lock_stats() -> BoxedStrategy<LockStats> {
+    proptest::collection::vec(any::<u64>(), 14..15)
+        .prop_map(|v| LockStats {
+            grants: v[0],
+            waits: v[1],
+            conversions: v[2],
+            covered_by_table: v[3],
+            escalations: v[4],
+            exclusive_escalations: v[5],
+            rows_escalated: v[6],
+            voluntary_escalations: v[7],
+            sync_growth_requests: v[8],
+            sync_growth_denied: v[9],
+            denials: v[10],
+            queue_grants: v[11],
+            cancelled_waits: v[12],
+            deadlock_aborts: v[13],
+        })
+        .boxed()
+}
+
+/// Every field drawn independently, so a codec that swapped two of
+/// them fails the round trip.
+fn obs_counters() -> BoxedStrategy<ObsCounters> {
+    proptest::collection::vec(any::<u64>(), 23..24)
+        .prop_map(|v| ObsCounters {
+            timeouts: v[0],
+            batches: v[1],
+            batch_items: v[2],
+            deadlock_victims: v[3],
+            sync_growth_granted: v[4],
+            sync_growth_denied: v[5],
+            depot_reclaim_sweeps: v[6],
+            depot_reclaimed_slots: v[7],
+            journal_recorded: v[8],
+            journal_dropped: v[9],
+            watchdog_restarts: v[10],
+            clients_evicted: v[11],
+            shed_engaged: v[12],
+            shed_released: v[13],
+            shed_rejected: v[14],
+            faults_injected: v[15],
+            remote_cancels: v[16],
+            failover_probes: v[17],
+            epoch_bumps: v[18],
+            fenced_requests: v[19],
+            degraded_batches: v[20],
+            grant_spin_hits: v[21],
+            grant_parks: v[22],
+        })
+        .boxed()
+}
+
 fn snapshot() -> BoxedStrategy<StatsSnapshot> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
         0.0f64..100.0,
+        lock_stats(),
     )
-        .prop_map(|(a, b, c, app_percent)| StatsSnapshot {
+        .prop_map(|(a, b, c, app_percent, ls)| StatsSnapshot {
             stats: LockStats {
                 grants: a.0,
                 waits: a.1,
                 escalations: a.2,
                 denials: a.3,
-                ..LockStats::default()
+                ..ls
             },
             pool_bytes: b.0,
             pool_slots_total: b.1,
@@ -278,6 +334,8 @@ fn event() -> BoxedStrategy<JournalEvent> {
         Just(EventKind::ShedReleased),
         (0u8..6, any::<u64>()).prop_map(|(site, count)| EventKind::FaultInjected { site, count }),
         any::<u32>().prop_map(|a| EventKind::RemoteCancel { app: AppId(a) }),
+        any::<u64>().prop_map(|epoch| EventKind::EpochBump { epoch }),
+        any::<u64>().prop_map(|epoch| EventKind::RequestFenced { epoch }),
     ];
     (any::<u64>(), any::<u64>(), kind)
         .prop_map(|(seq, at_ms, kind)| JournalEvent { seq, at_ms, kind })
@@ -355,6 +413,8 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             (0.0f64..100.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            lock_stats(),
+            obs_counters(),
         ),
         (histogram(), histogram(), histogram(), histogram()),
         proptest::collection::vec(event(), 0..12),
@@ -365,7 +425,7 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
     )
         .prop_map(
             |(fixed, hists, events, next_event_seq, ticks, next_tick_seq, io_shards)| {
-                let (uptime_ms, s, pool, fracs, t) = fixed;
+                let (uptime_ms, s, pool, fracs, t, ls, oc) = fixed;
                 MetricsSnapshot {
                     uptime_ms,
                     lock_stats: LockStats {
@@ -373,7 +433,7 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
                         waits: s.1,
                         escalations: s.2,
                         deadlock_aborts: s.3,
-                        ..LockStats::default()
+                        ..ls
                     },
                     counters: ObsCounters {
                         timeouts: s.0 ^ s.1,
@@ -386,7 +446,7 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
                         degraded_batches: s.3 ^ s.0,
                         grant_spin_hits: s.0 ^ !s.1,
                         grant_parks: s.2 ^ !s.3,
-                        ..ObsCounters::default()
+                        ..oc
                     },
                     pool_bytes: pool.0,
                     pool_slots_total: pool.1,
