@@ -294,7 +294,7 @@ fn audit_node(node: usize, addr: &str, seed: u64) -> Result<bool, String> {
         Ok(c) => c,
         Err(_) => return Ok(false),
     };
-    // Slot magazines flush asynchronously on tuning intervals; poll.
+    // Slot caches flush asynchronously on tuning intervals; poll.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match c.stats_snapshot() {

@@ -382,8 +382,12 @@ impl RoutingClient {
             breakers: (0..n).map(|i| Breaker::new(config.breaker, i)).collect(),
             nodes,
         };
+        // A node lost between the admission ping and the bind had no
+        // session yet: connect-time mapping, never `SessionLost`.
         if let Some(gid) = config.gid {
-            rc.bind_gid(gid)?;
+            for (i, node) in rc.nodes.iter_mut().enumerate() {
+                node.bind_gid(gid).map_err(|e| classify_connect(i, e))?;
+            }
         }
         rc.sync_with_map();
         Ok(rc)

@@ -400,9 +400,9 @@ impl<P: PoolBackend> LockManager<P> {
         hooks: &mut dyn TuningHooks,
     ) -> Result<LockOutcome, LockError> {
         // Escalation may or may not report success, but the retry can
-        // also succeed through synchronous growth or a sibling-depot
-        // reclaim inside `allocate_slots` — so the retry's own result
-        // is the only thing that decides.
+        // also succeed through synchronous growth inside
+        // `allocate_slots` — so the retry's own result is the only
+        // thing that decides.
         self.reclaim_by_escalation(slots_needed as u64, hooks);
         // The reclaim may have escalated a co-holder of `res` itself (its
         // intent on the requested table is now S or X): the compatibility

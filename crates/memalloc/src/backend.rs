@@ -85,7 +85,7 @@ pub trait PoolBackend: std::fmt::Debug {
 
     /// Return any privately cached free slots to the pool so the
     /// global used count is exact. No-op for owned pools (they have no
-    /// cache); shared backends drain their slot magazine.
+    /// cache); shared backends drain their slot cache.
     fn flush_cache(&mut self) {}
 }
 

@@ -1,7 +1,12 @@
 //! A single 128 KiB lock memory block and the handles into it.
 
+use crate::error::PoolError;
+
 /// Sentinel for "no block" in the intrusive lists.
 pub(crate) const NIL: u32 = u32::MAX;
+
+/// Slots per bitmap word: the unit a [`SlotRun`] is claimed in.
+const WORD_BITS: u32 = u64::BITS;
 
 /// Which list a block currently lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +39,68 @@ impl SlotHandle {
     }
 }
 
-/// One allocation block.
+/// Slots of one bitmap word of one block: slot `word * 64 + i` is in
+/// the run while bit `i` of `bits` is set. The pool claims and releases
+/// runs in one step; a single slot is a one-bit run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotRun {
+    pub block: u32,
+    pub generation: u32,
+    pub word: u32,
+    pub bits: u64,
+}
+
+impl SlotRun {
+    /// A run that no real handle falls into.
+    pub const EMPTY: SlotRun = SlotRun {
+        block: NIL,
+        generation: 0,
+        word: 0,
+        bits: 0,
+    };
+
+    /// The one-slot run of `h`.
+    pub fn of(h: SlotHandle) -> Self {
+        SlotRun {
+            block: h.block,
+            generation: h.generation,
+            word: h.slot / WORD_BITS,
+            bits: 1 << (h.slot % WORD_BITS),
+        }
+    }
+
+    /// Remove and return the lowest slot. `bits` must be non-zero.
+    pub fn take(&mut self) -> SlotHandle {
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        SlotHandle {
+            block: self.block,
+            generation: self.generation,
+            slot: self.word * WORD_BITS + bit,
+        }
+    }
+
+    /// `h`'s bit if `h` lies in this run's word of the same block
+    /// incarnation, whether or not the run holds it right now.
+    pub fn bit_of(&self, h: SlotHandle) -> Option<u64> {
+        let run = SlotRun::of(h);
+        (run.block == self.block && run.generation == self.generation && run.word == self.word)
+            .then_some(run.bits)
+    }
+}
+
+/// One allocation block. The bitmap is the only per-slot state.
 #[derive(Debug)]
 pub(crate) struct Block {
-    /// Stack of free slot indices; popped on allocate, pushed on free.
-    pub free_slots: Vec<u32>,
-    /// One bit per slot; set while allocated. Guards double frees.
+    /// One bit per slot; set while allocated.
     pub allocated: Vec<u64>,
+    capacity: u32,
     /// Allocated slots, maintained incrementally — `used()` sits on the
     /// per-request hot path (pool statistics), so popcounting the
     /// bitmap there is too slow.
     used_count: u32,
+    /// Every bitmap word below this one is full.
+    cursor: u32,
     /// Monotonic reuse counter for stale-handle detection.
     pub generation: u32,
     /// Intrusive list linkage.
@@ -57,13 +113,11 @@ pub(crate) struct Block {
 impl Block {
     /// Create a fresh, fully-free block with `capacity` slots.
     pub fn new(capacity: u32, generation: u32) -> Self {
-        // Pop order is LIFO, so push descending to hand out slot 0 first.
-        let free_slots: Vec<u32> = (0..capacity).rev().collect();
-        let words = (capacity as usize).div_ceil(64);
         Block {
-            free_slots,
-            allocated: vec![0; words],
+            allocated: vec![0; capacity.div_ceil(WORD_BITS) as usize],
+            capacity,
             used_count: 0,
+            cursor: 0,
             generation,
             prev: NIL,
             next: NIL,
@@ -73,7 +127,7 @@ impl Block {
 
     /// Total slots in the block.
     pub fn capacity(&self) -> u32 {
-        self.free_slots.len() as u32 + self.used_count
+        self.capacity
     }
 
     /// Currently allocated slots.
@@ -93,29 +147,54 @@ impl Block {
 
     /// True when every slot is allocated.
     pub fn is_full(&self) -> bool {
-        self.free_slots.is_empty()
+        self.used_count == self.capacity
     }
 
-    /// Test whether `slot` is currently allocated.
-    pub fn is_allocated(&self, slot: u32) -> bool {
-        let (word, bit) = (slot as usize / 64, slot % 64);
-        self.allocated[word] & (1u64 << bit) != 0
+    /// The bits of `word` that are slots: all 64 except in a last word
+    /// the capacity does not fill.
+    fn word_mask(&self, word: u32) -> u64 {
+        match self.capacity - word * WORD_BITS {
+            n if n >= WORD_BITS => u64::MAX,
+            n => (1 << n) - 1,
+        }
     }
 
-    /// Mark `slot` allocated.
-    pub fn mark_allocated(&mut self, slot: u32) {
-        let (word, bit) = (slot as usize / 64, slot % 64);
-        debug_assert_eq!(self.allocated[word] & (1u64 << bit), 0);
-        self.allocated[word] |= 1u64 << bit;
-        self.used_count += 1;
+    /// Claim free slots of the lowest word that has any: every one of
+    /// them if `whole_word`, else only the lowest. Returns the word and
+    /// the claimed bits. The block must not be full.
+    pub fn claim(&mut self, whole_word: bool) -> (u32, u64) {
+        let mut word = self.cursor;
+        let free = loop {
+            let free = !self.allocated[word as usize] & self.word_mask(word);
+            if free != 0 {
+                break free;
+            }
+            word += 1;
+        };
+        // The baseline x86-64 target has no POPCNT, so the one-slot
+        // claim, the hot case, skips the count.
+        let (bits, n) = if whole_word {
+            (free, free.count_ones())
+        } else {
+            (free & free.wrapping_neg(), 1)
+        };
+        self.allocated[word as usize] |= bits;
+        self.used_count += n;
+        self.cursor = word;
+        (word, bits)
     }
 
-    /// Mark `slot` free.
-    pub fn mark_free(&mut self, slot: u32) {
-        let (word, bit) = (slot as usize / 64, slot % 64);
-        debug_assert_ne!(self.allocated[word] & (1u64 << bit), 0);
-        self.allocated[word] &= !(1u64 << bit);
-        self.used_count -= 1;
+    /// Free the slots `bits` of `word`, all or none: any of them not
+    /// allocated is a [`PoolError::DoubleFree`].
+    pub fn release(&mut self, word: u32, bits: u64) -> Result<(), PoolError> {
+        let w = &mut self.allocated[word as usize];
+        if *w & bits != bits {
+            return Err(PoolError::DoubleFree);
+        }
+        *w &= !bits;
+        self.used_count -= bits.count_ones();
+        self.cursor = self.cursor.min(word);
+        Ok(())
     }
 }
 
@@ -130,42 +209,75 @@ mod tests {
         assert!(!b.is_full());
         assert_eq!(b.capacity(), 100);
         assert_eq!(b.used(), 0);
-        assert_eq!(b.free_slots.len(), 100);
+        assert_eq!(b.allocated.len(), 2);
     }
 
     #[test]
     fn slots_hand_out_in_ascending_order() {
         let mut b = Block::new(4, 0);
-        let order: Vec<u32> = (0..4).map(|_| b.free_slots.pop().unwrap()).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        let order: Vec<_> = (0..4).map(|_| b.claim(false)).collect();
+        assert_eq!(order, vec![(0, 1), (0, 2), (0, 4), (0, 8)]);
+        // A freed slot is the lowest clear bit again.
+        b.release(0, 2).unwrap();
+        assert_eq!(b.claim(false), (0, 2));
     }
 
     #[test]
     fn bitmap_tracks_allocation() {
         let mut b = Block::new(130, 0); // spans 3 bitmap words
-        b.mark_allocated(0);
-        b.mark_allocated(64);
-        b.mark_allocated(129);
-        assert!(b.is_allocated(0) && b.is_allocated(64) && b.is_allocated(129));
-        assert!(!b.is_allocated(1));
-        assert_eq!(b.used(), 3);
-        b.mark_free(64);
-        assert!(!b.is_allocated(64));
-        assert_eq!(b.used(), 2);
-        assert!(!b.is_fully_free());
-        b.mark_free(0);
-        b.mark_free(129);
+        assert_eq!(b.claim(true), (0, u64::MAX));
+        assert_eq!(b.claim(true), (1, u64::MAX));
+        // The last word holds two slots; the mask keeps the rest out.
+        assert_eq!(b.claim(true), (2, 0b11));
+        assert!(b.is_full());
+        assert_eq!(b.used(), 130);
+        assert_eq!(b.used_recount(), 130);
+        b.release(1, 1 << 5).unwrap();
+        assert_eq!(b.used(), 129);
+        // The cursor moved back: the next claim finds word 1's hole.
+        assert_eq!(b.claim(false), (1, 1 << 5));
+        b.release(0, u64::MAX).unwrap();
+        b.release(1, u64::MAX).unwrap();
+        b.release(2, 0b11).unwrap();
         assert!(b.is_fully_free());
+    }
+
+    #[test]
+    fn release_is_all_or_nothing() {
+        let mut b = Block::new(8, 0);
+        assert_eq!(b.claim(true), (0, 0xff));
+        b.release(0, 0b0001).unwrap();
+        // Bit 0 is already free: the whole release is refused.
+        assert_eq!(b.release(0, 0b0011), Err(PoolError::DoubleFree));
+        assert_eq!(b.used(), 7);
+        // Bits past the capacity were never allocated either.
+        assert_eq!(b.release(0, 1 << 8), Err(PoolError::DoubleFree));
+        assert_eq!(b.used_recount(), 7);
     }
 
     #[test]
     fn full_detection() {
         let mut b = Block::new(2, 0);
-        while let Some(s) = b.free_slots.pop() {
-            b.mark_allocated(s);
-        }
+        assert_eq!(b.claim(true), (0, 0b11));
         assert!(b.is_full());
         assert_eq!(b.used(), 2);
         assert_eq!(b.capacity(), 2);
+    }
+
+    #[test]
+    fn runs_hand_out_their_lowest_slot() {
+        let mut run = SlotRun {
+            block: 3,
+            generation: 1,
+            word: 2,
+            bits: 0b1010,
+        };
+        let h = run.take();
+        assert_eq!((h.block, h.generation, h.slot), (3, 1, 129));
+        assert_eq!(run.bits, 0b1000);
+        assert_eq!(run.bit_of(h), Some(0b10));
+        let stale = SlotHandle { generation: 0, ..h };
+        assert_eq!(run.bit_of(stale), None);
+        assert_eq!(SlotRun::of(h).bits, 0b10);
     }
 }

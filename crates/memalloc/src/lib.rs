@@ -25,7 +25,14 @@
 //! the tuning algorithm are slot bookkeeping — but every byte count it
 //! reports corresponds to what a real allocation would hold, and the
 //! lock manager stores its lock/request objects keyed by the
-//! [`SlotHandle`]s this pool issues.
+//! [`SlotHandle`]s this pool issues. A block's only per-slot state is
+//! its allocation bitmap (256 bytes for 2 048 slots); a slot is the
+//! lowest clear bit.
+//!
+//! [`SharedLockMemoryPool`] puts one pool behind a mutex for the
+//! concurrent service and gives each handle a private slot cache: one
+//! bitmap word's worth of free slots claimed in one trip, and a small
+//! buffer of frees returned in one trip.
 
 pub mod backend;
 pub mod block;

@@ -1,7 +1,7 @@
 //! The lock memory pool: a slab of blocks threaded onto two intrusive
 //! lists (available chain + full list) exactly as described in §2.2.
 
-use crate::block::{Block, ListId, SlotHandle, NIL};
+use crate::block::{Block, ListId, SlotHandle, SlotRun, NIL};
 use crate::config::PoolConfig;
 use crate::error::{PoolError, ShrinkError};
 use crate::stats::{PoolCounters, PoolStats};
@@ -159,43 +159,50 @@ impl LockMemoryPool {
     // Allocation.
     // ------------------------------------------------------------------
 
-    /// Allocate one lock structure from the head of the chain.
+    /// Allocate one lock structure from the head of the chain: the
+    /// lowest free slot of the head block.
     ///
     /// Fails with [`PoolError::Exhausted`] when every block is full; the
     /// caller then either grows the pool synchronously from overflow
     /// memory or escalates locks.
     pub fn allocate(&mut self) -> Result<SlotHandle, PoolError> {
+        self.claim(false).map(|mut run| run.take())
+    }
+
+    /// Allocate every free slot of the lowest non-full bitmap word of
+    /// the head block, with the same list moves as [`Self::allocate`].
+    pub(crate) fn allocate_run(&mut self) -> Result<SlotRun, PoolError> {
+        self.claim(true)
+    }
+
+    fn claim(&mut self, whole_word: bool) -> Result<SlotRun, PoolError> {
         let block_id = self.avail.head;
         if block_id == NIL {
             self.counters.exhaustions += 1;
             return Err(PoolError::Exhausted);
         }
-        let (handle, now_full, first_use) = {
-            let b = &mut self.blocks[block_id as usize];
-            let slot = b.free_slots.pop().expect("available block has a free slot");
-            b.mark_allocated(slot);
-            (
-                SlotHandle {
-                    block: block_id,
-                    generation: b.generation,
-                    slot,
-                },
-                b.is_full(),
-                b.used() == 1,
-            )
-        };
-        if first_use {
+        let b = &mut self.blocks[block_id as usize];
+        let before = b.used();
+        let (word, bits) = b.claim(whole_word);
+        let (generation, now_full) = (b.generation, b.is_full());
+        if before == 0 {
             self.fully_free -= 1;
         }
-        self.used_slots += 1;
-        self.counters.allocations += 1;
+        let n = u64::from(b.used() - before);
+        self.used_slots += n;
+        self.counters.allocations += n;
         if now_full {
             // Exhausted block leaves the chain head; the next block
             // becomes the new head (paper §2.2).
             self.unlink(block_id);
             self.push_head(ListId::Full, block_id);
         }
-        Ok(handle)
+        Ok(SlotRun {
+            block: block_id,
+            generation,
+            word,
+            bits,
+        })
     }
 
     /// Return one lock structure to its block.
@@ -203,31 +210,28 @@ impl LockMemoryPool {
     /// If the block was full it rejoins the chain **at the head**, so
     /// the very next allocation reuses it (paper §2.2).
     pub fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError> {
-        let block_id = handle.block as usize;
-        if block_id >= self.blocks.len() {
-            return Err(PoolError::StaleHandle);
-        }
-        let was_full = {
-            let b = &mut self.blocks[block_id];
-            if b.list == ListId::Detached || b.generation != handle.generation {
-                return Err(PoolError::StaleHandle);
-            }
-            if !b.is_allocated(handle.slot) {
-                return Err(PoolError::DoubleFree);
-            }
-            let was_full = b.is_full();
-            b.mark_free(handle.slot);
-            b.free_slots.push(handle.slot);
-            if b.is_fully_free() {
-                self.fully_free += 1;
-            }
-            was_full
+        self.free_run(SlotRun::of(handle))
+    }
+
+    /// Return every slot of `run` at once, with the same checks and list
+    /// moves as [`Self::free`]; a stale or partly free run changes
+    /// nothing. `run.bits` must be non-zero.
+    pub(crate) fn free_run(&mut self, run: SlotRun) -> Result<(), PoolError> {
+        let b = match self.blocks.get_mut(run.block as usize) {
+            Some(b) if b.list != ListId::Detached && b.generation == run.generation => b,
+            _ => return Err(PoolError::StaleHandle),
         };
-        self.used_slots -= 1;
-        self.counters.frees += 1;
+        let (was_full, before) = (b.is_full(), b.used());
+        b.release(run.word, run.bits)?;
+        if b.is_fully_free() {
+            self.fully_free += 1;
+        }
+        let n = u64::from(before - b.used());
+        self.used_slots -= n;
+        self.counters.frees += n;
         if was_full {
-            self.unlink(handle.block);
-            self.push_head(ListId::Available, handle.block);
+            self.unlink(run.block);
+            self.push_head(ListId::Available, run.block);
         }
         Ok(())
     }
@@ -303,9 +307,7 @@ impl LockMemoryPool {
         for id in candidates {
             self.unlink(id);
             // Drop slot bookkeeping; keep generation for staleness checks.
-            let b = &mut self.blocks[id as usize];
-            b.free_slots = Vec::new();
-            b.allocated = Vec::new();
+            self.blocks[id as usize].allocated = Vec::new();
             self.vacant.push(id);
             self.live_blocks -= 1;
             self.fully_free -= 1;
@@ -499,6 +501,24 @@ mod tests {
         p.free(block0[0]).unwrap();
         let h = p.allocate().unwrap();
         assert_eq!(h.block, 0, "reopened block is preferred");
+        p.validate();
+    }
+
+    #[test]
+    fn runs_take_a_whole_word_with_the_same_list_moves() {
+        let mut p = small_pool(2);
+        let h = p.allocate().unwrap();
+        let run = p.allocate_run().unwrap();
+        // The rest of block 0's only word; block 0 is now full.
+        assert_eq!((run.block, run.word, run.bits), (0, 0, 0b1110));
+        assert_eq!((p.used_slots(), p.stats().counters.allocations), (4, 4));
+        assert_eq!(p.allocate_run().unwrap().block, 1);
+        // Returning the run reopens block 0 at the head of the chain.
+        p.free_run(run).unwrap();
+        assert_eq!(p.free_run(run), Err(PoolError::DoubleFree));
+        assert_eq!(p.allocate().unwrap().block, 0);
+        p.free(h).unwrap();
+        assert_eq!(p.used_slots(), 5);
         p.validate();
     }
 

@@ -17,82 +17,61 @@
 //! tuning (the paper's tuner acts on interval-scale aggregates) and
 //! exact at quiescence (what the accounting tests check).
 //!
-//! **Two-tier slot magazine.** A naive shared pool would take the
-//! mutex on every allocate/free, turning it into exactly the global
+//! **Slot cache: one run and one buffer.** Taking the mutex on every
+//! allocate/free would turn the pool into exactly the global
 //! serialization point sharding is meant to remove. Each handle
-//! (clone) therefore fronts the pool with two tiers of pre-allocated
-//! slot handles:
+//! (clone) therefore keeps, with no synchronisation at all:
 //!
-//! * a **hot tier** — a plain `Vec` of at most [`HOT_MAX`] slots,
-//!   exclusively owned by the handle and touched with no
-//!   synchronisation at all; the overwhelming majority of
-//!   allocate/free calls are a bare push/pop here;
-//! * a **depot tier** — a mutex-guarded `Vec` of at most [`CACHE_MAX`]
-//!   slots, registered with the pool. The hot tier refills from and
-//!   spills to the depot in [`HOT_MAX`]-sized chunks, the depot
-//!   refills from and spills to the pool in [`CACHE_BATCH`]-sized
-//!   trips, so the depot mutex (uncontended in steady state) is taken
-//!   once per ~[`HOT_MAX`] operations and the pool mutex once per
-//!   ~[`CACHE_BATCH`].
+//! * a **run** — the free slots of one 64-slot bitmap word, claimed
+//!   from the chain-head block in one pool trip. Allocation is a
+//!   `trailing_zeros` and a bit clear; a free that falls in the run's
+//!   word sets its bit back (a bit already set is a
+//!   [`PoolError::DoubleFree`]);
+//! * a **buffer** of other frees, returned to the pool 64 at a time in
+//!   one trip.
 //!
-//! The slots in either tier are *allocated* as far as the global pool
-//! is concerned, so `used_slots()` reads as "charged by managers +
-//! parked in magazines": an upper bound on real demand, off by at most
-//! `handles × (HOT_MAX + CACHE_MAX)` slots — noise at tuning
-//! granularity. [`SharedLockMemoryPool::flush_cache`] drains both
-//! tiers for exact accounting; dropping a handle flushes
-//! automatically.
+//! The run is refilled only when empty, and that trip returns the
+//! buffer first. Refills and whole-buffer returns are the only pool
+//! trips on the slot path, and neither allocates.
 //!
-//! Parked slack (almost) never causes a false `Exhausted`: every depot
-//! is registered with the pool, and a handle whose refill finds the
-//! pool dry reclaims the slots parked in its siblings' depots before
-//! giving up. Because any parking beyond `HOT_MAX - 1` slots lives in
-//! the depot tier, only the hot tiers — at most `handles × HOT_MAX`
-//! slots, a small fraction of one 128 KiB block — are beyond the
-//! sweep's reach. `Exhausted` therefore fires at most a few hundred
-//! slots early, far below the one-block granularity of the manager's
-//! synchronous-growth response, instead of with up to a block's worth
-//! of free memory parked out of sight.
+//! The slots a handle parks are *allocated* as far as the pool is
+//! concerned, so `used_slots()` reads as "charged by managers + parked
+//! in caches". A run never holds its whole word (the free that would
+//! complete it waits in the buffer instead) and a full buffer goes
+//! back at once, so a handle parks at most 63 + 63 = 126 slots.
+//! [`SharedLockMemoryPool::flush_cache`] returns both for exact
+//! accounting; dropping a handle flushes automatically. A refill that
+//! finds the pool dry has already returned its own buffer, and its own
+//! run is empty, so `Exhausted` fires at most `(handles − 1) × 126`
+//! slots early — under half a 2 048-slot block at the service's
+//! default 8 shards, well inside the one-block granularity of the
+//! manager's synchronous-growth response.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use locktune_faults::{FaultInjector, FaultSite};
 
 use crate::backend::PoolBackend;
+use crate::block::SlotRun;
 use crate::config::PoolConfig;
 use crate::error::PoolError;
 use crate::pool::LockMemoryPool;
 use crate::stats::PoolStats;
 use crate::SlotHandle;
 
-/// One handle's depot tier. Shared as `Arc` so the dry-pool reclaim
-/// sweep can reach it; the owning handle holds the only strong
-/// reference apart from transient upgrades, the pool's registry holds
-/// a `Weak`.
-type Depot = Arc<Mutex<Vec<SlotHandle>>>;
-
-fn lock_depot(d: &Mutex<Vec<SlotHandle>>) -> MutexGuard<'_, Vec<SlotHandle>> {
-    d.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Frees outside the run that a handle collects before returning them
+/// to the pool in one trip.
+const BUFFER: usize = 64;
 
 #[derive(Debug)]
 struct SharedInner {
     pool: Mutex<LockMemoryPool>,
     config: PoolConfig,
-    /// Every live handle's depot, for the dry-pool reclaim sweep.
-    /// Dead entries (dropped handles) are pruned on registration.
-    depots: Mutex<Vec<Weak<Mutex<Vec<SlotHandle>>>>>,
     total_blocks: AtomicU64,
     total_bytes: AtomicU64,
     total_slots: AtomicU64,
     used_slots: AtomicU64,
-    /// Dry-pool reclaim sweeps that found slots to steal (observability
-    /// counter — a nonzero rate means shards are running each other's
-    /// magazines dry and the pool is undersized for the moment).
-    reclaim_sweeps: AtomicU64,
-    /// Slots those sweeps pulled back from sibling depots.
-    reclaimed_slots: AtomicU64,
     /// Fault injection for the [`FaultSite::AllocFail`] site. Inert
     /// (a constant-false check, folded away) unless the build enables
     /// the `faults` feature *and* the run arms an injector.
@@ -100,50 +79,49 @@ struct SharedInner {
 }
 
 impl SharedInner {
-    /// Create and register a fresh depot.
-    fn register_depot(&self) -> Depot {
-        let depot: Depot = Arc::new(Mutex::new(Vec::new()));
-        let mut depots = self.depots.lock().unwrap_or_else(PoisonError::into_inner);
-        depots.retain(|w| w.strong_count() > 0);
-        depots.push(Arc::downgrade(&depot));
-        depot
+    /// Run `f` with the pool locked, then refresh the atomic mirrors.
+    fn with<R>(&self, f: impl FnOnce(&mut LockMemoryPool) -> R) -> R {
+        let mut guard = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let r = f(&mut guard);
+        self.total_blocks
+            .store(guard.total_blocks(), Ordering::Release);
+        self.total_bytes
+            .store(guard.total_bytes(), Ordering::Release);
+        self.total_slots
+            .store(guard.total_slots(), Ordering::Release);
+        self.used_slots.store(guard.used_slots(), Ordering::Release);
+        r
     }
 }
 
-/// Hot-tier capacity: slots served by a bare `Vec` pop/push with no
-/// synchronisation. Kept small so at most `handles × HOT_MAX` free
-/// slots can hide from the dry-pool reclaim sweep.
-pub const HOT_MAX: usize = 16;
-
-/// Slots fetched from the pool per depot refill (one pool-mutex trip).
-pub const CACHE_BATCH: usize = 64;
-
-/// Depot high-water mark; spills down to [`CACHE_BATCH`] once this
-/// many slots are parked.
-pub const CACHE_MAX: usize = 128;
+/// Free every buffered handle into `pool`, reporting the first one it
+/// refused (a caller's stale or double free; the pool is unchanged by
+/// it).
+fn return_buffer(pool: &mut LockMemoryPool, buffer: &mut Vec<SlotHandle>) -> Result<(), PoolError> {
+    let mut first = Ok(());
+    for h in buffer.drain(..) {
+        first = first.and(pool.free(h));
+    }
+    first
+}
 
 /// Cloneable, thread-safe pool handle implementing [`PoolBackend`].
 ///
-/// Each clone carries its own two-tier slot magazine (see the module
-/// docs); both tiers start empty and are flushed back on drop.
+/// Each clone carries its own slot cache (see the module docs); it
+/// starts empty and is flushed back on drop.
 #[derive(Debug)]
 pub struct SharedLockMemoryPool {
     inner: Arc<SharedInner>,
-    /// Hot tier: exclusively owned (allocate/free take `&mut self`),
-    /// so no synchronisation is needed to touch it.
-    hot: Vec<SlotHandle>,
-    /// Depot tier: behind its own (steady-state uncontended) mutex so
-    /// sibling handles can reclaim it when the pool runs dry.
-    depot: Depot,
+    /// The current run. It keeps naming its word after its last slot
+    /// is handed out, so frees of those slots still land in it.
+    run: SlotRun,
+    /// Frees outside the run, at most [`BUFFER`] − 1 between calls.
+    buffer: Vec<SlotHandle>,
 }
 
 impl Clone for SharedLockMemoryPool {
     fn clone(&self) -> Self {
-        SharedLockMemoryPool {
-            hot: Vec::new(),
-            depot: self.inner.register_depot(),
-            inner: Arc::clone(&self.inner),
-        }
+        Self::handle(Arc::clone(&self.inner))
     }
 }
 
@@ -163,23 +141,22 @@ impl SharedLockMemoryPool {
     /// allocation (the [`FaultSite::AllocFail`] site). All clones of
     /// the returned handle share the injector.
     pub fn with_fault_injector(pool: LockMemoryPool, faults: FaultInjector) -> Self {
-        let config = *pool.config();
-        let inner = Arc::new(SharedInner {
-            config,
-            depots: Mutex::new(Vec::new()),
+        Self::handle(Arc::new(SharedInner {
+            config: *pool.config(),
             total_blocks: AtomicU64::new(pool.total_blocks()),
             total_bytes: AtomicU64::new(pool.total_bytes()),
             total_slots: AtomicU64::new(pool.total_slots()),
             used_slots: AtomicU64::new(pool.used_slots()),
-            reclaim_sweeps: AtomicU64::new(0),
-            reclaimed_slots: AtomicU64::new(0),
             faults,
             pool: Mutex::new(pool),
-        });
+        }))
+    }
+
+    fn handle(inner: Arc<SharedInner>) -> Self {
         SharedLockMemoryPool {
-            hot: Vec::new(),
-            depot: inner.register_depot(),
             inner,
+            run: SlotRun::EMPTY,
+            buffer: Vec::with_capacity(BUFFER),
         }
     }
 
@@ -193,25 +170,7 @@ impl SharedLockMemoryPool {
     /// This is the only path that touches the pool; every [`PoolBackend`]
     /// method funnels through it.
     pub fn with<R>(&self, f: impl FnOnce(&mut LockMemoryPool) -> R) -> R {
-        let mut guard = self
-            .inner
-            .pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let r = f(&mut guard);
-        self.inner
-            .total_blocks
-            .store(guard.total_blocks(), Ordering::Release);
-        self.inner
-            .total_bytes
-            .store(guard.total_bytes(), Ordering::Release);
-        self.inner
-            .total_slots
-            .store(guard.total_slots(), Ordering::Release);
-        self.inner
-            .used_slots
-            .store(guard.used_slots(), Ordering::Release);
-        r
+        self.inner.with(f)
     }
 
     /// Number of handles (lock manager shards plus the tuner) sharing
@@ -220,96 +179,40 @@ impl SharedLockMemoryPool {
         Arc::strong_count(&self.inner)
     }
 
-    /// Slots currently parked in this handle's magazine (both tiers).
+    /// Slots currently parked in this handle's cache (run + buffer).
     pub fn cached_slots(&self) -> usize {
-        self.hot.len() + lock_depot(&self.depot).len()
+        self.run.bits.count_ones() as usize + self.buffer.len()
     }
 
-    /// Return every magazine slot to the pool (exact accounting; used
-    /// before quiescence checks and by the tuning thread's snapshot).
+    /// Return the run and the buffer to the pool (exact accounting;
+    /// used before quiescence checks and by the tuning thread's
+    /// snapshot). Handles the pool refuses are dropped, as on refill.
     pub fn flush_cache(&mut self) {
-        let mut parked = std::mem::take(&mut self.hot);
-        parked.append(&mut lock_depot(&self.depot));
-        if parked.is_empty() {
+        let run = std::mem::replace(&mut self.run, SlotRun::EMPTY);
+        if run.bits == 0 && self.buffer.is_empty() {
             return;
         }
-        self.with(|p| {
-            for h in parked {
-                p.free(h).expect("magazine slots are live");
+        let buffer = &mut self.buffer;
+        self.inner.with(|p| {
+            // This runs in `drop`, so it must not panic; only a caller's
+            // stale or double free can make the pool refuse anything.
+            if run.bits != 0 {
+                let _ = p.free_run(run);
             }
+            let _ = return_buffer(p, buffer);
         });
     }
 
-    /// Steal every slot parked in sibling depots. Called when a refill
-    /// found the pool dry: free slots may be sitting in other shards'
-    /// magazines, and surfacing `Exhausted` while they exist would
-    /// trigger growth or escalation with memory actually available.
-    ///
-    /// Lock order is registry → one depot at a time, with the pool
-    /// mutex taken only by the caller afterwards — no path acquires in
-    /// the opposite direction, so no cycle.
-    fn steal_sibling_depots(&self) -> Vec<SlotHandle> {
-        let mut stolen = Vec::new();
-        let depots = self
-            .inner
-            .depots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for weak in depots.iter() {
-            let Some(d) = weak.upgrade() else { continue };
-            if Arc::ptr_eq(&d, &self.depot) {
-                continue;
-            }
-            stolen.append(&mut lock_depot(&d));
-        }
-        if !stolen.is_empty() {
-            self.inner.reclaim_sweeps.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .reclaimed_slots
-                .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        }
-        stolen
-    }
-
-    /// Totals of the dry-pool magazine reclaim: `(sweeps that found
-    /// slots, slots reclaimed)`. Monotonic since pool creation.
-    pub fn reclaim_counters(&self) -> (u64, u64) {
-        (
-            self.inner.reclaim_sweeps.load(Ordering::Relaxed),
-            self.inner.reclaimed_slots.load(Ordering::Relaxed),
-        )
-    }
-
-    /// One pool trip: free `returned` into the pool, then allocate up
-    /// to a batch. A partial batch (the pool ran dry mid-refill) still
-    /// succeeds as long as one slot came back.
-    fn refill(&self, returned: Vec<SlotHandle>) -> Result<Vec<SlotHandle>, PoolError> {
-        self.with(|p| {
-            for h in returned {
-                p.free(h).expect("magazine slots are live");
-            }
-            let mut got = Vec::with_capacity(CACHE_BATCH);
-            for _ in 0..CACHE_BATCH {
-                match p.allocate() {
-                    Ok(h) => got.push(h),
-                    Err(PoolError::Exhausted) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(got)
+    /// One pool trip: return the buffer, then claim a new run.
+    fn refill(&mut self) -> Result<(), PoolError> {
+        let (run, buffer) = (&mut self.run, &mut self.buffer);
+        self.inner.with(|p| {
+            // A handle refused here was a caller's bad free, and the
+            // allocation it rides along with is not the place to say so.
+            let _ = return_buffer(p, buffer);
+            *run = p.allocate_run()?;
+            Ok(())
         })
-    }
-
-    /// Split `batch` between the tiers and return one slot from it.
-    /// `batch` must be non-empty.
-    fn serve_from_batch(&mut self, mut batch: Vec<SlotHandle>) -> SlotHandle {
-        let h = batch.pop().expect("serve_from_batch needs a slot");
-        let keep = batch.len().min(HOT_MAX - 1);
-        self.hot.extend(batch.drain(batch.len() - keep..));
-        if !batch.is_empty() {
-            lock_depot(&self.depot).append(&mut batch);
-        }
-        h
     }
 }
 
@@ -325,69 +228,34 @@ impl PoolBackend for SharedLockMemoryPool {
         if self.inner.faults.should(FaultSite::AllocFail) {
             return Err(PoolError::Exhausted);
         }
-        // Fast path: no synchronisation.
-        if let Some(h) = self.hot.pop() {
-            return Ok(h);
+        if self.run.bits == 0 {
+            self.refill()?;
         }
-        // Hot tier dry: pull a chunk from the depot (one short,
-        // steady-state-uncontended lock per ~HOT_MAX allocations).
-        {
-            let mut depot = lock_depot(&self.depot);
-            let take = depot.len().min(HOT_MAX);
-            if take > 0 {
-                let at = depot.len() - take;
-                self.hot.extend(depot.drain(at..));
-            }
-        }
-        if let Some(h) = self.hot.pop() {
-            return Ok(h);
-        }
-        // Depot dry too: refill a whole batch in one pool trip.
-        let batch = self.refill(Vec::new())?;
-        if !batch.is_empty() {
-            return Ok(self.serve_from_batch(batch));
-        }
-        // Pool dry — reclaim slots parked in sibling depots. Returning
-        // them and re-allocating happen under one pool lock, so at
-        // least one slot is guaranteed if any were stolen; `Exhausted`
-        // now means genuinely out of memory (modulo the documented
-        // `handles × HOT_MAX` hot-tier slack).
-        let stolen = self.steal_sibling_depots();
-        if stolen.is_empty() {
-            return Err(PoolError::Exhausted);
-        }
-        let batch = self.refill(stolen)?;
-        if batch.is_empty() {
-            return Err(PoolError::Exhausted);
-        }
-        Ok(self.serve_from_batch(batch))
+        Ok(self.run.take())
     }
 
     fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError> {
-        // Fast path: no synchronisation.
-        self.hot.push(handle);
-        if self.hot.len() < HOT_MAX {
+        let run = &mut self.run;
+        if let Some(bit) = run.bit_of(handle) {
+            if run.bits & bit != 0 {
+                return Err(PoolError::DoubleFree);
+            }
+            if run.bits | bit != u64::MAX {
+                run.bits |= bit;
+                return Ok(());
+            }
+        } else if run.bits != 0 && handle.block == run.block && handle.generation != run.generation
+        {
+            // The run's slots pin its block, so the block's generation
+            // is the run's: this handle outlived a shrink.
+            return Err(PoolError::StaleHandle);
+        }
+        self.buffer.push(handle);
+        if self.buffer.len() < BUFFER {
             return Ok(());
         }
-        // Spill half the hot tier into the depot; spill the depot's
-        // overflow into the pool in one trip.
-        let pool_spill: Vec<_> = {
-            let mut depot = lock_depot(&self.depot);
-            depot.extend(self.hot.drain(HOT_MAX / 2..));
-            if depot.len() >= CACHE_MAX {
-                depot.drain(CACHE_BATCH..).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        if !pool_spill.is_empty() {
-            self.with(|p| {
-                for h in pool_spill {
-                    p.free(h).expect("magazine slots are live");
-                }
-            });
-        }
-        Ok(())
+        let buffer = &mut self.buffer;
+        self.inner.with(|p| return_buffer(p, buffer))
     }
 
     fn grow_blocks(&mut self, n: u64) -> u64 {
@@ -459,10 +327,10 @@ mod tests {
         assert_eq!(shared.total_blocks(), 1);
         assert_eq!(shared.total_slots(), 2048);
         let h = shared.allocate().unwrap();
-        // The magazine refilled a whole batch; one slot is handed out,
-        // the rest are parked across the two tiers but globally "used".
-        assert_eq!(shared.used_slots(), CACHE_BATCH as u64);
-        assert_eq!(shared.cached_slots(), CACHE_BATCH - 1);
+        // The handle claimed one word: one slot handed out, the other
+        // 63 parked in its run but globally "used".
+        assert_eq!(shared.used_slots(), 64);
+        assert_eq!(shared.cached_slots(), 63);
         shared.free(h).unwrap();
         shared.flush_cache();
         assert_eq!(shared.used_slots(), 0);
@@ -482,33 +350,36 @@ mod tests {
         let mut b = shared.clone();
         let ha = a.allocate().unwrap();
         let hb = b.allocate().unwrap();
-        // Two independent magazines, one pool underneath.
-        assert_eq!(shared.used_slots(), 2 * CACHE_BATCH as u64);
+        // Two runs on two words of one block.
+        assert_eq!(shared.used_slots(), 128);
+        assert_ne!(ha, hb);
         a.free(ha).unwrap();
         b.free(hb).unwrap();
-        drop(a); // drop flushes both tiers
+        drop(a); // drop flushes the cache
         drop(b);
         assert_eq!(shared.used_slots(), 0);
     }
 
     #[test]
-    fn magazine_spills_and_survives_exhaustion() {
-        // One block = 2048 slots; park more than CACHE_MAX frees.
+    fn cache_spills_and_survives_exhaustion() {
         let mut shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
-        let handles: Vec<_> = (0..CACHE_MAX + 40)
-            .map(|_| shared.allocate().unwrap())
-            .collect();
+        let handles: Vec<_> = (0..1000).map(|_| shared.allocate().unwrap()).collect();
         for h in handles {
             shared.free(h).unwrap();
+            assert!(shared.cached_slots() <= 126);
         }
-        // Both tiers spilled back down instead of growing without
-        // bound.
-        assert!(shared.cached_slots() <= CACHE_MAX + HOT_MAX);
+        // Alloc/free pairs on a fresh run never complete its word.
+        shared.flush_cache();
+        for _ in 0..100 {
+            let h = shared.allocate().unwrap();
+            shared.free(h).unwrap();
+            assert!(shared.run.bits.count_ones() <= 63);
+        }
         shared.flush_cache();
         assert_eq!(shared.used_slots(), 0);
 
         // Exhaustion still surfaces: drain the whole pool through the
-        // magazine, then one more must fail.
+        // cache, then one more must fail.
         let all: Vec<_> = (0..2048).map(|_| shared.allocate().unwrap()).collect();
         assert!(matches!(shared.allocate(), Err(PoolError::Exhausted)));
         for h in all {
@@ -520,52 +391,23 @@ mod tests {
     }
 
     #[test]
-    fn dry_pool_reclaims_sibling_depots() {
-        // One block = 2048 slots split across two handles: `a` takes
-        // one slot (its first refill parks HOT_MAX - 1 slots hot and
-        // CACHE_BATCH - HOT_MAX in its depot), then `b` drains the rest
-        // of the pool in exact batches so both of b's tiers end empty.
-        let shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
-        let mut a = shared.clone();
-        let mut b = shared.clone();
-        let held_by_a = a.allocate().unwrap();
-        assert_eq!(a.cached_slots(), CACHE_BATCH - 1);
-        let held_by_b: Vec<_> = (0..2048 - CACHE_BATCH)
-            .map(|_| b.allocate().unwrap())
-            .collect();
-        assert_eq!(b.cached_slots(), 0);
-        assert_eq!(shared.used_slots(), 2048);
-
-        // The pool is dry, but a's depot parks free slots: b's next
-        // allocate must reclaim them instead of reporting Exhausted.
-        let reclaimed = b.allocate().expect("depot slots must be reclaimed");
-
-        // Only a's hot tier stays out of reach — the documented slack.
-        assert_eq!(a.cached_slots(), HOT_MAX - 1);
-
-        // The sweep shows up in the observability counters: exactly a's
-        // depot was reclaimable.
-        let (sweeps, slots) = shared.reclaim_counters();
-        assert_eq!(sweeps, 1);
-        assert_eq!(slots, (CACHE_BATCH - HOT_MAX) as u64);
-
-        // Exactly a's depot (CACHE_BATCH - HOT_MAX slots) was
-        // reclaimable; once b takes it all, exhaustion is genuine.
-        let rest: Vec<_> = (0..CACHE_BATCH - HOT_MAX - 1)
-            .map(|_| b.allocate().expect("reclaimed slots serve b"))
-            .collect();
-        assert!(matches!(b.allocate(), Err(PoolError::Exhausted)));
-
-        b.free(reclaimed).unwrap();
-        for h in rest {
-            b.free(h).unwrap();
+    fn dry_pool_returns_the_own_buffer_first() {
+        let mut shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
+        let mut all: Vec<_> = (0..2048).map(|_| shared.allocate().unwrap()).collect();
+        // Frees outside the current run wait in the buffer, so the pool
+        // itself is dry; the refill returns them before it may say
+        // `Exhausted`.
+        for h in all.drain(..10) {
+            shared.free(h).unwrap();
         }
-        for h in held_by_b {
-            b.free(h).unwrap();
+        assert_eq!((shared.free_slots(), shared.cached_slots()), (0, 10));
+        let again: Vec<_> = (0..10).map(|_| shared.allocate().unwrap()).collect();
+        assert!(matches!(shared.allocate(), Err(PoolError::Exhausted)));
+        assert_eq!(shared.stats().counters.exhaustions, 1);
+        for h in all.into_iter().chain(again) {
+            shared.free(h).unwrap();
         }
-        a.free(held_by_a).unwrap();
-        drop(a);
-        drop(b);
+        shared.flush_cache();
         assert_eq!(shared.used_slots(), 0);
         shared.validate();
     }

@@ -1,0 +1,132 @@
+//! Property-based tests for the shared pool's per-handle slot cache.
+//!
+//! Several handles of one pool allocate, free, flush, grow and resize
+//! in arbitrary order; after every step the slots they hold and park
+//! must add up to exactly what the pool counts as used, the parked
+//! slack must stay within its bound, and `Exhausted` must mean the pool
+//! itself is dry.
+
+use std::collections::HashSet;
+
+use locktune_memalloc::{PoolBackend, PoolConfig, PoolError, SharedLockMemoryPool, SlotHandle};
+use proptest::prelude::*;
+
+/// Slots one handle may park: 63 in its run, 63 in its buffer.
+const SLACK_PER_HANDLE: usize = 126;
+
+#[derive(Debug, Clone)]
+enum Op {
+    Alloc(usize),
+    /// Handle `.0` frees the `.1`-th slot it holds (mod its holdings).
+    Free(usize, usize),
+    Flush(usize),
+    Grow(u64),
+    Resize(u64),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (0usize..4).prop_map(Op::Alloc),
+        5 => (0usize..4, 0usize..256).prop_map(|(h, i)| Op::Free(h, i)),
+        1 => (0usize..4).prop_map(Op::Flush),
+        1 => (1u64..3).prop_map(Op::Grow),
+        1 => (0u64..6).prop_map(Op::Resize),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cached_slots_account_exactly(
+        n in 2usize..5,
+        slots_per_block in prop_oneof![Just(8u64), Just(100u64)],
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+    ) {
+        let config = PoolConfig::new(slots_per_block * 64, 64);
+        let first = SharedLockMemoryPool::with_bytes(config, 2 * config.block_bytes);
+        let mut handles: Vec<_> = (1..n).map(|_| first.clone()).collect();
+        handles.push(first);
+        let mut held: Vec<Vec<SlotHandle>> = vec![Vec::new(); n];
+        let mut live: HashSet<SlotHandle> = HashSet::new();
+
+        for op in ops {
+            match op {
+                Op::Alloc(h) => {
+                    let h = h % n;
+                    match handles[h].allocate() {
+                        Ok(slot) => {
+                            prop_assert!(live.insert(slot), "{slot:?} handed out twice");
+                            held[h].push(slot);
+                        }
+                        Err(PoolError::Exhausted) => {
+                            prop_assert_eq!(handles[h].free_slots(), 0, "Exhausted with free slots");
+                        }
+                        Err(e) => return Err(TestCaseError::fail(format!("allocate: {e}"))),
+                    }
+                }
+                Op::Free(h, i) => {
+                    let h = h % n;
+                    let len = held[h].len();
+                    if len > 0 {
+                        let slot = held[h].swap_remove(i % len);
+                        live.remove(&slot);
+                        handles[h].free(slot).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    }
+                }
+                Op::Flush(h) => handles[h % n].flush_cache(),
+                Op::Grow(blocks) => {
+                    handles[0].grow_blocks(blocks);
+                }
+                Op::Resize(target) => {
+                    handles[0].resize_to_blocks(target);
+                }
+            }
+            let cached: usize = handles.iter().map(|h| h.cached_slots()).sum();
+            prop_assert_eq!(handles[0].used_slots(), (live.len() + cached) as u64);
+            prop_assert!(cached <= n * SLACK_PER_HANDLE, "{cached} slots parked");
+        }
+
+        for h in &mut handles {
+            h.flush_cache();
+        }
+        handles[0].validate();
+        prop_assert_eq!(handles[0].used_slots(), live.len() as u64);
+        for (h, slots) in held.into_iter().enumerate() {
+            for slot in slots {
+                handles[h].free(slot).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            }
+        }
+        for h in &mut handles {
+            h.flush_cache();
+        }
+        handles[0].validate();
+        prop_assert_eq!(handles[0].used_slots(), 0);
+    }
+}
+
+#[test]
+fn double_frees_and_stale_handles_are_refused() {
+    for slots_per_block in [8, 2048] {
+        let config = PoolConfig::new(slots_per_block * 64, 64);
+        let mut pool = SharedLockMemoryPool::with_bytes(config, 2 * config.block_bytes);
+        let (a, b) = (pool.allocate().unwrap(), pool.allocate().unwrap());
+        pool.free(a).unwrap();
+        assert_eq!(pool.free(a), Err(PoolError::DoubleFree));
+        pool.free(b).unwrap();
+
+        // Shrink both blocks away and regrow: the block ids come back
+        // with a new generation, and a run is claimed in `a`'s block.
+        pool.flush_cache();
+        assert_eq!(pool.resize_to_blocks(0), 0);
+        pool.grow_blocks(2);
+        let fresh = pool.allocate().unwrap();
+        assert_eq!(fresh.block_index(), a.block_index());
+        assert_eq!(pool.free(a), Err(PoolError::StaleHandle));
+
+        pool.free(fresh).unwrap();
+        pool.flush_cache();
+        assert_eq!(pool.used_slots(), 0);
+        pool.validate();
+    }
+}

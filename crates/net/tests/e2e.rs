@@ -86,7 +86,7 @@ fn basic_lock_unlock_over_the_wire(model: IoModel) {
     let report = client.unlock_all().unwrap();
     assert_eq!(report.released_locks, 2);
 
-    // The shards' slot magazines may pin freed slots until the next
+    // The shards' slot caches may pin freed slots until the next
     // tuning interval flushes them, so poll rather than assert once.
     wait_for_drain(&mut client);
     assert_eq!(client.stats().unwrap().connected_apps, 1);

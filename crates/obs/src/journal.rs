@@ -33,7 +33,7 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// What happened. Everything the paper's figures annotate: escalation
 /// points, deadlock victims, synchronous growth, tuner resizes, plus
-/// the allocator's magazine-reclaim sweeps.
+/// the degraded-mode and cluster events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A lock escalation ran (row locks collapsed to a table lock).
@@ -62,9 +62,10 @@ pub enum EventKind {
         /// Pool bytes after applying the decision.
         to_bytes: u64,
     },
-    /// Dry-pool reclaim sweeps stole slots parked in sibling depots.
+    /// Reserved, never recorded: the allocator's retired dry-pool sweep
+    /// of sibling caches. Kept so wire tag 4 keeps its meaning.
     DepotReclaim {
-        /// Slots reclaimed since the previous `DepotReclaim` event.
+        /// Slots the sweep reclaimed.
         slots: u64,
     },
     /// The watchdog found a dead background thread and respawned it.

@@ -12,7 +12,7 @@
 //!   only at scrape time;
 //! * [`EventJournal`] — a fixed-capacity lock-free MPSC ring of typed
 //!   [`EventKind`]s (escalations, deadlock victims, sync growth, tuner
-//!   resizes, depot reclaims) drainable without stopping the world;
+//!   resizes, …) drainable without stopping the world;
 //! * [`MetricsSnapshot`] — the plain-data scrape result, with a
 //!   [`prom::render`] Prometheus-style text exposition.
 //!
@@ -80,17 +80,13 @@ pub struct Obs {
     deadlock_victims: AtomicU64,
     sync_growth_granted: AtomicU64,
     sync_growth_denied: AtomicU64,
-    /// Absolute allocator reclaim totals, mirrored from the pool at
-    /// scrape/tuning time (the allocator crate stays obs-agnostic).
-    depot_reclaim_sweeps: AtomicU64,
-    depot_reclaimed_slots: AtomicU64,
     watchdog_restarts: AtomicU64,
     clients_evicted: AtomicU64,
     shed_engaged: AtomicU64,
     shed_released: AtomicU64,
     shed_rejected: AtomicU64,
     /// Absolute injected-fault total, mirrored from the fault injector
-    /// at tuning time (like the depot reclaim mirror).
+    /// at tuning time.
     faults_injected: AtomicU64,
     /// Waits cancelled (and applications aborted) on behalf of a
     /// remote cluster deadlock detector.
@@ -126,8 +122,6 @@ impl Obs {
             deadlock_victims: AtomicU64::new(0),
             sync_growth_granted: AtomicU64::new(0),
             sync_growth_denied: AtomicU64::new(0),
-            depot_reclaim_sweeps: AtomicU64::new(0),
-            depot_reclaimed_slots: AtomicU64::new(0),
             watchdog_restarts: AtomicU64::new(0),
             clients_evicted: AtomicU64::new(0),
             shed_engaged: AtomicU64::new(0),
@@ -255,22 +249,6 @@ impl Obs {
         );
     }
 
-    /// Mirror the allocator's absolute reclaim totals, journaling a
-    /// [`EventKind::DepotReclaim`] when slots were reclaimed since the
-    /// last call. Called from the tuning interval, not the hot path.
-    pub fn note_depot_reclaims(&self, sweeps: u64, slots: u64) {
-        let prev_slots = self.depot_reclaimed_slots.swap(slots, Ordering::Relaxed);
-        self.depot_reclaim_sweeps.store(sweeps, Ordering::Relaxed);
-        if slots > prev_slots {
-            self.journal.record(
-                self.now_ms(),
-                EventKind::DepotReclaim {
-                    slots: slots - prev_slots,
-                },
-            );
-        }
-    }
-
     /// The watchdog respawned a dead background thread.
     pub fn record_watchdog_restart(&self, thread: journal::ThreadRole) {
         self.watchdog_restarts.fetch_add(1, Ordering::Relaxed);
@@ -368,8 +346,9 @@ impl Obs {
             deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
             sync_growth_granted: self.sync_growth_granted.load(Ordering::Relaxed),
             sync_growth_denied: self.sync_growth_denied.load(Ordering::Relaxed),
-            depot_reclaim_sweeps: self.depot_reclaim_sweeps.load(Ordering::Relaxed),
-            depot_reclaimed_slots: self.depot_reclaimed_slots.load(Ordering::Relaxed),
+            // Reserved: the allocator no longer sweeps sibling caches.
+            depot_reclaim_sweeps: 0,
+            depot_reclaimed_slots: 0,
             journal_recorded: self.journal.recorded(),
             journal_dropped: self.journal.dropped(),
             watchdog_restarts: self.watchdog_restarts.load(Ordering::Relaxed),
@@ -453,8 +432,6 @@ mod tests {
         obs.record_sync_stall(80, 0);
         obs.record_escalation(AppId(1), TableId(2), true);
         obs.record_tuner_resize(100, 200);
-        obs.note_depot_reclaims(1, 48);
-        obs.note_depot_reclaims(1, 48); // no delta → no event
         obs.record_watchdog_restart(ThreadRole::Sweeper);
         obs.record_client_evicted(AppId(9));
         obs.record_shed_engaged(17);
@@ -479,8 +456,7 @@ mod tests {
         assert_eq!(c.deadlock_victims, 1);
         assert_eq!(c.sync_growth_granted, 1);
         assert_eq!(c.sync_growth_denied, 1);
-        assert_eq!(c.depot_reclaim_sweeps, 1);
-        assert_eq!(c.depot_reclaimed_slots, 48);
+        assert_eq!((c.depot_reclaim_sweeps, c.depot_reclaimed_slots), (0, 0));
         assert_eq!(c.watchdog_restarts, 1);
         assert_eq!(c.clients_evicted, 1);
         assert_eq!(c.shed_engaged, 1);
@@ -493,35 +469,31 @@ mod tests {
         assert_eq!(c.fenced_requests, 1);
         assert_eq!(c.degraded_batches, 1);
         assert_eq!((c.grant_spin_hits, c.grant_parks), (1, 2));
-        // victim + sync growth + escalation + resize + reclaim
-        // + restart + eviction + shed engage/release + fault
-        // + remote cancel + epoch bump + request fenced = 13.
-        assert_eq!(c.journal_recorded, 13);
+        // victim + sync growth + escalation + resize + restart
+        // + eviction + shed engage/release + fault + remote cancel
+        // + epoch bump + request fenced = 12.
+        assert_eq!(c.journal_recorded, 12);
 
         let mut events = Vec::new();
         obs.journal().drain(&mut events, 100);
-        assert_eq!(events.len(), 13);
+        assert_eq!(events.len(), 12);
         assert!(matches!(
             events[4].kind,
-            EventKind::DepotReclaim { slots: 48 }
-        ));
-        assert!(matches!(
-            events[5].kind,
             EventKind::WatchdogRestart {
                 thread: ThreadRole::Sweeper
             }
         ));
         assert!(matches!(
-            events[9].kind,
+            events[8].kind,
             EventKind::FaultInjected { site: 0, count: 3 }
         ));
         assert!(matches!(
-            events[10].kind,
+            events[9].kind,
             EventKind::RemoteCancel { app: AppId(7) }
         ));
-        assert!(matches!(events[11].kind, EventKind::EpochBump { epoch: 2 }));
+        assert!(matches!(events[10].kind, EventKind::EpochBump { epoch: 2 }));
         assert!(matches!(
-            events[12].kind,
+            events[11].kind,
             EventKind::RequestFenced { epoch: 1 }
         ));
         assert_eq!(obs.batch_size().quantile(1.0), 20);

@@ -217,12 +217,6 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     );
     counter(
         &mut out,
-        "locktune_depot_reclaim_slots_total",
-        "Slots reclaimed from sibling magazines by dry-pool sweeps.",
-        c.depot_reclaimed_slots,
-    );
-    counter(
-        &mut out,
         "locktune_watchdog_restarts_total",
         "Dead tuner/sweeper threads respawned by the watchdog.",
         c.watchdog_restarts,

@@ -24,9 +24,11 @@ pub struct ObsCounters {
     pub sync_growth_granted: u64,
     /// Synchronous growth attempts that were denied.
     pub sync_growth_denied: u64,
-    /// Dry-pool magazine reclaim sweeps run by the allocator.
+    /// Reserved, always 0: counted the allocator's retired dry-pool
+    /// sweep of sibling caches. Kept so the Metrics frame's bytes and
+    /// the readers of this field stay unchanged.
     pub depot_reclaim_sweeps: u64,
-    /// Slots those sweeps pulled back from sibling depots.
+    /// Reserved, always 0, like `depot_reclaim_sweeps`.
     pub depot_reclaimed_slots: u64,
     /// Events recorded into the journal since start.
     pub journal_recorded: u64,

@@ -593,9 +593,9 @@ impl ServiceInner {
     fn run_tuning_interval(&self) -> IntervalReport {
         let escalations = self.tuning.escalations.swap(0, Ordering::Relaxed);
         let num_apps = self.tuning.num_applications.load(Ordering::Relaxed);
-        // Drain the shards' slot magazines (one latch at a time) so the
+        // Drain the shards' slot caches (one latch at a time) so the
         // tuner sees real demand, not demand plus parked free slots,
-        // and so shrink can reclaim blocks the magazines were pinning.
+        // and so shrink can reclaim blocks the caches were pinning.
         for shard in &self.shards {
             shard.lock().flush_pool_cache();
         }
@@ -649,12 +649,9 @@ impl ServiceInner {
                 self.obs
                     .record_tuner_resize(report.decision.current_bytes, report.lock_bytes_after);
             }
-            // Interval cadence is the natural place to surface the
-            // allocator's reclaim totals (and journal the delta).
-            let (sweeps, slots) = self.pool.reclaim_counters();
-            self.obs.note_depot_reclaims(sweeps, slots);
-            // Same delta-mirror for the fault injector's per-site
-            // totals (all zero, and the loop free, when disabled).
+            // Interval cadence is the natural place to mirror the fault
+            // injector's per-site totals and journal the delta (all
+            // zero, and the loop free, when disabled).
             let counts = self.faults.injected_counts();
             let mut seen = self.fault_seen.lock();
             for (site, (&now, last)) in counts.iter().zip(seen.iter_mut()).enumerate() {
@@ -1129,12 +1126,6 @@ impl LockService {
     /// and counters are shared-safe.
     pub fn observe(&self, reports_since: u64, max_events: usize) -> MetricsSnapshot {
         let inner = &self.inner;
-        if OBS_ENABLED {
-            // Refresh the allocator-reclaim mirror so scrapes between
-            // tuning intervals still see fresh totals.
-            let (sweeps, slots) = inner.pool.reclaim_counters();
-            inner.obs.note_depot_reclaims(sweeps, slots);
-        }
         let (next_tick_seq, reports) = self.tuning_reports_since(reports_since);
         let first_seq = next_tick_seq - reports.len() as u64;
         let ticks = reports
@@ -1505,7 +1496,7 @@ impl Session {
     /// latch acquisition instead of one per lock. A request that
     /// queues releases the latch, parks exactly as [`Session::lock`]
     /// does, and the group resumes under a fresh latch pass after the
-    /// grant. Per-request outcomes, wait/park behavior, magazine
+    /// grant. Per-request outcomes, wait/park behavior, slot-cache
     /// accounting and tuning-hook bookkeeping are identical to issuing
     /// the same requests as sequential `lock()` calls; only the
     /// cross-shard interleaving differs, which a single session cannot

@@ -298,7 +298,7 @@ proptest! {
             h.join().expect("worker panicked");
         }
 
-        // Quiescent: validate() drains the shards' slot magazines and
+        // Quiescent: validate() drains the shards' slot caches and
         // checks every shard, then every charge must be visible in the
         // shared pool — and since all sessions dropped, everything was
         // returned.

@@ -20,7 +20,7 @@
 #![cfg(feature = "faults")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use locktune_cluster::{
@@ -36,7 +36,10 @@ use rand::{Rng, SeedableRng};
 
 const NODES: usize = 3;
 const WORKERS: u64 = 4;
+/// Transactions every worker runs at least; it keeps going until it
+/// has seen the kill, for up to [`STORM_LIMIT`].
 const TXNS_PER_WORKER: u64 = 40;
+const STORM_LIMIT: Duration = Duration::from_secs(10);
 /// The node that gets killed mid-storm.
 const KILLED: usize = 1;
 /// The node running the wire-stall schedule.
@@ -49,7 +52,13 @@ struct WorkerReport {
     node_down: u64,
 }
 
-fn worker(addrs: Vec<String>, seed: u64, gid: u64, progress: Arc<AtomicU64>) -> WorkerReport {
+fn worker(
+    addrs: Vec<String>,
+    seed: u64,
+    gid: u64,
+    connected: Arc<Barrier>,
+    progress: Arc<AtomicU64>,
+) -> WorkerReport {
     let config = ClusterConfig {
         nodes: addrs,
         reconnect: ReconnectConfig {
@@ -64,10 +73,16 @@ fn worker(addrs: Vec<String>, seed: u64, gid: u64, progress: Arc<AtomicU64>) -> 
         gid: Some(gid),
         breaker: BreakerConfig::default(),
     };
-    let mut rc = match RoutingClient::connect(&config) {
+    let rc = RoutingClient::connect(&config);
+    // No transaction starts, so the kill cannot land, before every
+    // worker is connected (or has failed to, which still panics below
+    // instead of leaving the others waiting here).
+    connected.wait();
+    let mut rc = match rc {
         Ok(rc) => rc,
         Err(e) => panic!("worker connect: {e}"),
     };
+    let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = WorkerReport {
         committed: 0,
@@ -75,7 +90,11 @@ fn worker(addrs: Vec<String>, seed: u64, gid: u64, progress: Arc<AtomicU64>) -> 
         sessions_lost: 0,
         node_down: 0,
     };
-    for _ in 0..TXNS_PER_WORKER {
+    let mut txns = 0;
+    while txns < TXNS_PER_WORKER
+        || (report.sessions_lost + report.node_down == 0 && start.elapsed() < STORM_LIMIT)
+    {
+        txns += 1;
         progress.fetch_add(1, Ordering::Relaxed);
         // A mixed burst over two random tables — usually spanning two
         // partitions — IX intents plus row X locks on each.
@@ -194,13 +213,13 @@ fn run_chaos(seed: u64) {
     let detector = detector.spawn(Duration::from_millis(10));
 
     let progress = Arc::new(AtomicU64::new(0));
+    let connected = Arc::new(Barrier::new(WORKERS as usize));
     let workers: Vec<_> = (0..WORKERS)
         .map(|w| {
             let addrs = addrs.clone();
-            let progress = Arc::clone(&progress);
-            std::thread::spawn(move || {
-                worker(addrs, seed ^ (w + 1).wrapping_mul(0x9E37), w + 1, progress)
-            })
+            let (connected, progress) = (Arc::clone(&connected), Arc::clone(&progress));
+            let seed = seed ^ (w + 1).wrapping_mul(0x9E37);
+            std::thread::spawn(move || worker(addrs, seed, w + 1, connected, progress))
         })
         .collect();
 

@@ -6,12 +6,16 @@
 //! **exactly one** victim, chosen by the same highest-id policy the
 //! local sweeper uses.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use locktune_cluster::{BreakerConfig, ClusterConfig, ClusterDetector, RoutingClient};
+use locktune_cluster::{
+    BreakerConfig, ClusterConfig, ClusterDetector, ClusterError, RoutingClient,
+};
 use locktune_lockmgr::partition::slot_of;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, RowId, TableId};
+use locktune_net::wire::{self, Reply, Request};
 use locktune_net::{Client, ClientError, IoModel, ReconnectConfig, Server, ServerConfig};
 use locktune_service::{BatchOutcome, LockService, ServiceConfig, ServiceError};
 
@@ -102,7 +106,7 @@ fn routed_batch_merges_in_request_order() {
     // IX + row X), and the cluster-wide sum equals the client's view.
     // The audit's `charged_slots` counts slots actually charged to
     // held locks (`pool_slots_used` would also count
-    // magazine-preallocated slack). Identical workload per node ⇒
+    // slack parked in slot caches). Identical workload per node ⇒
     // identical charge, and the cluster total is exactly the per-node
     // charge times the partition count — nothing leaked, nothing
     // double-routed.
@@ -120,7 +124,7 @@ fn routed_batch_merges_in_request_order() {
     let report = rc.unlock_all().expect("unlock_all");
     assert_eq!(report.released_locks, items.len() as u64);
 
-    // Drain (slot magazines flush asynchronously), then audit every
+    // Drain (slot caches flush asynchronously), then audit every
     // node.
     for service in &services {
         assert!(
@@ -266,6 +270,46 @@ fn unlock_all_contacts_only_the_nodes_the_transaction_touched() {
             "slots leaked on a node"
         );
     }
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// A node that answers the admission ping and dies before the gid is
+/// bound was lost while connecting: no session existed, so `connect`
+/// must not report one lost. Node 1 here is a bare listener that
+/// answers exactly one `Ping`, then drops the socket and itself.
+#[test]
+fn a_node_lost_while_binding_the_gid_is_not_a_lost_session() {
+    let (servers, _services, mut config) = cluster(1, Duration::from_secs(5));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake node");
+    config
+        .nodes
+        .push(listener.local_addr().unwrap().to_string());
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        drop(listener);
+        let (id, req) = wire::read_request(&mut stream)
+            .expect("read")
+            .expect("a request");
+        let Request::Ping(echo) = req else {
+            panic!("expected the admission ping, got {req:?}")
+        };
+        wire::write_reply(&mut stream, id, &Reply::Pong(echo)).expect("pong");
+    });
+    config.gid = Some(7);
+    config.reconnect = ReconnectConfig {
+        max_attempts: 2,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(2),
+        ..ReconnectConfig::default()
+    };
+    match RoutingClient::connect(&config) {
+        Err(ClusterError::Node { node: 1, .. }) => {}
+        Err(e) => panic!("expected a connect-time node error, got {e:?}"),
+        Ok(_) => panic!("node 1 is gone, connect must fail"),
+    }
+    fake.join().expect("fake node");
     for s in servers {
         s.shutdown();
     }
