@@ -49,5 +49,5 @@ pub use manager::{
 };
 pub use mode::LockMode;
 pub use resource::{ResourceId, RowId, TableId};
-pub use shared::{ManagerSnapshot, SharedLockManager};
+pub use shared::SharedLockManager;
 pub use stats::LockStats;

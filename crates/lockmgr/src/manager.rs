@@ -583,32 +583,51 @@ impl<P: PoolBackend> LockManager<P> {
     // Release paths
     // ==================================================================
 
-    /// Drop `app`'s holder entry from the head in `slot` and return its
-    /// lock structures to the pool, all in the one probe that found the
-    /// head: an emptied head leaves the table here, a head with waiters
-    /// goes on `worklist` for [`Self::process_queues`]. Returns the mode
-    /// released and the slots freed, or `None` when `app` was not a
-    /// holder (a stale or repeated release-list entry).
+    /// The per-head release step of every release path: drop `app`'s
+    /// holder entry from `head` (the head of `res`) and return its lock
+    /// structures to the pool. A head left with waiters goes on
+    /// `worklist` for [`Self::process_queues`]; any other is trimmed, and
+    /// one left [empty](LockHead::is_empty) is the caller's to drop from
+    /// the table. Returns the mode released and the slots freed, or
+    /// `None` when `app` was not a holder (a head it never held, or a
+    /// stale or repeated release-list entry).
     fn release_holder(
-        slot: Entry<'_, ResourceId, LockHead>,
+        res: ResourceId,
+        head: &mut LockHead,
         app: AppId,
         pool: &mut P,
         spare: &mut SpareBoxes,
         worklist: &mut Vec<ResourceId>,
     ) -> Option<(LockMode, u64)> {
-        let Entry::Occupied(mut slot) = slot else {
-            return None;
-        };
-        let head = slot.get_mut();
         let released = head.remove_holder(app, |h| {
             pool.free(h).expect("granted slots are live");
         })?;
         if !head.queue().is_empty() {
-            worklist.push(*slot.key());
-        } else if head.trim(spare) {
-            slot.remove();
+            worklist.push(res);
+        } else {
+            head.trim(spare);
         }
         Some(released)
+    }
+
+    /// [`Self::release_holder`] on the head of `res`, found by one probe
+    /// that also drops the head if the release empties it.
+    fn release_probed(
+        heads: &mut LockTableMap<LockHead>,
+        res: ResourceId,
+        app: AppId,
+        pool: &mut P,
+        spare: &mut SpareBoxes,
+        worklist: &mut Vec<ResourceId>,
+    ) -> Option<(LockMode, u64)> {
+        let Entry::Occupied(mut slot) = heads.entry(res) else {
+            return None;
+        };
+        let released = Self::release_holder(res, slot.get_mut(), app, pool, spare, worklist);
+        if slot.get().is_empty() {
+            slot.remove();
+        }
+        released
     }
 
     /// Release every row lock `app` holds on `table` (the rows an
@@ -630,8 +649,8 @@ impl<P: PoolBackend> LockManager<P> {
         let mut rows = 0;
         state.release_list.retain(|res| match res {
             ResourceId::Row(t, _) if *t == table => {
-                let slot = heads.entry(*res);
-                rows += u64::from(Self::release_holder(slot, app, pool, spare, worklist).is_some());
+                let released = Self::release_probed(heads, *res, app, pool, spare, worklist);
+                rows += u64::from(released.is_some());
                 false
             }
             _ => true,
@@ -656,8 +675,7 @@ impl<P: PoolBackend> LockManager<P> {
             worklist,
             ..
         } = self;
-        let Some((mode, freed)) =
-            Self::release_holder(heads.entry(res), app, pool, spare, worklist)
+        let Some((mode, freed)) = Self::release_probed(heads, res, app, pool, spare, worklist)
         else {
             return Err(LockError::NotHeld(res));
         };
@@ -673,10 +691,12 @@ impl<P: PoolBackend> LockManager<P> {
 
     /// Release everything `app` holds (commit under strict 2PL).
     ///
-    /// Locks are released in release-list (grant) order; that order is
-    /// not observable, because only heads that have waiters need
-    /// further work and those are sorted before their queues are
-    /// processed.
+    /// A commit that holds a large share of the table (see [`sweeps`])
+    /// walks the table once and releases what it meets; any other
+    /// probes for each release-list entry. Both run the same per-head
+    /// step, and neither order is observable: the set of slots freed is
+    /// the same, and only heads that have waiters need further work,
+    /// which are sorted before their queues are processed.
     pub fn unlock_all(&mut self, app: AppId, hooks: &mut dyn TuningHooks) -> UnlockReport {
         let Self {
             heads,
@@ -690,11 +710,23 @@ impl<P: PoolBackend> LockManager<P> {
             return UnlockReport::default();
         };
         let mut report = UnlockReport::default();
-        for res in state.drain() {
-            let slot = heads.entry(res);
-            if let Some((_, freed)) = Self::release_holder(slot, app, pool, spare, worklist) {
+        let mut count = |released: Option<(LockMode, u64)>| {
+            if let Some((_, freed)) = released {
                 report.released_locks += 1;
                 report.freed_slots += freed;
+            }
+        };
+        if sweeps(state.held_count(), heads.len(), heads.capacity()) {
+            // The heads say what `app` holds; the release list is
+            // dropped unread.
+            state.drain();
+            heads.retain(|&res, head| {
+                count(Self::release_holder(res, head, app, pool, spare, worklist));
+                !head.is_empty()
+            });
+        } else {
+            for res in state.drain() {
+                count(Self::release_probed(heads, res, app, pool, spare, worklist));
             }
         }
         // Deterministic queue processing: tables before rows, each by
@@ -925,6 +957,20 @@ impl<P: PoolBackend> LockManager<P> {
     }
 }
 
+/// Whether a commit of `held` holdings sweeps the lock table (`len`
+/// heads, room for `capacity`) instead of probing once per holding.
+///
+/// * `held >= 64`: a small commit always probes; its few random probes
+///   cost less than any walk over the table.
+/// * `2 * held >= len`: the application holds at least half the heads,
+///   so most heads the sweep visits are ones it releases.
+/// * `8 * held >= capacity`: the sweep visits every bucket, and the
+///   table never shrinks — one that a past scan grew would make every
+///   later, smaller commit pay for the scan's size.
+fn sweeps(held: usize, len: usize, capacity: usize) -> bool {
+    held >= 64 && 2 * held >= len && 8 * held >= capacity
+}
+
 /// Sort key for heads whose queues a release must process: popped from
 /// the back, so tables come before rows, each by descending id.
 fn commit_order(res: &ResourceId) -> (bool, ResourceId) {
@@ -1036,4 +1082,26 @@ fn wait_on(res: ResourceId, state: &mut AppLockState, stats: &mut LockStats) -> 
     state.waiting_on = Some(res);
     stats.waits += 1;
     LockOutcome::Queued
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_commit_holding_most_of_a_compact_table_sweeps() {
+        // A scan holding nearly every head of its table.
+        assert!(sweeps(100_000, 100_040, 114_688));
+        // Half the heads is enough; fewer is not.
+        assert!(sweeps(500, 1_000, 1_792));
+        assert!(!sweeps(499, 1_000, 1_792));
+        // Small commits probe, however small the table.
+        assert!(!sweeps(63, 63, 112));
+        assert!(sweeps(64, 64, 112));
+        // An OLTP commit alone in a table a past scan grew to 131 072
+        // buckets: it holds every head, and still probes.
+        assert!(!sweeps(21, 21, 114_688));
+        assert!(!sweeps(64, 64, 114_688));
+        assert!(sweeps(14_336, 14_336, 114_688));
+    }
 }

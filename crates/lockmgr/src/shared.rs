@@ -17,21 +17,6 @@ use crate::hooks::TuningHooks;
 use crate::manager::{GrantNotice, LockManager, LockOutcome, UnlockReport};
 use crate::mode::LockMode;
 use crate::resource::ResourceId;
-use crate::stats::LockStats;
-
-/// Coherent point-in-time view returned by
-/// [`SharedLockManager::snapshot`]: the counters and the drained
-/// notifications come from a single critical section, so a grant
-/// counted in `stats` is never missing from `notifications` (and vice
-/// versa) the way back-to-back `stats()` + `take_notifications()` calls
-/// could interleave with a concurrent locker.
-#[derive(Debug, Clone)]
-pub struct ManagerSnapshot {
-    /// Statistics counters at the snapshot instant.
-    pub stats: LockStats,
-    /// Grant notifications produced since the previous drain.
-    pub notifications: Vec<GrantNotice>,
-}
 
 /// A cloneable, thread-safe handle to a [`LockManager`].
 #[derive(Clone)]
@@ -66,21 +51,6 @@ impl SharedLockManager {
     /// Drain pending grant notifications.
     pub fn take_notifications(&self) -> Vec<GrantNotice> {
         self.inner.lock().take_notifications()
-    }
-
-    /// Snapshot the statistics.
-    pub fn stats(&self) -> LockStats {
-        *self.inner.lock().stats()
-    }
-
-    /// Atomically snapshot the statistics and drain the pending grant
-    /// notifications in one critical section.
-    pub fn snapshot(&self) -> ManagerSnapshot {
-        let mut m = self.inner.lock();
-        ManagerSnapshot {
-            stats: *m.stats(),
-            notifications: m.take_notifications(),
-        }
     }
 
     /// Run `f` with exclusive access to the manager (batch operations,
@@ -139,7 +109,7 @@ mod tests {
             m.validate();
             assert_eq!(m.pool().used_slots(), 0);
         });
-        assert_eq!(mgr.stats().grants, 8 * 101);
+        assert_eq!(mgr.with(|m| m.stats().grants), 8 * 101);
     }
 
     #[test]
@@ -178,34 +148,5 @@ mod tests {
             assert_eq!(m.pool().used_slots(), 0);
             assert_eq!(m.locked_resources(), 0);
         });
-    }
-
-    #[test]
-    fn snapshot_is_coherent() {
-        let mgr = shared();
-        let mut hooks = NoTuning {
-            max_locks_percent: 98.0,
-        };
-        let table = TableId(0);
-        let row = ResourceId::Row(table, RowId(1));
-        // App 0 holds X on the row; app 1 queues; the release grants it,
-        // producing a notification.
-        mgr.lock(AppId(0), ResourceId::Table(table), LockMode::IX, &mut hooks)
-            .unwrap();
-        mgr.lock(AppId(0), row, LockMode::X, &mut hooks).unwrap();
-        mgr.lock(AppId(1), ResourceId::Table(table), LockMode::IX, &mut hooks)
-            .unwrap();
-        assert_eq!(
-            mgr.lock(AppId(1), row, LockMode::X, &mut hooks).unwrap(),
-            LockOutcome::Queued
-        );
-        mgr.unlock_all(AppId(0), &mut hooks);
-
-        let snap = mgr.snapshot();
-        assert_eq!(snap.notifications.len(), 1);
-        assert_eq!(snap.notifications[0].app, AppId(1));
-        assert_eq!(snap.stats.queue_grants, 1);
-        // The drain is part of the snapshot: nothing left behind.
-        assert!(mgr.take_notifications().is_empty());
     }
 }

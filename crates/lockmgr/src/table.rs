@@ -207,6 +207,12 @@ impl LockHead {
                 spare.push(emptied);
             }
         }
+        self.is_empty()
+    }
+
+    /// True when nothing is granted, nothing is waiting and no box is
+    /// left: the head can be dropped from the hash map.
+    pub fn is_empty(&self) -> bool {
         self.first.is_none() && self.more.is_none()
     }
 

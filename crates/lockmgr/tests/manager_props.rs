@@ -19,6 +19,14 @@ enum Op {
         rowid: u64,
         exclusive: bool,
     },
+    /// Lock rows `from..from + len` in order, as far as they are granted.
+    Scan {
+        app: u32,
+        table: u32,
+        from: u64,
+        len: u64,
+        exclusive: bool,
+    },
     Commit {
         app: u32,
     },
@@ -40,6 +48,8 @@ fn op_strategy(apps: u32, tables: u32, rows: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         8 => (0..apps, 0..tables, 0..rows, any::<bool>()).prop_map(
             |(app, table, rowid, exclusive)| Op::LockRow { app, table, rowid, exclusive }),
+        1 => (0..apps, 0..tables, 0..SCAN_FROM, 64u64..160, any::<bool>()).prop_map(
+            |(app, table, from, len, exclusive)| Op::Scan { app, table, from, len, exclusive }),
         2 => (0..apps).prop_map(|app| Op::Commit { app }),
         1 => (0..apps).prop_map(|app| Op::Abort { app }),
         1 => (0..apps).prop_map(|app| Op::CancelWait { app }),
@@ -73,6 +83,11 @@ impl TuningHooks for CappedGrow {
 const APPS: u32 = 6;
 const TABLES: u32 = 3;
 const ROWS: u64 = 8;
+/// Scans start below this row, so their ranges overlap each other and
+/// the rows single locks take: a commit of 64 or more locks, which
+/// sweeps the lock table, meets co-holders, waiters, conversions and
+/// escalation tickets.
+const SCAN_FROM: u64 = 48;
 
 /// What the lock manager must be holding, worked out from nothing but
 /// what it told its caller: request outcomes, grant notices and the
@@ -210,11 +225,12 @@ proptest! {
     /// head (past the inline holder); `first_holder_slots = 3` puts a
     /// holding past its inline slots; the smaller growth caps (a pool of
     /// 24 slots at the low end) force MAXLOCKS escalation and
-    /// reclaim-by-escalation.
+    /// reclaim-by-escalation, while the larger ones let a scan hold the
+    /// 64 and more locks that make its commit sweep.
     #[test]
     fn random_workload_preserves_invariants(
         first_holder_slots in 2u32..4,
-        max_blocks in 3u64..17,
+        max_blocks in prop_oneof![3u64..17, 64u64..160],
         ops in proptest::collection::vec(op_strategy(APPS, TABLES, ROWS), 1..300),
     ) {
         let pool = LockMemoryPool::with_bytes(PoolConfig::new(512, 64), 2 * 512);
@@ -276,6 +292,37 @@ proptest! {
                         Err(LockError::MissingIntent(_)) => {}
                         Err(LockError::AlreadyWaiting(_)) => {}
                         Err(e) => return Err(TestCaseError::fail(format!("row lock: {e}"))),
+                    }
+                }
+                Op::Scan { app, table, from, len, exclusive } => {
+                    let a = AppId(app);
+                    if m.app(a).map(|s| s.waiting_on().is_some()).unwrap_or(false) {
+                        continue;
+                    }
+                    let t = TableId(table);
+                    let (tmode, rmode) = if exclusive {
+                        (LockMode::IX, LockMode::X)
+                    } else {
+                        (LockMode::IS, LockMode::S)
+                    };
+                    match request(&mut m, &mut hooks, &mut model, a, ResourceId::Table(t), tmode) {
+                        Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
+                            continue
+                        }
+                        Ok(_) => {}
+                        Err(LockError::OutOfLockMemory) => continue,
+                        Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
+                    }
+                    for rowid in from..from + len {
+                        let row = ResourceId::Row(t, RowId(rowid));
+                        match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
+                            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
+                                break
+                            }
+                            Ok(_) => {}
+                            Err(LockError::OutOfLockMemory) => break,
+                            Err(e) => return Err(TestCaseError::fail(format!("scan: {e}"))),
+                        }
                     }
                 }
                 Op::Commit { app } => {

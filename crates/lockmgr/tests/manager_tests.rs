@@ -627,59 +627,70 @@ fn stats_track_activity() {
 /// The observable order of a commit: which waiters are granted, and in
 /// which order their notices come out. Tables are served before rows,
 /// each by descending id — whatever order the release itself walks the
-/// held set in.
+/// held set in: by the release list, or (when the holder also holds 100
+/// rows of table 5, most of the lock table) by one sweep over the table.
 #[test]
 fn commit_grants_waiters_in_a_fixed_order() {
-    let mut m = big_manager();
-    let mut h = hooks();
-    // The holder: rows on two tables, and two whole tables.
-    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
-    for r in [5, 2, 9] {
-        m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
-    }
-    m.lock(app(1), table(4), LockMode::IX, &mut h).unwrap();
-    m.lock(app(1), row(4, 1), LockMode::X, &mut h).unwrap();
-    m.lock(app(1), table(2), LockMode::X, &mut h).unwrap();
-    m.lock(app(1), table(3), LockMode::X, &mut h).unwrap();
-    // One waiter per contended resource, parked in an unrelated order.
-    let waiters = [
-        (2, row(1, 5)),
-        (3, row(1, 2)),
-        (5, table(2)),
-        (4, row(1, 9)),
-        (7, row(4, 1)),
-        (6, table(3)),
-    ];
-    for (a, res) in waiters {
-        let mode = if let ResourceId::Row(t, _) = res {
-            let intent = m.lock(app(a), ResourceId::Table(t), LockMode::IX, &mut h);
-            assert_eq!(intent, Ok(LockOutcome::Granted));
-            LockMode::X
-        } else {
-            LockMode::S
-        };
-        assert_eq!(m.lock(app(a), res, mode, &mut h), Ok(LockOutcome::Queued));
-    }
+    for scanned in [0, 100] {
+        let mut m = big_manager();
+        let mut h = hooks();
+        // The holder: rows on two tables, and two whole tables.
+        m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+        for r in [5, 2, 9] {
+            m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
+        }
+        m.lock(app(1), table(4), LockMode::IX, &mut h).unwrap();
+        m.lock(app(1), row(4, 1), LockMode::X, &mut h).unwrap();
+        m.lock(app(1), table(2), LockMode::X, &mut h).unwrap();
+        m.lock(app(1), table(3), LockMode::X, &mut h).unwrap();
+        if scanned > 0 {
+            m.lock(app(1), table(5), LockMode::IS, &mut h).unwrap();
+        }
+        for r in 0..scanned {
+            m.lock(app(1), row(5, r), LockMode::S, &mut h).unwrap();
+        }
+        // One waiter per contended resource, parked in an unrelated order.
+        let waiters = [
+            (2, row(1, 5)),
+            (3, row(1, 2)),
+            (5, table(2)),
+            (4, row(1, 9)),
+            (7, row(4, 1)),
+            (6, table(3)),
+        ];
+        for (a, res) in waiters {
+            let mode = if let ResourceId::Row(t, _) = res {
+                let intent = m.lock(app(a), ResourceId::Table(t), LockMode::IX, &mut h);
+                assert_eq!(intent, Ok(LockOutcome::Granted));
+                LockMode::X
+            } else {
+                LockMode::S
+            };
+            assert_eq!(m.lock(app(a), res, mode, &mut h), Ok(LockOutcome::Queued));
+        }
 
-    let report = m.unlock_all(app(1), &mut h);
-    assert_eq!(report.released_locks, 8);
-    let order: Vec<(AppId, ResourceId)> = m
-        .take_notifications()
-        .into_iter()
-        .map(|n| (n.app, n.resource))
-        .collect();
-    assert_eq!(
-        order,
-        vec![
-            (app(6), table(3)),
-            (app(5), table(2)),
-            (app(7), row(4, 1)),
-            (app(4), row(1, 9)),
-            (app(2), row(1, 5)),
-            (app(3), row(1, 2)),
-        ]
-    );
-    m.validate();
+        let report = m.unlock_all(app(1), &mut h);
+        let held = 8 + if scanned > 0 { scanned + 1 } else { 0 };
+        assert_eq!(report.released_locks, held);
+        let order: Vec<(AppId, ResourceId)> = m
+            .take_notifications()
+            .into_iter()
+            .map(|n| (n.app, n.resource))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (app(6), table(3)),
+                (app(5), table(2)),
+                (app(7), row(4, 1)),
+                (app(4), row(1, 9)),
+                (app(2), row(1, 5)),
+                (app(3), row(1, 2)),
+            ],
+            "{scanned} rows scanned"
+        );
+        m.validate();
+    }
 }
 
 /// The rows an escalation releases hand over to their waiters in the

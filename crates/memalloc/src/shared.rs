@@ -27,18 +27,26 @@
 //!   `trailing_zeros` and a bit clear; a free that falls in the run's
 //!   word sets its bit back (a bit already set is a
 //!   [`PoolError::DoubleFree`]);
-//! * a **buffer** of other frees, returned to the pool 64 at a time in
-//!   one trip.
+//! * a **buffer** of other frees, kept as words too: a free that falls
+//!   in the last buffered word sets its bit there (a bit already set is
+//!   a `DoubleFree`), any other starts a new word. Once it holds 64
+//!   slots it goes back to the pool in one trip, one release per word,
+//!   so a commit that frees a block's slots in order returns them 64 at
+//!   a time.
 //!
 //! The run is refilled only when empty, and that trip returns the
 //! buffer first. Refills and whole-buffer returns are the only pool
-//! trips on the slot path, and neither allocates.
+//! trips on the slot path, and neither allocates. The pool releases a
+//! word all or nothing; a word it refuses (a stale or double free
+//! folded in with good ones) is released again slot by slot, so only
+//! the bad handle is refused and no good slot leaks.
 //!
 //! The slots a handle parks are *allocated* as far as the pool is
 //! concerned, so `used_slots()` reads as "charged by managers + parked
 //! in caches". A run never holds its whole word (the free that would
-//! complete it waits in the buffer instead) and a full buffer goes
-//! back at once, so a handle parks at most 63 + 63 = 126 slots.
+//! complete it waits in the buffer instead) and the buffer is bounded
+//! in slots, not words, and goes back once full, so a handle parks at
+//! most 63 + 63 = 126 slots.
 //! [`SharedLockMemoryPool::flush_cache`] returns both for exact
 //! accounting; dropping a handle flushes automatically. A refill that
 //! finds the pool dry has already returned its own buffer, and its own
@@ -60,8 +68,8 @@ use crate::pool::LockMemoryPool;
 use crate::stats::PoolStats;
 use crate::SlotHandle;
 
-/// Frees outside the run that a handle collects before returning them
-/// to the pool in one trip.
+/// Frees outside the run (slots, not words) that a handle collects
+/// before returning them to the pool in one trip.
 const BUFFER: usize = 64;
 
 #[derive(Debug)]
@@ -94,13 +102,18 @@ impl SharedInner {
     }
 }
 
-/// Free every buffered handle into `pool`, reporting the first one it
+/// Free every buffered word into `pool`, reporting the first handle it
 /// refused (a caller's stale or double free; the pool is unchanged by
-/// it).
-fn return_buffer(pool: &mut LockMemoryPool, buffer: &mut Vec<SlotHandle>) -> Result<(), PoolError> {
+/// it). A refused word goes again one slot at a time, so its good
+/// slots are still freed.
+fn return_buffer(pool: &mut LockMemoryPool, buffer: &mut Vec<SlotRun>) -> Result<(), PoolError> {
     let mut first = Ok(());
-    for h in buffer.drain(..) {
-        first = first.and(pool.free(h));
+    for mut run in buffer.drain(..) {
+        if pool.free_run(run).is_err() {
+            while run.bits != 0 {
+                first = first.and(pool.free(run.take()));
+            }
+        }
     }
     first
 }
@@ -115,8 +128,11 @@ pub struct SharedLockMemoryPool {
     /// The current run. It keeps naming its word after its last slot
     /// is handed out, so frees of those slots still land in it.
     run: SlotRun,
-    /// Frees outside the run, at most [`BUFFER`] − 1 between calls.
-    buffer: Vec<SlotHandle>,
+    /// Frees outside the run, one word each and in the order they
+    /// began.
+    buffer: Vec<SlotRun>,
+    /// Slots in `buffer`, at most [`BUFFER`] − 1 between calls.
+    buffered: usize,
 }
 
 impl Clone for SharedLockMemoryPool {
@@ -157,6 +173,7 @@ impl SharedLockMemoryPool {
             inner,
             run: SlotRun::EMPTY,
             buffer: Vec::with_capacity(BUFFER),
+            buffered: 0,
         }
     }
 
@@ -181,7 +198,7 @@ impl SharedLockMemoryPool {
 
     /// Slots currently parked in this handle's cache (run + buffer).
     pub fn cached_slots(&self) -> usize {
-        self.run.bits.count_ones() as usize + self.buffer.len()
+        self.run.bits.count_ones() as usize + self.buffered
     }
 
     /// Return the run and the buffer to the pool (exact accounting;
@@ -192,6 +209,7 @@ impl SharedLockMemoryPool {
         if run.bits == 0 && self.buffer.is_empty() {
             return;
         }
+        self.buffered = 0;
         let buffer = &mut self.buffer;
         self.inner.with(|p| {
             // This runs in `drop`, so it must not panic; only a caller's
@@ -205,6 +223,7 @@ impl SharedLockMemoryPool {
 
     /// One pool trip: return the buffer, then claim a new run.
     fn refill(&mut self) -> Result<(), PoolError> {
+        self.buffered = 0;
         let (run, buffer) = (&mut self.run, &mut self.buffer);
         self.inner.with(|p| {
             // A handle refused here was a caller's bad free, and the
@@ -250,10 +269,17 @@ impl PoolBackend for SharedLockMemoryPool {
             // is the run's: this handle outlived a shrink.
             return Err(PoolError::StaleHandle);
         }
-        self.buffer.push(handle);
-        if self.buffer.len() < BUFFER {
+        let last = self.buffer.last_mut();
+        match last.and_then(|last| Some((last.bit_of(handle)?, last))) {
+            Some((bit, last)) if last.bits & bit != 0 => return Err(PoolError::DoubleFree),
+            Some((bit, last)) => last.bits |= bit,
+            None => self.buffer.push(SlotRun::of(handle)),
+        }
+        self.buffered += 1;
+        if self.buffered < BUFFER {
             return Ok(());
         }
+        self.buffered = 0;
         let buffer = &mut self.buffer;
         self.inner.with(|p| return_buffer(p, buffer))
     }
@@ -383,6 +409,29 @@ mod tests {
         let all: Vec<_> = (0..2048).map(|_| shared.allocate().unwrap()).collect();
         assert!(matches!(shared.allocate(), Err(PoolError::Exhausted)));
         for h in all {
+            shared.free(h).unwrap();
+        }
+        shared.flush_cache();
+        assert_eq!(shared.used_slots(), 0);
+        shared.validate();
+    }
+
+    #[test]
+    fn buffered_frees_coalesce_by_word() {
+        let mut shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
+        let handles: Vec<_> = (0..192).map(|_| shared.allocate().unwrap()).collect();
+        // The run names word 2 now; frees in words 0 and 1 are buffered.
+        for &h in &handles[..63] {
+            shared.free(h).unwrap();
+        }
+        assert_eq!((shared.buffer.len(), shared.cached_slots()), (1, 63));
+        assert_eq!(shared.free(handles[5]), Err(PoolError::DoubleFree));
+        // A second word; its first slot is the 64th buffered, and both
+        // words go back in one trip.
+        shared.free(handles[64]).unwrap();
+        assert_eq!((shared.buffer.len(), shared.cached_slots()), (0, 0));
+        assert_eq!(shared.used_slots(), 192 - 64);
+        for &h in handles[63..64].iter().chain(&handles[65..]) {
             shared.free(h).unwrap();
         }
         shared.flush_cache();

@@ -19,6 +19,9 @@ enum Op {
     Alloc(usize),
     /// Handle `.0` frees the `.1`-th slot it holds (mod its holdings).
     Free(usize, usize),
+    /// Handle `.0` frees every slot it holds, in the order it got them
+    /// (a commit: its frees coalesce into buffered words).
+    FreeAll(usize),
     Flush(usize),
     Grow(u64),
     Resize(u64),
@@ -28,6 +31,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (0usize..4).prop_map(Op::Alloc),
         5 => (0usize..4, 0usize..256).prop_map(|(h, i)| Op::Free(h, i)),
+        1 => (0usize..4).prop_map(Op::FreeAll),
         1 => (0usize..4).prop_map(Op::Flush),
         1 => (1u64..3).prop_map(Op::Grow),
         1 => (0u64..6).prop_map(Op::Resize),
@@ -74,6 +78,13 @@ proptest! {
                         handles[h].free(slot).map_err(|e| TestCaseError::fail(e.to_string()))?;
                     }
                 }
+                Op::FreeAll(h) => {
+                    let h = h % n;
+                    for slot in held[h].drain(..) {
+                        live.remove(&slot);
+                        handles[h].free(slot).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    }
+                }
                 Op::Flush(h) => handles[h % n].flush_cache(),
                 Op::Grow(blocks) => {
                     handles[0].grow_blocks(blocks);
@@ -82,9 +93,11 @@ proptest! {
                     handles[0].resize_to_blocks(target);
                 }
             }
+            for h in &handles {
+                prop_assert!(h.cached_slots() <= SLACK_PER_HANDLE, "{} slots parked", h.cached_slots());
+            }
             let cached: usize = handles.iter().map(|h| h.cached_slots()).sum();
             prop_assert_eq!(handles[0].used_slots(), (live.len() + cached) as u64);
-            prop_assert!(cached <= n * SLACK_PER_HANDLE, "{cached} slots parked");
         }
 
         for h in &mut handles {
@@ -129,4 +142,54 @@ fn double_frees_and_stale_handles_are_refused() {
         assert_eq!(pool.used_slots(), 0);
         pool.validate();
     }
+}
+
+/// Bad frees folded into the buffered words between good ones: a
+/// double free of a buffered slot is refused at once, a stale handle
+/// when the buffer goes back, and every good slot still returns — the
+/// pool's used count ends exact.
+#[test]
+fn bad_frees_among_buffered_words_are_refused_alone() {
+    let config = PoolConfig::new(256 * 64, 64);
+    let mut pool = SharedLockMemoryPool::with_bytes(config, 2 * config.block_bytes);
+    let stale = pool.allocate().unwrap();
+    pool.free(stale).unwrap();
+    pool.flush_cache();
+    assert_eq!(pool.resize_to_blocks(0), 0);
+    pool.grow_blocks(2);
+    // Block 0 (the stale handle's, regrown) is all taken, so the run is
+    // in block 1 and frees in block 0 are buffered.
+    let mut live: Vec<SlotHandle> = (0..320).map(|_| pool.allocate().unwrap()).collect();
+    assert_eq!(live[0].block_index(), stale.block_index());
+    let good: Vec<SlotHandle> = live.drain(..63).collect();
+    for &h in &good[..20] {
+        pool.free(h).unwrap();
+    }
+    assert_eq!(pool.free(good[7]), Err(PoolError::DoubleFree));
+    pool.free(stale).unwrap();
+    for &h in &good[20..62] {
+        pool.free(h).unwrap();
+    }
+    // 63 slots are buffered; the 64th sends them back, and that trip
+    // reports the refusal.
+    assert_eq!(pool.cached_slots(), 63);
+    assert_eq!(pool.free(good[62]), Err(PoolError::StaleHandle));
+    assert_eq!(pool.cached_slots(), 0);
+    assert_eq!(pool.used_slots(), live.len() as u64);
+
+    // A double free buried in an earlier word is refused when its word
+    // goes back; the good slot folded in beside it is not lost.
+    let (a, b, c) = (live[1], live[2], live[100]);
+    pool.free(a).unwrap();
+    pool.free(c).unwrap();
+    pool.free(a).unwrap();
+    pool.free(b).unwrap();
+    pool.flush_cache();
+    assert_eq!(pool.used_slots(), live.len() as u64 - 3);
+    for h in live.drain(..).filter(|h| ![a, b, c].contains(h)) {
+        pool.free(h).unwrap();
+    }
+    pool.flush_cache();
+    assert_eq!(pool.used_slots(), 0);
+    pool.validate();
 }

@@ -2,7 +2,9 @@
 //! steady-state OLTP transactions and a 100 000-row scan with its
 //! commit, all through one `Session` on a 64 MiB pool, must not call
 //! the heap allocator. Every refill and every buffer return of the
-//! per-shard slot cache runs inside these loops.
+//! per-shard slot cache runs inside these loops, and the scan's commit
+//! holds all of every shard's table, so it releases by one sweep over
+//! each table and returns its slots a bitmap word at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
