@@ -1,8 +1,8 @@
 //! A/B cost of the always-on telemetry layer (`locktune-obs`).
 //!
-//! Runs the disjoint OLTP workload from `service_scaling` — the pure
-//! fast path, where instrumentation overhead has nowhere to hide
-//! behind contention — twice:
+//! Runs a disjoint OLTP workload — the pure fast path, where
+//! instrumentation overhead has nowhere to hide behind contention —
+//! twice:
 //!
 //! ```text
 //! cargo bench -p locktune-bench --bench obs_overhead                # obs ON
@@ -33,8 +33,8 @@ use std::time::Duration;
 const TXNS_PER_THREAD: u64 = 400;
 const ROWS_PER_TXN: u64 = 20;
 
-/// Same quieted configuration as `service_scaling`: background timers
-/// parked past the measurement so the A/B isolates the lock path.
+/// Background timers parked past the measurement so the A/B isolates
+/// the lock path.
 fn service() -> Arc<LockService> {
     let config = ServiceConfig {
         shards: 4,

@@ -24,8 +24,8 @@
 //!   youngest-victim selection.
 //!
 //! The manager is deterministic and single-threaded by design — the
-//! discrete-event engine drives it — but [`SharedLockManager`] wraps it
-//! in a `parking_lot` mutex for the multi-threaded benches and examples.
+//! discrete-event engine drives it, and the concurrent service puts
+//! one behind each shard latch.
 
 pub mod app;
 pub mod deadlock;
@@ -36,7 +36,6 @@ pub mod manager;
 pub mod mode;
 pub mod partition;
 pub mod resource;
-pub mod shared;
 pub mod stats;
 pub mod table;
 
@@ -49,5 +48,4 @@ pub use manager::{
 };
 pub use mode::LockMode;
 pub use resource::{ResourceId, RowId, TableId};
-pub use shared::SharedLockManager;
 pub use stats::LockStats;

@@ -19,9 +19,11 @@
 //!   escalation-driven doubling) over the shared pool;
 //! * a **deadlock sweeper** unioning per-shard wait-for edges into the
 //!   global graph;
-//! * blocking [`Session`] handles with grant notification delivery
-//!   over channels and `LOCKTIMEOUT` support, waiting through the
-//!   shared spin-then-park policy in [`spin`];
+//! * blocking [`Session`] handles that park on their own event sink
+//!   until a grant or abort arrives, with `LOCKTIMEOUT` support,
+//!   waiting through the shared spin-then-park policy in [`spin`];
+//! * one batch engine, [`step::BatchMachine`], which blocking sessions
+//!   and the evented network core both drive;
 //! * a [`stress`] driver mixing OLTP and DSS footprints across worker
 //!   threads.
 //!

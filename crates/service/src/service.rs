@@ -15,9 +15,12 @@
 //!   cross-shard cycle appears once the edges are combined), picks
 //!   victims and aborts them.
 //!
-//! Blocked lock requests park on a per-application crossbeam channel;
-//! grants discovered while any thread releases locks are pushed to the
-//! waiter's channel. Waiting with a timeout implements `LOCKTIMEOUT`.
+//! Every session has an [`EventSink`]; grants discovered while any
+//! thread releases locks, and deadlock aborts, are pushed to the
+//! waiter's sink as [`SessionEvent`]s. A blocking session parks on its
+//! own sink, with a timeout for `LOCKTIMEOUT`; an evented I/O shard
+//! shares one sink among its sessions. Batches run on the one batch
+//! engine, [`crate::step::BatchMachine`], whichever way they wait.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,6 +44,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::config::{ConfigError, ServiceConfig};
 use crate::spin::SpinPark;
+use crate::step::{BatchMachine, WaitState};
 use crate::tuning::{ServiceHooks, TuningShared};
 
 /// Whether the hot-path recording call sites are live. A `const` so
@@ -162,19 +166,10 @@ impl BatchOutcome {
     }
 }
 
-/// Message waking a parked application.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WakeMessage {
-    /// A queued request was granted.
-    Granted(GrantNotice),
-    /// The application was aborted as a deadlock victim.
-    Aborted,
-}
-
-/// How a queued lock wait resolved, as delivered to an external event
-/// sink (see [`LockService::try_connect_with_sink`]). The evented
-/// network core resumes a parked [`crate::step::BatchMachine`] with
-/// one of these instead of unparking a thread.
+/// How a queued lock wait resolved, as delivered to the session's
+/// [`EventSink`]. A blocking session parks on its own sink until one
+/// arrives; the evented network core resumes a parked
+/// [`crate::step::BatchMachine`] with it instead of unparking a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionEvent {
     /// The queued request was granted.
@@ -184,23 +179,14 @@ pub enum SessionEvent {
     Aborted,
 }
 
-/// Where a session's grant/abort notifications go: a private parked
-/// channel (threaded sessions block on it) or a shared event sink
-/// owned by an I/O shard (evented sessions are resumed by it).
-pub(crate) enum WakeSink {
-    Private(Sender<WakeMessage>),
-    Shared {
-        tx: Sender<(AppId, SessionEvent)>,
-        wake: Arc<dyn Fn() + Send + Sync>,
-    },
-}
-
-/// An external destination for session wait events, registered via
-/// [`LockService::try_connect_with_sink`]. One sink is typically
-/// shared by every session an I/O shard owns: events for all of them
-/// funnel into `tx` tagged with the [`AppId`], and `wake` is invoked
-/// after each send so the (possibly sleeping) shard notices — an
-/// eventfd write in the evented server.
+/// Where a session's wait events go. Every session has one: a
+/// blocking session's private sink (see [`LockService::try_connect`]),
+/// or a sink shared by every session an I/O shard owns (see
+/// [`LockService::try_connect_with_sink`]). Events funnel into `tx`
+/// tagged with the [`AppId`], and `wake` is invoked after each send so
+/// a (possibly sleeping) owner notices — an eventfd write in the
+/// evented server, nothing for a private sink, whose owner blocks on
+/// the channel itself.
 #[derive(Clone)]
 pub struct EventSink {
     tx: Sender<(AppId, SessionEvent)>,
@@ -214,6 +200,13 @@ impl EventSink {
     /// but inside lock/unlock/sweeper paths).
     pub fn new(tx: Sender<(AppId, SessionEvent)>, wake: Arc<dyn Fn() + Send + Sync>) -> EventSink {
         EventSink { tx, wake }
+    }
+
+    fn send(&self, app: AppId, event: SessionEvent) {
+        // A send can only fail if the session dropped; its locks are
+        // being torn down anyway.
+        let _ = self.tx.send((app, event));
+        (self.wake)();
     }
 }
 
@@ -378,7 +371,7 @@ pub(crate) struct ServiceInner {
     pub(crate) shards: Vec<Shard>,
     pool: SharedLockMemoryPool,
     tuning: TuningShared,
-    registry: Mutex<HashMap<AppId, WakeSink>>,
+    registry: Mutex<HashMap<AppId, EventSink>>,
     reports: Mutex<ReportLog>,
     /// Instrumentation root. Always present; with the `obs` feature
     /// off the recording call sites compile away and everything in
@@ -438,44 +431,38 @@ impl ServiceInner {
         }
     }
 
-    /// Forward grant notifications to the waiters' channels (or event
-    /// sinks), leaving `notices` empty with its capacity. Call with no
-    /// shard latch held.
+    /// Forward grant notifications to the waiters' sinks, leaving
+    /// `notices` empty with its capacity. Call with no shard latch
+    /// held.
     pub(crate) fn deliver(&self, notices: &mut Vec<GrantNotice>) {
         if notices.is_empty() {
             return;
         }
         let registry = self.registry.lock();
         for n in notices.drain(..) {
-            match registry.get(&n.app) {
-                // A send can only fail if the session dropped; its
-                // locks are being torn down anyway.
-                Some(WakeSink::Private(tx)) => {
-                    let _ = tx.send(WakeMessage::Granted(n));
-                }
-                Some(WakeSink::Shared { tx, wake }) => {
-                    let _ = tx.send((n.app, SessionEvent::Granted));
-                    wake();
-                }
-                None => {}
+            if let Some(sink) = registry.get(&n.app) {
+                sink.send(n.app, SessionEvent::Granted);
             }
         }
     }
 
-    fn send(&self, app: AppId, msg: WakeMessage) {
-        match self.registry.lock().get(&app) {
-            Some(WakeSink::Private(tx)) => {
-                let _ = tx.send(msg);
+    /// What one lock-manager call means to the session: `None` if the
+    /// request queued (the caller waits), else its result. The one
+    /// place a surfaced `OutOfLockMemory` feeds shed mode.
+    #[inline]
+    pub(crate) fn settle(
+        &self,
+        result: Result<LockOutcome, LockError>,
+    ) -> Option<Result<LockOutcome, ServiceError>> {
+        match result {
+            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => None,
+            Ok(o) => Some(Ok(o)),
+            Err(e) => {
+                if e == LockError::OutOfLockMemory {
+                    self.note_oom_denial();
+                }
+                Some(Err(ServiceError::Lock(e)))
             }
-            Some(WakeSink::Shared { tx, wake }) => {
-                let event = match msg {
-                    WakeMessage::Granted(_) => SessionEvent::Granted,
-                    WakeMessage::Aborted => SessionEvent::Aborted,
-                };
-                let _ = tx.send((app, event));
-                wake();
-            }
-            None => {}
         }
     }
 
@@ -544,8 +531,8 @@ impl ServiceInner {
                 self.obs.record_victim(app);
             }
         }
-        // The victim is out of every wait queue and parked on its
-        // channel; nothing can grant it until the Aborted message
+        // The victim is out of every wait queue and waiting on its
+        // sink; nothing can grant it until the Aborted message
         // below wakes it, so releasing its locks is safe.
         for shard in &self.shards {
             let mut hooks = self.hooks();
@@ -554,7 +541,9 @@ impl ServiceInner {
             m.drain_notifications_into(&mut notices);
         }
         self.deliver(&mut notices);
-        self.send(app, WakeMessage::Aborted);
+        if let Some(sink) = self.registry.lock().get(&app) {
+            sink.send(app, SessionEvent::Aborted);
+        }
         true
     }
 
@@ -925,19 +914,19 @@ impl LockService {
     /// Register an application and return its session handle, or
     /// [`ServiceError::AlreadyConnected`] if `app` already has a live
     /// session. A silent replacement would cross-wire the two
-    /// sessions' grant channels (and either drop would release the
+    /// sessions' sinks (and either drop would release the
     /// other's locks), and panicking is not acceptable when the id
     /// arrives from an untrusted remote peer — the network server
     /// resolves duplicates by allocating fresh ids instead.
     pub fn try_connect(&self, app: AppId) -> Result<Session, ServiceError> {
         let (tx, rx) = channel::unbounded();
-        self.register(app, WakeSink::Private(tx), Some(rx))
+        self.register(app, EventSink::new(tx, Arc::new(|| {})), Some(rx))
     }
 
     /// Register an application whose wait events go to a shared
-    /// [`EventSink`] instead of a private parked channel. The returned
-    /// session must never call a blocking wait path — drive queued
-    /// requests through a [`crate::step::BatchMachine`], which returns
+    /// [`EventSink`] instead of a private one. The returned session
+    /// must never call a blocking wait path — drive queued requests
+    /// through a [`crate::step::BatchMachine`], which returns
     /// [`crate::step::Step::Waiting`] and is resumed by the
     /// [`SessionEvent`]s the sink delivers. Everything else
     /// (`unlock`, `unlock_all`, drop-teardown, stats accounting) is
@@ -947,18 +936,14 @@ impl LockService {
         app: AppId,
         sink: &EventSink,
     ) -> Result<Session, ServiceError> {
-        let wake = WakeSink::Shared {
-            tx: sink.tx.clone(),
-            wake: Arc::clone(&sink.wake),
-        };
-        self.register(app, wake, None)
+        self.register(app, sink.clone(), None)
     }
 
     fn register(
         &self,
         app: AppId,
-        sink: WakeSink,
-        rx: Option<Receiver<WakeMessage>>,
+        sink: EventSink,
+        rx: Option<Receiver<(AppId, SessionEvent)>>,
     ) -> Result<Session, ServiceError> {
         {
             let mut registry = self.inner.registry.lock();
@@ -981,6 +966,7 @@ impl LockService {
             touched_shards: std::cell::Cell::new(0),
             obs_ticks: std::cell::Cell::new(0),
             notices: std::cell::RefCell::new(Vec::new()),
+            machine: std::cell::RefCell::new(None),
         })
     }
 
@@ -1327,13 +1313,17 @@ impl Drop for LockService {
     }
 }
 
-/// One application's handle to the service. Lock requests that queue
-/// park on this session's channel until granted, timed out, or aborted.
+/// One application's handle to the service. A lock request that queues
+/// parks the calling thread on this session's own sink until it is
+/// granted, times out, or is aborted; a batch does the same between
+/// the steps of the session's [`BatchMachine`].
 pub struct Session {
     pub(crate) inner: Arc<ServiceInner>,
     app: AppId,
-    rx: Option<Receiver<WakeMessage>>,
-    /// Whether this session has ever parked on the channel. A session
+    /// The receiving end of this session's private sink (`None` for a
+    /// session on a shared sink, which never parks).
+    rx: Option<Receiver<(AppId, SessionEvent)>>,
+    /// Whether this session has ever parked on its sink. A session
     /// that never waited can never appear in a wait-for edge, so it can
     /// never be a deadlock victim and the stale-message drain on the
     /// lock fast path can be skipped.
@@ -1358,6 +1348,12 @@ pub struct Session {
     notices: std::cell::RefCell<Vec<GrantNotice>>,
     /// This session's spin-then-park state for grant waits.
     spin: std::cell::Cell<SpinPark>,
+    /// The batch engine [`Session::lock_many_into`] drives, built by
+    /// the first batch and reused by every later one. Boxed, so a
+    /// session that never batches here (every evented one: its
+    /// connection owns the machine) stays small — the evented core
+    /// moves its connections in and out of a map on every event.
+    machine: std::cell::RefCell<Option<Box<BatchMachine>>>,
 }
 
 impl Session {
@@ -1422,7 +1418,7 @@ impl Session {
         result
     }
 
-    /// Drain stale messages from the session channel; `true` if a
+    /// Drain stale events from the session's own sink; `true` if a
     /// deadlock abort is pending. Only sessions that have waited can
     /// have been aborted, so the common never-waited case skips the
     /// channel entirely.
@@ -1430,23 +1426,22 @@ impl Session {
         if !self.ever_waited.get() {
             return false;
         }
-        let rx = self.rx.as_ref().expect("session channel live");
+        let rx = self.rx.as_ref().expect("waited, so owns its sink");
         let mut aborted = false;
-        while let Ok(msg) = rx.try_recv() {
-            if matches!(msg, WakeMessage::Aborted) {
-                aborted = true;
-            }
+        while let Ok((_, event)) = rx.try_recv() {
+            aborted |= event == SessionEvent::Aborted;
         }
         aborted
     }
 
-    /// Request `mode` on `res`, blocking (up to `lock_wait_timeout`)
-    /// if the request queues.
-    pub fn lock(&self, res: ResourceId, mode: LockMode) -> Result<LockOutcome, ServiceError> {
-        // Stale-message check: a deadlock abort that raced a previous
-        // wait (or struck while this session was computing) must
-        // surface before new locks are taken on an empty slate.
-        if self.pending_abort() {
+    /// The checks every lock request passes before it touches a shard.
+    /// `pending_abort` is a deadlock abort that raced a previous wait
+    /// (or struck while this session was computing): it must surface
+    /// before new locks are taken on an empty slate. Then shed mode
+    /// rejects the request outright.
+    #[inline]
+    pub(crate) fn admit(&self, pending_abort: bool) -> Result<(), ServiceError> {
+        if pending_abort {
             return Err(ServiceError::DeadlockVictim);
         }
         if self.inner.shed_active() {
@@ -1457,20 +1452,38 @@ impl Session {
                 tenant: self.inner.config.tenant_id,
             });
         }
+        Ok(())
+    }
 
+    /// Request `mode` on `res`, blocking (up to `lock_wait_timeout`)
+    /// if the request queues.
+    ///
+    /// One latch pass, not a one-element batch: the request is not
+    /// copied into the session's [`BatchMachine`], so the uncontended
+    /// path costs only the lock manager's grant.
+    pub fn lock(&self, res: ResourceId, mode: LockMode) -> Result<LockOutcome, ServiceError> {
+        self.admit(self.pending_abort())?;
         let idx = self.inner.shard_index(res);
         self.mark_touched(idx);
         let outcome = self.on_shard(idx, true, |m, hooks| m.lock(self.app, res, mode, hooks));
-        match outcome {
-            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                self.await_grant(res)
+        match self.inner.settle(outcome) {
+            Some(result) => result,
+            None => self.wait_queued(idx),
+        }
+    }
+
+    /// The request just queued on shard `idx`: wait for its resolution.
+    /// Kept out of line: inlined into `lock`, this loop cost the
+    /// contended in-process workload about 7 % of its throughput.
+    #[inline(never)]
+    fn wait_queued(&self, idx: usize) -> Result<LockOutcome, ServiceError> {
+        let mut w = WaitState::begin(self, idx);
+        loop {
+            if let Some(event) = self.wait(w.shard, w.deadline) {
+                return w.resolve(self, event);
             }
-            Ok(immediate) => Ok(immediate),
-            Err(e) => {
-                if e == LockError::OutOfLockMemory {
-                    self.inner.note_oom_denial();
-                }
-                Err(ServiceError::Lock(e))
+            if let Some(e) = w.expire(self) {
+                return Err(e);
             }
         }
     }
@@ -1488,15 +1501,16 @@ impl Session {
     /// allocation. `out` always comes back with exactly `reqs.len()`
     /// entries.
     ///
-    /// Semantics: requests are partitioned by owning shard (groups
-    /// ordered by first appearance, original order preserved inside a
-    /// group — requests against the same table always keep their
-    /// relative order because a table's rows and its intent lock hash
-    /// to the same shard) and each group executes under **one** shard
-    /// latch acquisition instead of one per lock. A request that
-    /// queues releases the latch, parks exactly as [`Session::lock`]
-    /// does, and the group resumes under a fresh latch pass after the
-    /// grant. Per-request outcomes, wait/park behavior, slot-cache
+    /// Semantics: the batch runs on the session's [`BatchMachine`].
+    /// Requests are partitioned by owning shard (groups ordered by
+    /// first appearance, original order preserved inside a group —
+    /// requests against the same table always keep their relative
+    /// order because a table's rows and its intent lock hash to the
+    /// same shard) and each group executes under **one** shard latch
+    /// acquisition instead of one per lock. A request that queues
+    /// releases the latch, parks exactly as [`Session::lock`] does, and
+    /// the group resumes under a fresh latch pass after the grant.
+    /// Per-request outcomes, wait/park behavior, slot-cache
     /// accounting and tuning-hook bookkeeping are identical to issuing
     /// the same requests as sequential `lock()` calls; only the
     /// cross-shard interleaving differs, which a single session cannot
@@ -1504,174 +1518,51 @@ impl Session {
     /// abort, shutdown) stops the batch; see [`BatchOutcome`].
     pub fn lock_many_into(&self, reqs: &[(ResourceId, LockMode)], out: &mut Vec<BatchOutcome>) {
         out.clear();
-        out.resize(reqs.len(), BatchOutcome::Skipped);
+        // An empty batch runs nothing, so it must not consume a pending
+        // abort either.
         if reqs.is_empty() {
             return;
         }
-        if OBS_ENABLED {
-            self.inner.obs.record_batch(reqs.len() as u64);
-        }
-        // Same stale-abort check `lock()` runs; once per batch (the
-        // sweeper cannot abort a session that is running, only one
-        // parked in `await_grant`, which reports it directly).
-        if self.pending_abort() {
-            out[0] = BatchOutcome::Done(Err(ServiceError::DeadlockVictim));
-            return;
-        }
-        // Shed mode rejects the whole batch up front — same shape a
-        // session-fatal error on the first request produces, so
-        // callers already handle it.
-        if self.inner.shed_active() {
-            if OBS_ENABLED {
-                self.inner.obs.record_shed_rejected();
-            }
-            out[0] = BatchOutcome::Done(Err(ServiceError::Overloaded {
-                tenant: self.inner.config.tenant_id,
-            }));
-            return;
-        }
-
-        // Partition by shard, groups in first-appearance order.
-        let nshards = self.inner.shards.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        let mut order: Vec<usize> = Vec::new();
-        for (i, (res, _)) in reqs.iter().enumerate() {
-            let idx = self.inner.shard_index(*res);
-            if groups[idx].is_empty() {
-                order.push(idx);
-            }
-            groups[idx].push(i);
-        }
-
-        for shard_idx in order {
-            self.mark_touched(shard_idx);
-            let group = &groups[shard_idx];
-            let mut pos = 0;
-            while pos < group.len() {
-                // One latch pass: run requests until one queues (or the
-                // group ends), collecting grant notices for delivery
-                // after the latch drops — exactly where sequential
-                // `lock()` delivers them.
-                let mut queued: Option<(usize, ResourceId)> = None;
-                self.on_shard(shard_idx, true, |m, hooks| {
-                    while pos < group.len() {
-                        let i = group[pos];
-                        let (res, mode) = reqs[i];
-                        pos += 1;
-                        match m.lock(self.app, res, mode, hooks) {
-                            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                                queued = Some((i, res));
-                                break;
-                            }
-                            Ok(o) => out[i] = BatchOutcome::Done(Ok(o)),
-                            // Request-scoped: record and keep going,
-                            // like a pipelining client would.
-                            Err(e) => {
-                                if e == LockError::OutOfLockMemory {
-                                    self.inner.note_oom_denial();
-                                }
-                                out[i] = BatchOutcome::Done(Err(ServiceError::Lock(e)));
-                            }
-                        }
-                    }
-                });
-                if let Some((i, res)) = queued {
-                    match self.await_grant(res) {
-                        Ok(o) => out[i] = BatchOutcome::Done(Ok(o)),
-                        Err(e) => {
-                            // Session-fatal: the lock set cannot
-                            // complete; everything not yet attempted
-                            // stays Skipped.
-                            out[i] = BatchOutcome::Done(Err(e));
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Park until the queued request on `res` resolves, timing the
-    /// wait. The timer rides a path that already parks the thread, so
-    /// the two clock reads are invisible next to the wait itself;
-    /// every queued request passes through here (both `lock` and
-    /// `lock_many`), making `lock_wait_micros.total == LockStats.waits`
-    /// an exact invariant at quiescence.
-    fn await_grant(&self, res: ResourceId) -> Result<LockOutcome, ServiceError> {
-        if !OBS_ENABLED {
-            return self.await_grant_inner(res);
-        }
-        let t0 = Instant::now();
-        let result = self.await_grant_inner(res);
-        self.inner
-            .obs
-            .record_wait(self.inner.shard_index(res), t0.elapsed().as_micros() as u64);
-        if matches!(result, Err(ServiceError::Timeout)) {
-            self.inner.obs.record_timeout();
-        }
-        result
-    }
-
-    fn await_grant_inner(&self, res: ResourceId) -> Result<LockOutcome, ServiceError> {
-        self.ever_waited.set(true);
-        let rx = self.rx.as_ref().expect("session channel live");
-        let deadline = self
-            .inner
-            .config
-            .lock_wait_timeout
-            .map(|t| Instant::now() + t);
-        let shard = self.inner.shard_index(res);
-        loop {
-            // Probe the channel before parking on it (the shared
-            // spin-then-park policy: lock holds are short, so most
-            // grants arrive inside the spin and skip the futex
-            // park/wake round trip; a session whose waits are long
-            // stops probing).
-            let mut spin = self.spin.get();
-            let polled = spin.spin(deadline, || match rx.try_recv() {
-                Ok(m) => Some(Ok(m)),
-                Err(channel::TryRecvError::Empty) => None,
-                Err(channel::TryRecvError::Disconnected) => Some(Err(ServiceError::ShuttingDown)),
-            });
-            self.spin.set(spin);
-            if OBS_ENABLED {
-                self.inner.obs.record_grant_wake(shard, polled.is_some());
-            }
-            let polled = polled.transpose()?;
-            let msg = match (polled, deadline) {
-                (Some(m), _) => Some(m),
-                (None, None) => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => return Err(ServiceError::ShuttingDown),
-                },
-                (None, Some(d)) => {
-                    let timeout = d.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(timeout) {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(ServiceError::ShuttingDown)
-                        }
-                    }
-                }
+        let mut machine = self.machine.borrow_mut();
+        let machine = machine.get_or_insert_with(Box::default);
+        machine.start(self, reqs, true, self.pending_abort());
+        while let Some(w) = machine.waiting() {
+            match self.wait(w.shard, w.deadline) {
+                Some(event) => machine.on_event(self, event),
+                None => machine.on_timeout(self),
             };
-            match msg {
-                Some(WakeMessage::Granted(n)) => {
-                    debug_assert_eq!(n.app, self.app, "grant routed to wrong session");
-                    return Ok(LockOutcome::Granted);
-                }
-                Some(WakeMessage::Aborted) => return Err(ServiceError::DeadlockVictim),
-                None => {
-                    // Timed out: withdraw from the queue. A grant (or
-                    // abort) may race the withdrawal — cancel_wait then
-                    // reports nothing to cancel and the message is
-                    // already in the channel; loop to receive it.
-                    if self.on_shard(shard, false, |m, _| m.cancel_wait(self.app)) {
-                        return Err(ServiceError::Timeout);
-                    }
-                }
-            }
         }
+        out.extend_from_slice(machine.outcomes());
+    }
+
+    /// Park until this session's own sink delivers the resolution of
+    /// the wait queued on `shard`, or until `deadline` passes (`None`).
+    /// Lock holds are short, so the sink is first probed through the
+    /// shared spin-then-park policy: most grants then arrive inside the
+    /// spin and skip the futex park/wake round trip, and a session
+    /// whose waits are long stops probing.
+    pub(crate) fn wait(&self, shard: usize, deadline: Option<Instant>) -> Option<SessionEvent> {
+        self.ever_waited.set(true);
+        let rx = self.rx.as_ref().expect("a blocking session owns its sink");
+        let mut spin = self.spin.get();
+        let polled = spin.spin(deadline, || rx.try_recv().ok());
+        self.spin.set(spin);
+        if OBS_ENABLED {
+            self.inner.obs.record_grant_wake(shard, polled.is_some());
+        }
+        // The registry holds the sender for as long as the session
+        // lives, so the channel cannot disconnect under a wait.
+        let (app, event) = match (polled, deadline) {
+            (Some(msg), _) => msg,
+            (None, None) => rx.recv().expect("sink registered"),
+            (None, Some(d)) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => return None,
+                Err(RecvTimeoutError::Disconnected) => unreachable!("sink registered"),
+            },
+        };
+        debug_assert_eq!(app, self.app, "grant routed to wrong session");
+        Some(event)
     }
 
     /// Release one lock.
@@ -1698,7 +1589,7 @@ impl Session {
     /// its locks.
     ///
     /// Fails with [`ServiceError::DeadlockVictim`] if a deadlock abort
-    /// is pending on the session channel: the sweeper already released
+    /// is pending on the session's sink: the sweeper already released
     /// this session's locks, so reporting a successful release would
     /// let a transaction commit without the locks it believes it held.
     pub fn unlock_all(&self) -> Result<UnlockReport, ServiceError> {

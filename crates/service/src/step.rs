@@ -1,32 +1,33 @@
-//! Resumable, non-parking batch lock acquisition.
+//! The batch engine: resumable, non-parking batch lock acquisition.
 //!
-//! [`Session::lock_many_into`] parks the calling thread whenever a
-//! request queues — correct for the threaded server (one reader thread
-//! per connection has nothing better to do), fatal for an event loop
-//! that multiplexes thousands of connections on one thread. The
-//! [`BatchMachine`] here is the same algorithm unrolled into an
-//! explicit state machine: [`BatchMachine::start`] runs the batch until
-//! it completes or a request queues, and instead of parking it returns
-//! [`Step::Waiting`]. The service then delivers the wait's resolution
-//! as a [`SessionEvent`] through the session's [`EventSink`] (see
-//! [`LockService::try_connect_with_sink`]), and the owning I/O shard
-//! resumes the machine with [`BatchMachine::on_event`] — or, if the
-//! wait's deadline passes first, [`BatchMachine::on_timeout`].
+//! [`BatchMachine`] runs a batch of lock requests as an explicit state
+//! machine. [`BatchMachine::start`] groups the requests by owning shard
+//! and runs until the batch completes or a request queues; then,
+//! instead of parking, it returns [`Step::Waiting`]. The wait's
+//! resolution arrives as a [`SessionEvent`] on the session's
+//! [`EventSink`], and the caller resumes the machine with
+//! [`BatchMachine::on_event`] — or, if the wait's deadline passes
+//! first, [`BatchMachine::on_timeout`].
 //!
-//! Semantics are bit-for-bit those of `lock_many_into`: same shard
-//! grouping, same latch passes, same per-request outcomes, same
-//! session-fatal stop-and-skip behavior, same obs accounting (every
-//! queued request records exactly one `lock_wait` sample when it
-//! resolves, timeouts tick the timeout counter, `record_batch` fires
-//! once per batch). A single `lock()` frame is a one-element batch
-//! with batch recording suppressed.
+//! This is the only batch algorithm; its callers differ only in how
+//! they wait. An evented I/O shard multiplexes thousands of parked
+//! machines on one thread and resumes each when its event arrives (see
+//! [`LockService::try_connect_with_sink`]). A blocking
+//! [`Session::lock_many_into`] drives the session's own machine and
+//! parks on the session's own sink between steps.
+//!
+//! Either way the obs accounting is the same: every queued request
+//! records exactly one `lock_wait` sample when it resolves, a
+//! `LOCKTIMEOUT` ticks the timeout counter, and `record_batch` fires
+//! once per batch. A single `lock()` frame from the wire is a
+//! one-element batch with batch recording suppressed.
 //!
 //! [`LockService::try_connect_with_sink`]: crate::service::LockService::try_connect_with_sink
 //! [`EventSink`]: crate::service::EventSink
 
 use std::time::Instant;
 
-use locktune_lockmgr::{LockError, LockMode, LockOutcome, ResourceId};
+use locktune_lockmgr::{LockMode, LockOutcome, ResourceId};
 
 use crate::service::{BatchOutcome, ServiceError, Session, SessionEvent, OBS_ENABLED};
 
@@ -47,22 +48,73 @@ pub enum Step {
     },
 }
 
-/// The parked request the machine is blocked on.
-struct WaitState {
-    /// Index into the batch of the queued request.
-    req_index: usize,
-    /// The resource it queued on (its shard is where a timeout
-    /// cancels the wait).
-    res: ResourceId,
+/// One queued request's wait, from the moment it queued until its
+/// resolution. Every wait — a blocking `lock()`, either caller of a
+/// batch — goes through `begin`, then `resolve` or `expire`, which are
+/// the one home of the wait's obs accounting.
+pub(crate) struct WaitState {
+    /// The shard the request queued on (where a timeout cancels it).
+    pub(crate) shard: usize,
     /// When the wait began — the `lock_wait_micros` sample start.
     since: Instant,
     /// The `LOCKTIMEOUT` deadline, if configured.
-    deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
 }
 
-/// Resumable twin of [`Session::lock_many_into`]; see the module docs.
+impl WaitState {
+    /// A request on `shard` has just queued.
+    pub(crate) fn begin(session: &Session, shard: usize) -> WaitState {
+        let since = Instant::now();
+        WaitState {
+            shard,
+            since,
+            deadline: session.inner.config.lock_wait_timeout.map(|t| since + t),
+        }
+    }
+
+    /// The wait resolved with `event`: the queued request's result.
+    pub(crate) fn resolve(
+        &self,
+        session: &Session,
+        event: SessionEvent,
+    ) -> Result<LockOutcome, ServiceError> {
+        self.record(session);
+        match event {
+            SessionEvent::Granted => Ok(LockOutcome::Granted),
+            SessionEvent::Aborted => Err(ServiceError::DeadlockVictim),
+        }
+    }
+
+    /// The deadline passed: withdraw the request from its queue and
+    /// return the timeout. A grant (or abort) may race the withdrawal;
+    /// the cancel then finds nothing queued and the event is already on
+    /// its way to the sink, so this returns `None` and the wait goes on
+    /// with no deadline until the event lands.
+    pub(crate) fn expire(&mut self, session: &Session) -> Option<ServiceError> {
+        if !session.on_shard(self.shard, false, |m, _| m.cancel_wait(session.app())) {
+            self.deadline = None;
+            return None;
+        }
+        self.record(session);
+        if OBS_ENABLED {
+            session.inner.obs.record_timeout();
+        }
+        Some(ServiceError::Timeout)
+    }
+
+    fn record(&self, session: &Session) {
+        if OBS_ENABLED {
+            session
+                .inner
+                .obs
+                .record_wait(self.shard, self.since.elapsed().as_micros() as u64);
+        }
+    }
+}
+
+/// The batch engine; see the module docs.
 ///
-/// One machine serves one connection for its lifetime: `start` resets
+/// One machine serves one session for its lifetime: `start` resets
 /// all state and the internal buffers (request list, outcome slots,
 /// shard groups) are reused across batches, so a warm machine
 /// allocates nothing.
@@ -78,7 +130,8 @@ pub struct BatchMachine {
     group_pos: usize,
     /// Position inside the current group.
     pos: usize,
-    waiting: Option<WaitState>,
+    /// The parked request: its index in the batch, and its wait.
+    waiting: Option<(usize, WaitState)>,
 }
 
 impl BatchMachine {
@@ -90,12 +143,17 @@ impl BatchMachine {
     /// Begin a new batch, discarding any previous state. Runs until
     /// the batch completes or a request queues.
     ///
+    /// Requests are partitioned by owning shard: groups run in order of
+    /// first appearance, requests keep their order inside a group, and
+    /// each group executes under one shard latch acquisition per run of
+    /// requests that do not queue.
+    ///
     /// `record_batch` selects whether this counts as a batch in the
     /// obs layer (`false` for a single `Lock` frame driven through a
     /// one-element machine). `pending_abort` is the caller's stale
-    /// deadlock-abort flag — an evented session's channel drain
-    /// happens in the I/O shard, so the shard passes the verdict in
-    /// rather than the machine draining a channel it does not own.
+    /// deadlock-abort flag — an evented session's events are drained by
+    /// its I/O shard, so the caller passes the verdict in rather than
+    /// the machine draining a channel it does not own.
     pub fn start(
         &mut self,
         session: &Session,
@@ -117,22 +175,13 @@ impl BatchMachine {
         if record_batch && OBS_ENABLED {
             session.inner.obs.record_batch(reqs.len() as u64);
         }
-        if pending_abort {
-            self.out[0] = BatchOutcome::Done(Err(ServiceError::DeadlockVictim));
-            return Step::Done;
-        }
-        if session.inner.shed_active() {
-            if OBS_ENABLED {
-                session.inner.obs.record_shed_rejected();
-            }
-            self.out[0] = BatchOutcome::Done(Err(ServiceError::Overloaded {
-                tenant: session.inner.config.tenant_id,
-            }));
+        // Rejected up front: the same shape a session-fatal error on
+        // the first request produces, so callers already handle it.
+        if let Err(e) = session.admit(pending_abort) {
+            self.out[0] = BatchOutcome::Done(Err(e));
             return Step::Done;
         }
 
-        // Partition by shard, groups in first-appearance order —
-        // identical to `lock_many_into`.
         let nshards = session.inner.shards.len();
         self.groups.resize(nshards, Vec::new());
         for g in &mut self.groups {
@@ -153,55 +202,36 @@ impl BatchMachine {
     /// delivers events for a session that is actually queued, so a
     /// correctly-routed event always finds the machine parked).
     pub fn on_event(&mut self, session: &Session, event: SessionEvent) -> Step {
-        let Some(w) = self.waiting.take() else {
+        let Some((i, w)) = self.waiting.take() else {
             // Defensive: an event with nothing parked (cannot happen —
             // grants and aborts are only sent to queued waiters) is
             // dropped rather than corrupting batch state.
             return Step::Done;
         };
-        if OBS_ENABLED {
-            session.inner.obs.record_wait(
-                session.inner.shard_index(w.res),
-                w.since.elapsed().as_micros() as u64,
-            );
-        }
-        match event {
-            SessionEvent::Granted => {
-                self.out[w.req_index] = BatchOutcome::Done(Ok(LockOutcome::Granted));
+        match w.resolve(session, event) {
+            Ok(o) => {
+                self.out[i] = BatchOutcome::Done(Ok(o));
                 self.advance(session)
             }
-            SessionEvent::Aborted => {
-                self.out[w.req_index] = BatchOutcome::Done(Err(ServiceError::DeadlockVictim));
-                self.finish_fatal()
-            }
+            Err(e) => self.finish_fatal(i, e),
         }
     }
 
-    /// The wait's deadline passed: withdraw from the queue, exactly as
-    /// the threaded path's `recv_timeout` expiry does. A grant (or
-    /// abort) may race the withdrawal — the cancel then finds nothing
-    /// queued and the event is already in flight to the sink, so the
-    /// machine stays `Waiting` (with no further deadline) until it
-    /// arrives.
+    /// The wait's deadline passed: withdraw from the queue. If a grant
+    /// (or abort) raced the withdrawal, its event is already in flight
+    /// to the sink and the machine stays `Waiting`, with no further
+    /// deadline, until it arrives.
     pub fn on_timeout(&mut self, session: &Session) -> Step {
-        let Some(w) = self.waiting.as_mut() else {
+        let Some((i, w)) = self.waiting.as_mut() else {
             return Step::Done;
         };
-        let idx = session.inner.shard_index(w.res);
-        if !session.on_shard(idx, false, |m, _| m.cancel_wait(session.app())) {
-            w.deadline = None;
-            return Step::Waiting { deadline: None };
+        match w.expire(session) {
+            None => Step::Waiting { deadline: None },
+            Some(e) => {
+                let i = *i;
+                self.finish_fatal(i, e)
+            }
         }
-        let w = self.waiting.take().expect("checked above");
-        if OBS_ENABLED {
-            session.inner.obs.record_wait(
-                session.inner.shard_index(w.res),
-                w.since.elapsed().as_micros() as u64,
-            );
-            session.inner.obs.record_timeout();
-        }
-        self.out[w.req_index] = BatchOutcome::Done(Err(ServiceError::Timeout));
-        self.finish_fatal()
     }
 
     /// The completed batch's per-request results (valid after any call
@@ -215,6 +245,11 @@ impl BatchMachine {
         self.waiting.is_some()
     }
 
+    /// The parked request's wait, if any.
+    pub(crate) fn waiting(&self) -> Option<&WaitState> {
+        self.waiting.as_ref().map(|(_, w)| w)
+    }
+
     /// Run latch passes until the batch completes or a request queues.
     fn advance(&mut self, session: &Session) -> Step {
         while self.group_pos < self.order.len() {
@@ -224,41 +259,30 @@ impl BatchMachine {
             let group_len = self.groups[shard_idx].len();
             while self.pos < group_len {
                 // One latch pass: run requests until one queues (or
-                // the group ends), delivering grant notices after the
-                // latch drops — same as `lock_many_into`.
-                let mut queued: Option<(usize, ResourceId)> = None;
+                // the group ends); the grant notices they produce are
+                // delivered after the latch drops.
+                let mut queued = None;
                 session.on_shard(shard_idx, true, |m, hooks| {
                     while self.pos < group_len {
                         let i = self.groups[shard_idx][self.pos];
                         let (res, mode) = self.reqs[i];
                         self.pos += 1;
-                        match m.lock(session.app(), res, mode, hooks) {
-                            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                                queued = Some((i, res));
+                        // Request-scoped errors are recorded and the
+                        // batch goes on, like a pipelining client.
+                        let result = m.lock(session.app(), res, mode, hooks);
+                        match session.inner.settle(result) {
+                            Some(result) => self.out[i] = BatchOutcome::Done(result),
+                            None => {
+                                queued = Some(i);
                                 break;
-                            }
-                            Ok(o) => self.out[i] = BatchOutcome::Done(Ok(o)),
-                            Err(e) => {
-                                if e == LockError::OutOfLockMemory {
-                                    session.inner.note_oom_denial();
-                                }
-                                self.out[i] = BatchOutcome::Done(Err(ServiceError::Lock(e)));
                             }
                         }
                     }
                 });
-                if let Some((i, res)) = queued {
-                    let deadline = session
-                        .inner
-                        .config
-                        .lock_wait_timeout
-                        .map(|t| Instant::now() + t);
-                    self.waiting = Some(WaitState {
-                        req_index: i,
-                        res,
-                        since: Instant::now(),
-                        deadline,
-                    });
+                if let Some(i) = queued {
+                    let w = WaitState::begin(session, shard_idx);
+                    let deadline = w.deadline;
+                    self.waiting = Some((i, w));
                     return Step::Waiting { deadline };
                 }
             }
@@ -268,9 +292,10 @@ impl BatchMachine {
         Step::Done
     }
 
-    /// A session-fatal error ended the batch: everything not yet
-    /// attempted stays `Skipped`.
-    fn finish_fatal(&mut self) -> Step {
+    /// Request `i` hit a session-fatal error: the batch ends, and
+    /// everything not yet attempted stays `Skipped`.
+    fn finish_fatal(&mut self, i: usize, e: ServiceError) -> Step {
+        self.out[i] = BatchOutcome::Done(Err(e));
         self.waiting = None;
         self.group_pos = self.order.len();
         Step::Done
@@ -382,6 +407,45 @@ mod tests {
         );
         assert_eq!(m.outcomes()[1], BatchOutcome::Skipped);
         assert!(rx.try_recv().is_err(), "no event after a clean cancel");
+        drop(s);
+        drop(holder);
+        svc.shutdown();
+    }
+
+    /// The deadline passes just after a grant: the cancel finds nothing
+    /// queued, so the machine keeps waiting with no deadline and the
+    /// grant already in the sink finishes the batch. Not a timeout, and
+    /// still exactly one wait sample.
+    #[test]
+    fn machine_timeout_that_races_a_grant_waits_for_the_grant() {
+        let svc = LockService::start(ServiceConfig::default()).unwrap();
+        let holder = svc.connect(AppId(1));
+        holder.lock(table(6), LockMode::X).unwrap();
+
+        let (sink, rx, _wakes) = sink();
+        let s = svc.try_connect_with_sink(AppId(2), &sink).unwrap();
+        let mut m = BatchMachine::new();
+        assert!(matches!(
+            m.start(&s, &[(table(6), LockMode::S)], true, false),
+            Step::Waiting { .. }
+        ));
+        holder.unlock_all().unwrap();
+        assert_eq!(m.on_timeout(&s), Step::Waiting { deadline: None });
+        assert!(m.is_waiting());
+
+        let (_, event) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(event, SessionEvent::Granted);
+        assert_eq!(m.on_event(&s, event), Step::Done);
+        assert_eq!(
+            m.outcomes()[0],
+            BatchOutcome::Done(Ok(LockOutcome::Granted))
+        );
+        let snap = svc.observe(0, 0);
+        assert_eq!(svc.obs_counters().timeouts, 0);
+        if OBS_ENABLED {
+            assert_eq!(snap.lock_stats.waits, 1);
+            assert_eq!(snap.lock_wait_micros.count(), snap.lock_stats.waits);
+        }
         drop(s);
         drop(holder);
         svc.shutdown();

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
 use locktune_obs::EventKind;
-use locktune_service::{LockService, ServiceConfig, ServiceError};
+use locktune_service::{BatchOutcome, LockService, ServiceConfig, ServiceError};
 
 fn table(t: u32) -> ResourceId {
     ResourceId::Table(TableId(t))
@@ -75,9 +75,20 @@ fn timeout_is_counted_and_timed() {
 
     let s = service.connect(AppId(2));
     assert_eq!(s.lock(table(0), LockMode::X), Err(ServiceError::Timeout));
+    // The same wait through a blocking `lock_many`: one more
+    // timeout, one more wait sample, and the tail skipped.
+    let outcomes = s.lock_many(&[(table(0), LockMode::X), (table(1), LockMode::X)]);
+    assert_eq!(
+        outcomes,
+        vec![
+            BatchOutcome::Done(Err(ServiceError::Timeout)),
+            BatchOutcome::Skipped
+        ]
+    );
 
     let snap = service.observe(0, 16);
-    assert_eq!(snap.counters.timeouts, 1);
+    assert_eq!(snap.counters.timeouts, 2);
+    assert_eq!(snap.lock_stats.waits, 2);
     assert_eq!(snap.lock_wait_micros.count(), snap.lock_stats.waits);
     holder.unlock_all().unwrap();
 }

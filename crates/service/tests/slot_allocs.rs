@@ -1,7 +1,8 @@
 //! Allocation audit for the shared pool's slot cache: once warm,
-//! steady-state OLTP transactions and a 100 000-row scan with its
-//! commit, all through one `Session` on a 64 MiB pool, must not call
-//! the heap allocator. Every refill and every buffer return of the
+//! steady-state OLTP transactions (one lock at a time or as
+//! `lock_many` batches) and a 100 000-row scan with its commit, all
+//! through one `Session` on a 64 MiB pool, must not call the heap
+//! allocator. Every refill and every buffer return of the
 //! per-shard slot cache runs inside these loops, and the scan's commit
 //! holds all of every shard's table, so it releases by one sweep over
 //! each table and returns its slots a bitmap word at a time.
@@ -10,8 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use locktune_lockmgr::{AppId, LockMode, LockOutcome, ResourceId, RowId, TableId};
-use locktune_service::{LockService, ServiceConfig, Session};
+use locktune_lockmgr::{partition, AppId, LockMode, LockOutcome, ResourceId, RowId, TableId};
+use locktune_service::{BatchOutcome, LockService, ServiceConfig, Session};
 
 /// Pass-through [`System`] allocator that counts this thread's
 /// allocation events (alloc + realloc). Per thread, because the test
@@ -116,6 +117,48 @@ fn steady_state_oltp_transactions_do_not_allocate() {
         events, 0,
         "10 000 OLTP transactions allocated {events} times"
     );
+    drop(session);
+    service.validate();
+    assert_eq!(service.pool_used_slots(), 0);
+}
+
+/// `lock_many` drives the session's own batch machine, whose request
+/// list, outcome slots and shard groups are reused: a warm session's
+/// batches, spread over two shards, allocate nothing.
+#[test]
+fn warm_lock_many_batches_do_not_allocate() {
+    let service = service();
+    let session = service.connect(AppId(1));
+    let shard = |t| partition::resource_slot(ResourceId::Table(TableId(t)), service.shard_count());
+    let other = (2..)
+        .find(|&t| shard(t) != shard(1))
+        .expect("a second shard");
+    let mut reqs = Vec::new();
+    let mut out = Vec::new();
+    let mut next_row = 0;
+    // Per table: IX and 10 X locks on rows never locked before.
+    let mut batch = || {
+        reqs.clear();
+        for t in [1, other] {
+            reqs.push((ResourceId::Table(TableId(t)), LockMode::IX));
+            for _ in 0..10 {
+                reqs.push((ResourceId::Row(TableId(t), RowId(next_row)), LockMode::X));
+                next_row += 1;
+            }
+        }
+        session.lock_many_into(&reqs, &mut out);
+        assert!(out.iter().all(BatchOutcome::is_granted));
+        assert_eq!(session.unlock_all().expect("commit").released_locks, 22);
+    };
+    for _ in 0..1_000 {
+        batch();
+    }
+    let events = allocations_during(|| {
+        for _ in 0..10_000 {
+            batch();
+        }
+    });
+    assert_eq!(events, 0, "10 000 warm batches allocated {events} times");
     drop(session);
     service.validate();
     assert_eq!(service.pool_used_slots(), 0);
