@@ -2,9 +2,10 @@
 //! service (the mutable [`DurationHistogram`](crate::DurationHistogram)
 //! serves the single-threaded simulation harness).
 //!
-//! [`AtomicHistogram::record`] is three relaxed atomic RMWs — one
-//! `fetch_add` on the sample's log2 bucket, one on the running sum and
-//! one `fetch_max` — so writers never block each other or the scraper.
+//! [`AtomicHistogram::record`] is two relaxed atomic RMWs — one
+//! `fetch_add` on the sample's log2 bucket and one on the running sum —
+//! plus a [`raise_max`] that writes only a new maximum, so writers
+//! never block each other or the scraper.
 //! Reads happen only at scrape time via [`AtomicHistogram::snapshot`],
 //! which freezes the buckets into a plain [`HistogramSnapshot`].
 //!
@@ -26,6 +27,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::histogram::{bucket_index, bucket_upper_edge, BUCKETS};
+
+/// Raise the high-water mark `max` to `v`. Loads and compares first:
+/// a `fetch_max` is a locked read-modify-write even when the value does
+/// not change, and on a mark shared between threads each one takes the
+/// cache line away from the others.
+#[inline]
+pub fn raise_max(max: &AtomicU64, v: u64) {
+    if v > max.load(Ordering::Relaxed) {
+        max.fetch_max(v, Ordering::Relaxed);
+    }
+}
 
 /// A log2-bucketed histogram recordable from any number of threads
 /// without locks.
@@ -57,7 +69,7 @@ impl AtomicHistogram {
     pub fn record(&self, v: u64) {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        raise_max(&self.max, v);
     }
 
     /// Freeze the current contents into a plain snapshot. `total` is

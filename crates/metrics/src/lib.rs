@@ -15,7 +15,7 @@ pub mod series;
 pub mod summary;
 pub mod window;
 
-pub use atomic::{AtomicHistogram, HistogramSnapshot};
+pub use atomic::{raise_max, AtomicHistogram, HistogramSnapshot};
 pub use csv::write_csv;
 pub use histogram::{bucket_index, bucket_upper_edge, DurationHistogram, BUCKETS};
 pub use series::TimeSeries;

@@ -40,6 +40,7 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, SendTimeoutError, TryRecvError};
 use locktune_faults::{FaultInjector, FaultSite};
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
+use locktune_metrics::raise_max;
 use locktune_service::{BatchOutcome, EventSink, LockService, Session};
 use locktune_tenants::{MachineRollup, TenantDirectory};
 
@@ -619,9 +620,7 @@ fn serve_connection(
         }
         // Post-send queue depth is the frames the writer hasn't drained
         // yet — the congestion signal the Stats/Metrics replies expose.
-        shared
-            .reply_hwm
-            .fetch_max(tx.len() as u64, Ordering::Relaxed);
+        raise_max(&shared.reply_hwm, tx.len() as u64);
     }
     drop(tx);
     let _ = writer.join();

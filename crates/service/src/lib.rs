@@ -12,7 +12,8 @@
 //! background thread:
 //!
 //! * [`LockService`] — N [`LockManager`] shards selected by **table**
-//!   hash, each behind its own latch, all charging one
+//!   hash, each behind its own [`Latch`] (spin, yield, then block —
+//!   see [`latch`]), all charging one
 //!   [`SharedLockMemoryPool`];
 //! * a **tuning thread** waking every `tuning_interval` to run the
 //!   paper's tuner (50 % free target, δ_reduce shrink, hysteresis,
@@ -31,6 +32,7 @@
 //! [`SharedLockMemoryPool`]: locktune_memalloc::SharedLockMemoryPool
 
 pub mod config;
+pub mod latch;
 pub mod service;
 pub mod spin;
 pub mod step;
@@ -38,6 +40,7 @@ pub mod stress;
 mod tuning;
 
 pub use config::{ConfigError, ServiceConfig};
+pub use latch::Latch;
 pub use locktune_faults::{FaultInjector, FaultPlan, FaultSite};
 pub use service::{
     BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ShutdownReport,

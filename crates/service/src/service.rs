@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
@@ -40,9 +40,9 @@ use locktune_obs::{
     MetricsSnapshot, Obs, ObsCounters, ThreadRole, TuningTick, LATCH_SAMPLE_PERIOD,
 };
 use locktune_sim::SimDuration;
-use parking_lot::{Condvar, Mutex};
 
 use crate::config::{ConfigError, ServiceConfig};
+use crate::latch::Latch;
 use crate::spin::SpinPark;
 use crate::step::{BatchMachine, WaitState};
 use crate::tuning::{ServiceHooks, TuningShared};
@@ -52,17 +52,18 @@ use crate::tuning::{ServiceHooks, TuningShared};
 /// bench in `locktune-bench` holds this gate to its <2 % budget.
 pub(crate) const OBS_ENABLED: bool = cfg!(feature = "obs");
 
-/// One shard: a lock manager behind its latch, on cache lines of its
-/// own. Shards sit side by side in a `Vec`; unpadded, the last fields
-/// of one share a line with the latch word and table counters of the
-/// next, so two sessions working on *different* shards invalidate each
-/// other's line on every lock. 128 rather than 64: the adjacent-line
-/// prefetcher pulls lines in pairs.
+/// One shard: a lock manager behind its [`Latch`] (spin, yield, then
+/// block: holds are sub-microsecond), on cache lines of its own. Shards
+/// sit side by side in a `Vec`; unpadded, the last fields of one share
+/// a line with the latch word and table counters of the next, so two
+/// sessions working on *different* shards invalidate each other's line
+/// on every lock. 128 rather than 64: the adjacent-line prefetcher
+/// pulls lines in pairs.
 #[repr(align(128))]
-pub(crate) struct Shard(Mutex<LockManager<SharedLockMemoryPool>>);
+pub(crate) struct Shard(Latch<LockManager<SharedLockMemoryPool>>);
 
 impl std::ops::Deref for Shard {
-    type Target = Mutex<LockManager<SharedLockMemoryPool>>;
+    type Target = Latch<LockManager<SharedLockMemoryPool>>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -371,8 +372,8 @@ pub(crate) struct ServiceInner {
     pub(crate) shards: Vec<Shard>,
     pool: SharedLockMemoryPool,
     tuning: TuningShared,
-    registry: Mutex<HashMap<AppId, EventSink>>,
-    reports: Mutex<ReportLog>,
+    registry: Latch<HashMap<AppId, EventSink>>,
+    reports: Latch<ReportLog>,
     /// Instrumentation root. Always present; with the `obs` feature
     /// off the recording call sites compile away and everything in
     /// here scrapes empty/zero.
@@ -385,7 +386,7 @@ pub(crate) struct ServiceInner {
     faults: FaultInjector,
     /// The background threads' handles, owned behind a lock so the
     /// watchdog can swap in respawns while the service runs.
-    threads: Mutex<ThreadTable>,
+    threads: Latch<ThreadTable>,
     tuner_restarts: AtomicU64,
     sweeper_restarts: AtomicU64,
     /// Upper bound on the lock pool's size in bytes, `0` = unlimited.
@@ -404,9 +405,9 @@ pub(crate) struct ServiceInner {
     /// Per-site injected-fault totals already journaled; the tuning
     /// interval journals the delta (same mirror pattern as the
     /// allocator's reclaim counters).
-    fault_seen: Mutex<[u64; SITE_COUNT]>,
+    fault_seen: Latch<[u64; SITE_COUNT]>,
     shutdown: AtomicBool,
-    park: Mutex<()>,
+    park: Latch<()>,
     park_cv: Condvar,
 }
 
@@ -683,11 +684,15 @@ impl ServiceInner {
     /// Park for `interval` or until shutdown wakes the thread early.
     /// Returns false once the service is shutting down.
     fn park(&self, interval: Duration) -> bool {
-        let mut g = self.park.lock();
+        let g = self.park.lock();
         if self.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        self.park_cv.wait_for(&mut g, interval);
+        drop(
+            self.park_cv
+                .wait_timeout(g, interval)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         !self.shutdown.load(Ordering::Acquire)
     }
 }
@@ -794,7 +799,7 @@ impl LockService {
         );
 
         let shards = (0..config.shards)
-            .map(|_| Shard(Mutex::new(LockManager::new(pool.clone(), config.manager))))
+            .map(|_| Shard(Latch::new(LockManager::new(pool.clone(), config.manager))))
             .collect();
 
         let mem = Self::build_memory(&config, pool.total_bytes());
@@ -806,25 +811,25 @@ impl LockService {
 
         let inner = Arc::new(ServiceInner {
             tuning: TuningShared::new(stmm, mem),
-            reports: Mutex::new(ReportLog::new(config.tuning_log_capacity)),
+            reports: Latch::new(ReportLog::new(config.tuning_log_capacity)),
             obs: Obs::new(config.shards),
             config,
             shards,
             pool,
-            registry: Mutex::new(HashMap::new()),
+            registry: Latch::new(HashMap::new()),
             tuning_intervals: AtomicU64::new(0),
             grow_decisions: AtomicU64::new(0),
             shrink_decisions: AtomicU64::new(0),
             faults,
-            threads: Mutex::new(ThreadTable::default()),
+            threads: Latch::new(ThreadTable::default()),
             tuner_restarts: AtomicU64::new(0),
             sweeper_restarts: AtomicU64::new(0),
             lock_memory_ceiling: AtomicU64::new(0),
             shed: AtomicBool::new(false),
             shed_ooms: AtomicU64::new(0),
-            fault_seen: Mutex::new([0; SITE_COUNT]),
+            fault_seen: Latch::new([0; SITE_COUNT]),
             shutdown: AtomicBool::new(false),
-            park: Mutex::new(()),
+            park: Latch::new(()),
             park_cv: Condvar::new(),
         });
 

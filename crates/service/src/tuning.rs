@@ -26,8 +26,8 @@ use locktune_lockmgr::{AppId, TableId, TuningHooks};
 use locktune_memalloc::PoolUsage;
 use locktune_memory::{DatabaseMemory, Stmm};
 use locktune_obs::Obs;
-use parking_lot::Mutex;
 
+use crate::latch::Latch;
 use crate::service::OBS_ENABLED;
 
 /// Pads a value to its own cache line. The hot-path atomics below are
@@ -60,7 +60,7 @@ pub(crate) struct TuningState {
 #[derive(Debug)]
 pub(crate) struct TuningShared {
     /// The mutex-protected slow-path state.
-    pub state: Mutex<TuningState>,
+    pub state: Latch<TuningState>,
     /// Externalized `lockPercentPerApplication` as `f64::to_bits`.
     pub app_percent_bits: CachePadded<AtomicU64>,
     /// Escalations since the last tuning interval.
@@ -81,7 +81,7 @@ impl TuningShared {
         let refresh_period = stmm.tuner().params().app_percent_refresh_period.max(1);
         let initial_percent = stmm.tuner().app_percent();
         TuningShared {
-            state: Mutex::new(TuningState { stmm, mem }),
+            state: Latch::new(TuningState { stmm, mem }),
             app_percent_bits: CachePadded(AtomicU64::new(initial_percent.to_bits())),
             escalations: CachePadded::default(),
             num_applications: CachePadded::default(),

@@ -367,3 +367,57 @@ fn tuner_and_workload_coexist() {
     service.validate();
     assert_eq!(service.pool_used_slots(), 0);
 }
+
+/// A hot-row storm: more sessions than this host has cores, all
+/// X-locking half of one 16-row hot set. Every lock must be granted
+/// (ascending order, so no deadlock; `LOCKTIMEOUT` is a generous 2 s),
+/// and with threads outnumbering cores the shard latch's yield and
+/// blocking phases run as well as its spin.
+#[test]
+fn hot_row_storm_grants_every_lock() {
+    const SESSIONS: u32 = 4;
+    const TXNS: u32 = 2_000;
+    const HOT_ROWS: u64 = 16;
+    const PICKS: usize = 8;
+    let mut config = ServiceConfig::fast(4);
+    config.lock_wait_timeout = Some(Duration::from_secs(2));
+    let service = Arc::new(LockService::start(config).unwrap());
+    let start = Arc::new(Barrier::new(SESSIONS as usize));
+
+    let handles: Vec<_> = (1..=SESSIONS)
+        .map(|app| {
+            let service = Arc::clone(&service);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let s = service.connect(AppId(app));
+                let mut state = u64::from(app).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                start.wait();
+                for _ in 0..TXNS {
+                    // Partial Fisher–Yates over the hot set, then sort.
+                    let mut rows: [u64; HOT_ROWS as usize] = std::array::from_fn(|i| i as u64);
+                    for i in 0..PICKS {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let j = i + (state % (HOT_ROWS - i as u64)) as usize;
+                        rows.swap(i, j);
+                    }
+                    let picks = &mut rows[..PICKS];
+                    picks.sort_unstable();
+                    s.lock(table(0), LockMode::IX).expect("IX on the hot table");
+                    for &r in picks.iter() {
+                        s.lock(row(0, r), LockMode::X).expect("X on a hot row");
+                    }
+                    let report = s.unlock_all().expect("commit");
+                    assert_eq!(report.released_locks, 1 + PICKS as u64);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(service.stats().waits > 0, "the hot rows never contended");
+    service.validate();
+    assert_eq!(service.pool_used_slots(), 0);
+}

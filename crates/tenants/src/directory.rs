@@ -21,14 +21,13 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use locktune_faults::FaultInjector;
 use locktune_lockmgr::LockStats;
 use locktune_obs::ObsCounters;
-use locktune_service::{ConfigError, LockService, ServiceConfig, TuningCounters};
-use parking_lot::{Condvar, Mutex};
+use locktune_service::{ConfigError, Latch, LockService, ServiceConfig, TuningCounters};
 
 use crate::config::{TenantsConfig, TenantsConfigError};
 use crate::ledger::{BudgetLedger, LedgerError, TenantBudget};
@@ -253,24 +252,28 @@ struct DirState {
 
 struct DirInner {
     config: TenantsConfig,
-    state: Mutex<DirState>,
+    state: Latch<DirState>,
     faults: FaultInjector,
     started: Instant,
     arbitrations: AtomicU64,
     donations_total: AtomicU64,
     donated_bytes_total: AtomicU64,
     shutdown: AtomicBool,
-    park: Mutex<()>,
+    park: Latch<()>,
     park_cv: Condvar,
 }
 
 impl DirInner {
     fn park(&self, interval: Duration) -> bool {
-        let mut g = self.park.lock();
+        let g = self.park.lock();
         if self.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        self.park_cv.wait_for(&mut g, interval);
+        drop(
+            self.park_cv
+                .wait_timeout(g, interval)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         !self.shutdown.load(Ordering::Acquire)
     }
 
@@ -446,7 +449,7 @@ impl TenantDirectory {
     ) -> Result<TenantDirectory, TenantsError> {
         config.validate()?;
         let inner = Arc::new(DirInner {
-            state: Mutex::new(DirState {
+            state: Latch::new(DirState {
                 ledger: BudgetLedger::new(config.machine_budget_bytes),
                 tenants: BTreeMap::new(),
                 donations: DonationLog::new(config.donation_log_capacity),
@@ -457,7 +460,7 @@ impl TenantDirectory {
             donations_total: AtomicU64::new(0),
             donated_bytes_total: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            park: Mutex::new(()),
+            park: Latch::new(()),
             park_cv: Condvar::new(),
             config,
         });
