@@ -15,10 +15,8 @@
 //! approximation for ITL-exhaustion probability, used by the policy
 //! comparison experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-page ITL configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OracleItl {
     /// ITL slots initially allocated per page (Oracle's INITRANS,
     /// default 1–2; each slot is 24 bytes).

@@ -12,10 +12,8 @@
 //!   reporting query therefore escalates easily);
 //! * no clear statement that lock memory is ever returned (no shrink).
 
-use serde::{Deserialize, Serialize};
-
 /// The SQL Server 2005 policy constants and state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SqlServerModel {
     /// Total database-engine memory.
     pub engine_memory_bytes: u64,

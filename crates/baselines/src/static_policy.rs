@@ -1,12 +1,10 @@
 //! The pre-DB2 9 static configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed `LOCKLIST` + fixed `MAXLOCKS`: the configuration the paper's
 /// §5.1 experiment shows collapsing. The lock memory never grows or
 /// shrinks; an application exceeding `maxlocks_percent` of it
 /// escalates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticPolicy {
     /// Fixed lock memory size in bytes (§5.1 uses 0.4 MB).
     pub locklist_bytes: u64,

@@ -1,10 +1,8 @@
 //! Tuner outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Why the tuner chose its target size (one reason per tuning point;
 /// recorded into experiment traces so figures can annotate resizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuningReason {
     /// Free fraction fell below `minFreeLockMemory`: grow to restore it.
     GrowForFreeTarget,
@@ -22,7 +20,7 @@ pub enum TuningReason {
 }
 
 /// One asynchronous tuning decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningDecision {
     /// The new goal for the lock memory allocation, in whole blocks'
     /// worth of bytes. Also becomes the new on-disk configuration

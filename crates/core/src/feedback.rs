@@ -13,13 +13,11 @@
 //! table-level locking up front, instead of being left to escalate at
 //! runtime.
 
-use serde::{Deserialize, Serialize};
-
 use crate::optimizer_view::OptimizerView;
 use crate::params::TunerParams;
 
 /// Locking strategy chosen at compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockingStrategy {
     /// Row-level locking: the estimate fits the compiler's lock budget.
     RowLocking,
@@ -29,7 +27,7 @@ pub enum LockingStrategy {
 }
 
 /// EWMA-based estimate correction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizerFeedback {
     /// Smoothing factor in `(0, 1]`; higher adapts faster.
     alpha: f64,
@@ -215,10 +213,7 @@ mod tests {
 
     #[test]
     fn clone_preserves_feedback_state() {
-        // The serde_json roundtrip this test used to perform is
-        // unavailable offline (serde is a vendored marker shim, see
-        // crates/vendor/serde); the state-preservation property is
-        // checked through Clone instead.
+        // The feedback state is plain data; a clone carries all of it.
         let mut f = OptimizerFeedback::default();
         f.record(10, 30);
         let back = f.clone();

@@ -1,8 +1,6 @@
 //! The modelling parameters of Table 1, with the paper's values as
 //! defaults.
 
-use serde::{Deserialize, Serialize};
-
 /// One mebibyte.
 pub const MIB: u64 = 1024 * 1024;
 
@@ -10,7 +8,7 @@ pub const MIB: u64 = 1024 * 1024;
 /// geometry of §2.2). Constructing via [`TunerParams::default`] yields
 /// exactly the shipped DB2 9 values; the ablation benches override
 /// individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerParams {
     /// Floor component: lock memory never drops below this many bytes
     /// (`minLockMemory = MAX(2 MB, 500 × locksize × num_applications)`).
@@ -226,10 +224,7 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        // The serde_json roundtrip this test used to perform is
-        // unavailable offline (serde is a vendored marker shim, see
-        // crates/vendor/serde); structural equality through Clone keeps
-        // the PartialEq coverage.
+        // The parameters are plain data: a copy compares equal.
         let p = TunerParams::default();
         let back = p;
         assert_eq!(p, back);

@@ -1,11 +1,9 @@
 //! Inputs to the tuner: a point-in-time view of the lock memory and of
 //! the database memory around it.
 
-use serde::{Deserialize, Serialize};
-
 /// State of the database memory outside the lock pool, as the tuner
 //  sees it at a tuning point (paper §3.2's `LMOmax` formula inputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverflowState {
     /// Total shared memory allocated to the database (`databaseMemory`).
     pub database_memory_bytes: u64,
@@ -41,7 +39,7 @@ impl OverflowState {
 }
 
 /// Point-in-time view of the lock memory itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockMemorySnapshot {
     /// Bytes currently allocated to the lock pool (in-memory; may
     /// transiently exceed the on-disk configuration).

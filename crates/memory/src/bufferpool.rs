@@ -8,10 +8,8 @@
 //! `w` bytes accessed with Zipf-ish skew, the miss ratio of a cache of
 //! `s` bytes behaves like `(s/w)^(1-θ)` for `s < w`.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic buffer pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferPool {
     /// Current size in bytes.
     pub size: u64,

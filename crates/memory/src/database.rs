@@ -1,12 +1,11 @@
 //! Byte-exact accounting of the database shared memory set.
 
 use locktune_core::OverflowState;
-use serde::{Deserialize, Serialize};
 
 use crate::heap::{HeapKind, PerfHeap};
 
 /// Static configuration of the memory set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// `databaseMemory`: total shared memory.
     pub total_bytes: u64,

@@ -7,10 +7,8 @@
 //! demand is unmet. The least-needy PMC donates first; the neediest
 //! receives freed memory first.
 
-use serde::{Deserialize, Serialize};
-
 /// The kinds of heap in the database shared memory set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeapKind {
     /// Main-memory page cache.
     BufferPool,
@@ -39,7 +37,7 @@ impl std::fmt::Display for HeapKind {
 }
 
 /// One performance heap: a size, a floor, and a demand signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfHeap {
     /// Which heap.
     pub kind: HeapKind,

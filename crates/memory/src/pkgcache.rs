@@ -4,10 +4,8 @@
 //! `distinct_statements` of `mean_plan_bytes` each gets a hit ratio
 //! equal to the cached fraction, with the usual LRU-under-skew bonus.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic package (statement) cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackageCache {
     /// Current size in bytes.
     pub size: u64,

@@ -7,10 +7,8 @@
 //! explicitly calls sort "the least needy consumer" and shrinks it
 //! first).
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic sort heap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SortHeap {
     /// Current size in bytes.
     pub size: u64,

@@ -1,14 +1,13 @@
 //! A time series of `f64` samples at simulated timestamps.
 
 use locktune_sim::SimTime;
-use serde::Serialize;
 
 /// An append-only series of `(time, value)` samples with
 /// non-decreasing timestamps.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
-    points: Vec<(u64, f64)>, // (micros, value) — u64 for serde friendliness
+    points: Vec<(u64, f64)>, // (micros, value)
 }
 
 impl TimeSeries {

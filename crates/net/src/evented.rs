@@ -54,7 +54,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,7 +64,7 @@ use locktune_faults::FaultSite;
 use locktune_lockmgr::hash::FxHashMap;
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_metrics::raise_max;
-use locktune_obs::IoShardStats;
+use locktune_obs::AtomicIoShardStats;
 use locktune_service::{
     BatchMachine, BatchOutcome, EventSink, ServiceError, SessionEvent, SpinPark, Step,
 };
@@ -96,24 +96,6 @@ const FREELIST_RETAIN: usize = 64;
 const KIND_WAIT: u8 = 0;
 const KIND_PRESSURE: u8 = 1;
 
-/// Per-shard counters surfaced in the Metrics frame
-/// ([`IoShardStats`]) and `locktune-top`, on cache lines of their own.
-/// The shards' sets sit side by side in a `Vec` and each shard writes
-/// its set on every loop and reply frame; unpadded, two shards' sets
-/// share a line. 128 rather than 64: the adjacent-line prefetcher pulls
-/// lines in pairs.
-#[derive(Default)]
-#[repr(align(128))]
-struct ShardStats {
-    connections: AtomicU64,
-    wakeups: AtomicU64,
-    writev_calls: AtomicU64,
-    writev_frames: AtomicU64,
-    write_buf_hwm: AtomicU64,
-    spin_hits: AtomicU64,
-    parks: AtomicU64,
-}
-
 /// A new admitted connection crossing from the accept thread to its
 /// owning shard.
 struct NewConn {
@@ -135,9 +117,11 @@ struct ShardHandle {
 /// `Server::shutdown`'s accept-thread join transitively waits for
 /// every connection's teardown.
 pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    let stats: Arc<Vec<ShardStats>> = Arc::new(
+    // The shards' counters, side by side; `AtomicIoShardStats` keeps
+    // each set on cache lines of its own.
+    let stats: Arc<Vec<AtomicIoShardStats>> = Arc::new(
         (0..shared.config.io_shards)
-            .map(|_| ShardStats::default())
+            .map(|_| AtomicIoShardStats::default())
             .collect(),
     );
     let mut shards: Vec<ShardHandle> = Vec::new();
@@ -226,7 +210,7 @@ pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 fn spawn_shard(
     shared: &Arc<Shared>,
     index: usize,
-    stats: &Arc<Vec<ShardStats>>,
+    stats: &Arc<Vec<AtomicIoShardStats>>,
 ) -> std::io::Result<ShardHandle> {
     let poller = Poller::new()?;
     let wake = Arc::new(WakeFd::new()?);
@@ -367,7 +351,7 @@ struct Shard {
     ctrl: Receiver<NewConn>,
     events: Receiver<(AppId, SessionEvent)>,
     sink: EventSink,
-    stats: Arc<Vec<ShardStats>>,
+    stats: Arc<Vec<AtomicIoShardStats>>,
     conns: FxHashMap<u64, Conn>,
     /// App → connection token, for routing grant/abort events.
     by_app: FxHashMap<AppId, u64>,
@@ -420,7 +404,7 @@ impl Shard {
         }
     }
 
-    fn stat(&self) -> &ShardStats {
+    fn stat(&self) -> &AtomicIoShardStats {
         &self.stats[self.index]
     }
 
@@ -761,7 +745,9 @@ impl Shard {
             req => match server::execute(&self.shared, &mut conn.ctx, req) {
                 Some(mut reply) => {
                     if let Reply::Metrics(m) = &mut reply {
-                        m.io_shards = self.stats_rows();
+                        m.io_shards = (self.stats.iter().enumerate())
+                            .map(|(i, s)| s.load(i as u32))
+                            .collect();
                     }
                     self.send_reply(conn, id, &reply);
                 }
@@ -989,22 +975,5 @@ impl Shard {
                 }
             }
         }
-    }
-
-    fn stats_rows(&self) -> Vec<IoShardStats> {
-        self.stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| IoShardStats {
-                shard: i as u32,
-                connections: s.connections.load(Ordering::Relaxed),
-                wakeups: s.wakeups.load(Ordering::Relaxed),
-                writev_calls: s.writev_calls.load(Ordering::Relaxed),
-                writev_frames: s.writev_frames.load(Ordering::Relaxed),
-                write_buf_hwm: s.write_buf_hwm.load(Ordering::Relaxed),
-                spin_hits: s.spin_hits.load(Ordering::Relaxed),
-                parks: s.parks.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 }

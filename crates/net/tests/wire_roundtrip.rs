@@ -231,31 +231,13 @@ fn lock_stats() -> BoxedStrategy<LockStats> {
 /// Every field drawn independently, so a codec that swapped two of
 /// them fails the round trip.
 fn obs_counters() -> BoxedStrategy<ObsCounters> {
-    proptest::collection::vec(any::<u64>(), 23..24)
-        .prop_map(|v| ObsCounters {
-            timeouts: v[0],
-            batches: v[1],
-            batch_items: v[2],
-            deadlock_victims: v[3],
-            sync_growth_granted: v[4],
-            sync_growth_denied: v[5],
-            depot_reclaim_sweeps: v[6],
-            depot_reclaimed_slots: v[7],
-            journal_recorded: v[8],
-            journal_dropped: v[9],
-            watchdog_restarts: v[10],
-            clients_evicted: v[11],
-            shed_engaged: v[12],
-            shed_released: v[13],
-            shed_rejected: v[14],
-            faults_injected: v[15],
-            remote_cancels: v[16],
-            failover_probes: v[17],
-            epoch_bumps: v[18],
-            fenced_requests: v[19],
-            degraded_batches: v[20],
-            grant_spin_hits: v[21],
-            grant_parks: v[22],
+    proptest::collection::vec(any::<u64>(), ObsCounters::COUNT..ObsCounters::COUNT + 1)
+        .prop_map(|v| {
+            let mut c = ObsCounters::default();
+            for (field, x) in c.values_mut().into_iter().zip(v) {
+                *field = x;
+            }
+            c
         })
         .boxed()
 }
@@ -369,39 +351,21 @@ fn tick() -> BoxedStrategy<TuningTick> {
 }
 
 fn shard_row() -> BoxedStrategy<IoShardStats> {
+    let values = IoShardStats::COUNT..IoShardStats::COUNT + 1;
     (
         any::<u32>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
+        proptest::collection::vec(any::<u64>(), values),
     )
-        .prop_map(
-            |(
+        .prop_map(|(shard, v)| {
+            let mut row = IoShardStats {
                 shard,
-                connections,
-                wakeups,
-                writev_calls,
-                writev_frames,
-                write_buf_hwm,
-                spin_hits,
-                parks,
-            )| {
-                IoShardStats {
-                    shard,
-                    connections,
-                    wakeups,
-                    writev_calls,
-                    writev_frames,
-                    write_buf_hwm,
-                    spin_hits,
-                    parks,
-                }
-            },
-        )
+                ..Default::default()
+            };
+            for (field, x) in row.values_mut().into_iter().zip(v) {
+                *field = x;
+            }
+            row
+        })
         .boxed()
 }
 
@@ -435,19 +399,7 @@ fn metrics() -> BoxedStrategy<MetricsSnapshot> {
                         deadlock_aborts: s.3,
                         ..ls
                     },
-                    counters: ObsCounters {
-                        timeouts: s.0 ^ s.1,
-                        batches: s.1 ^ s.2,
-                        deadlock_victims: s.2 ^ s.3,
-                        journal_recorded: s.0 ^ s.3,
-                        failover_probes: s.1 ^ s.3,
-                        epoch_bumps: s.0 ^ s.2,
-                        fenced_requests: s.2 ^ s.1,
-                        degraded_batches: s.3 ^ s.0,
-                        grant_spin_hits: s.0 ^ !s.1,
-                        grant_parks: s.2 ^ !s.3,
-                        ..oc
-                    },
+                    counters: oc,
                     pool_bytes: pool.0,
                     pool_slots_total: pool.1,
                     pool_slots_used: pool.2,
@@ -989,9 +941,11 @@ fn forged_metrics_counts_rejected() {
     // The default snapshot encodes its four empty histograms as
     // (0 nonzero, sum, max) = 17 bytes each; the event count sits
     // right after the fixed block of the header, 51 u64-width fields
-    // (uptime + 14 lock stats + 23 obs counters + 4 pool gauges +
-    // 4 f64s + 4 tuning counters + fence epoch) and the 4 histograms.
-    let events_at = HEADER_LEN + 51 * 8 + 4 * 17;
+    // (uptime + 14 lock stats + the obs counter table + 4 pool gauges
+    // + 4 f64s + 4 tuning counters + fence epoch) and the 4 histograms.
+    let fixed = 1 + 14 + ObsCounters::COUNT + 4 + 4 + 4 + 1;
+    assert_eq!(fixed, 51, "the Metrics header's width changed");
+    let events_at = HEADER_LEN + fixed * 8 + 4 * 17;
     assert_eq!(
         &payload[events_at..events_at + 4],
         &0u32.to_le_bytes(),
@@ -1022,7 +976,7 @@ fn forged_metrics_counts_rejected() {
     );
 
     // Duplicate bucket index: claim 2 nonzero buckets, both index 0.
-    let hist_at = HEADER_LEN + 51 * 8;
+    let hist_at = HEADER_LEN + fixed * 8;
     let mut forged = Vec::new();
     forged.extend_from_slice(&payload[..hist_at]);
     forged.push(2); // n_nonzero

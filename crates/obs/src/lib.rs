@@ -8,13 +8,22 @@
 //! through itself:
 //!
 //! * [`Obs`] — per-shard, cache-padded [`AtomicHistogram`] blocks plus
-//!   a handful of global counters, all lock-free on record and merged
-//!   only at scrape time;
+//!   the atomic twin of [`ObsCounters`], all lock-free on record and
+//!   merged only at scrape time;
 //! * [`EventJournal`] — a fixed-capacity lock-free MPSC ring of typed
 //!   [`EventKind`]s (escalations, deadlock victims, sync growth, tuner
 //!   resizes, …) drainable without stopping the world;
 //! * [`MetricsSnapshot`] — the plain-data scrape result, with a
 //!   [`prom::render`] Prometheus-style text exposition.
+//!
+//! Each counter is declared once, in a `counters!` table in
+//! [`snapshot`]: its field name, help text and [`Export`] (how the page
+//! shows it). The table generates [`ObsCounters`] (and
+//! [`IoShardStats`]) with `merge` and a `(name, help, value)` iterator,
+//! and the atomic twin the live code records into. Adding a counter is
+//! one table line and one `fetch_add` at the site that counts it; the
+//! Metrics frame's `record!` line for the struct then needs the field
+//! too (DESIGN.md §10.1).
 //!
 //! Overhead discipline (methodology in DESIGN.md §10): counters that
 //! `LockStats` already tracks are *not* double-counted here — they are
@@ -34,13 +43,22 @@ pub mod prom;
 pub mod snapshot;
 
 pub use journal::{EventJournal, EventKind, JournalEvent, ThreadRole, DEFAULT_JOURNAL_CAPACITY};
-pub use snapshot::{IoShardStats, MetricsSnapshot, ObsCounters, TuningTick};
+pub use snapshot::{
+    AtomicIoShardStats, Export, IoShardStats, MetricsSnapshot, ObsCounters, TuningTick,
+};
 
 use locktune_lockmgr::{AppId, TableId};
+use snapshot::AtomicObsCounters;
 
 /// Shard-latch holds are timed once every this many lock operations
 /// per session (a power of two so the tick test is a mask).
 pub const LATCH_SAMPLE_PERIOD: u64 = 64;
+
+/// One more in `counter`: every hot-path record is this relaxed add.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
 
 /// Pads a value to its own cache line so one shard's histogram writes
 /// never invalidate a neighbour shard's line.
@@ -74,31 +92,7 @@ pub struct Obs {
     journal: EventJournal,
     batch_size: AtomicHistogram,
     sync_stall: AtomicHistogram,
-    timeouts: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    deadlock_victims: AtomicU64,
-    sync_growth_granted: AtomicU64,
-    sync_growth_denied: AtomicU64,
-    watchdog_restarts: AtomicU64,
-    clients_evicted: AtomicU64,
-    shed_engaged: AtomicU64,
-    shed_released: AtomicU64,
-    shed_rejected: AtomicU64,
-    /// Absolute injected-fault total, mirrored from the fault injector
-    /// at tuning time.
-    faults_injected: AtomicU64,
-    /// Waits cancelled (and applications aborted) on behalf of a
-    /// remote cluster deadlock detector.
-    remote_cancels: AtomicU64,
-    /// Supervisor health probes answered.
-    failover_probes: AtomicU64,
-    /// Fence-epoch advances disseminated by the cluster supervisor.
-    epoch_bumps: AtomicU64,
-    /// Lock requests fenced with `WrongEpoch` for a stale epoch.
-    fenced_requests: AtomicU64,
-    /// Batches served while holding slots reassigned from a dead peer.
-    degraded_batches: AtomicU64,
+    counters: AtomicObsCounters,
 }
 
 impl Obs {
@@ -112,27 +106,13 @@ impl Obs {
     pub fn with_journal_capacity(shards: usize, journal_capacity: usize) -> Self {
         Obs {
             start: Instant::now(),
-            shards: (0..shards.max(1)).map(|_| CachePadded::default()).collect(),
+            shards: (0..shards.max(1).next_power_of_two())
+                .map(|_| CachePadded::default())
+                .collect(),
             journal: EventJournal::with_capacity(journal_capacity),
             batch_size: AtomicHistogram::new(),
             sync_stall: AtomicHistogram::new(),
-            timeouts: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_items: AtomicU64::new(0),
-            deadlock_victims: AtomicU64::new(0),
-            sync_growth_granted: AtomicU64::new(0),
-            sync_growth_denied: AtomicU64::new(0),
-            watchdog_restarts: AtomicU64::new(0),
-            clients_evicted: AtomicU64::new(0),
-            shed_engaged: AtomicU64::new(0),
-            shed_released: AtomicU64::new(0),
-            shed_rejected: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            remote_cancels: AtomicU64::new(0),
-            failover_probes: AtomicU64::new(0),
-            epoch_bumps: AtomicU64::new(0),
-            fenced_requests: AtomicU64::new(0),
-            degraded_batches: AtomicU64::new(0),
+            counters: AtomicObsCounters::default(),
         }
     }
 
@@ -148,8 +128,9 @@ impl Obs {
 
     // -- hot-path recording ----------------------------------------------
 
-    /// `shard`'s instrumentation block (index masked: `Obs` is sized
-    /// to the service's shard count, a power of two).
+    /// `shard`'s instrumentation block (index masked: `Obs` holds the
+    /// service's shard count rounded up to a power of two, so every
+    /// shard has a block of its own).
     #[inline]
     fn shard(&self, shard: usize) -> &ShardObs {
         &self.shards[shard & (self.shards.len() - 1)].0
@@ -173,29 +154,35 @@ impl Obs {
     #[inline]
     pub fn record_grant_wake(&self, shard: usize, spun: bool) {
         let block = self.shard(shard);
-        let counter = if spun {
+        bump(if spun {
             &block.grant_spin_hits
         } else {
             &block.grant_parks
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// A lock wait ended in `LOCKTIMEOUT`.
     #[inline]
     pub fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.timeouts);
     }
 
     /// A `lock_many` batch of `items` requests started executing.
     #[inline]
     pub fn record_batch(&self, items: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(items, Ordering::Relaxed);
+        let c = &self.counters;
+        bump(&c.batches);
+        c.batch_items.fetch_add(items, Ordering::Relaxed);
         self.batch_size.record(items);
     }
 
     // -- rare-event recording --------------------------------------------
+
+    /// Count one event in `counter` and journal it as `kind`.
+    fn note(&self, counter: &AtomicU64, kind: EventKind) {
+        bump(counter);
+        self.journal.record(self.now_ms(), kind);
+    }
 
     /// A lock escalation ran (journaled; the counter lives in
     /// `LockStats::escalations`).
@@ -212,17 +199,19 @@ impl Obs {
 
     /// The deadlock sweeper aborted `app`.
     pub fn record_victim(&self, app: AppId) {
-        self.deadlock_victims.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::DeadlockVictim { app });
+        self.note(
+            &self.counters.deadlock_victims,
+            EventKind::DeadlockVictim { app },
+        );
     }
 
     /// A remote cluster deadlock detector cancelled `app`'s wait and
     /// it was aborted (the cross-node twin of [`Obs::record_victim`]).
     pub fn record_remote_cancel(&self, app: AppId) {
-        self.remote_cancels.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::RemoteCancel { app });
+        self.note(
+            &self.counters.remote_cancels,
+            EventKind::RemoteCancel { app },
+        );
     }
 
     /// A synchronous-growth attempt stalled its request for `micros`
@@ -230,11 +219,12 @@ impl Obs {
     pub fn record_sync_stall(&self, micros: u64, granted_bytes: u64) {
         self.sync_stall.record(micros);
         if granted_bytes > 0 {
-            self.sync_growth_granted.fetch_add(1, Ordering::Relaxed);
-            self.journal
-                .record(self.now_ms(), EventKind::SyncGrowth { granted_bytes });
+            self.note(
+                &self.counters.sync_growth_granted,
+                EventKind::SyncGrowth { granted_bytes },
+            );
         } else {
-            self.sync_growth_denied.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.sync_growth_denied);
         }
     }
 
@@ -251,35 +241,34 @@ impl Obs {
 
     /// The watchdog respawned a dead background thread.
     pub fn record_watchdog_restart(&self, thread: journal::ThreadRole) {
-        self.watchdog_restarts.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::WatchdogRestart { thread });
+        self.note(
+            &self.counters.watchdog_restarts,
+            EventKind::WatchdogRestart { thread },
+        );
     }
 
     /// The server evicted `app` for a reply queue stuck at capacity.
     pub fn record_client_evicted(&self, app: AppId) {
-        self.clients_evicted.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::ClientEvicted { app });
+        self.note(
+            &self.counters.clients_evicted,
+            EventKind::ClientEvicted { app },
+        );
     }
 
     /// Shed mode engaged after `ooms` exhaustion errors in one window.
     pub fn record_shed_engaged(&self, ooms: u64) {
-        self.shed_engaged.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::ShedEngaged { ooms });
+        self.note(&self.counters.shed_engaged, EventKind::ShedEngaged { ooms });
     }
 
     /// Shed mode released.
     pub fn record_shed_released(&self) {
-        self.shed_released.fetch_add(1, Ordering::Relaxed);
-        self.journal.record(self.now_ms(), EventKind::ShedReleased);
+        self.note(&self.counters.shed_released, EventKind::ShedReleased);
     }
 
     /// A lock request was rejected because shed mode is engaged.
     #[inline]
     pub fn record_shed_rejected(&self) {
-        self.shed_rejected.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.shed_rejected);
     }
 
     /// Count `delta` new injections at fault site `site`
@@ -291,38 +280,36 @@ impl Obs {
         if delta == 0 {
             return;
         }
-        self.faults_injected.fetch_add(delta, Ordering::Relaxed);
-        self.journal.record(
-            self.now_ms(),
-            EventKind::FaultInjected { site, count: delta },
-        );
+        let injected = &self.counters.faults_injected;
+        injected.fetch_add(delta, Ordering::Relaxed);
+        let kind = EventKind::FaultInjected { site, count: delta };
+        self.journal.record(self.now_ms(), kind);
     }
 
     /// A cluster-supervisor health probe was answered.
     #[inline]
     pub fn record_failover_probe(&self) {
-        self.failover_probes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.failover_probes);
     }
 
     /// The supervisor advanced this node's fence epoch to `epoch`.
     pub fn record_epoch_bump(&self, epoch: u64) {
-        self.epoch_bumps.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::EpochBump { epoch });
+        self.note(&self.counters.epoch_bumps, EventKind::EpochBump { epoch });
     }
 
     /// A lock request carrying stale `epoch` was fenced with
     /// `WrongEpoch` instead of granted.
     pub fn record_request_fenced(&self, epoch: u64) {
-        self.fenced_requests.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(self.now_ms(), EventKind::RequestFenced { epoch });
+        self.note(
+            &self.counters.fenced_requests,
+            EventKind::RequestFenced { epoch },
+        );
     }
 
     /// A lock batch was served while this node held reassigned slots.
     #[inline]
     pub fn record_degraded_batch(&self) {
-        self.degraded_batches.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.degraded_batches);
     }
 
     // -- scrape-time reads -----------------------------------------------
@@ -334,37 +321,14 @@ impl Obs {
 
     /// Freeze the instrumentation counters.
     pub fn counters(&self) -> ObsCounters {
-        let (mut grant_spin_hits, mut grant_parks) = (0, 0);
+        let mut c = self.counters.load();
+        c.journal_recorded = self.journal.recorded();
+        c.journal_dropped = self.journal.dropped();
         for s in self.shards.iter() {
-            grant_spin_hits += s.0.grant_spin_hits.load(Ordering::Relaxed);
-            grant_parks += s.0.grant_parks.load(Ordering::Relaxed);
+            c.grant_spin_hits += s.0.grant_spin_hits.load(Ordering::Relaxed);
+            c.grant_parks += s.0.grant_parks.load(Ordering::Relaxed);
         }
-        ObsCounters {
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_items: self.batch_items.load(Ordering::Relaxed),
-            deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
-            sync_growth_granted: self.sync_growth_granted.load(Ordering::Relaxed),
-            sync_growth_denied: self.sync_growth_denied.load(Ordering::Relaxed),
-            // Reserved: the allocator no longer sweeps sibling caches.
-            depot_reclaim_sweeps: 0,
-            depot_reclaimed_slots: 0,
-            journal_recorded: self.journal.recorded(),
-            journal_dropped: self.journal.dropped(),
-            watchdog_restarts: self.watchdog_restarts.load(Ordering::Relaxed),
-            clients_evicted: self.clients_evicted.load(Ordering::Relaxed),
-            shed_engaged: self.shed_engaged.load(Ordering::Relaxed),
-            shed_released: self.shed_released.load(Ordering::Relaxed),
-            shed_rejected: self.shed_rejected.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            remote_cancels: self.remote_cancels.load(Ordering::Relaxed),
-            failover_probes: self.failover_probes.load(Ordering::Relaxed),
-            epoch_bumps: self.epoch_bumps.load(Ordering::Relaxed),
-            fenced_requests: self.fenced_requests.load(Ordering::Relaxed),
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
-            grant_spin_hits,
-            grant_parks,
-        }
+        c
     }
 
     /// Merge the per-shard lock-wait histograms.
@@ -423,6 +387,14 @@ mod tests {
     }
 
     #[test]
+    fn each_of_three_shards_has_its_own_block() {
+        let obs = Obs::new(3);
+        for i in 0..3 {
+            assert!(std::ptr::eq(obs.shard(i), &obs.shards[i].0));
+        }
+    }
+
+    #[test]
     fn counters_and_events_flow() {
         let obs = Obs::new(1);
         obs.record_timeout();
@@ -449,30 +421,20 @@ mod tests {
         obs.record_grant_wake(0, false);
         obs.record_grant_wake(0, false);
 
-        let c = obs.counters();
-        assert_eq!(c.timeouts, 1);
-        assert_eq!(c.batches, 1);
-        assert_eq!(c.batch_items, 20);
-        assert_eq!(c.deadlock_victims, 1);
-        assert_eq!(c.sync_growth_granted, 1);
-        assert_eq!(c.sync_growth_denied, 1);
-        assert_eq!((c.depot_reclaim_sweeps, c.depot_reclaimed_slots), (0, 0));
-        assert_eq!(c.watchdog_restarts, 1);
-        assert_eq!(c.clients_evicted, 1);
-        assert_eq!(c.shed_engaged, 1);
-        assert_eq!(c.shed_released, 1);
-        assert_eq!(c.shed_rejected, 2);
-        assert_eq!(c.faults_injected, 3);
-        assert_eq!(c.remote_cancels, 1);
-        assert_eq!(c.failover_probes, 1);
-        assert_eq!(c.epoch_bumps, 1);
-        assert_eq!(c.fenced_requests, 1);
-        assert_eq!(c.degraded_batches, 1);
-        assert_eq!((c.grant_spin_hits, c.grant_parks), (1, 2));
+        // Every counter in the table was recorded once, except these.
         // victim + sync growth + escalation + resize + restart
         // + eviction + shed engage/release + fault + remote cancel
-        // + epoch bump + request fenced = 12.
-        assert_eq!(c.journal_recorded, 12);
+        // + epoch bump + request fenced = 12 journal events.
+        #[rustfmt::skip]
+        let expect = [
+            ("batch_items", 20), ("depot_reclaim_sweeps", 0), ("depot_reclaimed_slots", 0),
+            ("journal_recorded", 12), ("journal_dropped", 0), ("shed_rejected", 2),
+            ("faults_injected", 3), ("grant_parks", 2),
+        ];
+        for (name, _, v) in obs.counters().iter() {
+            let want = expect.iter().find(|e| e.0 == name).map_or(1, |e| e.1);
+            assert_eq!(v, want, "{name}");
+        }
 
         let mut events = Vec::new();
         obs.journal().drain(&mut events, 100);

@@ -1,5 +1,8 @@
 //! Plain-data scrape results: everything a dashboard or the wire
-//! endpoint needs, frozen at one instant.
+//! endpoint needs, frozen at one instant, and the counter tables
+//! (`counters!`) that declare each counter once.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use locktune_core::TuningReason;
 use locktune_lockmgr::LockStats;
@@ -8,124 +11,125 @@ use locktune_metrics::HistogramSnapshot;
 
 use crate::journal::JournalEvent;
 
-/// Monotonic counters maintained by the instrumentation layer itself
-/// (quantities the per-shard `LockStats` don't track).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObsCounters {
-    /// Lock waits that ended in `LOCKTIMEOUT`.
-    pub timeouts: u64,
-    /// `lock_many` batches executed.
-    pub batches: u64,
-    /// Total items across those batches.
-    pub batch_items: u64,
-    /// Applications aborted by the deadlock sweeper.
-    pub deadlock_victims: u64,
-    /// Synchronous growth attempts that were granted.
-    pub sync_growth_granted: u64,
-    /// Synchronous growth attempts that were denied.
-    pub sync_growth_denied: u64,
-    /// Reserved, always 0: counted the allocator's retired dry-pool
-    /// sweep of sibling caches. Kept so the Metrics frame's bytes and
-    /// the readers of this field stay unchanged.
-    pub depot_reclaim_sweeps: u64,
-    /// Reserved, always 0, like `depot_reclaim_sweeps`.
-    pub depot_reclaimed_slots: u64,
-    /// Events recorded into the journal since start.
-    pub journal_recorded: u64,
-    /// Events the journal dropped because it was full.
-    pub journal_dropped: u64,
-    /// Dead tuner/sweeper threads the watchdog respawned.
-    pub watchdog_restarts: u64,
-    /// Clients evicted for holding their reply queue full past the
-    /// eviction deadline.
-    pub clients_evicted: u64,
-    /// Times shed mode engaged (sustained pool exhaustion).
-    pub shed_engaged: u64,
-    /// Times shed mode released.
-    pub shed_released: u64,
-    /// Lock requests rejected while shed mode was engaged.
-    pub shed_rejected: u64,
-    /// Faults deliberately injected across all sites (`faults`
-    /// feature only; zero in production builds).
-    pub faults_injected: u64,
-    /// Waits cancelled (and applications aborted) on behalf of a
-    /// remote cluster deadlock detector — cross-node victims resolved
-    /// on this node.
-    pub remote_cancels: u64,
-    /// Supervisor health probes this node answered.
-    pub failover_probes: u64,
-    /// Times the node's fence epoch advanced (partition-map changes
-    /// disseminated by the cluster supervisor).
-    pub epoch_bumps: u64,
-    /// Lock requests fenced with `WrongEpoch` for carrying a stale
-    /// partition-map epoch.
-    pub fenced_requests: u64,
-    /// Lock batches served while this node held slots reassigned from
-    /// a dead peer (degraded mode).
-    pub degraded_batches: u64,
-    /// Blocked lock requests whose grant was caught by the session's
-    /// spin, without parking on its channel.
-    pub grant_spin_hits: u64,
-    /// Blocked lock requests that parked on the session channel
-    /// (`grant_spin_hits + grant_parks` counts every grant wait).
-    pub grant_parks: u64,
+/// How one counter shows on the Prometheus page ([`crate::prom`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Export {
+    /// Its own counter family, by full name.
+    Total(&'static str),
+    /// The `site="…"` sample of a shared counter family: `(family,
+    /// site)`. The family's `# HELP` is its first member's help.
+    Site(&'static str, &'static str),
+    /// Not on the page: reserved fields, and counts the page already
+    /// shows from `LockStats`.
+    Off,
 }
 
-impl ObsCounters {
-    /// Accumulate `other` into `self`, field by field. A multi-tenant
-    /// host sums per-service counter snapshots into one machine-wide
-    /// rollup with this; every field is a monotonic total, so the sum
-    /// is exact. The destructured pattern makes adding a field without
-    /// extending the merge a compile error.
-    pub fn merge(&mut self, other: &ObsCounters) {
-        let ObsCounters {
-            timeouts,
-            batches,
-            batch_items,
-            deadlock_victims,
-            sync_growth_granted,
-            sync_growth_denied,
-            depot_reclaim_sweeps,
-            depot_reclaimed_slots,
-            journal_recorded,
-            journal_dropped,
-            watchdog_restarts,
-            clients_evicted,
-            shed_engaged,
-            shed_released,
-            shed_rejected,
-            faults_injected,
-            remote_cancels,
-            failover_probes,
-            epoch_bumps,
-            fenced_requests,
-            degraded_batches,
-            grant_spin_hits,
-            grant_parks,
-        } = other;
-        self.timeouts += timeouts;
-        self.batches += batches;
-        self.batch_items += batch_items;
-        self.deadlock_victims += deadlock_victims;
-        self.sync_growth_granted += sync_growth_granted;
-        self.sync_growth_denied += sync_growth_denied;
-        self.depot_reclaim_sweeps += depot_reclaim_sweeps;
-        self.depot_reclaimed_slots += depot_reclaimed_slots;
-        self.journal_recorded += journal_recorded;
-        self.journal_dropped += journal_dropped;
-        self.watchdog_restarts += watchdog_restarts;
-        self.clients_evicted += clients_evicted;
-        self.shed_engaged += shed_engaged;
-        self.shed_released += shed_released;
-        self.shed_rejected += shed_rejected;
-        self.faults_injected += faults_injected;
-        self.remote_cancels += remote_cancels;
-        self.failover_probes += failover_probes;
-        self.epoch_bumps += epoch_bumps;
-        self.fenced_requests += fenced_requests;
-        self.degraded_batches += degraded_batches;
-        self.grant_spin_hits += grant_spin_hits;
-        self.grant_parks += grant_parks;
+/// Declares a counter table, one line per counter in wire order:
+/// `field: "help", export;` with `export` one of `total` (family
+/// `locktune_<field>_total`), `total(name)` (`locktune_<name>_total`),
+/// `site(family, site)` (a sample of `locktune_<family>_total`) or
+/// `off`. It generates the struct of `pub u64` fields with `COUNT`,
+/// `EXPORT`, `merge`, a `(name, help, value)` iterator and `values_mut`,
+/// and its atomic twin, which live code records into and whose `load`
+/// freezes the struct. A key, `Name(key: Type, "help")`, is a plain
+/// first field of the struct, passed to `load` and not counted.
+macro_rules! counters {
+    (@export $f:ident total) => {
+        Export::Total(concat!("locktune_", stringify!($f), "_total"))
+    };
+    (@export $f:ident total($name:ident)) => {
+        Export::Total(concat!("locktune_", stringify!($name), "_total"))
+    };
+    (@export $f:ident site($family:ident, $site:ident)) => {
+        Export::Site(concat!("locktune_", stringify!($family), "_total"), stringify!($site))
+    };
+    (@export $f:ident off) => {
+        Export::Off
+    };
+    (
+        $(#[$meta:meta])* $name:ident $(($key:ident: $key_ty:ty, $key_help:literal))?,
+        $(#[$twin_meta:meta])* $twin_vis:vis $twin:ident {
+            $($f:ident: $help:literal, $export:ident $(($($arg:ident),+))?;)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $(#[doc = $key_help] pub $key: $key_ty,)?
+            $(#[doc = $help] pub $f: u64,)+
+        }
+
+        impl $name {
+            /// Counters in the table (the key field is not one).
+            pub const COUNT: usize = [$(stringify!($f)),+].len();
+            /// How each counter shows on the Prometheus page, in table
+            /// order.
+            pub const EXPORT: [Export; Self::COUNT] =
+                [$(counters!(@export $f $export $(($($arg),+))?)),+];
+
+            /// Accumulate `other` into `self`, counter by counter.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$f += other.$f;)+
+            }
+
+            /// `(name, help, value)` of every counter, in table order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$((stringify!($f), $help, self.$f)),+].into_iter()
+            }
+
+            /// Every counter, writable, in table order.
+            pub fn values_mut(&mut self) -> [&mut u64; Self::COUNT] {
+                [$(&mut self.$f),+]
+            }
+        }
+
+        $(#[$twin_meta])*
+        #[derive(Debug, Default)]
+        $twin_vis struct $twin {
+            $(#[doc = $help] pub $f: AtomicU64,)+
+        }
+
+        impl $twin {
+            #[doc = concat!("Freeze a [`", stringify!($name), "`] (relaxed loads).")]
+            pub fn load(&self $(, $key: $key_ty)?) -> $name {
+                $name { $($key,)? $($f: self.$f.load(Ordering::Relaxed),)+ }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Monotonic counters kept by the instrumentation layer itself
+    /// (quantities the per-shard `LockStats` don't track). A
+    /// multi-tenant host or a cluster view sums snapshots with `merge`;
+    /// every field is a monotonic total, so the sum is exact.
+    ObsCounters,
+    /// The atomics [`crate::Obs`] records into; the per-shard grant
+    /// wake counts and the journal's totals are filled in at scrape.
+    pub(crate) AtomicObsCounters {
+        timeouts: "Lock waits that ended in LOCKTIMEOUT.", total;
+        batches: "lock_many batches.", total;
+        batch_items: "Items across all batches.", total;
+        deadlock_victims: "Applications aborted by the deadlock sweeper.", total;
+        sync_growth_granted: "Synchronous growth attempts granted.", total;
+        sync_growth_denied: "Synchronous growth attempts denied (paged from LockStats).", off;
+        depot_reclaim_sweeps: "Reserved, always 0: the allocator's retired sibling-cache sweep.", off;
+        depot_reclaimed_slots: "Reserved, always 0, like depot_reclaim_sweeps.", off;
+        journal_recorded: "Events recorded into the journal.", total(journal_events);
+        journal_dropped: "Events dropped because the journal was full.", total;
+        watchdog_restarts: "Dead tuner/sweeper threads respawned by the watchdog.", total;
+        clients_evicted: "Clients evicted for a reply queue stuck at capacity.", total;
+        shed_engaged: "Times shed mode engaged under sustained pool exhaustion.", total;
+        shed_released: "Times shed mode released.", total;
+        shed_rejected: "Lock requests rejected while shed mode was engaged.", total;
+        faults_injected: "Deliberately injected faults (faults feature only).", total;
+        remote_cancels: "Waits cancelled for a remote cluster deadlock detector.", total;
+        failover_probes: "Cluster-supervisor health probes answered.", total;
+        epoch_bumps: "Fence-epoch advances (partition-map changes applied).", total;
+        fenced_requests: "Lock requests fenced with WrongEpoch for a stale epoch.", total;
+        degraded_batches: "Batches served while holding slots reassigned from a dead peer.", total;
+        grant_spin_hits: "Waits resolved by a spin probe, without parking the thread.", site(wake_spin_hits, grant);
+        grant_parks: "Waits that parked in their blocking call.", site(wake_parks, grant);
     }
 }
 
@@ -169,33 +173,26 @@ impl TuningTick {
     }
 }
 
-/// One evented I/O shard's counters, as surfaced in the Metrics frame
-/// and `locktune-top`. Empty for in-process scrapes and the threaded
-/// server (which has no I/O shards); the evented TCP server patches a
-/// row per shard into [`MetricsSnapshot::io_shards`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoShardStats {
-    /// Shard index (0-based).
-    pub shard: u32,
-    /// Connections this shard currently owns.
-    pub connections: u64,
-    /// eventfd doorbell wakeups delivered (grant/abort crossings from
-    /// service threads plus new-connection handoffs).
-    pub wakeups: u64,
-    /// `writev` syscalls issued.
-    pub writev_calls: u64,
-    /// Reply frames those calls carried — `writev_frames /
-    /// writev_calls` is the coalescing ratio.
-    pub writev_frames: u64,
-    /// High-water mark of any one connection's write-buffer backlog,
-    /// in bytes (the slow-client eviction trigger).
-    pub write_buf_hwm: u64,
-    /// Waits for socket readiness resolved by the shard's spin (a
-    /// zero-timeout poll found work), without blocking in `epoll_wait`.
-    pub spin_hits: u64,
-    /// Waits that blocked in `epoll_wait`. An idle or slowly-paced
-    /// shard shows `parks` ≈ requests and `spin_hits` ≈ 0.
-    pub parks: u64,
+counters! {
+    /// One evented I/O shard's counters, as surfaced in the Metrics
+    /// frame and `locktune-top`; the evented TCP server patches a row
+    /// per shard into [`MetricsSnapshot::io_shards`]. `merge` sums
+    /// `write_buf_hwm` too, which then bounds the largest backlog.
+    IoShardStats(shard: u32, "Shard index (0-based)."),
+    /// The atomics one evented I/O shard records into, on cache lines of
+    /// their own: the shards' sets sit side by side and each writes its
+    /// own on every loop and reply frame. 128 rather than 64: the
+    /// adjacent-line prefetcher pulls lines in pairs.
+    #[repr(align(128))]
+    pub AtomicIoShardStats {
+        connections: "Connections this shard currently owns.", off;
+        wakeups: "eventfd doorbell wakeups (grant/abort crossings and new-connection handoffs).", off;
+        writev_calls: "writev syscalls issued.", off;
+        writev_frames: "Reply frames those calls carried (per call: the coalescing ratio).", off;
+        write_buf_hwm: "High-water mark of one connection's write backlog, in bytes.", off;
+        spin_hits: "Readiness waits the shard's spin resolved, without epoll_wait.", site(wake_spin_hits, io_shard);
+        parks: "Readiness waits that blocked in epoll_wait.", site(wake_parks, io_shard);
+    }
 }
 
 /// Everything `LockService::observe` returns and opcode `0x88`
