@@ -23,8 +23,8 @@
 //! the connection's `EPOLLIN` interest (level-triggered epoll would
 //! otherwise re-report the unread bytes every tick) and moves on to
 //! other connections. The grant or deadlock abort arrives from a
-//! service thread as a [`SessionEvent`] on the shard's channel plus an
-//! eventfd wake ([`EventSink`]); the shard resumes the machine,
+//! service thread as a [`SessionEvent`] in the shard's [`EventSink`],
+//! whose mailbox rings the shard's eventfd; the shard resumes the machine,
 //! encodes the reply, and continues with any frames already buffered —
 //! a pipelining client still sees strict arrival-order execution.
 //!
@@ -59,14 +59,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use locktune_faults::FaultSite;
 use locktune_lockmgr::hash::FxHashMap;
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_metrics::raise_max;
 use locktune_obs::AtomicIoShardStats;
 use locktune_service::{
-    BatchMachine, BatchOutcome, EventSink, ServiceError, SessionEvent, SpinPark, Step,
+    BatchMachine, BatchOutcome, EventSink, Mailbox, ServiceError, SessionEvent, SpinPark, Step,
 };
 
 use crate::poll::{PollEvent, Poller, WakeFd, EPOLLIN, EPOLLOUT};
@@ -105,8 +104,7 @@ struct NewConn {
 
 /// The accept thread's handle on one shard.
 struct ShardHandle {
-    ctrl: Sender<NewConn>,
-    wake: Arc<WakeFd>,
+    inbox: Arc<Mailbox<NewConn>>,
     sink: EventSink,
     thread: JoinHandle<()>,
 }
@@ -156,8 +154,7 @@ pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         // shard's event sink; multi-tenant connections bind at Hello.
         let ctx = match &shared.backend {
             Backend::Single(service) => {
-                let Some(session) =
-                    server::allocate_session_with_sink(shared, service, &shard.sink)
+                let Some(session) = server::allocate_session(shared, service, Some(&shard.sink))
                 else {
                     shared.conn_count.fetch_sub(1, Ordering::AcqRel);
                     let _ = stream.shutdown(Shutdown::Both);
@@ -191,16 +188,14 @@ pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         if let Ok(clone) = stream.try_clone() {
             shared.conns.lock().unwrap().streams.insert(conn_id, clone);
         }
-        if shard.ctrl.send(NewConn { stream, ctx }).is_err() {
+        if shard.inbox.push(NewConn { stream, ctx }).is_err() {
             // Shard thread died (pathological); release the slot.
             shared.conns.lock().unwrap().streams.remove(&conn_id);
             shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-            continue;
         }
-        shard.wake.wake();
     }
     for s in &shards {
-        s.wake.wake();
+        s.inbox.close(); // rings the shard, which sees the shutdown flag
     }
     for s in shards {
         let _ = s.thread.join();
@@ -215,19 +210,15 @@ fn spawn_shard(
     let poller = Poller::new()?;
     let wake = Arc::new(WakeFd::new()?);
     poller.add(wake.raw_fd(), EPOLLIN, WAKE_TOKEN)?;
-    let (ctrl_tx, ctrl_rx) = channel::unbounded::<NewConn>();
-    let (ev_tx, ev_rx) = channel::unbounded::<(AppId, SessionEvent)>();
-    let sink = {
-        let wake = Arc::clone(&wake);
-        EventSink::new(ev_tx, Arc::new(move || wake.wake()))
-    };
+    let (ring_inbox, ring_sink) = (Arc::clone(&wake), Arc::clone(&wake));
+    let inbox = Arc::new(Mailbox::with_wake(move || ring_inbox.wake()));
+    let sink = Arc::new(Mailbox::with_wake(move || ring_sink.wake()));
     let shard = Shard {
         shared: Arc::clone(shared),
         index,
         poller,
-        wake: Arc::clone(&wake),
-        ctrl: ctrl_rx,
-        events: ev_rx,
+        wake,
+        inbox: Arc::clone(&inbox),
         sink: sink.clone(),
         stats: Arc::clone(stats),
         conns: FxHashMap::default(),
@@ -243,8 +234,7 @@ fn spawn_shard(
         .name(format!("locktune-io-{index}"))
         .spawn(move || shard.run())?;
     Ok(ShardHandle {
-        ctrl: ctrl_tx,
-        wake,
+        inbox,
         sink,
         thread,
     })
@@ -334,7 +324,7 @@ struct Conn {
     pressure_deadline: Option<Instant>,
     /// A deadlock abort arrived while no request was in flight; the
     /// next lock/unlock-all surfaces `DeadlockVictim`, exactly like
-    /// the threaded session's pending-abort channel.
+    /// a pending abort in the threaded session's own sink.
     aborted: bool,
     eof: bool,
     closing: bool,
@@ -348,8 +338,9 @@ struct Shard {
     index: usize,
     poller: Poller,
     wake: Arc<WakeFd>,
-    ctrl: Receiver<NewConn>,
-    events: Receiver<(AppId, SessionEvent)>,
+    /// Newly admitted connections from the accept thread.
+    inbox: Arc<Mailbox<NewConn>>,
+    /// Grant and abort events for every session this shard owns.
     sink: EventSink,
     stats: Arc<Vec<AtomicIoShardStats>>,
     conns: FxHashMap<u64, Conn>,
@@ -366,6 +357,15 @@ struct Shard {
     /// borrow doesn't pin the connection during dispatch.
     payload: Vec<u8>,
     batch_items: Vec<(ResourceId, LockMode)>,
+}
+
+/// A shard that stops, by shutdown or a panic, closes its mailboxes: the
+/// accept thread's next hand-off to it fails, and events stop queueing.
+impl Drop for Shard {
+    fn drop(&mut self) {
+        self.inbox.close();
+        self.sink.close();
+    }
 }
 
 impl Shard {
@@ -386,8 +386,8 @@ impl Shard {
                     self.on_io(ev);
                 }
             }
-            // Channels are drained every tick regardless of which fd
-            // woke us: the wake is drained *before* the queues (the
+            // Mailboxes are drained every tick regardless of which fd
+            // woke us: the wake is drained *before* the mailboxes (the
             // order that cannot lose a message), and a conn event may
             // have arrived while we were busy with sockets.
             self.drain_ctrl();
@@ -441,7 +441,7 @@ impl Shard {
     // ---- connection lifecycle ----------------------------------------
 
     fn drain_ctrl(&mut self) {
-        while let Ok(NewConn { stream, ctx }) = self.ctrl.try_recv() {
+        while let Some(NewConn { stream, ctx }) = self.inbox.try_pop() {
             let token = ctx.conn_id;
             let fd = stream.as_raw_fd();
             let conn = Conn {
@@ -712,7 +712,7 @@ impl Shard {
                 self.settle(conn, id, false, step);
             }
             // The threaded session surfaces a pending deadlock abort
-            // from its channel at the next unlock_all; the evented
+            // from its own sink at the next unlock_all; the evented
             // equivalent lives on the conn.
             Request::UnlockAll if conn.aborted => {
                 conn.aborted = false;
@@ -731,7 +731,7 @@ impl Shard {
             Request::Hello { tenant } => {
                 let sink = self.sink.clone();
                 let result = server::hello_with(&self.shared, &mut conn.ctx, tenant, &|sh, svc| {
-                    server::allocate_session_with_sink(sh, svc, &sink)
+                    server::allocate_session(sh, svc, Some(&sink))
                 });
                 if result.is_ok() {
                     if let Some(session) = conn.ctx.session.as_ref() {
@@ -903,7 +903,7 @@ impl Shard {
     // ---- events and timers -------------------------------------------
 
     fn drain_events(&mut self) {
-        while let Ok((app, event)) = self.events.try_recv() {
+        while let Some((app, event)) = self.sink.try_pop() {
             let Some(&token) = self.by_app.get(&app) else {
                 continue; // connection already torn down
             };
@@ -919,7 +919,7 @@ impl Shard {
             } else if event == SessionEvent::Aborted {
                 // Abort landed between requests (the sweeper confirmed
                 // the wait just as it resolved): pend it, same as the
-                // threaded session's channel.
+                // threaded session's own sink.
                 conn.aborted = true;
             }
             self.finish(token, conn);

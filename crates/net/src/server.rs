@@ -6,13 +6,13 @@
 //! * the reader owns the connection's [`Session`] (`AppId` allocated
 //!   server-side from an atomic counter — client ids are never
 //!   trusted), decodes requests and executes them in arrival order.
-//!   Lock requests block right there on the session's grant channel, so
+//!   Lock requests block right there on the session's event sink, so
 //!   grant waiting reuses the service's spin-then-park machinery
 //!   unchanged; replies are handed to the writer as they complete
 //!   (completion order == arrival order for a single connection, and
 //!   ids correlate regardless);
-//! * the writer drains a **bounded** channel of pre-encoded reply
-//!   frames onto the socket, flushing whenever the channel runs
+//! * the writer drains a **bounded** mailbox of pre-encoded reply
+//!   frames onto the socket, flushing whenever the mailbox runs
 //!   empty — consecutive replies to a pipelining client coalesce into
 //!   one TCP segment, and a client that stops reading backpressures
 //!   its own reader instead of growing server memory (see
@@ -35,13 +35,12 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, SendTimeoutError, TryRecvError};
 use locktune_faults::{FaultInjector, FaultSite};
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_metrics::raise_max;
-use locktune_service::{BatchOutcome, EventSink, LockService, Session};
+use locktune_service::{BatchOutcome, CloseOnDrop, EventSink, LockService, Mailbox, Session};
 use locktune_tenants::{MachineRollup, TenantDirectory};
 
 use crate::wire::{
@@ -70,10 +69,10 @@ pub enum IoModel {
 /// configured separately via `ServiceConfig`).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Capacity of each connection's reader→writer reply channel, in
-    /// encoded frames. The channel is **bounded**: when a client stops
+    /// Capacity of each connection's reader→writer reply queue, in
+    /// encoded frames. The queue is **bounded**: when a client stops
     /// reading its replies, the writer blocks on the socket, the
-    /// channel fills, and the connection's reader blocks on the send —
+    /// queue fills, and the connection's reader blocks on the push —
     /// so the misbehaving client backpressures *itself* (its own
     /// unread requests pile up in kernel socket buffers) instead of
     /// growing server memory without bound.
@@ -365,29 +364,21 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 /// Allocate an unused AppId on `service`. The counter is normally
 /// enough; the loop covers collision with an in-process session
 /// connected directly to the same service. The counter is shared
-/// across tenants, so an app id is unique machine-wide.
-pub(crate) fn allocate_session(shared: &Shared, service: &Arc<LockService>) -> Option<Session> {
-    for _ in 0..u16::MAX {
-        let id = shared.next_app.fetch_add(1, Ordering::Relaxed);
-        if let Ok(session) = service.try_connect(AppId(id)) {
-            return Some(session);
-        }
-    }
-    None
-}
-
-/// [`allocate_session`] for the evented model: grants and aborts are
-/// delivered to the owning I/O shard's [`EventSink`] (channel send +
-/// eventfd wake) instead of a private blocking channel, because nothing
-/// ever parks on an evented session.
-pub(crate) fn allocate_session_with_sink(
+/// across tenants, so an app id is unique machine-wide. An evented
+/// session passes its I/O shard's `sink`, which its grants and aborts
+/// go to instead of a private one: nothing ever parks on it.
+pub(crate) fn allocate_session(
     shared: &Shared,
     service: &Arc<LockService>,
-    sink: &EventSink,
+    sink: Option<&EventSink>,
 ) -> Option<Session> {
     for _ in 0..u16::MAX {
-        let id = shared.next_app.fetch_add(1, Ordering::Relaxed);
-        if let Ok(session) = service.try_connect_with_sink(AppId(id), sink) {
+        let app = AppId(shared.next_app.fetch_add(1, Ordering::Relaxed));
+        let session = match sink {
+            Some(sink) => service.try_connect_with_sink(app, sink),
+            None => service.try_connect(app),
+        };
+        if let Ok(session) = session {
             return Some(session);
         }
     }
@@ -428,7 +419,7 @@ fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // connections start unbound and bind at their Hello frame.
     let conn = match &shared.backend {
         Backend::Single(service) => {
-            let Some(session) = allocate_session(shared, service) else {
+            let Some(session) = allocate_session(shared, service, None) else {
                 // Id space exhausted (pathological); refuse the
                 // connection.
                 shared.conn_count.fetch_sub(1, Ordering::AcqRel);
@@ -518,10 +509,12 @@ pub(crate) const RECYCLE_MAX_BYTES: usize = 16 * 1024;
 /// for any reason; the session (and with it every lock) is released on
 /// return.
 ///
-/// The reply channel is **bounded** (see
+/// The reply queue is **bounded** (see
 /// [`ServerConfig::reply_queue_capacity`]): a client that stops
-/// reading eventually blocks this thread on `tx.send`, which stops it
+/// reading eventually blocks this thread on the push, which stops it
 /// reading further requests — backpressure, not unbounded buffering.
+/// Both ends close the queue on exit, panics included: the writer then
+/// drains it and exits, and the reader's next push is refused.
 ///
 /// Allocation discipline: the frame payload, the decoded batch items
 /// and the batch outcomes all live in buffers reused across requests,
@@ -534,20 +527,23 @@ fn serve_connection(
     read_stream: TcpStream,
     write_stream: TcpStream,
 ) {
-    let (tx, rx) = channel::bounded::<Vec<u8>>(shared.config.reply_queue_capacity);
+    let replies = Arc::new(Mailbox::new());
+    let cap = shared.config.reply_queue_capacity;
     let freelist: Freelist = Arc::new(Mutex::new(Vec::new()));
-    let retain = shared.config.reply_queue_capacity + 2;
+    let retain = cap + 2;
     let writer = {
+        let replies = Arc::clone(&replies);
         let freelist = Arc::clone(&freelist);
         let faults = shared.config.faults.clone();
         std::thread::Builder::new()
             .name("locktune-conn-writer".into())
-            .spawn(move || writer_loop(rx, write_stream, &freelist, retain, &faults))
+            .spawn(move || writer_loop(&replies, write_stream, &freelist, retain, &faults))
     };
     let writer = match writer {
         Ok(w) => w,
         Err(_) => return,
     };
+    let closer = CloseOnDrop(&replies);
 
     let mut r = BufReader::new(read_stream);
     let mut payload: Vec<u8> = Vec::new();
@@ -600,29 +596,27 @@ fn serve_connection(
         if !encoded {
             break; // protocol error
         }
-        match tx.send_timeout(frame, shared.config.eviction_deadline) {
-            Ok(()) => {}
+        let deadline = Instant::now() + shared.config.eviction_deadline;
+        if replies.push_until(frame, cap, deadline).is_err() {
+            if replies.is_closed() {
+                break; // writer died (client gone)
+            }
             // Queue full for the whole deadline: the client stopped
             // draining replies. Ordinary backpressure already stalled
             // this reader; past the deadline the connection is evicted
             // so its two threads (and its locks, via session drop)
             // stop being pinned by a dead-but-connected peer.
-            Err(SendTimeoutError::Timeout(_)) => {
-                if let (Some(service), Some(session)) = (&conn.service, &conn.session) {
-                    service.note_client_evicted(session.app());
-                }
-                let _ = r.get_ref().shutdown(Shutdown::Both);
-                break;
+            if let (Some(service), Some(session)) = (&conn.service, &conn.session) {
+                service.note_client_evicted(session.app());
             }
-            Err(SendTimeoutError::Disconnected(_)) => {
-                break; // writer died (client gone)
-            }
+            let _ = r.get_ref().shutdown(Shutdown::Both);
+            break;
         }
-        // Post-send queue depth is the frames the writer hasn't drained
+        // Post-push queue depth is the frames the writer hasn't drained
         // yet — the congestion signal the Stats/Metrics replies expose.
-        raise_max(&shared.reply_hwm, tx.len() as u64);
+        raise_max(&shared.reply_hwm, replies.len() as u64);
     }
-    drop(tx);
+    drop(closer);
     let _ = writer.join();
     // `session` drops here: cancel_wait + unlock_all on every shard.
 }
@@ -662,40 +656,33 @@ fn write_frame(w: &mut BufWriter<TcpStream>, frame: &[u8], faults: &FaultInjecto
     w.write_all(frame).is_ok()
 }
 
+/// Write queued replies until the reader closes the queue and it runs
+/// dry, or the socket fails; either way the queue is closed on return.
 fn writer_loop(
-    rx: Receiver<Vec<u8>>,
+    replies: &Mailbox<Vec<u8>>,
     stream: TcpStream,
     freelist: &Freelist,
     retain: usize,
     faults: &FaultInjector,
 ) {
+    let _closer = CloseOnDrop(replies);
     let mut w = BufWriter::new(stream);
-    while let Ok(frame) = rx.recv() {
+    while let Some(frame) = replies.pop_until(None) {
         if !write_frame(&mut w, &frame, faults) {
             return;
         }
         recycle(freelist, retain, frame);
         // Coalesce: only flush once no further reply is ready.
-        loop {
-            match rx.try_recv() {
-                Ok(next) => {
-                    if !write_frame(&mut w, &next, faults) {
-                        return;
-                    }
-                    recycle(freelist, retain, next);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    let _ = w.flush();
-                    return;
-                }
+        while let Some(next) = replies.try_pop() {
+            if !write_frame(&mut w, &next, faults) {
+                return;
             }
+            recycle(freelist, retain, next);
         }
         if w.flush().is_err() {
             return;
         }
     }
-    let _ = w.flush();
 }
 
 /// Execute one decoded request. `None` is a protocol violation the
@@ -910,11 +897,13 @@ fn cancel_wait(shared: &Arc<Shared>, conn: &ConnCtx, app: u32) -> bool {
 /// the conventional `tenant 0` no-op, so a client can say Hello
 /// unconditionally.
 fn hello(shared: &Arc<Shared>, conn: &mut ConnCtx, tenant: u32) -> Result<(), String> {
-    hello_with(shared, conn, tenant, &allocate_session)
+    hello_with(shared, conn, tenant, &|sh, svc| {
+        allocate_session(sh, svc, None)
+    })
 }
 
 /// [`hello`] with the session allocator abstracted out, so the evented
-/// dispatcher binds tenants through [`allocate_session_with_sink`]
+/// dispatcher binds tenants through [`allocate_session`] with its sink
 /// while sharing every other rule (single-tenant no-op, double-bind
 /// rejection, binding registration).
 pub(crate) fn hello_with(

@@ -76,7 +76,7 @@ struct ShardObs {
     latch_hold: AtomicHistogram,
     /// Grant waits resolved by the spin, without parking.
     grant_spin_hits: AtomicU64,
-    /// Grant waits that parked on the session channel.
+    /// Grant waits that parked on the session's sink.
     grant_parks: AtomicU64,
 }
 

@@ -23,6 +23,8 @@
 //! * blocking [`Session`] handles that park on their own event sink
 //!   until a grant or abort arrives, with `LOCKTIMEOUT` support,
 //!   waiting through the shared spin-then-park policy in [`spin`];
+//! * one single-consumer [`Mailbox`] for every hand-off between threads
+//!   (session and I/O-shard events, the network server's queues);
 //! * one batch engine, [`step::BatchMachine`], which blocking sessions
 //!   and the evented network core both drive;
 //! * a [`stress`] driver mixing OLTP and DSS footprints across worker
@@ -33,6 +35,7 @@
 
 pub mod config;
 pub mod latch;
+pub mod mailbox;
 pub mod service;
 pub mod spin;
 pub mod step;
@@ -42,6 +45,7 @@ mod tuning;
 pub use config::{ConfigError, ServiceConfig};
 pub use latch::Latch;
 pub use locktune_faults::{FaultInjector, FaultPlan, FaultSite};
+pub use mailbox::{CloseOnDrop, Mailbox};
 pub use service::{
     BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ShutdownReport,
     ThreadExit, ThreadHealth, TuningCounters,

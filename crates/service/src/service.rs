@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use locktune_core::TunerParams;
 use locktune_faults::{FaultInjector, FaultSite, SITE_COUNT};
 use locktune_lockmgr::{
@@ -43,6 +42,7 @@ use locktune_sim::SimDuration;
 
 use crate::config::{ConfigError, ServiceConfig};
 use crate::latch::Latch;
+use crate::mailbox::Mailbox;
 use crate::spin::SpinPark;
 use crate::step::{BatchMachine, WaitState};
 use crate::tuning::{ServiceHooks, TuningShared};
@@ -51,6 +51,13 @@ use crate::tuning::{ServiceHooks, TuningShared};
 /// the obs-off build dead-code-eliminates them entirely — the A/B
 /// bench in `locktune-bench` holds this gate to its <2 % budget.
 pub(crate) const OBS_ENABLED: bool = cfg!(feature = "obs");
+
+/// `spin_loop`s (≈ 0.6 µs) a releaser pauses for after handing locks to
+/// waiters. Without it a committer's next transaction runs in lockstep
+/// with the waiter it just granted and collides with it again: on
+/// `inproc_contended` waits per transaction double and p50 goes ×1.7
+/// (DESIGN §8.2).
+const HANDOFF_PAUSE: u32 = 32;
 
 /// One shard: a lock manager behind its [`Latch`] (spin, yield, then
 /// block: holds are sub-microsecond), on cache lines of its own. Shards
@@ -180,36 +187,15 @@ pub enum SessionEvent {
     Aborted,
 }
 
-/// Where a session's wait events go. Every session has one: a
-/// blocking session's private sink (see [`LockService::try_connect`]),
-/// or a sink shared by every session an I/O shard owns (see
-/// [`LockService::try_connect_with_sink`]). Events funnel into `tx`
-/// tagged with the [`AppId`], and `wake` is invoked after each send so
-/// a (possibly sleeping) owner notices — an eventfd write in the
-/// evented server, nothing for a private sink, whose owner blocks on
-/// the channel itself.
-#[derive(Clone)]
-pub struct EventSink {
-    tx: Sender<(AppId, SessionEvent)>,
-    wake: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl EventSink {
-    /// Build a sink from the shared event channel and a wake callback.
-    /// `wake` must be cheap, non-blocking and safe to call from any
-    /// service thread (grant delivery happens under no shard latch,
-    /// but inside lock/unlock/sweeper paths).
-    pub fn new(tx: Sender<(AppId, SessionEvent)>, wake: Arc<dyn Fn() + Send + Sync>) -> EventSink {
-        EventSink { tx, wake }
-    }
-
-    fn send(&self, app: AppId, event: SessionEvent) {
-        // A send can only fail if the session dropped; its locks are
-        // being torn down anyway.
-        let _ = self.tx.send((app, event));
-        (self.wake)();
-    }
-}
+/// Where a session's wait events go, tagged with their [`AppId`]. Every
+/// session has one: a blocking session's private sink, which it pops
+/// and parks on itself (see [`LockService::try_connect`]), or a sink
+/// shared by every session an I/O shard owns, built with
+/// [`Mailbox::with_wake`] to ring the shard's eventfd (see
+/// [`LockService::try_connect_with_sink`]). A push is refused only once
+/// the consumer has closed the sink, when its sessions are being torn
+/// down, so delivery ignores the result.
+pub type EventSink = Arc<Mailbox<(AppId, SessionEvent)>>;
 
 /// Monotonic totals of the tuning thread's work. The decision *log*
 /// is a keep-last-N ring (see [`ServiceConfig::tuning_log_capacity`]),
@@ -433,8 +419,8 @@ impl ServiceInner {
     }
 
     /// Forward grant notifications to the waiters' sinks, leaving
-    /// `notices` empty with its capacity. Call with no shard latch
-    /// held.
+    /// `notices` empty with its capacity, then pause for
+    /// [`HANDOFF_PAUSE`]. Call with no shard latch held.
     pub(crate) fn deliver(&self, notices: &mut Vec<GrantNotice>) {
         if notices.is_empty() {
             return;
@@ -442,8 +428,12 @@ impl ServiceInner {
         let registry = self.registry.lock();
         for n in notices.drain(..) {
             if let Some(sink) = registry.get(&n.app) {
-                sink.send(n.app, SessionEvent::Granted);
+                let _ = sink.push((n.app, SessionEvent::Granted));
             }
+        }
+        drop(registry);
+        for _ in 0..HANDOFF_PAUSE {
+            std::hint::spin_loop();
         }
     }
 
@@ -543,7 +533,7 @@ impl ServiceInner {
         }
         self.deliver(&mut notices);
         if let Some(sink) = self.registry.lock().get(&app) {
-            sink.send(app, SessionEvent::Aborted);
+            let _ = sink.push((app, SessionEvent::Aborted));
         }
         true
     }
@@ -924,8 +914,7 @@ impl LockService {
     /// arrives from an untrusted remote peer — the network server
     /// resolves duplicates by allocating fresh ids instead.
     pub fn try_connect(&self, app: AppId) -> Result<Session, ServiceError> {
-        let (tx, rx) = channel::unbounded();
-        self.register(app, EventSink::new(tx, Arc::new(|| {})), Some(rx))
+        self.register(app, Arc::new(Mailbox::new()))
     }
 
     /// Register an application whose wait events go to a shared
@@ -941,21 +930,16 @@ impl LockService {
         app: AppId,
         sink: &EventSink,
     ) -> Result<Session, ServiceError> {
-        self.register(app, sink.clone(), None)
+        self.register(app, sink.clone())
     }
 
-    fn register(
-        &self,
-        app: AppId,
-        sink: EventSink,
-        rx: Option<Receiver<(AppId, SessionEvent)>>,
-    ) -> Result<Session, ServiceError> {
+    fn register(&self, app: AppId, sink: EventSink) -> Result<Session, ServiceError> {
         {
             let mut registry = self.inner.registry.lock();
             if registry.contains_key(&app) {
                 return Err(ServiceError::AlreadyConnected(app));
             }
-            registry.insert(app, sink);
+            registry.insert(app, sink.clone());
         }
         self.inner
             .tuning
@@ -964,7 +948,7 @@ impl LockService {
         Ok(Session {
             inner: Arc::clone(&self.inner),
             app,
-            rx,
+            sink,
             ever_waited: std::cell::Cell::new(false),
             spin: std::cell::Cell::new(SpinPark::new()),
             requests: std::cell::Cell::new(1),
@@ -1325,9 +1309,9 @@ impl Drop for LockService {
 pub struct Session {
     pub(crate) inner: Arc<ServiceInner>,
     app: AppId,
-    /// The receiving end of this session's private sink (`None` for a
-    /// session on a shared sink, which never parks).
-    rx: Option<Receiver<(AppId, SessionEvent)>>,
+    /// This session's own sink, which it pops and parks on, or one an
+    /// I/O shard shares and pops (such a session never waits here).
+    sink: EventSink,
     /// Whether this session has ever parked on its sink. A session
     /// that never waited can never appear in a wait-for edge, so it can
     /// never be a deadlock victim and the stale-message drain on the
@@ -1425,15 +1409,14 @@ impl Session {
 
     /// Drain stale events from the session's own sink; `true` if a
     /// deadlock abort is pending. Only sessions that have waited can
-    /// have been aborted, so the common never-waited case skips the
-    /// channel entirely.
+    /// have been aborted, and only they own the sink they pop: a
+    /// session on an I/O shard's shared sink never waits here.
     fn pending_abort(&self) -> bool {
         if !self.ever_waited.get() {
             return false;
         }
-        let rx = self.rx.as_ref().expect("waited, so owns its sink");
         let mut aborted = false;
-        while let Ok((_, event)) = rx.try_recv() {
+        while let Some((_, event)) = self.sink.try_pop() {
             aborted |= event == SessionEvent::Aborted;
         }
         aborted
@@ -1548,23 +1531,16 @@ impl Session {
     /// whose waits are long stops probing.
     pub(crate) fn wait(&self, shard: usize, deadline: Option<Instant>) -> Option<SessionEvent> {
         self.ever_waited.set(true);
-        let rx = self.rx.as_ref().expect("a blocking session owns its sink");
         let mut spin = self.spin.get();
-        let polled = spin.spin(deadline, || rx.try_recv().ok());
+        let polled = spin.spin(deadline, || self.sink.try_pop());
         self.spin.set(spin);
         if OBS_ENABLED {
             self.inner.obs.record_grant_wake(shard, polled.is_some());
         }
-        // The registry holds the sender for as long as the session
-        // lives, so the channel cannot disconnect under a wait.
-        let (app, event) = match (polled, deadline) {
-            (Some(msg), _) => msg,
-            (None, None) => rx.recv().expect("sink registered"),
-            (None, Some(d)) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => return None,
-                Err(RecvTimeoutError::Disconnected) => unreachable!("sink registered"),
-            },
+        // A private sink is never closed, so `None` is the deadline.
+        let (app, event) = match polled {
+            Some(msg) => msg,
+            None => self.sink.pop_until(deadline)?,
         };
         debug_assert_eq!(app, self.app, "grant routed to wrong session");
         Some(event)
@@ -1631,7 +1607,6 @@ impl Drop for Session {
             });
         }
         self.inner.registry.lock().remove(&self.app);
-        self.rx = None;
         self.inner
             .tuning
             .num_applications

@@ -2,7 +2,7 @@
 //! waits for another thread (or a peer process) to hand it work.
 //!
 //! Three sites park in this system — a session waiting for a lock
-//! grant ([`Session`](crate::Session)'s channel receive), an evented
+//! grant (in its [`Mailbox`](crate::Mailbox)), an evented
 //! I/O shard waiting for socket readiness (`epoll_wait`), and a client
 //! waiting for its reply (`read`). Parking is the right thing when the
 //! wait is long, but waking a parked thread costs a futex or socket
@@ -50,7 +50,7 @@
 //! * While off, the one-in-64 spin costs under 1 µs per wait, and an
 //!   idle site — one that is not waiting at all — costs nothing.
 //!
-//! The caller supplies the probe (a `try_recv`, a zero-timeout
+//! The caller supplies the probe (a `try_pop`, a zero-timeout
 //! `epoll_wait`, a non-consuming `recv`) and keeps its own blocking
 //! call; this module only decides *whether and how long to probe
 //! first*, and counts what happened.

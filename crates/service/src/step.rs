@@ -153,7 +153,7 @@ impl BatchMachine {
     /// one-element machine). `pending_abort` is the caller's stale
     /// deadlock-abort flag — an evented session's events are drained by
     /// its I/O shard, so the caller passes the verdict in rather than
-    /// the machine draining a channel it does not own.
+    /// the machine draining a sink it does not own.
     pub fn start(
         &mut self,
         session: &Session,
@@ -306,8 +306,8 @@ impl BatchMachine {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
+    use crate::service::EventSink;
     use crate::service::LockService;
-    use crossbeam::channel;
     use locktune_lockmgr::{AppId, RowId, TableId};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -321,27 +321,26 @@ mod tests {
         ResourceId::Row(TableId(t), RowId(r))
     }
 
-    fn sink() -> (
-        crate::service::EventSink,
-        channel::Receiver<(AppId, SessionEvent)>,
-        Arc<AtomicU64>,
-    ) {
-        let (tx, rx) = channel::unbounded();
+    /// A shared sink, as an I/O shard makes one, counting its wakes.
+    fn sink() -> (EventSink, Arc<AtomicU64>) {
         let wakes = Arc::new(AtomicU64::new(0));
         let w = Arc::clone(&wakes);
-        let sink = crate::service::EventSink::new(
-            tx,
-            Arc::new(move || {
-                w.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        (sink, rx, wakes)
+        let sink = Arc::new(crate::Mailbox::with_wake(move || {
+            w.fetch_add(1, Ordering::Relaxed);
+        }));
+        (sink, wakes)
+    }
+
+    /// The next event on `sink`, waiting up to two seconds for it.
+    fn recv(sink: &EventSink) -> (AppId, SessionEvent) {
+        sink.pop_until(Some(Instant::now() + Duration::from_secs(2)))
+            .expect("an event within 2 s")
     }
 
     #[test]
     fn machine_matches_blocking_path_without_contention() {
         let svc = LockService::start(ServiceConfig::default()).unwrap();
-        let (sink, _rx, _wakes) = sink();
+        let (sink, _wakes) = sink();
         let s = svc.try_connect_with_sink(AppId(1), &sink).unwrap();
         let reqs = vec![
             (table(1), LockMode::IX),
@@ -364,7 +363,7 @@ mod tests {
         let holder = svc.connect(AppId(1));
         holder.lock(table(7), LockMode::X).unwrap();
 
-        let (sink, rx, wakes) = sink();
+        let (sink, wakes) = sink();
         let s = svc.try_connect_with_sink(AppId(2), &sink).unwrap();
         let mut m = BatchMachine::new();
         let step = m.start(&s, &[(table(7), LockMode::S)], true, false);
@@ -372,7 +371,7 @@ mod tests {
         assert!(m.is_waiting());
 
         holder.unlock_all().unwrap();
-        let (app, event) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let (app, event) = recv(&sink);
         assert_eq!(app, AppId(2));
         assert_eq!(event, SessionEvent::Granted);
         assert!(wakes.load(Ordering::Relaxed) >= 1);
@@ -390,7 +389,7 @@ mod tests {
         let holder = svc.connect(AppId(1));
         holder.lock(table(3), LockMode::X).unwrap();
 
-        let (sink, rx, _wakes) = sink();
+        let (sink, _wakes) = sink();
         let s = svc.try_connect_with_sink(AppId(2), &sink).unwrap();
         let mut m = BatchMachine::new();
         let reqs = vec![(table(3), LockMode::S), (table(4), LockMode::S)];
@@ -406,7 +405,7 @@ mod tests {
             BatchOutcome::Done(Err(ServiceError::Timeout))
         );
         assert_eq!(m.outcomes()[1], BatchOutcome::Skipped);
-        assert!(rx.try_recv().is_err(), "no event after a clean cancel");
+        assert!(sink.try_pop().is_none(), "no event after a clean cancel");
         drop(s);
         drop(holder);
         svc.shutdown();
@@ -422,7 +421,7 @@ mod tests {
         let holder = svc.connect(AppId(1));
         holder.lock(table(6), LockMode::X).unwrap();
 
-        let (sink, rx, _wakes) = sink();
+        let (sink, _wakes) = sink();
         let s = svc.try_connect_with_sink(AppId(2), &sink).unwrap();
         let mut m = BatchMachine::new();
         assert!(matches!(
@@ -433,7 +432,7 @@ mod tests {
         assert_eq!(m.on_timeout(&s), Step::Waiting { deadline: None });
         assert!(m.is_waiting());
 
-        let (_, event) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let (_, event) = recv(&sink);
         assert_eq!(event, SessionEvent::Granted);
         assert_eq!(m.on_event(&s, event), Step::Done);
         assert_eq!(
@@ -457,7 +456,7 @@ mod tests {
         let holder = svc.connect(AppId(1));
         holder.lock(table(5), LockMode::X).unwrap();
 
-        let (sink, rx, _wakes) = sink();
+        let (sink, _wakes) = sink();
         let s = svc.try_connect_with_sink(AppId(2), &sink).unwrap();
         let mut m = BatchMachine::new();
         assert!(matches!(
@@ -465,7 +464,7 @@ mod tests {
             Step::Waiting { .. }
         ));
         assert!(svc.cancel_waiter(AppId(2)));
-        let (_, event) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let (_, event) = recv(&sink);
         assert_eq!(event, SessionEvent::Aborted);
         assert_eq!(m.on_event(&s, event), Step::Done);
         assert_eq!(
