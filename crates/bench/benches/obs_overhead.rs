@@ -10,11 +10,11 @@
 //!     --no-default-features                                         # obs OFF
 //! ```
 //!
-//! The benchmark *names* encode which build ran (`…_obs` /
-//! `…_noobs`), so criterion keeps both result sets side by side under
-//! `target/criterion/obs_overhead/` and the comparison is a plain
-//! read-off. The acceptance bar (EXPERIMENTS.md) is the instrumented
-//! build within 2% of the obs-off build.
+//! Each case prints the median of ten runs, each on a fresh service
+//! whose start-up is not timed, under a name that encodes which build
+//! ran (`…_obs` / `…_noobs`), so the two invocations' lines compare as
+//! a plain read-off. The acceptance bar (EXPERIMENTS.md) is the
+//! instrumented build within 2% of the obs-off build.
 //!
 //! What the instrumented hot path adds per lock op: a sampled
 //! (1-in-64) shard-latch timing pair, batch-size recording on
@@ -23,15 +23,14 @@
 //! pure bookkeeping floor: the sampling counter tick plus the
 //! feature-gated branches.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-
 use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
 use locktune_service::{LockService, ServiceConfig};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TXNS_PER_THREAD: u64 = 400;
 const ROWS_PER_TXN: u64 = 20;
+const SAMPLES: usize = 10;
 
 /// Background timers parked past the measurement so the A/B isolates
 /// the lock path.
@@ -105,43 +104,43 @@ fn run_disjoint_batched(svc: &Arc<LockService>, threads: u32) {
     }
 }
 
-fn bench_obs_overhead(c: &mut Criterion) {
+/// Median wall time of [`SAMPLES`] runs of `run`, each on a fresh
+/// service; starting and stopping the service is not timed.
+fn median_time(run: impl Fn(&Arc<LockService>)) -> Duration {
+    let mut samples: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let svc = service();
+            let start = Instant::now();
+            run(&svc);
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[SAMPLES / 2]
+}
+
+fn main() {
     let variant = if cfg!(feature = "obs") {
         "obs"
     } else {
         "noobs"
     };
-    let mut g = c.benchmark_group("obs_overhead");
+    println!("== obs_overhead: median of {SAMPLES} runs per case ==");
     for threads in [1u32, 4] {
         let locks = threads as u64 * TXNS_PER_THREAD * (ROWS_PER_TXN + 1);
-        g.throughput(Throughput::Elements(locks));
-        g.bench_function(format!("disjoint_{threads}_threads_{variant}"), |b| {
-            b.iter_batched(
-                service,
-                |svc| {
-                    run_disjoint(&svc, threads);
-                    svc
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(format!("batched_{threads}_threads_{variant}"), |b| {
-            b.iter_batched(
-                service,
-                |svc| {
-                    run_disjoint_batched(&svc, threads);
-                    svc
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        for case in ["disjoint", "batched"] {
+            let run = if case == "disjoint" {
+                run_disjoint
+            } else {
+                run_disjoint_batched
+            };
+            let median = median_time(|svc| run(svc, threads));
+            println!(
+                "  {:<28} {:>9.2} ms  {:>6.2} Mlocks/s",
+                format!("{case}_{threads}_threads_{variant}"),
+                median.as_secs_f64() * 1e3,
+                locks as f64 / median.as_secs_f64() / 1e6,
+            );
+        }
     }
-    g.finish();
 }
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_obs_overhead
-);
-criterion_main!(benches);

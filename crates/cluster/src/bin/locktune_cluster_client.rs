@@ -1,20 +1,21 @@
 //! Routed mixed-burst load generator for a partitioned cluster.
 //!
 //! Connects a [`RoutingClient`] per worker to every node of the
-//! cluster, drives seeded mixed bursts (table IX intents + row X
-//! locks) routed by the shared partition map, and optionally runs a
+//! cluster, drives seeded mixed bursts (IX intents and row X locks on
+//! two tables, rolled from one [`Mix`]) through the shared transaction
+//! loop, routed by the shared partition map, and optionally runs a
 //! [`ClusterDetector`] alongside the storm. After the storm it prints
-//! a recovery report (commits, session losses, node-down events,
-//! per-node health) and audits every *reachable* node: zero used lock
-//! slots after drain and an exact accounting validate.
+//! a recovery report (transactions by outcome — a lost session, a
+//! node down or a stale epoch loses one) and audits every *reachable*
+//! node with the shared drain-then-validate audit.
 //!
 //! Exit status is non-zero when the run is inconsistent with the
 //! declared expectation:
 //!
 //! * no transaction committed, or a surviving node leaked slots or
 //!   failed its audit — always fatal;
-//! * `--expect-node-loss` set but no worker observed a session loss /
-//!   node-down (the kill never landed mid-burst);
+//! * `--expect-node-loss` set but no worker lost a transaction to the
+//!   kill (the kill never landed mid-burst);
 //! * `--expect-node-loss` *not* set but losses happened or a node is
 //!   unreachable at audit time.
 //!
@@ -27,14 +28,14 @@ use std::process::exit;
 use std::time::{Duration, Instant};
 
 use locktune_cluster::{
-    BreakerConfig, ClusterConfig, ClusterDetector, ClusterError, ClusterSupervisor, MapHandle,
-    RoutedOutcome, RoutingClient, SupervisorConfig,
+    BreakerConfig, ClusterConfig, ClusterDetector, ClusterSupervisor, Degraded, MapHandle,
+    RoutingClient, SupervisorConfig,
 };
-use locktune_lockmgr::{LockError, LockMode, ResourceId, RowId, TableId};
-use locktune_net::{ClientError, ReconnectConfig, ReconnectingClient};
-use locktune_service::{BatchOutcome, ServiceError};
+use locktune_net::{drain_and_validate, ReconnectConfig, ReconnectingClient};
+use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_workload::Mix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 #[derive(Clone)]
 struct Args {
@@ -90,9 +91,8 @@ const USAGE: &str = "usage: locktune-cluster-client --nodes HOST:PORT,HOST:PORT,
                              sub-batches retry instead of failing the storm)
   --probe-interval-ms N      supervisor probe interval (default 50)";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -128,24 +128,23 @@ fn parse_args() -> Result<Args, String> {
     if args.nodes.is_empty() {
         return Err("--nodes is required".into());
     }
-    if args.workers == 0 || args.txns == 0 || args.tables == 0 {
-        return Err("--workers, --txns and --tables must be positive".into());
+    if args.workers == 0 || args.txns == 0 {
+        return Err("--workers and --txns must be positive".into());
     }
+    args.mix().map_err(|e| e.to_string())?;
     Ok(args)
+}
+
+impl Args {
+    /// Two tables per transaction, an IX intent and `oltp_rows` X rows
+    /// on each: usually two partitions.
+    fn mix(&self) -> Result<Mix, locktune_workload::MixError> {
+        Mix::new(self.tables, self.rows, self.oltp_rows)?.with_tables_per_txn(2)
+    }
 }
 
 fn parse_num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
-}
-
-#[derive(Default)]
-struct WorkerReport {
-    committed: u64,
-    aborted: u64,
-    sessions_lost: u64,
-    node_down: u64,
-    unavailable: u64,
-    stale_epochs: u64,
 }
 
 /// The per-worker reconnect policy: few in-cycle attempts, a finite
@@ -161,7 +160,7 @@ fn reconnect_policy(seed: u64) -> ReconnectConfig {
     }
 }
 
-fn worker(args: &Args, w: u64, map: Option<MapHandle>) -> WorkerReport {
+fn worker(args: &Args, w: u64, map: Option<MapHandle>) -> Tally {
     let seed = args.seed ^ (w + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let config = ClusterConfig {
         nodes: args.nodes.clone(),
@@ -180,106 +179,33 @@ fn worker(args: &Args, w: u64, map: Option<MapHandle>) -> WorkerReport {
             exit(2);
         }
     };
+    let mix = args.mix().expect("checked by parse_args");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = WorkerReport::default();
+    let mut tally = Tally::default();
+    let mut set = Vec::new();
     for _ in 0..args.txns {
-        // A mixed burst over two random tables — usually two
-        // partitions — IX intents plus row X locks on each.
-        let mut locks = Vec::new();
-        for _ in 0..2 {
-            let table = TableId(rng.gen_range_u64(0, args.tables as u64) as u32);
-            locks.push((ResourceId::Table(table), LockMode::IX));
-            for _ in 0..args.oltp_rows {
-                let row = RowId(rng.gen_range_u64(0, args.rows));
-                locks.push((ResourceId::Row(table, row), LockMode::X));
-            }
-        }
-        let failed = if args.supervise {
-            // Degraded contract: dead partitions come back retryable,
-            // live partitions commit through the failover.
-            let outcomes = match rc.lock_many_degraded(&locks) {
-                Ok(o) => o,
-                Err(ClusterError::StaleEpoch { .. }) => {
-                    // The map moved under the transaction; everything
-                    // reachable was released. Restart.
-                    report.stale_epochs += 1;
-                    continue;
-                }
-                Err(e) => {
-                    eprintln!("worker {w}: lock_many_degraded: {e}");
-                    exit(2);
-                }
-            };
-            let unavailable = outcomes
-                .iter()
-                .filter(|o| matches!(o, RoutedOutcome::Unavailable { .. }))
-                .count() as u64;
-            report.unavailable += unavailable;
-            unavailable > 0
-                || outcomes.iter().any(|o| {
-                    matches!(
-                        o,
-                        RoutedOutcome::Done(BatchOutcome::Done(Err(ServiceError::Timeout
-                            | ServiceError::DeadlockVictim
-                            | ServiceError::Overloaded { .. }
-                            | ServiceError::Lock(LockError::OutOfLockMemory))))
-                    )
-                })
+        mix.roll(&mut rng, &mut set);
+        // Supervised, dead partitions come back unavailable while live
+        // partitions commit through the failover.
+        let ran = if args.supervise {
+            txn::run_txn(&mut Degraded::new(&mut rc), &set, &mut tally)
         } else {
-            let outcomes = match rc.lock_many(&locks) {
-                Ok(o) => o,
-                Err(ClusterError::SessionLost { .. }) => {
-                    // The router already released every surviving node's
-                    // locks; restart from an empty state.
-                    report.sessions_lost += 1;
-                    continue;
-                }
-                Err(ClusterError::NodeDown { .. }) => {
-                    report.node_down += 1;
-                    continue;
-                }
-                Err(e) => {
-                    eprintln!("worker {w}: lock_many: {e}");
-                    exit(2);
-                }
-            };
-            outcomes.iter().any(|o| {
-                matches!(
-                    o,
-                    BatchOutcome::Done(Err(ServiceError::Timeout
-                        | ServiceError::DeadlockVictim
-                        | ServiceError::Overloaded { .. }
-                        | ServiceError::Lock(LockError::OutOfLockMemory)))
-                )
-            })
+            txn::run_txn(&mut rc, &set, &mut tally)
         };
-        match rc.unlock_all() {
-            Ok(_) => {
-                if failed {
-                    report.aborted += 1;
-                } else {
-                    report.committed += 1;
-                }
-            }
-            Err(ClusterError::Node {
-                error: ClientError::Service(_),
-                ..
-            }) => report.aborted += 1,
-            Err(e) => {
-                eprintln!("worker {w}: unlock_all: {e}");
-                exit(2);
-            }
+        if let Err(e) = ran {
+            eprintln!("worker {w}: {e}");
+            exit(2);
         }
         if args.pace_ms > 0 {
             std::thread::sleep(Duration::from_millis(args.pace_ms));
         }
     }
-    report
+    tally
 }
 
-/// Audit one node after the storm: drain to zero used slots, then an
-/// exact accounting validate. Returns an error string on failure,
-/// `Ok(false)` when the node is unreachable (dead).
+/// Audit one node after the storm: the shared drain-then-validate
+/// audit. Returns an error string on failure, `Ok(false)` when the
+/// node is unreachable (dead).
 fn audit_node(node: usize, addr: &str, seed: u64) -> Result<bool, String> {
     let mut c = match ReconnectingClient::connect(
         addr,
@@ -294,38 +220,13 @@ fn audit_node(node: usize, addr: &str, seed: u64) -> Result<bool, String> {
         Ok(c) => c,
         Err(_) => return Ok(false),
     };
-    // Slot caches flush asynchronously on tuning intervals; poll.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match c.stats_snapshot() {
-            Ok(s) if s.pool_slots_used == 0 => break,
-            Ok(s) => {
-                if Instant::now() >= deadline {
-                    return Err(format!(
-                        "node {node}: {} lock slots still in use after drain deadline",
-                        s.pool_slots_used
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(format!("node {node}: stats: {e}")),
-        }
-    }
-    match c.validate() {
-        Ok(r) if r.charged_slots == 0 && r.pool_used_slots == 0 => {
-            println!("node {node} ({addr}): audit clean, 0 slots charged");
-            Ok(true)
-        }
-        Ok(r) => Err(format!(
-            "node {node}: audit found {} charged / {} used slots after drain",
-            r.charged_slots, r.pool_used_slots
-        )),
-        Err(e) => Err(format!("node {node}: validate: {e}")),
-    }
+    drain_and_validate(&mut c, Duration::from_secs(10)).map_err(|e| format!("node {node}: {e}"))?;
+    println!("node {node} ({addr}): audit clean, 0 slots charged");
+    Ok(true)
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("locktune-cluster-client: {e}\n{USAGE}");
@@ -383,34 +284,25 @@ fn main() {
             std::thread::spawn(move || worker(&args, w, map))
         })
         .collect();
-    let mut total = WorkerReport::default();
+    let mut total = Tally::default();
     for w in workers {
-        let r = w.join().expect("worker panicked");
-        total.committed += r.committed;
-        total.aborted += r.aborted;
-        total.sessions_lost += r.sessions_lost;
-        total.node_down += r.node_down;
-        total.unavailable += r.unavailable;
-        total.stale_epochs += r.stale_epochs;
+        total.merge(&w.join().expect("worker panicked"));
     }
     let elapsed = start.elapsed();
     let detector_victims = detector.map(|d| d.stop().1);
+    let committed = total.get(TxnOutcome::Committed);
 
     println!("--- storm report ---");
-    println!("committed:        {}", total.committed);
-    println!("aborted:          {}", total.aborted);
-    println!("sessions lost:    {}", total.sessions_lost);
-    println!("node-down events: {}", total.node_down);
+    print!("{total}");
     if args.supervise {
-        println!("unavailable:      {} sub-batch items", total.unavailable);
-        println!("stale epochs:     {}", total.stale_epochs);
+        println!("unavailable items: {}", total.unavailable_items);
     }
     if let Some(v) = detector_victims {
-        println!("detector victims: {v}");
+        println!("detector victims:  {v}");
     }
     println!(
-        "throughput:       {:.0} txn/s over {:.2}s",
-        total.committed as f64 / elapsed.as_secs_f64(),
+        "throughput:        {:.0} txn/s over {:.2}s",
+        committed as f64 / elapsed.as_secs_f64(),
         elapsed.as_secs_f64()
     );
 
@@ -428,8 +320,7 @@ fn main() {
     }
 
     // Per-node health from one fresh routed session, then the audits.
-    let losses =
-        total.sessions_lost + total.node_down + u64::from(args.supervise && total.unavailable > 0);
+    let losses = total.get(TxnOutcome::Lost) + total.get(TxnOutcome::Unavailable);
     let mut exit_code = 0;
     let mut dead_nodes = 0;
     println!("--- node audit ---");
@@ -447,7 +338,7 @@ fn main() {
         }
     }
 
-    if total.committed == 0 {
+    if committed == 0 {
         eprintln!("FAILED: no transaction committed");
         exit_code = 1;
     }
@@ -462,7 +353,7 @@ fn main() {
         }
     } else {
         if losses > 0 {
-            eprintln!("FAILED: {losses} session-loss/node-down events in a healthy cluster");
+            eprintln!("FAILED: {losses} transactions lost or unavailable in a healthy cluster");
             exit_code = 1;
         }
         if dead_nodes > 0 {
@@ -474,4 +365,17 @@ fn main() {
         println!("cluster run clean");
     }
     exit(exit_code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_key_space_is_a_usage_error() {
+        let parsed = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()));
+        assert!(parsed(&["--nodes", "a:1", "--rows", "0"]).is_err());
+        assert!(parsed(&["--nodes", "a:1", "--tables", "0"]).is_err());
+        assert!(parsed(&["--nodes", "a:1"]).is_ok());
+    }
 }

@@ -27,14 +27,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use locktune_cluster::{
-    BreakerConfig, ClusterConfig, ClusterError, ClusterSupervisor, MapHandle, NodeState,
-    RoutedOutcome, RoutingClient, SupervisorConfig,
+    BreakerConfig, ClusterConfig, ClusterSupervisor, Degraded, MapHandle, NodeState, RoutingClient,
+    SupervisorConfig,
 };
-use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
 use locktune_net::{ReconnectConfig, Server, ServerConfig};
+use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_service::{LockService, ServiceConfig};
+use locktune_workload::Mix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 struct Args {
     node_counts: Vec<usize>,
@@ -126,17 +127,25 @@ fn time_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> Option<u64>
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What the storm's workers share: the stop flag, and a live commit
+/// count the warm-up waits on.
+#[derive(Default)]
+struct Storm {
+    stop: AtomicBool,
+    committed: AtomicU64,
+}
+
+/// One storm worker: degraded-mode transactions over two tables, one
+/// X row each on a row range private to `gid`, until told to stop.
+/// Returns its tally and how many commits happened while the map was
+/// degraded; any error it cannot survive fails the trial.
 fn worker(
     addrs: Vec<String>,
     map: MapHandle,
     seed: u64,
     gid: u64,
-    stop: Arc<AtomicBool>,
-    committed: Arc<AtomicU64>,
-    committed_degraded: Arc<AtomicU64>,
-    unavailable: Arc<AtomicU64>,
-) {
+    storm: &Storm,
+) -> Result<(Tally, u64), String> {
     let config = ClusterConfig {
         nodes: addrs,
         reconnect: ReconnectConfig {
@@ -154,50 +163,29 @@ fn worker(
             seed,
         },
     };
-    let mut rc = match RoutingClient::connect_with_map(&config, map.clone()) {
-        Ok(rc) => rc,
-        Err(e) => {
-            eprintln!("bench worker connect: {e}");
-            return;
-        }
-    };
+    let mix = Mix::new(64, 64, 1)
+        .and_then(|m| m.with_tables_per_txn(2))
+        .and_then(|m| m.with_row_base(gid * 10_000))
+        .map_err(|e| e.to_string())?;
+    let mut rc = RoutingClient::connect_with_map(&config, map.clone())
+        .map_err(|e| format!("worker {gid}: connect: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
-    while !stop.load(Ordering::Relaxed) {
+    let mut tally = Tally::default();
+    let mut committed_degraded = 0;
+    let mut set = Vec::new();
+    let mut backend = Degraded::new(&mut rc);
+    while !storm.stop.load(Ordering::Relaxed) {
         let degraded = map.snapshot().degraded();
-        let mut locks = Vec::new();
-        for _ in 0..2 {
-            let table = TableId(rng.gen_range_u64(0, 64) as u32);
-            locks.push((ResourceId::Table(table), LockMode::IX));
-            locks.push((
-                ResourceId::Row(table, RowId(gid * 10_000 + rng.gen_range_u64(0, 64))),
-                LockMode::X,
-            ));
-        }
-        match rc.lock_many_degraded(&locks) {
-            Ok(outcomes) => {
-                let miss = outcomes
-                    .iter()
-                    .filter(|o| matches!(o, RoutedOutcome::Unavailable { .. }))
-                    .count() as u64;
-                unavailable.fetch_add(miss, Ordering::Relaxed);
-                if miss == 0 {
-                    committed.fetch_add(1, Ordering::Relaxed);
-                    if degraded {
-                        committed_degraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(ClusterError::StaleEpoch { .. }) => {}
-            Err(e) => {
-                eprintln!("bench worker: {e}");
-                return;
-            }
-        }
-        if rc.unlock_all().is_err() {
-            return;
+        mix.roll(&mut rng, &mut set);
+        let outcome = txn::run_txn(&mut backend, &set, &mut tally)
+            .map_err(|e| format!("worker {gid}: {e}"))?;
+        if outcome == TxnOutcome::Committed {
+            storm.committed.fetch_add(1, Ordering::Relaxed);
+            committed_degraded += u64::from(degraded);
         }
     }
     rc.stop();
+    Ok((tally, committed_degraded))
 }
 
 fn run_trial(n: usize, trial: u64, args: &Args) -> Result<Trial, String> {
@@ -227,26 +215,20 @@ fn run_trial(n: usize, trial: u64, args: &Args) -> Result<Trial, String> {
     .map_err(|e| format!("supervisor: {e}"))?;
     let map = sup.map();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let committed_degraded = Arc::new(AtomicU64::new(0));
-    let unavailable = Arc::new(AtomicU64::new(0));
+    let storm = Arc::new(Storm::default());
     let workers: Vec<_> = (0..2u64)
         .map(|w| {
             let addrs = addrs.clone();
             let map = map.clone();
-            let stop = Arc::clone(&stop);
-            let c = Arc::clone(&committed);
-            let cd = Arc::clone(&committed_degraded);
-            let u = Arc::clone(&unavailable);
+            let storm = Arc::clone(&storm);
             let seed = args.seed ^ (trial << 8) ^ (w + 1).wrapping_mul(0x9E37);
-            std::thread::spawn(move || worker(addrs, map, seed, w + 1, stop, c, cd, u))
+            std::thread::spawn(move || worker(addrs, map, seed, w + 1, &storm))
         })
         .collect();
 
     // Warm up: a few committed bursts before the kill.
     if time_until(Duration::from_secs(10), || {
-        committed.load(Ordering::Relaxed) >= 8
+        storm.committed.load(Ordering::Relaxed) >= 8
     })
     .is_none()
     {
@@ -289,9 +271,13 @@ fn run_trial(n: usize, trial: u64, args: &Args) -> Result<Trial, String> {
 
     // A tail of healthy service, then wind down.
     std::thread::sleep(Duration::from_millis(args.probe_interval_ms * 4));
-    stop.store(true, Ordering::Relaxed);
+    storm.stop.store(true, Ordering::Relaxed);
+    let mut tally = Tally::default();
+    let mut committed_degraded = 0;
     for w in workers {
-        w.join().map_err(|_| "worker panicked")?;
+        let (t, degraded) = w.join().map_err(|_| "worker panicked")??;
+        tally.merge(&t);
+        committed_degraded += degraded;
     }
 
     // Audit: every node drains to zero used slots and passes the
@@ -315,9 +301,9 @@ fn run_trial(n: usize, trial: u64, args: &Args) -> Result<Trial, String> {
         reassign_ms,
         full_service_ms,
         final_epoch,
-        committed: committed.load(Ordering::Relaxed),
-        committed_degraded: committed_degraded.load(Ordering::Relaxed),
-        unavailable_items: unavailable.load(Ordering::Relaxed),
+        committed: tally.get(TxnOutcome::Committed),
+        committed_degraded,
+        unavailable_items: tally.unavailable_items,
     })
 }
 

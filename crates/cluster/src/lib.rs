@@ -24,6 +24,8 @@
 //!   when any node's session dies, the locks on that node are already
 //!   gone, so the router releases the survivors too and the caller
 //!   restarts its transaction against a consistently empty state.
+//!   [`txn`] runs the shared transaction loop through it, strict
+//!   or under the degraded failover contract ([`Degraded`]).
 //! * **[`ClusterDetector`]** ([`detector`]) — distributed
 //!   edge-chasing. Each node exports its local wait-for edges plus
 //!   its app→gid bindings over the `WaitGraph` wire frame; the
@@ -45,6 +47,7 @@ pub mod detector;
 pub mod epoch;
 pub mod router;
 pub mod supervisor;
+pub mod txn;
 
 pub use detector::{
     plan_cancels, CancelPlan, ClusterDetector, DetectionReport, DetectorHandle, NodeGraph,
@@ -55,3 +58,4 @@ pub use router::{
     BreakerConfig, ClusterConfig, ClusterError, NodeHealth, RoutedOutcome, RoutingClient,
 };
 pub use supervisor::{ClusterSupervisor, SupervisorConfig, SupervisorHandle, Transition};
+pub use txn::Degraded;

@@ -27,20 +27,21 @@
 //! `BENCH_net_scaling.json`). Offered load is independent of N, so
 //! threaded-at-64 and evented-at-4096 runs are directly comparable.
 //!
-//! Each worker thread owns one TCP connection and runs the same two
-//! transaction footprints the in-process stress driver uses: OLTP (IX
-//! on a table, a handful of X row locks, commit) and DSS scans (IS on
-//! a table, a large pipelined batch of S row locks, commit). With
-//! `--batch` each transaction's lock set travels as a single
-//! `LockBatch` frame answered by a single `BatchOutcomes` frame
-//! instead of N pipelined LOCK frames. After the
+//! Each worker thread owns one TCP connection and runs the shared
+//! transaction loop ([`locktune_service::txn`]) over lock sets
+//! rolled from one [`Mix`]: OLTP (IX on a table, a handful of X row
+//! locks, commit) and DSS scans (IS on a table, a large pipelined
+//! batch of S row locks, commit). With `--batch` each transaction's
+//! lock set travels as a single `LockBatch` frame answered by a single
+//! `BatchOutcomes` frame instead of N pipelined LOCK frames. After the
 //! timed phase one extra connection takes locks and is **killed**
 //! (socket hard-shutdown, no unlock) to prove the server releases a
-//! dead client's locks; the run then polls until the pool drains,
-//! fetches server statistics and runs the remote accounting audit.
+//! dead client's locks; the run then drains and audits
+//! ([`drain_and_validate`]).
 //!
 //! Exits nonzero if the audit fails, locks outlive the clients, or
-//! fewer than `--min-intervals` tuning intervals ran server-side.
+//! fewer than `--min-intervals` tuning intervals ran server-side. A
+//! key space with no tables or rows is a usage error.
 //!
 //! `--scrape` additionally audits the METRICS endpoint against both
 //! the `Stats` reply and this client's own observations: the two
@@ -59,8 +60,6 @@
 //!   `1..N` run pure OLTP: the noisy-neighbor experiment. The report
 //!   prints each tenant's budget share, p99 lock wait and escalations,
 //!   plus the donation flow the arbiter produced.
-//! * `flash` — a quiet equal load on every tenant, then a flash crowd
-//!   (3x workers, scan-heavy) slams the last tenant.
 //! * `churn` — tenants are created, loaded and dropped mid-run while a
 //!   background tenant keeps working; after every drop the machine
 //!   rollup must account for every byte (`free + Σ budgets ==
@@ -72,32 +71,36 @@
 //! `--chaos` drives the same workload through self-healing
 //! [`ReconnectingClient`] sessions against a server running with
 //! `--fault-seed`: injected disconnects, torn frames and stalls
-//! surface as [`ClientError::Reconnected`] (the transaction is
-//! abandoned and restarted — never silently retried), shed-mode
-//! rejections as retryable `Overloaded` failures, and admission
-//! refusals as backed-off `Busy` retries. Both are counted and
+//! surface as [`ClientError::Reconnected`] (the transaction is lost
+//! and the next one starts clean — never silently retried), shed-mode
+//! rejections as retryable `Overloaded` aborts, and admission
+//! refusals as backed-off `Busy` retries. All are counted and
 //! reported; the run still ends with the same drain poll and
 //! accounting audit — chaos must not leak a single lock slot. The
-//! lock phase always travels as one `LockBatch` frame in this mode
-//! (the reconnect wrapper deliberately has no pipelining API, since
-//! half-sent pipelines have no sane replay semantics), and the kill
-//! phase is skipped — injected disconnects already exercise dead
-//! -client teardown continuously.
+//! lock phase always travels as one `LockBatch` frame in this mode,
+//! and the kill phase is skipped — injected disconnects already
+//! exercise dead-client teardown continuously.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use locktune_lockmgr::{LockError, LockMode, LockOutcome, ResourceId, RowId, TableId};
+use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
 use locktune_net::wire::{self, Request};
 use locktune_net::{
-    BatchOutcome, Client, ClientError, ReconnectConfig, ReconnectStats, ReconnectingClient, Reply,
+    drain_and_validate, BatchOutcome, Batched, Client, ClientError, Pipelined, ReconnectConfig,
+    ReconnectStats, ReconnectingClient, Reply, ValidateReport,
 };
-use locktune_service::ServiceError;
+use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_sim::dist::Zipf;
+use locktune_sim::SimRng;
+use locktune_workload::{Mix, MixError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-#[derive(Clone)]
+/// How long the pool may take to drain once every client is gone.
+const DRAIN: Duration = Duration::from_secs(5);
+
+#[derive(Debug, Clone)]
 struct Args {
     addr: String,
     workers: usize,
@@ -123,7 +126,19 @@ struct Args {
     bench_out: String,
 }
 
+impl Args {
+    /// The workload's lock sets, `dss_percent` % of them scans.
+    fn mix(&self, dss_percent: u32) -> Result<Mix, MixError> {
+        Mix::new(self.tables, self.rows_per_table, self.oltp_rows)?
+            .with_dss(self.dss_rows, dss_percent)
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
+    parse_args_from(std::env::args().skip(1))
+}
+
+fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7474".into(),
         workers: 4,
@@ -148,7 +163,6 @@ fn parse_args() -> Result<Args, String> {
         zipf_theta: 1.0,
         bench_out: "BENCH_net_scaling.json".into(),
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
@@ -179,6 +193,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    args.mix(args.dss_percent).map_err(|e| e.to_string())?;
     if (args.tenant.is_some() || args.tenants > 0) && args.chaos {
         return Err(
             "--tenant/--tenants cannot combine with --chaos (reconnects lose the tenant \
@@ -193,9 +208,9 @@ fn parse_args() -> Result<Args, String> {
                 .into(),
         );
     }
-    if args.tenants > 0 && !matches!(args.tenant_mode.as_str(), "noisy" | "flash" | "churn") {
+    if args.tenants > 0 && !matches!(args.tenant_mode.as_str(), "noisy" | "churn") {
         return Err(format!(
-            "unknown --tenant-mode {:?} (expected noisy, flash or churn)",
+            "unknown --tenant-mode {:?} (expected noisy or churn)",
             args.tenant_mode
         ));
     }
@@ -209,6 +224,12 @@ fn parse_args() -> Result<Args, String> {
         if args.rate == 0 {
             return Err("--rate must be >= 1 bursts/second".into());
         }
+        if !(args.zipf_theta.is_finite() && args.zipf_theta >= 0.0) {
+            return Err(format!(
+                "--zipf-theta must be a finite number >= 0, got {}",
+                args.zipf_theta
+            ));
+        }
     }
     Ok(args)
 }
@@ -217,206 +238,120 @@ fn parse<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value {s:?} for {name}"))
 }
 
-#[derive(Default)]
-struct Counters {
-    committed: AtomicU64,
-    timeouts: AtomicU64,
-    victims: AtomicU64,
-    oom: AtomicU64,
-    /// `GrantedAfterEscalation` outcomes observed on the wire. A lower
-    /// bound on server-side escalations: an escalation that happens
-    /// while a request is *queued* resolves to a plain `Granted` reply.
-    escalations_seen: AtomicU64,
-    /// `--chaos` only: transactions abandoned because the connection
-    /// died mid-flight and was re-established (every one of these is a
-    /// fault the service recovered from).
-    reconnected_txns: AtomicU64,
-    /// `--chaos` only: transactions rejected retryably by shed mode.
-    shed_rejections: AtomicU64,
-}
+/// What a worker hands back: its transactions and its reconnects.
+type WorkerResult = Result<(Tally, ReconnectStats), String>;
 
-/// Classify a transaction-level failure; anything else is a bug in the
-/// harness or the server.
-fn count_failure(e: &ServiceError, counters: &Counters) {
-    match e {
-        ServiceError::Timeout => counters.timeouts.fetch_add(1, Ordering::Relaxed),
-        ServiceError::DeadlockVictim => counters.victims.fetch_add(1, Ordering::Relaxed),
-        ServiceError::Lock(LockError::OutOfLockMemory) => {
-            counters.oom.fetch_add(1, Ordering::Relaxed)
-        }
-        other => panic!("unexpected stress failure: {other}"),
-    };
-}
-
-/// Roll one transaction's lock footprint: a table intent plus row
-/// locks — contiguous S rows for a DSS scan, random X rows for OLTP.
-fn build_lock_set(rng: &mut StdRng, args: &Args) -> Vec<(ResourceId, LockMode)> {
-    let table = TableId(rng.gen_range_u64(0, args.tables as u64) as u32);
-    let dss = rng.gen_range_u64(0, 100) < args.dss_percent as u64;
-    let (table_mode, row_mode, rows) = if dss {
-        (LockMode::IS, LockMode::S, args.dss_rows)
-    } else {
-        (LockMode::IX, LockMode::X, args.oltp_rows)
-    };
-
-    let mut locks = Vec::with_capacity(rows as usize + 1);
-    locks.push((ResourceId::Table(table), table_mode));
-    let start = rng.gen_range_u64(0, args.rows_per_table);
-    for i in 0..rows {
-        let row = if dss {
-            // Scans touch a contiguous range (escalates well).
-            RowId((start + i) % args.rows_per_table)
-        } else {
-            RowId(rng.gen_range_u64(0, args.rows_per_table))
+/// One worker: its own connection (bound to `tenant`, if any) running
+/// `args.txns` transactions of `mix` through the shared loop —
+/// reconnecting under `--chaos`, batched under `--batch`, pipelined
+/// otherwise.
+fn worker(args: &Args, mix: &Mix, tenant: Option<u32>, w: usize, seed: u64) -> WorkerResult {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tally = Tally::default();
+    if args.chaos {
+        let policy = ReconnectConfig {
+            max_attempts: 50,
+            base_delay: Duration::from_millis(5),
+            max_delay: Duration::from_millis(200),
+            seed: args.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ..ReconnectConfig::default()
         };
-        locks.push((ResourceId::Row(table, row), row_mode));
+        let mut rc = ReconnectingClient::connect(&args.addr, policy)
+            .map_err(|e| format!("connect {}: {e}", args.addr))?;
+        txn::run(&mut rc, mix, &mut rng, args.txns, &mut tally).map_err(|e| e.to_string())?;
+        return Ok((tally, rc.stats()));
     }
-    locks
-}
-
-/// One remote transaction. The lock phase is **pipelined** by
-/// default — the table intent and every row lock ride one socket
-/// flush; the server executes them in order, so the intent is granted
-/// before the first row request runs, and replies are collected by
-/// id. With `--batch` the same lock set travels as one `LockBatch`
-/// frame instead. Either way, after the first failure the rest of the
-/// lock set is cascade noise (`MissingIntent` after a timed-out
-/// intent, `DeadlockVictim` repeats, `Skipped` in batch mode) and is
-/// not counted.
-fn run_txn(
-    client: &mut Client,
-    rng: &mut StdRng,
-    args: &Args,
-    counters: &Counters,
-) -> Result<(), ClientError> {
-    let locks = build_lock_set(rng, args);
-    let mut failure: Option<ServiceError> = None;
-    if args.batch {
-        for outcome in client.lock_batch(&locks)? {
-            match outcome {
-                BatchOutcome::Done(Ok(o)) => {
-                    if matches!(o, LockOutcome::GrantedAfterEscalation { .. }) {
-                        counters.escalations_seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                BatchOutcome::Done(Err(e)) => {
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
-                }
-                BatchOutcome::Skipped => {}
-            }
-        }
+    let mut client =
+        Client::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
+    if let Some(t) = tenant {
+        client.hello(t).map_err(|e| format!("hello: {e}"))?;
+    }
+    let ran = if args.batch {
+        txn::run(
+            &mut Batched(&mut client),
+            mix,
+            &mut rng,
+            args.txns,
+            &mut tally,
+        )
     } else {
-        let mut ids = Vec::with_capacity(locks.len());
-        for (res, mode) in &locks {
-            ids.push(client.send(&Request::Lock {
-                res: *res,
-                mode: *mode,
-            })?);
-        }
-        for id in ids {
-            match client.wait(id)? {
-                Reply::Lock(Ok(o)) => {
-                    if matches!(o, LockOutcome::GrantedAfterEscalation { .. }) {
-                        counters.escalations_seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Reply::Lock(Err(e)) => {
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected Lock reply, got {other:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    // Strict 2PL: release everything whether committing or aborting.
-    // A commit-time DeadlockVictim means the sweeper struck after the
-    // last grant; the transaction must not count as committed.
-    let commit = client.unlock_all();
-    match (failure, commit) {
-        (Some(e), _) => count_failure(&e, counters),
-        (None, Err(ClientError::Service(e))) => count_failure(&e, counters),
-        (None, Err(other)) => return Err(other),
-        (None, Ok(_)) => {
-            counters.committed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    Ok(())
+        let mut pipelined = Pipelined::new(&mut client);
+        txn::run(&mut pipelined, mix, &mut rng, args.txns, &mut tally)
+    };
+    ran.map_err(|e| e.to_string())?;
+    Ok((tally, ReconnectStats::default()))
 }
 
-/// [`run_txn`] under chaos: the same footprint through a
-/// [`ReconnectingClient`]. Three extra outcomes are survivable and
-/// counted instead of fatal:
-///
-/// * [`ClientError::Reconnected`] — the connection died (injected or
-///   real) and a fresh session now exists; the old session's locks are
-///   already released server-side, so the transaction is simply
-///   abandoned and the next iteration starts clean. Never retried
-///   in place: a lock request is not idempotent.
-/// * [`ServiceError::Overloaded`] — shed mode turned the batch away;
-///   strict 2PL still runs `unlock_all` to drop anything granted
-///   before the rejection.
-/// * The usual timeout / deadlock-victim / OOM aborts, counted as in
-///   the plain run.
-fn run_txn_chaos(
-    rc: &mut ReconnectingClient,
-    rng: &mut StdRng,
+/// Spawn `count` workers of `mix` bound to `tenant`; worker `w` seeds
+/// its rolls with `seed(w)`.
+fn spawn_workers(
     args: &Args,
-    counters: &Counters,
-) -> Result<(), ClientError> {
-    let locks = build_lock_set(rng, args);
-    let outcomes = match rc.lock_batch(&locks) {
-        Ok(o) => o,
-        Err(ClientError::Reconnected) => {
-            counters.reconnected_txns.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    let mut failure: Option<ServiceError> = None;
-    for outcome in outcomes {
-        match outcome {
-            BatchOutcome::Done(Ok(o)) => {
-                if matches!(o, LockOutcome::GrantedAfterEscalation { .. }) {
-                    counters.escalations_seen.fetch_add(1, Ordering::Relaxed);
-                }
+    mix: Mix,
+    tenant: Option<u32>,
+    count: usize,
+    seed: impl Fn(usize) -> u64,
+) -> Vec<JoinHandle<WorkerResult>> {
+    (0..count)
+        .map(|w| {
+            let args = args.clone();
+            let seed = seed(w);
+            std::thread::spawn(move || {
+                worker(&args, &mix, tenant, w, seed).map_err(|e| match tenant {
+                    Some(t) => format!("tenant {t} worker {w}: {e}"),
+                    None => format!("worker {w}: {e}"),
+                })
+            })
+        })
+        .collect()
+}
+
+/// Join `workers` and sum what they report; any failed worker fails
+/// the run.
+fn join_workers(workers: Vec<JoinHandle<WorkerResult>>) -> (Tally, ReconnectStats) {
+    let mut tally = Tally::default();
+    let mut reconnects = ReconnectStats::default();
+    let mut failed = false;
+    for w in workers {
+        match w.join().expect("worker panicked") {
+            Ok((t, s)) => {
+                tally.merge(&t);
+                reconnects.reconnects += s.reconnects;
+                reconnects.busy_refusals += s.busy_refusals;
+                reconnects.failed_attempts += s.failed_attempts;
             }
-            BatchOutcome::Done(Err(e)) => {
-                if failure.is_none() {
-                    failure = Some(e);
-                }
+            Err(e) => {
+                eprintln!("locktune-client: {e}");
+                failed = true;
             }
-            BatchOutcome::Skipped => {}
         }
     }
-    let commit = rc.unlock_all();
-    match (failure, commit) {
-        (_, Err(ClientError::Reconnected)) => {
-            // The release raced a disconnect; the server's teardown
-            // released everything anyway. Still not a commit.
-            counters.reconnected_txns.fetch_add(1, Ordering::Relaxed);
-        }
-        (Some(ServiceError::Overloaded { .. }), _) => {
-            counters.shed_rejections.fetch_add(1, Ordering::Relaxed);
-        }
-        (Some(e), _) => count_failure(&e, counters),
-        (None, Err(ClientError::Service(ServiceError::Overloaded { .. }))) => {
-            counters.shed_rejections.fetch_add(1, Ordering::Relaxed);
-        }
-        (None, Err(ClientError::Service(e))) => count_failure(&e, counters),
-        (None, Err(other)) => return Err(other),
-        (None, Ok(_)) => {
-            counters.committed.fetch_add(1, Ordering::Relaxed);
+    if failed {
+        std::process::exit(1);
+    }
+    (tally, reconnects)
+}
+
+/// A control connection for the post-run reads; a reconnecting one,
+/// so an injected fault on it cannot fail the audit.
+fn connect_control(addr: &str) -> ReconnectingClient {
+    ReconnectingClient::connect(addr, ReconnectConfig::default()).unwrap_or_else(|e| {
+        eprintln!("locktune-client: control connect {addr}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Report the shared drain-then-validate audit machine-wide.
+fn report_machine_audit(audit: Result<ValidateReport, ClientError>, exit: &mut i32) {
+    match audit {
+        Ok(report) => println!(
+            "validate:          zero divergence machine-wide ({} slots charged)",
+            report.charged_slots
+        ),
+        Err(e) => {
+            eprintln!("validate:          FAILED: {e}");
+            *exit = 1;
         }
     }
-    Ok(())
 }
 
 /// Retry an idempotent *read* across [`ClientError::Reconnected`]
@@ -431,49 +366,6 @@ fn read_retry<T>(
             Err(ClientError::Reconnected) => continue,
             other => return other,
         }
-    }
-}
-
-/// Spawn `count` workers bound to `tenant`, each driving `wargs.txns`
-/// transactions of the `wargs` footprint over its own connection.
-fn spawn_tenant_workers(
-    tenant: u32,
-    count: usize,
-    wargs: &Args,
-    counters: &Arc<Counters>,
-) -> Vec<std::thread::JoinHandle<Result<(), String>>> {
-    (0..count)
-        .map(|w| {
-            let wargs = wargs.clone();
-            let counters = Arc::clone(counters);
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut rng =
-                    StdRng::seed_from_u64(wargs.seed ^ (u64::from(tenant) << 32) ^ w as u64);
-                let mut client = Client::connect(&wargs.addr)
-                    .map_err(|e| format!("tenant {tenant} worker {w}: connect: {e}"))?;
-                client
-                    .hello(tenant)
-                    .map_err(|e| format!("tenant {tenant} worker {w}: hello: {e}"))?;
-                for _ in 0..wargs.txns {
-                    run_txn(&mut client, &mut rng, &wargs, &counters)
-                        .map_err(|e| format!("tenant {tenant} worker {w}: {e}"))?;
-                }
-                Ok(())
-            })
-        })
-        .collect()
-}
-
-fn join_workers(workers: Vec<std::thread::JoinHandle<Result<(), String>>>) {
-    let mut failed = false;
-    for w in workers {
-        if let Err(e) = w.join().expect("worker panicked") {
-            eprintln!("locktune-client: {e}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }
 
@@ -527,40 +419,6 @@ fn audit_rollup(control: &mut Client, exit: &mut i32) -> locktune_net::TenantSta
     reply
 }
 
-/// Wait for every tenant's pool to drain (machine-wide merged gauge),
-/// then run the remote machine audit.
-fn drain_and_validate(control: &mut Client, exit: &mut i32) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match control.stats() {
-            Ok(s) if s.pool_slots_used == 0 => break,
-            Ok(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            Ok(s) => {
-                eprintln!(
-                    "locktune-client: {} slots still held after all clients disconnected",
-                    s.pool_slots_used
-                );
-                *exit = 1;
-                break;
-            }
-            Err(e) => {
-                eprintln!("locktune-client: stats: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    match control.validate() {
-        Ok(report) => println!(
-            "validate:          zero divergence machine-wide ({} slots charged)",
-            report.charged_slots
-        ),
-        Err(e) => {
-            eprintln!("validate:          FAILED: {e}");
-            *exit = 1;
-        }
-    }
-}
-
 /// Scrape one tenant's own metrics (histograms are per-tenant: they
 /// only travel on a *bound* connection).
 fn tenant_p99_and_escalations(addr: &str, tenant: u32) -> (u64, u64) {
@@ -584,6 +442,16 @@ fn tenant_p99_and_escalations(addr: &str, tenant: u32) -> (u64, u64) {
 
 const MIB: u64 = 1024 * 1024;
 
+/// `committed, oom, timeouts` for a tenant cohort's report line.
+fn cohort(tally: &Tally) -> String {
+    format!(
+        "{} committed, {} oom, {} timeouts",
+        tally.get(TxnOutcome::Committed),
+        tally.get(TxnOutcome::OutOfLockMemory),
+        tally.get(TxnOutcome::Timeout),
+    )
+}
+
 /// The multi-tenant stress driver (`--tenants N`). Never returns.
 fn run_tenant_stress(args: &Args) -> ! {
     let mut control = Client::connect(&args.addr).unwrap_or_else(|e| {
@@ -592,44 +460,29 @@ fn run_tenant_stress(args: &Args) -> ! {
     });
     let n = args.tenants as u32;
     let mut exit = 0;
+    // Worker `w` of tenant `t` seeds its rolls apart from every other.
+    let seeds = |t: u32| move |w: usize| args.seed ^ (u64::from(t) << 32) ^ w as u64;
+    let scans = args.mix(100).expect("checked by parse_args");
+    let oltp = args.mix(0).expect("checked by parse_args");
 
     match args.tenant_mode.as_str() {
         "noisy" => {
             // Tenant 0 is the noisy neighbor: pure contiguous scans,
             // the footprint that blows past any fixed lock budget.
             // Everyone else runs the well-behaved OLTP profile.
-            let dss = Args {
-                dss_percent: 100,
-                ..args.clone()
-            };
-            let oltp = Args {
-                dss_percent: 0,
-                ..args.clone()
-            };
             println!(
                 "locktune-client: noisy neighbor — tenant 0 scans ({} workers), tenants 1..{} \
                  OLTP ({} workers each)",
                 args.workers, n, args.workers,
             );
-            let dss_counters = Arc::new(Counters::default());
-            let oltp_counters = Arc::new(Counters::default());
-            let mut workers = spawn_tenant_workers(0, args.workers, &dss, &dss_counters);
-            for t in 1..n {
-                workers.extend(spawn_tenant_workers(t, args.workers, &oltp, &oltp_counters));
-            }
-            join_workers(workers);
-            println!(
-                "dss tenant:        {} committed, {} oom, {} timeouts",
-                dss_counters.committed.load(Ordering::Relaxed),
-                dss_counters.oom.load(Ordering::Relaxed),
-                dss_counters.timeouts.load(Ordering::Relaxed),
-            );
-            println!(
-                "oltp cohort:       {} committed, {} oom, {} timeouts",
-                oltp_counters.committed.load(Ordering::Relaxed),
-                oltp_counters.oom.load(Ordering::Relaxed),
-                oltp_counters.timeouts.load(Ordering::Relaxed),
-            );
+            let dss = spawn_workers(args, scans, Some(0), args.workers, seeds(0));
+            let neighbors: Vec<_> = (1..n)
+                .flat_map(|t| spawn_workers(args, oltp, Some(t), args.workers, seeds(t)))
+                .collect();
+            let (dss, _) = join_workers(dss);
+            let (neighbors, _) = join_workers(neighbors);
+            println!("dss tenant:        {}", cohort(&dss));
+            println!("oltp cohort:       {}", cohort(&neighbors));
             for t in 0..n {
                 let (p99, esc) = tenant_p99_and_escalations(&args.addr, t);
                 println!(
@@ -638,75 +491,29 @@ fn run_tenant_stress(args: &Args) -> ! {
                 );
             }
         }
-        "flash" => {
-            // Phase 1: a polite equal load everywhere. Phase 2: a
-            // flash crowd — 3x the connections, scan-heavy — slams the
-            // last tenant while the rest stay idle.
-            let quiet = Args {
-                dss_percent: 0,
-                txns: args.txns / 2,
-                ..args.clone()
-            };
-            println!(
-                "locktune-client: flash crowd — phase 1: {} tenants x {} workers (quiet OLTP)",
-                n, args.workers,
-            );
-            let counters = Arc::new(Counters::default());
-            let mut workers = Vec::new();
-            for t in 0..n {
-                workers.extend(spawn_tenant_workers(t, args.workers, &quiet, &counters));
-            }
-            join_workers(workers);
-            let crowd_tenant = n - 1;
-            let crowd = Args {
-                dss_percent: 50,
-                ..args.clone()
-            };
-            println!(
-                "locktune-client: flash crowd — phase 2: {} workers slam tenant {crowd_tenant}",
-                args.workers * 3,
-            );
-            let crowd_counters = Arc::new(Counters::default());
-            join_workers(spawn_tenant_workers(
-                crowd_tenant,
-                args.workers * 3,
-                &crowd,
-                &crowd_counters,
-            ));
-            println!(
-                "flash crowd:       {} committed, {} oom, {} timeouts on tenant {crowd_tenant}",
-                crowd_counters.committed.load(Ordering::Relaxed),
-                crowd_counters.oom.load(Ordering::Relaxed),
-                crowd_counters.timeouts.load(Ordering::Relaxed),
-            );
-        }
         "churn" => {
             // Tenants come and go under load. Tenant 0 keeps a steady
             // background workload the whole time; transient tenants
             // 900+ are created, hammered and dropped. Every drop must
             // return the tenant's entire budget to the free pool.
-            let background = Args {
-                dss_percent: 0,
-                ..args.clone()
-            };
-            let bg_counters = Arc::new(Counters::default());
-            let bg = spawn_tenant_workers(0, 1, &background, &bg_counters);
+            let bg = spawn_workers(args, oltp, Some(0), 1, seeds(0));
             let burst = Args {
                 txns: args.txns / 2,
                 ..args.clone()
             };
+            let mix = args.mix(args.dss_percent).expect("checked by parse_args");
             for cycle in 0..3u32 {
                 let id = 900 + cycle;
                 let granted = control.tenant_create(id).unwrap_or_else(|e| {
                     eprintln!("locktune-client: create tenant {id}: {e}");
                     std::process::exit(1);
                 });
-                let churn_counters = Arc::new(Counters::default());
-                join_workers(spawn_tenant_workers(
-                    id,
-                    args.workers.div_ceil(2),
+                let (churned, _) = join_workers(spawn_workers(
                     &burst,
-                    &churn_counters,
+                    mix,
+                    Some(id),
+                    args.workers.div_ceil(2),
+                    seeds(id),
                 ));
                 let reclaimed = control.tenant_drop(id).unwrap_or_else(|e| {
                     eprintln!("locktune-client: drop tenant {id}: {e}");
@@ -716,7 +523,7 @@ fn run_tenant_stress(args: &Args) -> ! {
                     "churn cycle {cycle}: tenant {id} granted {} MiB, committed {}, dropped — \
                      reclaimed {} MiB",
                     granted / MIB,
-                    churn_counters.committed.load(Ordering::Relaxed),
+                    churned.get(TxnOutcome::Committed),
                     reclaimed / MIB,
                 );
                 let reply = audit_rollup(&mut control, &mut exit);
@@ -725,46 +532,19 @@ fn run_tenant_stress(args: &Args) -> ! {
                     exit = 1;
                 }
             }
-            join_workers(bg);
+            let (bg, _) = join_workers(bg);
             println!(
                 "background:        {} committed on tenant 0 across all churn cycles",
-                bg_counters.committed.load(Ordering::Relaxed),
+                bg.get(TxnOutcome::Committed),
             );
         }
         other => unreachable!("validated in parse_args: {other}"),
     }
 
     audit_rollup(&mut control, &mut exit);
-    drain_and_validate(&mut control, &mut exit);
+    let audit = drain_and_validate(&mut connect_control(&args.addr), DRAIN);
+    report_machine_audit(audit, &mut exit);
     std::process::exit(exit);
-}
-
-/// Zipf sampler over connection ranks: weight of rank `r` is
-/// `1/(r+1)^theta`, so rank 0 is the hottest session and the tail is
-/// near-idle. Sampling is a binary search over the cumulative weights.
-struct Zipf {
-    cum: Vec<f64>,
-}
-
-impl Zipf {
-    fn new(n: usize, theta: f64) -> Zipf {
-        let mut cum = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for r in 0..n {
-            total += 1.0 / ((r + 1) as f64).powf(theta);
-            cum.push(total);
-        }
-        Zipf { cum }
-    }
-
-    fn sample(&self, rng: &mut StdRng) -> usize {
-        // 53 uniform bits -> [0, 1).
-        let u = rng.gen_range_u64(0, 1 << 53) as f64 / (1u64 << 53) as f64;
-        let target = u * self.cum.last().copied().unwrap_or(1.0);
-        self.cum
-            .partition_point(|&c| c <= target)
-            .min(self.cum.len() - 1)
-    }
 }
 
 /// One open-loop connection: a nonblocking socket plus the read
@@ -887,7 +667,7 @@ fn run_open_loop(args: &Args) -> ! {
     println!("locktune-client: {n} connections established");
 
     let zipf = Zipf::new(n, args.zipf_theta);
-    let mut rng = StdRng::seed_from_u64(args.seed);
+    let mut rng = SimRng::seed_from_u64(args.seed);
     let mut tally = BenchTally::default();
     let mut items: Vec<(ResourceId, LockMode)> = Vec::with_capacity(rows as usize + 1);
     // The encode helpers clear their output buffer, so each frame is
@@ -911,7 +691,7 @@ fn run_open_loop(args: &Args) -> ! {
         // Fire due bursts (open loop: the pacer does not wait for
         // completions; a fully-busy target set counts a skip instead).
         while now >= next_fire && now < end {
-            let rank = zipf.sample(&mut rng);
+            let rank = zipf.sample_rank(&mut rng);
             // The sampled session may still be mid-burst; probe forward
             // so the arrival lands on the next idle session of nearby
             // rank rather than silently vanishing.
@@ -1029,9 +809,6 @@ fn run_open_loop(args: &Args) -> ! {
                         std::process::exit(1);
                     }
                 };
-                if std::env::var_os("LOCKTUNE_BENCH_DEBUG").is_some() {
-                    eprintln!("conn {i} <- {reply:?}");
-                }
                 match reply {
                     Reply::BatchOutcomes(outcomes) => {
                         if outcomes
@@ -1072,18 +849,10 @@ fn run_open_loop(args: &Args) -> ! {
     // fresh control connection — the drain poll is the leak check (the
     // server must reap all N sessions).
     drop(conns);
-    let mut control = loop {
-        match Client::connect(&args.addr) {
-            Ok(c) => break c,
-            Err(e) => {
-                eprintln!("locktune-client: control connect retry: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    };
+    let mut control = connect_control(&args.addr);
     let mut exit = 0;
-    drain_and_validate(&mut control, &mut exit);
-    let snap = control.metrics(0, 0).unwrap_or_else(|e| {
+    report_machine_audit(drain_and_validate(&mut control, DRAIN), &mut exit);
+    let snap = read_retry(&mut control, |c| c.metrics(0, 0)).unwrap_or_else(|e| {
         eprintln!("locktune-client: metrics scrape: {e}");
         std::process::exit(1);
     });
@@ -1182,7 +951,6 @@ fn main() {
         run_open_loop(&args);
     }
 
-    let counters = Arc::new(Counters::default());
     println!(
         "locktune-client: {} workers x {} txns against {}{}",
         args.workers,
@@ -1192,63 +960,12 @@ fn main() {
     );
 
     let start = Instant::now();
-    let workers: Vec<_> = (0..args.workers)
-        .map(|w| {
-            let args = args.clone();
-            let counters = Arc::clone(&counters);
-            std::thread::spawn(move || -> Result<ReconnectStats, String> {
-                let mut rng = StdRng::seed_from_u64(args.seed + w as u64);
-                if args.chaos {
-                    let policy = ReconnectConfig {
-                        max_attempts: 50,
-                        base_delay: Duration::from_millis(5),
-                        max_delay: Duration::from_millis(200),
-                        seed: args.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        ..ReconnectConfig::default()
-                    };
-                    let mut rc = ReconnectingClient::connect(&args.addr, policy)
-                        .map_err(|e| format!("worker {w}: connect {}: {e}", args.addr))?;
-                    for _ in 0..args.txns {
-                        run_txn_chaos(&mut rc, &mut rng, &args, &counters)
-                            .map_err(|e| format!("worker {w}: {e}"))?;
-                    }
-                    Ok(rc.stats())
-                } else {
-                    let mut client = Client::connect(&args.addr)
-                        .map_err(|e| format!("worker {w}: connect {}: {e}", args.addr))?;
-                    if let Some(t) = args.tenant {
-                        client
-                            .hello(t)
-                            .map_err(|e| format!("worker {w}: hello: {e}"))?;
-                    }
-                    for _ in 0..args.txns {
-                        run_txn(&mut client, &mut rng, &args, &counters)
-                            .map_err(|e| format!("worker {w}: {e}"))?;
-                    }
-                    Ok(ReconnectStats::default())
-                }
-            })
-        })
-        .collect();
-    let mut failed = false;
-    let mut reconnect_stats = ReconnectStats::default();
-    for w in workers {
-        match w.join().expect("worker panicked") {
-            Ok(s) => {
-                reconnect_stats.reconnects += s.reconnects;
-                reconnect_stats.busy_refusals += s.busy_refusals;
-                reconnect_stats.failed_attempts += s.failed_attempts;
-            }
-            Err(e) => {
-                eprintln!("locktune-client: {e}");
-                failed = true;
-            }
-        }
-    }
+    let mix = args.mix(args.dss_percent).expect("checked by parse_args");
+    let workers = spawn_workers(&args, mix, args.tenant, args.workers, |w| {
+        args.seed + w as u64
+    });
+    let (tally, reconnect_stats) = join_workers(workers);
     let mixed_secs = start.elapsed().as_secs_f64();
-    if failed {
-        std::process::exit(1);
-    }
 
     // Kill phase: take locks on a fresh connection and hard-kill it.
     // The server must notice the dead socket and release everything.
@@ -1282,46 +999,18 @@ fn main() {
         println!("kill phase: connection holding 33 locks force-killed");
     }
 
-    // Control connection: wait for the pool to drain (the server reaps
-    // dead connections asynchronously), then audit. A reconnecting
-    // session so an injected fault on this connection cannot fail the
-    // audit phase; the reads are idempotent, so retrying across a
-    // `Reconnected` is sound (see `read_retry`).
-    let mut control = match ReconnectingClient::connect(&args.addr, ReconnectConfig::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("locktune-client: control connect: {e}");
-            std::process::exit(1);
-        }
-    };
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let drained = loop {
-        match read_retry(&mut control, |c| c.stats_snapshot()) {
-            Ok(s) if s.pool_slots_used == 0 => break true,
-            Ok(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            Ok(s) => {
-                eprintln!(
-                    "locktune-client: {} slots still held after all clients disconnected",
-                    s.pool_slots_used
-                );
-                break false;
-            }
-            Err(e) => {
-                eprintln!("locktune-client: stats: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-
+    // The server reaps dead connections asynchronously: drain, audit,
+    // then read the statistics of the quiescent server.
+    let mut control = connect_control(&args.addr);
+    let audit = drain_and_validate(&mut control, DRAIN);
     let stats = read_retry(&mut control, |c| c.stats_snapshot()).unwrap_or_else(|e| {
         eprintln!("locktune-client: stats: {e}");
         std::process::exit(1);
     });
-    let audit = read_retry(&mut control, |c| c.validate());
 
-    let committed = counters.committed.load(Ordering::Relaxed);
+    let committed = tally.get(TxnOutcome::Committed);
     println!("--- remote stress report ---");
-    println!("committed:         {committed}");
+    print!("{tally}");
     println!(
         "throughput:        {:.0} txn/s over the wire",
         if mixed_secs > 0.0 {
@@ -1329,18 +1018,6 @@ fn main() {
         } else {
             0.0
         }
-    );
-    println!(
-        "timeouts:          {}",
-        counters.timeouts.load(Ordering::Relaxed)
-    );
-    println!(
-        "deadlock victims:  {}",
-        counters.victims.load(Ordering::Relaxed)
-    );
-    println!(
-        "lock memory OOM:   {}",
-        counters.oom.load(Ordering::Relaxed)
     );
     println!("server escalations:{}", stats.stats.escalations);
     println!("server waits:      {}", stats.stats.waits);
@@ -1351,15 +1028,15 @@ fn main() {
     println!("pool slots used:   {}", stats.pool_slots_used);
     if args.chaos {
         println!(
-            "chaos recovery:    {} txns abandoned to reconnects ({} cycles, {} busy refusals, {} failed attempts)",
-            counters.reconnected_txns.load(Ordering::Relaxed),
+            "chaos recovery:    {} txns lost to reconnects ({} cycles, {} busy refusals, {} failed attempts)",
+            tally.get(TxnOutcome::Lost),
             reconnect_stats.reconnects,
             reconnect_stats.busy_refusals,
             reconnect_stats.failed_attempts,
         );
         println!(
             "chaos recovery:    {} shed rejections, {} watchdog restarts server-side",
-            counters.shed_rejections.load(Ordering::Relaxed),
+            tally.get(TxnOutcome::Overloaded),
             stats.watchdog_restarts,
         );
     }
@@ -1376,9 +1053,6 @@ fn main() {
             eprintln!("accounting:        FAILED: {e}");
             exit = 1;
         }
-    }
-    if !drained {
-        exit = 1;
     }
 
     // Cross-endpoint metrics audit: METRICS vs Stats vs what this
@@ -1427,15 +1101,14 @@ fn main() {
                 snap.lock_stats.waits
             ),
         );
-        let esc_seen = counters.escalations_seen.load(Ordering::Relaxed);
         check(
-            snap.lock_stats.escalations >= esc_seen,
+            snap.lock_stats.escalations >= tally.escalations_seen,
             format!(
-                "server escalations ({}) cover client-observed ({esc_seen})",
-                snap.lock_stats.escalations
+                "server escalations ({}) cover client-observed ({})",
+                snap.lock_stats.escalations, tally.escalations_seen
             ),
         );
-        let victims = counters.victims.load(Ordering::Relaxed);
+        let victims = tally.get(TxnOutcome::DeadlockVictim);
         check(
             snap.counters.deadlock_victims >= victims,
             format!(
@@ -1443,7 +1116,7 @@ fn main() {
                 snap.counters.deadlock_victims
             ),
         );
-        let timeouts = counters.timeouts.load(Ordering::Relaxed);
+        let timeouts = tally.get(TxnOutcome::Timeout);
         check(
             snap.counters.timeouts >= timeouts,
             format!(
@@ -1472,4 +1145,36 @@ fn main() {
         exit = 1;
     }
     std::process::exit(exit);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(flags: &[&str]) -> Result<Args, String> {
+        parse_args_from(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn empty_key_spaces_are_usage_errors() {
+        assert!(parsed(&["--rows", "0"]).unwrap_err().contains("row"));
+        assert!(parsed(&["--tables", "0"]).unwrap_err().contains("table"));
+        assert!(parsed(&["--dss-percent", "101"]).is_err());
+        assert!(parsed(&[]).is_ok());
+    }
+
+    #[test]
+    fn a_zipf_theta_the_sampler_cannot_take_is_a_usage_error() {
+        for theta in ["nan", "inf", "-1"] {
+            let err = parsed(&["--connections", "4", "--zipf-theta", theta]).unwrap_err();
+            assert!(err.contains("--zipf-theta"), "{theta}: {err}");
+        }
+        assert!(parsed(&["--connections", "4", "--zipf-theta", "0"]).is_ok());
+    }
+
+    #[test]
+    fn flash_is_not_a_tenant_mode() {
+        assert!(parsed(&["--tenants", "2", "--tenant-mode", "flash"]).is_err());
+        assert!(parsed(&["--tenants", "2", "--tenant-mode", "churn"]).is_ok());
+    }
 }

@@ -34,7 +34,10 @@
 //!   backoff with jitter, `Busy`-aware) with explicit
 //!   session-lost semantics: a mid-operation disconnect surfaces as
 //!   [`ClientError::Reconnected`] rather than a silent retry, because
-//!   lock requests are not idempotent.
+//!   lock requests are not idempotent;
+//! * [`txn`] — the wire back-ends of the shared transaction loop
+//!   ([`locktune_service::txn`]) and the drain-then-validate audit
+//!   every remote run ends with.
 //!
 //! The METRICS/0x08 request scrapes the service's `locktune-obs`
 //! telemetry (histograms, journal events, tuning ticks) in one frame;
@@ -46,6 +49,7 @@ pub mod evented;
 pub mod poll;
 pub mod reconnect;
 pub mod server;
+pub mod txn;
 pub mod wire;
 
 pub use client::{Client, ClientError};
@@ -54,6 +58,7 @@ pub use locktune_service::BatchOutcome;
 pub use locktune_tenants::{MachineRollup, TenantDonation, TenantRow};
 pub use reconnect::{ReconnectConfig, ReconnectStats, ReconnectingClient, StopSignal};
 pub use server::{IoModel, Server, ServerConfig};
+pub use txn::{drain_and_validate, Batched, Pipelined};
 pub use wire::{
     Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply,
     WireError, GID_RESERVED, MAX_BATCH, MAX_WIRE_DONATIONS, MAX_WIRE_EDGES, MAX_WIRE_EVENTS,

@@ -12,9 +12,13 @@ use std::time::{Duration, Instant};
 
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, RowId, TableId};
 use locktune_net::wire::Request;
-use locktune_net::{Client, ClientError, Reply, Server};
+use locktune_net::{Client, ClientError, Pipelined, Reply, Server};
+use locktune_service::txn::{self, Tally};
 use locktune_service::{ServiceConfig, ServiceError};
 use locktune_tenants::{TenantDirectory, TenantsConfig};
+use locktune_workload::Mix;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const MIB: u64 = 1024 * 1024;
 const KIB: u64 = 1024;
@@ -263,35 +267,23 @@ fn overloaded_reply_names_the_shedding_tenant() {
     server.shutdown();
 }
 
-/// One OLTP burst: `txns` transactions of an IX intent plus 8 X row
-/// locks over a small hot table set (enough overlap for real waits),
-/// strict 2PL release. Returns when done.
-fn oltp_burst(addr: &str, tenant: u32, txns: u32, seed: u64) {
+/// One OLTP burst through the shared transaction loop: `txns`
+/// transactions of an IX intent plus 8 X row locks over 4 tables of 64
+/// rows (enough overlap for real waits). Contention aborts (timeout,
+/// deadlock victim) are part of the workload, not a harness failure.
+fn oltp_burst(addr: &str, tenant: u32, txns: u64, seed: u64) {
     let mut c = Client::connect(addr).unwrap();
     c.hello(tenant).unwrap();
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift: deterministic, no external RNG needed here.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for _ in 0..txns {
-        let table = TableId((next() % 4) as u32);
-        c.lock(ResourceId::Table(table), LockMode::IX).unwrap();
-        for _ in 0..8 {
-            let row = RowId(next() % 64);
-            match c.lock(ResourceId::Row(table, row), LockMode::X) {
-                Ok(_) => {}
-                // Contention aborts (timeout, deadlock victim) are part
-                // of the workload, not a harness failure.
-                Err(ClientError::Service(_)) => break,
-                Err(e) => panic!("oltp burst: {e}"),
-            }
-        }
-        c.unlock_all().unwrap();
-    }
+    let mix = Mix::new(4, 64, 8).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    txn::run(
+        &mut Pipelined::new(&mut c),
+        &mix,
+        &mut rng,
+        txns,
+        &mut Tally::default(),
+    )
+    .expect("oltp burst");
 }
 
 /// The p99 lock wait a bound tenant connection observes via the

@@ -72,8 +72,8 @@ pub struct ServiceConfig {
     /// [`LockManager`]: locktune_lockmgr::LockManager
     pub shards: usize,
     /// Wake-up period of the STMM tuning thread. The paper runs 30 s
-    /// intervals (DB2 allows 0.5–10 min); tests and the stress driver
-    /// use milliseconds so grow/shrink cycles happen in-process.
+    /// intervals (DB2 allows 0.5–10 min); tests and the in-process
+    /// example use milliseconds so grow/shrink cycles happen in-process.
     pub tuning_interval: Duration,
     /// Sweep period of the deadlock detector thread.
     pub deadlock_interval: Duration,
@@ -151,7 +151,7 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration for tests and the stress driver: small pool,
+    /// A configuration for tests and the in-process example: small pool,
     /// millisecond tuning so decisions happen within a test run.
     pub fn fast(shards: usize) -> Self {
         ServiceConfig {

@@ -27,8 +27,8 @@
 //!   (session and I/O-shard events, the network server's queues);
 //! * one batch engine, [`step::BatchMachine`], which blocking sessions
 //!   and the evented network core both drive;
-//! * a [`stress`] driver mixing OLTP and DSS footprints across worker
-//!   threads.
+//! * one transaction loop, [`txn`], that every load generator (in
+//!   process, over the wire, routed) runs its OLTP + DSS mix through.
 //!
 //! [`LockManager`]: locktune_lockmgr::LockManager
 //! [`SharedLockMemoryPool`]: locktune_memalloc::SharedLockMemoryPool
@@ -39,8 +39,8 @@ pub mod mailbox;
 pub mod service;
 pub mod spin;
 pub mod step;
-pub mod stress;
 mod tuning;
+pub mod txn;
 
 pub use config::{ConfigError, ServiceConfig};
 pub use latch::Latch;
@@ -52,4 +52,4 @@ pub use service::{
 };
 pub use spin::{SpinPark, SpinStats};
 pub use step::{BatchMachine, Step};
-pub use stress::{run_stress, StressConfig, StressReport};
+pub use txn::{run, run_txn, Tally, TxnBackend, TxnOutcome, Verdict};

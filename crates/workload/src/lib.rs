@@ -14,19 +14,25 @@
 //! * [`DssSpec`] — the §5.3 reporting query: a long scan acquiring row
 //!   locks at a steady rate;
 //! * [`Schedule`] — phase changes over simulated time (client ramps,
-//!   step changes, DSS injection) used to script each figure.
+//!   step changes, DSS injection) used to script each figure;
+//! * [`Mix`] — the same OLTP and DSS footprints as lock sets for the
+//!   load generators of the live service, in-process, over the wire
+//!   and routed.
 //!
-//! The crate is engine-agnostic: plans use plain integer table/row ids
-//! and durations; `locktune-engine` maps them onto the lock manager.
+//! The simulator's plans use plain integer table/row ids and
+//! durations, which `locktune-engine` maps onto the lock manager; a
+//! [`Mix`] rolls lock-manager `(ResourceId, LockMode)` pairs directly.
 
 pub mod client;
 pub mod dss;
+pub mod mix;
 pub mod phase;
 pub mod spec;
 pub mod txn;
 
 pub use client::ClientGenerator;
 pub use dss::{DssPlan, DssSpec};
+pub use mix::{Mix, MixError};
 pub use phase::{PhaseChange, Schedule};
 pub use spec::{OltpSpec, TxnProfile};
 pub use txn::{LockStep, TxnPlan};

@@ -1,25 +1,56 @@
-//! Concurrent service: worker threads against the sharded lock
-//! service while the STMM tuning thread resizes the pool live.
+//! Concurrent service: the paper's §5 workload — short OLTP
+//! transactions with DSS scans injected on top — run by worker threads
+//! against the sharded lock service while the STMM tuning thread
+//! resizes the pool live, then both tuner directions forced
+//! deterministically, then the accounting audit.
 //!
-//! Four workers run a mixed OLTP + DSS workload (the paper's §5
-//! scenario) through [`LockService`] sessions; the background tuning
-//! thread ticks every 25 ms, growing the pool when the DSS scans eat
-//! its free headroom and shrinking it back once the burst passes.
+//! 1. **Mixed storm.** Four workers each run 300 transactions rolled
+//!    from one [`Mix`] (OLTP: IX + 8 X rows; a quarter are DSS scans:
+//!    IS + 600 contiguous S rows) through the shared transaction loop.
+//!    The tuner ticks every 25 ms and the pool starts at 256 KiB, so
+//!    the scans make it grow.
+//! 2. **Held pressure.** One session on a private table holds slots
+//!    until the used fraction is 10 % past `1 - minFreeLockMemory`;
+//!    the next tuning interval must grow (or keep) the pool.
+//! 3. **Quiescence.** Four intervals over the idle pool, whose free
+//!    fraction is above `maxFreeLockMemory`: δ_reduce shrinks.
+//! 4. **Audit.** `validate()` checks every shard against the pool.
+//!
+//! Exits non-zero if the held-pressure interval shrinks the pool or
+//! the accounting diverges.
 //!
 //! ```text
-//! cargo run -p locktune-examples --bin concurrent_service
+//! cargo run --release -p locktune-examples --bin concurrent_service
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
-use locktune_service::{LockService, ServiceConfig};
+use locktune_memory::IntervalReport;
+use locktune_service::{txn, LockService, ServiceConfig, Tally};
+use locktune_workload::Mix;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const WORKERS: u32 = 4;
+const TXNS_PER_WORKER: u64 = 300;
+const SEED: u64 = 42;
+
+fn decision(r: &IntervalReport) -> String {
+    let d = &r.decision;
+    if d.grow_bytes() > 0 {
+        format!("grow +{} bytes", d.grow_bytes())
+    } else if d.shrink_bytes() > 0 {
+        format!("shrink -{} bytes", d.shrink_bytes())
+    } else {
+        "no change".to_string()
+    }
+}
 
 fn main() {
     let mut config = ServiceConfig::fast(4);
     config.tuning_interval = Duration::from_millis(25);
-    // Start the pool small so the DSS burst visibly forces growth.
     config.initial_lock_bytes = 256 * 1024;
     let service = Arc::new(LockService::start(config).unwrap_or_else(|e| {
         eprintln!("service start failed: {e}");
@@ -32,81 +63,86 @@ fn main() {
         service.pool_stats().bytes
     );
 
-    // Four workers: worker 0 is the DSS scanner (large S batches), the
-    // rest run small OLTP updates.
-    let handles: Vec<_> = (0..4u32)
+    // Phase 1: the mixed storm.
+    let mix = Mix::new(16, 2_000, 8)
+        .and_then(|m| m.with_dss(600, 25))
+        .expect("a valid mix");
+    let start = Instant::now();
+    let workers: Vec<_> = (0..WORKERS)
         .map(|w| {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
-                let session = service.connect(AppId(w + 1));
-                let table = TableId(w % 2);
-                let txns = if w == 0 { 60 } else { 200 };
-                for txn in 0..txns {
-                    if w == 0 {
-                        // DSS: IS on the table, a 9000-row S scan —
-                        // enough held at once to eat the 50% free
-                        // target and force the pool to grow.
-                        session
-                            .lock(ResourceId::Table(table), LockMode::IS)
-                            .unwrap();
-                        for r in 0..9000 {
-                            session
-                                .lock(ResourceId::Row(table, RowId(txn * 7 + r)), LockMode::S)
-                                .unwrap();
-                        }
-                    } else {
-                        // OLTP: IX on the table, a few X rows.
-                        session
-                            .lock(ResourceId::Table(table), LockMode::IX)
-                            .unwrap();
-                        for r in 0..6 {
-                            let row = RowId((txn * 31 + r * 13 + w as u64 * 1000) % 5_000);
-                            if session
-                                .lock(ResourceId::Row(table, row), LockMode::X)
-                                .is_err()
-                            {
-                                break; // timeout or victim: retry next txn
-                            }
-                        }
-                    }
-                    // A commit-time DeadlockVictim just means this
-                    // transaction's locks are already gone; retry next.
-                    let _ = session.unlock_all();
-                }
+                let mut session = service.connect(AppId(w + 1));
+                let mut rng = StdRng::seed_from_u64(SEED + u64::from(w));
+                let mut tally = Tally::default();
+                let Ok(()) = txn::run(&mut session, &mix, &mut rng, TXNS_PER_WORKER, &mut tally);
+                tally
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
+    let mut tally = Tally::default();
+    for w in workers {
+        tally.merge(&w.join().expect("worker panicked"));
     }
-
-    // Let the tuner observe the now-idle pool and give memory back.
-    std::thread::sleep(Duration::from_millis(150));
-
-    let reports = service.tuning_reports();
-    println!("tuning intervals run: {}", reports.len());
-    for (i, r) in reports.iter().enumerate() {
-        let d = &r.decision;
-        let verdict = if d.grow_bytes() > 0 {
-            format!("grow +{} bytes", d.grow_bytes())
-        } else if d.shrink_bytes() > 0 {
-            format!("shrink -{} bytes", d.shrink_bytes())
-        } else {
-            "no change".to_string()
-        };
-        println!(
-            "  interval {:>2}: {:>10} bytes after, {}",
-            i + 1,
-            r.lock_bytes_after,
-            verdict
-        );
-    }
-
+    let secs = start.elapsed().as_secs_f64();
     let stats = service.stats();
+    println!("--- mixed storm: {WORKERS} workers x {TXNS_PER_WORKER} txns ---");
+    print!("{tally}");
     println!(
-        "grants: {}, waits: {}, escalations: {}",
-        stats.grants, stats.waits, stats.escalations
+        "throughput:        {:.0} txn/s",
+        tally.get(txn::TxnOutcome::Committed) as f64 / secs
     );
+    println!("escalations:       {}", stats.escalations);
+    println!("queue waits:       {}", stats.waits);
+
+    // Phase 2: hold more than (1 - minFree) of the pool's slots, so
+    // the next interval sees the free target breached.
+    let holder = service.connect(AppId(10_000));
+    let total = service.pool_stats().slots_total;
+    let want_used = ((1.0 - service.params().min_free_fraction) * total as f64) as u64 + total / 10;
+    let table = TableId(u32::MAX);
+    holder
+        .lock(ResourceId::Table(table), LockMode::IX)
+        .expect("private table");
+    let mut row = 0u64;
+    while service.pool_used_slots() < want_used {
+        holder
+            .lock(ResourceId::Row(table, RowId(row)), LockMode::X)
+            .expect("the pool grows synchronously");
+        row += 1;
+    }
+    let held = service.run_tuning_interval_now();
+    println!("held pressure:     {row} rows held, {}", decision(&held));
+    if held.decision.shrink_bytes() > 0 {
+        eprintln!("FAILED: a pool under free-target pressure shrank");
+        std::process::exit(1);
+    }
+    holder
+        .unlock_all()
+        .expect("an uncontended holder never waits, so it cannot be a victim");
+
+    // Phase 3: a quiescent pool gives memory back by δ_reduce.
+    for i in 1..=4 {
+        let r = service.run_tuning_interval_now();
+        println!("quiescent {i}:       {}", decision(&r));
+    }
+
+    let counters = service.tuning_counters();
+    let peak = service
+        .tuning_reports()
+        .iter()
+        .map(|r| r.lock_bytes_after)
+        .max()
+        .unwrap_or(0);
+    println!(
+        "tuning:            {} grows, {} shrinks, peak pool {peak} bytes, final {} bytes",
+        counters.grow_decisions,
+        counters.shrink_decisions,
+        service.pool_stats().bytes
+    );
+
+    // Phase 4: zero divergence per shard and across shards (panics,
+    // exiting non-zero, otherwise).
     service.validate();
     println!(
         "accounting: zero divergence across {} shards",

@@ -1,7 +1,12 @@
 //! Shared helpers for the cross-crate integration tests.
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use locktune_core::TunerParams;
 use locktune_engine::{Policy, RunResult, Scenario};
+use locktune_net::{Server, ServerConfig};
+use locktune_service::{LockService, ServiceConfig};
 
 /// Run a short self-tuned smoke scenario.
 pub fn tuned_smoke(seconds: u64, clients: u32, seed: u64) -> RunResult {
@@ -26,4 +31,53 @@ pub fn static_smoke(locklist_bytes: u64, seconds: u64, clients: u32, seed: u64) 
         seed,
     )
     .run()
+}
+
+/// Poll `cond` every 5 ms until it holds or `within` elapses; whether
+/// it held.
+pub fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
+    let end = Instant::now() + within;
+    loop {
+        if cond() {
+            return true;
+        }
+        if Instant::now() >= end {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Put `service` behind a new loopback server.
+pub fn serve(service: &Arc<LockService>, config: ServerConfig) -> Server {
+    Server::bind_with_config(Arc::clone(service), "127.0.0.1:0", config).expect("bind loopback")
+}
+
+/// Start `n` nodes, each a service from `service()` behind a loopback
+/// server from `server(node)`: the services, servers and addresses.
+pub fn start_nodes(
+    n: usize,
+    service: impl Fn() -> ServiceConfig,
+    server: impl Fn(usize) -> ServerConfig,
+) -> (Vec<Arc<LockService>>, Vec<Server>, Vec<String>) {
+    let services: Vec<_> = (0..n)
+        .map(|_| Arc::new(LockService::start(service()).expect("service start")))
+        .collect();
+    let servers: Vec<_> = (0..n).map(|i| serve(&services[i], server(i))).collect();
+    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    (services, servers, addrs)
+}
+
+/// Every service drains to zero used lock slots (dead clients are
+/// reaped and slot caches flush asynchronously) and passes the exact
+/// accounting audit.
+pub fn assert_drained(services: &[Arc<LockService>]) {
+    for (node, service) in services.iter().enumerate() {
+        assert!(
+            eventually(Duration::from_secs(10), || service.pool_used_slots() == 0),
+            "node {node}: {} lock slots leaked",
+            service.pool_used_slots()
+        );
+        service.validate();
+    }
 }

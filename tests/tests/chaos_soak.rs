@@ -19,18 +19,16 @@
 #![cfg(feature = "faults")]
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use locktune_lockmgr::{LockError, LockMode, ResourceId, RowId, TableId};
-use locktune_net::{
-    ClientError, IoModel, ReconnectConfig, ReconnectingClient, Server, ServerConfig,
-};
+use locktune_integration_tests::{assert_drained, eventually};
+use locktune_net::{IoModel, ReconnectConfig, ReconnectingClient, Server, ServerConfig};
 use locktune_obs::EventKind;
-use locktune_service::{
-    BatchOutcome, FaultInjector, FaultPlan, FaultSite, LockService, ServiceConfig, ServiceError,
-};
+use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_service::{FaultInjector, FaultPlan, FaultSite, LockService, ServiceConfig};
+use locktune_workload::Mix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const WORKERS: u64 = 4;
 const TXNS_PER_WORKER: u64 = 60;
@@ -57,17 +55,11 @@ fn plan(seed: u64) -> FaultInjector {
         .build()
 }
 
-struct WorkerReport {
-    committed: u64,
-    aborted: u64,
-    reconnected_txns: u64,
-    reconnect_cycles: u64,
-}
-
-/// One worker: small OLTP-ish transactions through a reconnecting
-/// session. Every survivable failure is tolerated and counted;
-/// anything else fails the test.
-fn worker(addr: std::net::SocketAddr, seed: u64) -> WorkerReport {
+/// One worker: small OLTP transactions (an IX intent and 4 X rows on
+/// one of 8 tables of 256 rows) through a reconnecting session. Every
+/// survivable failure is counted by the shared loop; anything else
+/// fails the test. Returns the tally and the reconnect cycles.
+fn worker(addr: std::net::SocketAddr, seed: u64) -> (Tally, u64) {
     let policy = ReconnectConfig {
         max_attempts: 50,
         base_delay: Duration::from_millis(2),
@@ -76,68 +68,11 @@ fn worker(addr: std::net::SocketAddr, seed: u64) -> WorkerReport {
         ..ReconnectConfig::default()
     };
     let mut rc = ReconnectingClient::connect(addr, policy).expect("worker connect");
+    let mix = Mix::new(8, 256, 4).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = WorkerReport {
-        committed: 0,
-        aborted: 0,
-        reconnected_txns: 0,
-        reconnect_cycles: 0,
-    };
-    for _ in 0..TXNS_PER_WORKER {
-        let table = TableId(rng.gen_range_u64(0, 8) as u32);
-        let mut locks = vec![(ResourceId::Table(table), LockMode::IX)];
-        for _ in 0..4 {
-            let row = RowId(rng.gen_range_u64(0, 256));
-            locks.push((ResourceId::Row(table, row), LockMode::X));
-        }
-        let outcomes = match rc.lock_batch(&locks) {
-            Ok(o) => o,
-            Err(ClientError::Reconnected) => {
-                // Session replaced mid-transaction: old locks are
-                // already released server-side; abandon and move on.
-                report.reconnected_txns += 1;
-                continue;
-            }
-            Err(e) => panic!("worker lock_batch: {e}"),
-        };
-        let failed = outcomes.iter().any(|o| {
-            matches!(
-                o,
-                BatchOutcome::Done(Err(ServiceError::Timeout
-                    | ServiceError::DeadlockVictim
-                    | ServiceError::Overloaded { .. }
-                    | ServiceError::Lock(LockError::OutOfLockMemory)))
-            )
-        });
-        match rc.unlock_all() {
-            Ok(_) => {
-                if failed {
-                    report.aborted += 1;
-                } else {
-                    report.committed += 1;
-                }
-            }
-            Err(ClientError::Reconnected) => report.reconnected_txns += 1,
-            Err(ClientError::Service(_)) => report.aborted += 1,
-            Err(e) => panic!("worker unlock_all: {e}"),
-        }
-    }
-    report.reconnect_cycles = rc.stats().reconnects;
-    report
-}
-
-/// Poll `cond` until it holds or `deadline` elapses.
-fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= end {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let mut tally = Tally::default();
+    txn::run(&mut rc, &mix, &mut rng, TXNS_PER_WORKER, &mut tally).expect("worker storm");
+    (tally, rc.stats().reconnects)
 }
 
 fn run_chaos(seed: u64, model: IoModel) {
@@ -168,15 +103,15 @@ fn run_chaos(seed: u64, model: IoModel) {
     let workers: Vec<_> = (0..WORKERS)
         .map(|w| std::thread::spawn(move || worker(addr, seed ^ (w + 1).wrapping_mul(0x9E37))))
         .collect();
-    let mut committed = 0;
-    let mut reconnected_txns = 0;
+    let mut tally = Tally::default();
     let mut reconnect_cycles = 0;
     for w in workers {
-        let r = w.join().expect("worker panicked");
-        committed += r.committed;
-        reconnected_txns += r.reconnected_txns;
-        reconnect_cycles += r.reconnect_cycles;
+        let (t, cycles) = w.join().expect("worker panicked");
+        tally.merge(&t);
+        reconnect_cycles += cycles;
     }
+    let committed = tally.get(TxnOutcome::Committed);
+    let reconnected_txns = tally.get(TxnOutcome::Lost);
     // The storm must not have prevented all progress.
     assert!(committed > 0, "no transaction survived the storm");
 
@@ -234,12 +169,7 @@ fn run_chaos(seed: u64, model: IoModel) {
 
     // Drain: all clients are gone; the server tears their sessions
     // down asynchronously and every lock slot must come back.
-    assert!(
-        eventually(Duration::from_secs(10), || service.pool_used_slots() == 0),
-        "{} lock slots leaked after all clients disconnected",
-        service.pool_used_slots()
-    );
-    service.validate();
+    assert_drained(std::slice::from_ref(&service));
 
     // The journal must carry the recovery record: respawns and the
     // injection events themselves.
@@ -323,7 +253,7 @@ fn chaos_soak_seed_0xdb2_evented() {
 /// shed never leaks (or steals) another tenant's budget.
 #[test]
 fn tenant_storm_never_leaks_budget() {
-    use locktune_lockmgr::AppId;
+    use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
     use locktune_tenants::{TenantDirectory, TenantsConfig};
 
     const MIB: u64 = 1024 * 1024;
@@ -350,25 +280,19 @@ fn tenant_storm_never_leaks_budget() {
     let quiet: Vec<_> = (0..2u32).map(|id| dir.create_tenant(id).unwrap()).collect();
     let heavy = dir.create_tenant(2).unwrap();
 
-    // Two OLTP workers per quiet tenant: small transactions, every
-    // service-level abort (injected alloc failure, timeout, shed
-    // rejection) tolerated and the storm carries on.
+    // Two OLTP workers per quiet tenant: an IX intent and 8 X rows on
+    // one of 4 tables of 256 rows. Every service-level abort (injected
+    // alloc failure, timeout, shed rejection) is counted by the shared
+    // loop and the storm carries on.
+    let mix = Mix::new(4, 256, 8).unwrap();
     let mut workers = Vec::new();
     for (t, service) in quiet.iter().enumerate() {
         for w in 0..2u64 {
             let service = Arc::clone(service);
             workers.push(std::thread::spawn(move || {
-                let session = service.connect(AppId(100 * (t as u32 + 1) + w as u32));
+                let mut session = service.connect(AppId(100 * (t as u32 + 1) + w as u32));
                 let mut rng = StdRng::seed_from_u64(w ^ 0xC0FFEE);
-                for _ in 0..200 {
-                    let table = TableId(rng.gen_range_u64(0, 4) as u32);
-                    let _ = session.lock(ResourceId::Table(table), LockMode::IX);
-                    for _ in 0..8 {
-                        let row = RowId(rng.gen_range_u64(0, 256));
-                        let _ = session.lock(ResourceId::Row(table, row), LockMode::X);
-                    }
-                    let _ = session.unlock_all();
-                }
+                let Ok(()) = txn::run(&mut session, &mix, &mut rng, 200, &mut Tally::default());
             }));
         }
     }

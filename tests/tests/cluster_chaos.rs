@@ -23,16 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use locktune_cluster::{
-    BreakerConfig, ClusterConfig, ClusterDetector, ClusterError, RoutingClient,
-};
-use locktune_lockmgr::{LockError, LockMode, ResourceId, RowId, TableId};
-use locktune_net::{ReconnectConfig, Server, ServerConfig};
-use locktune_service::{
-    BatchOutcome, FaultInjector, FaultPlan, FaultSite, LockService, ServiceConfig, ServiceError,
-};
+use locktune_cluster::{BreakerConfig, ClusterConfig, ClusterDetector, RoutingClient};
+use locktune_integration_tests::{assert_drained, start_nodes};
+use locktune_net::{ReconnectConfig, ServerConfig};
+use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_service::{FaultInjector, FaultPlan, FaultSite, ServiceConfig};
+use locktune_workload::Mix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const NODES: usize = 3;
 const WORKERS: u64 = 4;
@@ -45,20 +43,16 @@ const KILLED: usize = 1;
 /// The node running the wire-stall schedule.
 const STALLED: usize = 2;
 
-struct WorkerReport {
-    committed: u64,
-    aborted: u64,
-    sessions_lost: u64,
-    node_down: u64,
-}
-
+/// One worker: routed bursts over two of 64 tables (an IX intent and
+/// 2 X rows of 64 on each) through the shared loop, where a lost
+/// session or a node down loses the transaction.
 fn worker(
     addrs: Vec<String>,
     seed: u64,
     gid: u64,
     connected: Arc<Barrier>,
     progress: Arc<AtomicU64>,
-) -> WorkerReport {
+) -> Tally {
     let config = ClusterConfig {
         nodes: addrs,
         reconnect: ReconnectConfig {
@@ -83,83 +77,24 @@ fn worker(
         Err(e) => panic!("worker connect: {e}"),
     };
     let start = Instant::now();
+    let mix = Mix::new(64, 64, 2)
+        .and_then(|m| m.with_tables_per_txn(2))
+        .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = WorkerReport {
-        committed: 0,
-        aborted: 0,
-        sessions_lost: 0,
-        node_down: 0,
-    };
+    let mut tally = Tally::default();
+    let mut set = Vec::new();
     let mut txns = 0;
     while txns < TXNS_PER_WORKER
-        || (report.sessions_lost + report.node_down == 0 && start.elapsed() < STORM_LIMIT)
+        || (tally.get(TxnOutcome::Lost) == 0 && start.elapsed() < STORM_LIMIT)
     {
         txns += 1;
         progress.fetch_add(1, Ordering::Relaxed);
-        // A mixed burst over two random tables — usually spanning two
-        // partitions — IX intents plus row X locks on each.
-        let mut locks = Vec::new();
-        for _ in 0..2 {
-            let table = TableId(rng.gen_range_u64(0, 64) as u32);
-            locks.push((ResourceId::Table(table), LockMode::IX));
-            for _ in 0..2 {
-                let row = RowId(rng.gen_range_u64(0, 64));
-                locks.push((ResourceId::Row(table, row), LockMode::X));
-            }
-        }
-        let outcomes = match rc.lock_many(&locks) {
-            Ok(o) => o,
-            Err(e @ (ClusterError::SessionLost { .. } | ClusterError::NodeDown { .. })) => {
-                // The router has already released every surviving
-                // node's locks; the transaction restarts from an
-                // empty state.
-                if matches!(e, ClusterError::SessionLost { .. }) {
-                    report.sessions_lost += 1;
-                } else {
-                    report.node_down += 1;
-                }
-                continue;
-            }
-            Err(e) => panic!("worker lock_many: {e}"),
-        };
-        let failed = outcomes.iter().any(|o| {
-            matches!(
-                o,
-                BatchOutcome::Done(Err(ServiceError::Timeout
-                    | ServiceError::DeadlockVictim
-                    | ServiceError::Overloaded { .. }
-                    | ServiceError::Lock(LockError::OutOfLockMemory)))
-            )
-        });
-        match rc.unlock_all() {
-            Ok(_) => {
-                if failed {
-                    report.aborted += 1;
-                } else {
-                    report.committed += 1;
-                }
-            }
-            Err(ClusterError::Node {
-                error: locktune_net::ClientError::Service(_),
-                ..
-            }) => report.aborted += 1,
-            Err(e) => panic!("worker unlock_all: {e}"),
+        mix.roll(&mut rng, &mut set);
+        if let Err(e) = txn::run_txn(&mut rc, &set, &mut tally) {
+            panic!("worker transaction: {e}");
         }
     }
-    report
-}
-
-fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= end {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    tally
 }
 
 fn run_chaos(seed: u64) {
@@ -171,29 +106,19 @@ fn run_chaos(seed: u64) {
         .build();
     assert!(stall_faults.is_armed());
 
-    let mut servers = Vec::new();
-    let mut services = Vec::new();
-    let mut addrs = Vec::new();
-    for node in 0..NODES {
-        let service = Arc::new(LockService::start(ServiceConfig::fast(4)).expect("service start"));
-        let faults = if node == STALLED {
-            stall_faults.clone()
-        } else {
-            FaultInjector::disabled()
-        };
-        let server = Server::bind_with_config(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            ServerConfig {
-                faults,
-                ..ServerConfig::default()
+    let (services, servers, addrs) = start_nodes(
+        NODES,
+        || ServiceConfig::fast(4),
+        |node| ServerConfig {
+            faults: if node == STALLED {
+                stall_faults.clone()
+            } else {
+                FaultInjector::disabled()
             },
-        )
-        .expect("bind loopback");
-        addrs.push(server.local_addr().to_string());
-        servers.push(Some(server));
-        services.push(service);
-    }
+            ..ServerConfig::default()
+        },
+    );
+    let mut servers: Vec<_> = servers.into_iter().map(Some).collect();
 
     // A detector chases edges throughout the storm; killed-node polls
     // degrade to skipped rounds, never errors.
@@ -237,23 +162,22 @@ fn run_chaos(seed: u64) {
     }
     servers[KILLED].take().expect("not yet killed").shutdown();
 
-    let mut committed = 0;
-    let mut sessions_lost = 0;
-    let mut node_down = 0;
+    let mut tally = Tally::default();
     for w in workers {
-        let r = w.join().expect("worker panicked");
-        committed += r.committed;
-        sessions_lost += r.sessions_lost;
-        node_down += r.node_down;
+        tally.merge(&w.join().expect("worker panicked"));
     }
     detector.stop();
 
     // The storm was felt and survived: the kill surfaced as explicit
-    // session-loss / node-down events, the stall schedule fired, and
-    // batches avoiding the dead partition kept committing.
-    assert!(committed > 0, "no transaction survived the storm");
+    // session-loss / node-down events (lost transactions), the stall
+    // schedule fired, and batches avoiding the dead partition kept
+    // committing.
     assert!(
-        sessions_lost + node_down > 0,
+        tally.get(TxnOutcome::Committed) > 0,
+        "no transaction survived the storm"
+    );
+    assert!(
+        tally.get(TxnOutcome::Lost) > 0,
         "a node was killed mid-storm but no worker observed it"
     );
     assert!(
@@ -264,14 +188,7 @@ fn run_chaos(seed: u64) {
     // Every node — the survivors and the killed one, whose server
     // teardown already ran — must drain to zero used slots and pass
     // the exact accounting audit.
-    for (node, service) in services.iter().enumerate() {
-        assert!(
-            eventually(Duration::from_secs(10), || service.pool_used_slots() == 0),
-            "node {node}: {} lock slots leaked after the storm",
-            service.pool_used_slots()
-        );
-        service.validate();
-    }
+    assert_drained(&services);
 
     for s in servers.into_iter().flatten() {
         s.shutdown();

@@ -8,11 +8,12 @@
 
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use locktune_cluster::{
     BreakerConfig, ClusterConfig, ClusterDetector, ClusterError, RoutingClient,
 };
+use locktune_integration_tests::{assert_drained, eventually, start_nodes};
 use locktune_lockmgr::partition::slot_of;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, RowId, TableId};
 use locktune_net::wire::{self, Reply, Request};
@@ -31,21 +32,14 @@ fn cluster_with(
     timeout: Duration,
     server_config: impl Fn() -> ServerConfig,
 ) -> (Vec<Server>, Vec<Arc<LockService>>, ClusterConfig) {
-    let mut servers = Vec::new();
-    let mut services = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..n {
-        let config = ServiceConfig {
+    let (services, servers, addrs) = start_nodes(
+        n,
+        || ServiceConfig {
             lock_wait_timeout: Some(timeout),
             ..ServiceConfig::fast(4)
-        };
-        let service = Arc::new(LockService::start(config).expect("service start"));
-        let server = Server::bind_with_config(Arc::clone(&service), "127.0.0.1:0", server_config())
-            .expect("bind loopback");
-        addrs.push(server.local_addr().to_string());
-        servers.push(server);
-        services.push(service);
-    }
+        },
+        |_| server_config(),
+    );
     let config = ClusterConfig {
         nodes: addrs,
         reconnect: ReconnectConfig::default(),
@@ -62,19 +56,6 @@ fn table_for_slot(slot: usize, n: usize) -> TableId {
         .map(TableId)
         .find(|&t| slot_of(t, n) == slot)
         .expect("every slot owns some table")
-}
-
-fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= end {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// Routed batches come back in request order with each item executed
@@ -126,12 +107,7 @@ fn routed_batch_merges_in_request_order() {
 
     // Drain (slot caches flush asynchronously), then audit every
     // node.
-    for service in &services {
-        assert!(
-            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
-            "slots leaked on a node"
-        );
-    }
+    assert_drained(&services);
     for r in rc.validate().expect("cluster audit") {
         assert_eq!(r.charged_slots, 0);
     }
@@ -173,13 +149,7 @@ fn unlock_all_releases_outer_nodes_when_the_middle_node_is_dead() {
     // Nodes 0 and 2 hold IX + 1 row and IX + 3 rows.
     let report = rc.unlock_all().expect("a dead node is tolerated");
     assert_eq!(report.released_locks, 2 + 4);
-    for (node, service) in services.iter().enumerate() {
-        assert!(
-            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
-            "node {node} still charges slots"
-        );
-        service.validate();
-    }
+    assert_drained(&services);
     for s in servers {
         s.shutdown();
     }
@@ -264,12 +234,7 @@ fn unlock_all_contacts_only_the_nodes_the_transaction_touched() {
     for r in rc.validate().expect("cluster audit") {
         assert_eq!(r.charged_slots, 0);
     }
-    for service in &services {
-        assert!(
-            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
-            "slots leaked on a node"
-        );
-    }
+    assert_drained(&services);
     for s in servers {
         s.shutdown();
     }
@@ -404,13 +369,7 @@ fn cross_node_deadlock_resolved_with_one_victim() {
     assert_eq!(n0.deadlock_victims, 0, "local sweeper must not fire");
     assert_eq!(n1.deadlock_victims, 0);
 
-    for service in &services {
-        assert!(
-            eventually(Duration::from_secs(5), || service.pool_used_slots() == 0),
-            "slots leaked after the deadlock resolution"
-        );
-        service.validate();
-    }
+    assert_drained(&services);
     for s in servers {
         s.shutdown();
     }

@@ -28,14 +28,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use locktune_cluster::{
-    BreakerConfig, ClusterConfig, ClusterError, ClusterSupervisor, NodeState, RoutedOutcome,
-    RoutingClient, SupervisorConfig,
+    BreakerConfig, ClusterConfig, ClusterError, ClusterSupervisor, Degraded, EpochMap, NodeState,
+    RoutedOutcome, RoutingClient, SupervisorConfig,
 };
-use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
-use locktune_net::{ReconnectConfig, Server, ServerConfig};
-use locktune_service::{BatchOutcome, LockService, ServiceConfig};
+use locktune_integration_tests::{assert_drained, eventually, serve, start_nodes};
+use locktune_lockmgr::{LockMode, ResourceId};
+use locktune_net::{ReconnectConfig, ServerConfig};
+use locktune_service::txn::{self, Tally, TxnBackend, TxnOutcome, Verdict};
+use locktune_service::{BatchOutcome, ServiceConfig};
+use locktune_workload::Mix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const NODES: usize = 3;
 const WORKERS: u64 = 4;
@@ -51,10 +54,8 @@ type Claims = Arc<Mutex<HashMap<ResourceId, (u64, usize, u64)>>>;
 
 #[derive(Default)]
 struct WorkerReport {
-    committed: u64,
+    tally: Tally,
     committed_degraded: u64,
-    unavailable_items: u64,
-    stale_epochs: u64,
     double_grants: u64,
 }
 
@@ -107,86 +108,85 @@ fn worker(
     }
     let mut rc = rc.expect("connect retries exhausted");
     storm.connected.fetch_add(1, Ordering::Relaxed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = WorkerReport::default();
     // Disjoint row spaces per worker keep the oracle's claims honest
     // without serializing the storm: a double grant can then only come
     // from the cluster losing track of a lock, not from two workers
     // racing the same row legitimately.
-    let row_base = gid * 10_000;
-
+    let mix = Mix::new(64, 64, 2)
+        .and_then(|m| m.with_tables_per_txn(2))
+        .and_then(|m| m.with_row_base(gid * 10_000))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut report = WorkerReport::default();
+    let mut set = Vec::new();
+    let mut backend = Claiming {
+        inner: Degraded::new(&mut rc),
+        claims,
+        gid,
+        snap: map.snapshot(),
+        double_grants: 0,
+    };
     while !storm.stop.load(Ordering::Relaxed) {
         storm.progress.fetch_add(1, Ordering::Relaxed);
-        let snap = map.snapshot();
-        let mut locks = Vec::new();
-        for _ in 0..2 {
-            let table = TableId(rng.gen_range_u64(0, 64) as u32);
-            locks.push((ResourceId::Table(table), LockMode::IX));
-            for _ in 0..2 {
-                let row = RowId(row_base + rng.gen_range_u64(0, 64));
-                locks.push((ResourceId::Row(table, row), LockMode::X));
-            }
-        }
-        let outcomes = match rc.lock_many_degraded(&locks) {
-            Ok(o) => o,
-            Err(e @ ClusterError::StaleEpoch { .. }) => {
-                // The map moved under the transaction; the router
-                // released everything reachable. Our claims are void.
-                let _ = e;
-                report.stale_epochs += 1;
-                claims.lock().unwrap().retain(|_, (w, _, _)| *w != gid);
-                continue;
-            }
-            Err(e) => panic!("worker lock_many_degraded: {e}"),
-        };
-
-        let mut all_done = true;
-        for (k, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                RoutedOutcome::Done(BatchOutcome::Done(Ok(_))) => {
-                    let (res, mode) = locks[k];
-                    if mode == LockMode::X {
-                        register_claim(&claims, &snap, res, gid, &mut report);
-                    }
-                }
-                RoutedOutcome::Done(_) => all_done = false,
-                RoutedOutcome::Unavailable { .. } => {
-                    all_done = false;
-                    report.unavailable_items += 1;
-                }
-            }
-        }
-        // Claims come out BEFORE the locks are released: the oracle
-        // must never show a window where the lock is still held but
-        // the claim is gone.
-        claims.lock().unwrap().retain(|_, (w, _, _)| *w != gid);
-        match rc.unlock_all() {
-            Ok(_) => {
-                if all_done {
-                    report.committed += 1;
-                    if snap.degraded() {
-                        report.committed_degraded += 1;
-                    }
-                }
-            }
-            Err(e) => panic!("worker unlock_all: {e}"),
+        backend.snap = map.snapshot();
+        mix.roll(&mut rng, &mut set);
+        let outcome = txn::run_txn(&mut backend, &set, &mut report.tally)
+            .unwrap_or_else(|e| panic!("worker transaction: {e}"));
+        if outcome == TxnOutcome::Committed && backend.snap.degraded() {
+            report.committed_degraded += 1;
         }
     }
+    report.double_grants = backend.double_grants;
     rc.stop();
     report
 }
 
-/// Insert a claim for an exclusive grant, flagging a double grant if
-/// another worker's claim is still live on a serving node.
-fn register_claim(
-    claims: &Claims,
-    snap: &locktune_cluster::EpochMap,
-    res: ResourceId,
+/// The degraded back-end with the claims oracle between lock and
+/// release: every exclusive grant is claimed as it comes back, and
+/// the claims come out *before* the locks are released, so the oracle
+/// never shows a lock still held whose claim is gone.
+struct Claiming<'a> {
+    inner: Degraded<'a>,
+    claims: Claims,
     gid: u64,
-    report: &mut WorkerReport,
-) {
+    /// The routing map at the start of the transaction.
+    snap: Arc<EpochMap>,
+    double_grants: u64,
+}
+
+impl TxnBackend for Claiming<'_> {
+    type Error = ClusterError;
+
+    fn lock_set(
+        &mut self,
+        set: &[(ResourceId, LockMode)],
+        verdict: &mut Verdict,
+    ) -> Result<(), ClusterError> {
+        self.inner.lock_set(set, verdict)?;
+        for (k, outcome) in self.inner.outcomes().iter().enumerate() {
+            let (res, mode) = set[k];
+            if mode == LockMode::X
+                && matches!(outcome, RoutedOutcome::Done(BatchOutcome::Done(Ok(_))))
+            {
+                self.double_grants += register_claim(&self.claims, &self.snap, res, self.gid);
+            }
+        }
+        Ok(())
+    }
+
+    fn release(&mut self, verdict: &mut Verdict) -> Result<(), ClusterError> {
+        let gid = self.gid;
+        self.claims.lock().unwrap().retain(|_, (w, _, _)| *w != gid);
+        self.inner.release(verdict)
+    }
+}
+
+/// Insert a claim for an exclusive grant; 1 if another worker's claim
+/// is still live on a serving node (a double grant), else 0.
+fn register_claim(claims: &Claims, snap: &EpochMap, res: ResourceId, gid: u64) -> u64 {
     let node = snap.owner_of(res);
     let mut claims = claims.lock().unwrap();
+    let mut double_grants = 0;
     if let Some(&(other, other_node, other_epoch)) = claims.get(&res) {
         if other != gid && snap.states[other_node].serving() {
             eprintln!(
@@ -194,28 +194,11 @@ fn register_claim(
                  vs worker {other} (node {other_node}, epoch {other_epoch})",
                 snap.epoch
             );
-            report.double_grants += 1;
+            double_grants = 1;
         }
     }
     claims.insert(res, (gid, node, snap.epoch));
-}
-
-fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= end {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn spawn_node(service: &Arc<LockService>) -> Server {
-    Server::bind_with_config(Arc::clone(service), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind loopback")
+    double_grants
 }
 
 fn wait_progress(storm: &Storm, upto: u64) {
@@ -229,16 +212,12 @@ fn wait_progress(storm: &Storm, upto: u64) {
 }
 
 fn run_failover(seed: u64) {
-    let mut servers = Vec::new();
-    let mut services = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..NODES {
-        let service = Arc::new(LockService::start(ServiceConfig::fast(4)).expect("service start"));
-        let server = spawn_node(&service);
-        addrs.push(server.local_addr().to_string());
-        servers.push(Some(server));
-        services.push(service);
-    }
+    let (services, servers, addrs) = start_nodes(
+        NODES,
+        || ServiceConfig::fast(4),
+        |_| ServerConfig::default(),
+    );
+    let mut servers: Vec<_> = servers.into_iter().map(Some).collect();
 
     let sup = ClusterSupervisor::spawn(
         addrs.clone(),
@@ -315,7 +294,7 @@ fn run_failover(seed: u64) {
     // Phase 4 — respawn at a NEW address (a restarted process rarely
     // gets its old port back), re-register, and watch the two-phase
     // rejoin bring the node back to Up.
-    let respawn = spawn_node(&services[KILLED]);
+    let respawn = serve(&services[KILLED], ServerConfig::default());
     let new_addr = respawn.local_addr().to_string();
     assert_ne!(new_addr, addrs[KILLED], "respawn reused the old port");
     sup.register_node(KILLED, new_addr);
@@ -334,22 +313,21 @@ fn run_failover(seed: u64) {
     let mut total = WorkerReport::default();
     for w in workers {
         let r = w.join().expect("worker panicked");
-        total.committed += r.committed;
+        total.tally.merge(&r.tally);
         total.committed_degraded += r.committed_degraded;
-        total.unavailable_items += r.unavailable_items;
-        total.stale_epochs += r.stale_epochs;
         total.double_grants += r.double_grants;
     }
+    let committed = total.tally.get(TxnOutcome::Committed);
 
     // The storm was felt and survived on every axis.
     assert_eq!(total.double_grants, 0, "exclusive lock double-granted");
-    assert!(total.committed > 0, "no transaction survived the storm");
+    assert!(committed > 0, "no transaction survived the storm");
     assert!(
         total.committed_degraded > 0,
         "no live-partition service while the node was down"
     );
     assert!(
-        total.unavailable_items > 0,
+        total.tally.unavailable_items > 0,
         "a node was down mid-storm but no batch saw an unavailable partition"
     );
 
@@ -375,25 +353,17 @@ fn run_failover(seed: u64) {
     assert_eq!(*states.last().unwrap(), NodeState::Up, "{states:?}");
     eprintln!(
         "seed {seed:#x}: detect+reassign {detect_ms} ms, epochs 1→{}, \
-         committed {} ({} degraded), unavailable items {}, stale epochs {}",
+         committed {committed} ({} degraded), unavailable items {}, stale epochs {}",
         final_map.epoch,
-        total.committed,
         total.committed_degraded,
-        total.unavailable_items,
-        total.stale_epochs
+        total.tally.unavailable_items,
+        total.tally.get(TxnOutcome::Lost)
     );
 
     // Every service — survivors, the killed node (its teardown ran at
     // shutdown), and the respawn serving the same LockService — drains
     // to zero used slots and passes the exact accounting audit.
-    for (node, service) in services.iter().enumerate() {
-        assert!(
-            eventually(Duration::from_secs(10), || service.pool_used_slots() == 0),
-            "node {node}: {} lock slots leaked after the storm",
-            service.pool_used_slots()
-        );
-        service.validate();
-    }
+    assert_drained(&services);
 
     sup.stop();
     for s in servers.into_iter().flatten() {
