@@ -19,5 +19,5 @@ pub use atomic::{raise_max, AtomicHistogram, HistogramSnapshot};
 pub use csv::write_csv;
 pub use histogram::{bucket_index, bucket_upper_edge, DurationHistogram, BUCKETS};
 pub use series::TimeSeries;
-pub use summary::Summary;
+pub use summary::{percentile, Summary};
 pub use window::ThroughputWindow;

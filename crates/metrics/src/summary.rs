@@ -32,17 +32,19 @@ impl Summary {
             mean: sum / count as f64,
             min: sorted[0],
             max: sorted[count - 1],
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
+            p50: percentile(&sorted, 0.50)?,
+            p95: percentile(&sorted, 0.95)?,
         })
     }
 }
 
-/// Nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+/// Nearest-rank percentile over a sorted slice: the sample at index
+/// `round(q·(n−1))`, or `None` for an empty slice. At `q = 0.5` that
+/// index is `n / 2` for every `n`.
+pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (q * last as f64).round() as usize;
+    Some(sorted[rank.min(last)])
 }
 
 #[cfg(test)]
@@ -75,6 +77,15 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!((s.p50 - 50.0).abs() <= 1.0);
         assert!((s.p95 - 95.0).abs() <= 1.0);
+    }
+
+    #[test]
+    fn median_is_the_upper_middle() {
+        assert_eq!(percentile::<u64>(&[], 0.5), None);
+        for n in 1..=8u64 {
+            let xs: Vec<u64> = (0..n).collect();
+            assert_eq!(percentile(&xs, 0.5), Some(n / 2), "n = {n}");
+        }
     }
 
     #[test]

@@ -85,6 +85,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
+use locktune_metrics::percentile;
 use locktune_net::wire::{self, Request};
 use locktune_net::{
     drain_and_validate, BatchOutcome, Batched, Client, ClientError, Pipelined, ReconnectConfig,
@@ -600,14 +601,6 @@ struct BenchTally {
     latencies_us: Vec<u64>,
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// The open-loop scaling bench (`--connections N`). Never returns.
 ///
 /// A single thread owns every connection via the shared epoll wrapper:
@@ -863,11 +856,8 @@ fn run_open_loop(args: &Args) -> ! {
     };
 
     tally.latencies_us.sort_unstable();
-    let (p50, p90, p99) = (
-        percentile(&tally.latencies_us, 0.50),
-        percentile(&tally.latencies_us, 0.90),
-        percentile(&tally.latencies_us, 0.99),
-    );
+    let p = |q| percentile(&tally.latencies_us, q).unwrap_or(0);
+    let (p50, p90, p99) = (p(0.50), p(0.90), p(0.99));
     let max_us = tally.latencies_us.last().copied().unwrap_or(0);
     let throughput = if wall > 0.0 {
         tally.bursts as f64 / wall

@@ -445,22 +445,24 @@ fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) {
     stream.set_nodelay(true).ok();
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let conn = ConnCtx { conn_id, ..conn };
-    let read_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
+    let (Ok(read_stream), Ok(registered)) = (stream.try_clone(), stream.try_clone()) else {
+        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
+        return;
     };
+    // Registered here, on the accept thread, not by the reader: a
+    // shutdown joins this thread before its sweep, so the sweep sees
+    // every admitted socket and no reader is left blocked in `recv`.
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .streams
+        .insert(conn_id, registered);
     let reader = {
         let shared = Arc::clone(shared);
-        let registered = stream.try_clone();
         std::thread::Builder::new()
             .name(format!("locktune-conn-{conn_id}"))
             .spawn(move || {
-                if let Ok(s) = registered {
-                    shared.conns.lock().unwrap().streams.insert(conn_id, s);
-                }
                 serve_connection(&shared, conn, read_stream, stream);
                 let mut conns = shared.conns.lock().unwrap();
                 conns.streams.remove(&conn_id);
@@ -474,8 +476,10 @@ fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) {
     match reader {
         Ok(handle) => shared.conns.lock().unwrap().handles.push(handle),
         // Spawn failed: the closure (and the session in it) was
-        // dropped without running, so the slot must be released here.
+        // dropped without running, so the slot and the registration
+        // must be released here.
         Err(_) => {
+            shared.conns.lock().unwrap().streams.remove(&conn_id);
             shared.conn_count.fetch_sub(1, Ordering::AcqRel);
         }
     }

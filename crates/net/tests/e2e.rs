@@ -622,6 +622,28 @@ fn server_shutdown_disconnects_clients(model: IoModel) {
     }
 }
 
+/// A connection admitted just before shutdown is kicked like any
+/// other: shutdown never joins a reader left blocked in `recv`.
+fn shutdown_right_after_connect_returns(model: IoModel) {
+    let service = Arc::new(LockService::start(ServiceConfig::fast(4)).expect("service start"));
+    for round in 0..200 {
+        let server =
+            Server::bind_with_config(Arc::clone(&service), "127.0.0.1:0", net_config(model))
+                .expect("bind loopback");
+        let _client = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let (done, returned) = std::sync::mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            server.shutdown();
+            done.send(())
+        });
+        assert!(
+            returned.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "round {round}: shutdown hung"
+        );
+        shutdown.join().expect("shutdown panicked").unwrap();
+    }
+}
+
 /// The METRICS endpoint over a real socket: histogram/stat invariants
 /// hold end-to-end, the tick cursor advances, and batch counters plus
 /// the reply-queue high-water mark ride the extended Stats reply.
@@ -765,6 +787,7 @@ mod matrix {
         two_clients_contend_and_block_until_release,
         ping_and_stats_round_trip,
         server_shutdown_disconnects_clients,
+        shutdown_right_after_connect_returns,
         metrics_scrape_over_the_wire,
         oversized_send_is_refused_before_the_wire,
     );

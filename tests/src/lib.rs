@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+pub mod failover;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,18 +35,18 @@ pub fn static_smoke(locklist_bytes: u64, seconds: u64, clients: u32, seed: u64) 
     .run()
 }
 
-/// Poll `cond` every 5 ms until it holds or `within` elapses; whether
-/// it held.
-pub fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + within;
+/// Poll `cond` every millisecond until it holds or `within` elapses:
+/// how long it took to hold, or `None`.
+pub fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> Option<Duration> {
+    let start = Instant::now();
     loop {
         if cond() {
-            return true;
+            return Some(start.elapsed());
         }
-        if Instant::now() >= end {
-            return false;
+        if start.elapsed() >= within {
+            return None;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -74,7 +76,7 @@ pub fn start_nodes(
 pub fn assert_drained(services: &[Arc<LockService>]) {
     for (node, service) in services.iter().enumerate() {
         assert!(
-            eventually(Duration::from_secs(10), || service.pool_used_slots() == 0),
+            eventually(Duration::from_secs(10), || service.pool_used_slots() == 0).is_some(),
             "node {node}: {} lock slots leaked",
             service.pool_used_slots()
         );

@@ -123,7 +123,8 @@ fn run_chaos(seed: u64, model: IoModel) {
         eventually(Duration::from_secs(10), || {
             faults.injected(FaultSite::TunerPanic) == 2
                 && faults.injected(FaultSite::SweeperPanic) == 2
-        }),
+        })
+        .is_some(),
         "panic sites did not reach their limits: tuner {}, sweeper {}",
         faults.injected(FaultSite::TunerPanic),
         faults.injected(FaultSite::SweeperPanic),
@@ -141,7 +142,8 @@ fn run_chaos(seed: u64, model: IoModel) {
                 && h.sweeper_alive
                 && h.tuner_restarts == tuner_panics
                 && h.sweeper_restarts == sweeper_panics
-        }),
+        })
+        .is_some(),
         "watchdog did not pair every injected panic with a respawn: {:?}",
         service.thread_health()
     );

@@ -332,7 +332,8 @@ fn cross_node_deadlock_resolved_with_one_victim() {
         eventually(Duration::from_secs(8), || {
             victims.extend(detector.run_once().victims);
             !victims.is_empty()
-        }),
+        })
+        .is_some(),
         "cross-node deadlock never detected"
     );
     assert_eq!(victims.len(), 1, "exactly one victim: {victims:?}");
