@@ -105,7 +105,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--workers" => args.workers = parse_num(&value("--workers")?)?,
             "--txns" => args.txns = parse_num(&value("--txns")?)?,
-            "--tables" => args.tables = parse_num(&value("--tables")?)? as u32,
+            "--tables" => args.tables = parse_num(&value("--tables")?)?,
             "--rows" => args.rows = parse_num(&value("--rows")?)?,
             "--oltp-rows" => args.oltp_rows = parse_num(&value("--oltp-rows")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?)?,
@@ -143,7 +143,9 @@ impl Args {
     }
 }
 
-fn parse_num(s: &str) -> Result<u64, String> {
+/// Parse at the field's own width, so an out-of-range value is a usage
+/// error instead of a silent truncation.
+fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
 }
 
@@ -376,6 +378,7 @@ mod tests {
         let parsed = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()));
         assert!(parsed(&["--nodes", "a:1", "--rows", "0"]).is_err());
         assert!(parsed(&["--nodes", "a:1", "--tables", "0"]).is_err());
+        assert!(parsed(&["--nodes", "a:1", "--tables", "4294967297"]).is_err());
         assert!(parsed(&["--nodes", "a:1"]).is_ok());
     }
 }

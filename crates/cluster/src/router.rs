@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use locktune_lockmgr::partition::resource_slot;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
-use locktune_net::wire::{StatsSnapshot, ValidateReport};
+use locktune_net::wire::ValidateReport;
 use locktune_net::{BatchOutcome, ClientError, ReconnectConfig, ReconnectingClient};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -391,12 +391,6 @@ impl RoutingClient {
         }
         rc.sync_with_map();
         Ok(rc)
-    }
-
-    /// Number of partitions (home slots). Fixed for the cluster's
-    /// lifetime — failover moves owners, never the slot count.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The routing epoch the per-node sessions are currently bound to
@@ -747,13 +741,6 @@ impl RoutingClient {
     pub fn validate(&mut self) -> Result<Vec<ValidateReport>, ClusterError> {
         (0..self.nodes.len())
             .map(|i| self.nodes[i].validate().map_err(|e| classify(i, e)))
-            .collect()
-    }
-
-    /// Per-node stats snapshots, in node order.
-    pub fn stats(&mut self) -> Result<Vec<StatsSnapshot>, ClusterError> {
-        (0..self.nodes.len())
-            .map(|i| self.nodes[i].stats_snapshot().map_err(|e| classify(i, e)))
             .collect()
     }
 

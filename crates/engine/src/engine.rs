@@ -6,7 +6,7 @@ use locktune_lockmgr::{
 };
 use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolConfig};
 use locktune_memory::{DatabaseMemory, HeapKind, MemoryConfig, PerfHeap};
-use locktune_metrics::{DurationHistogram, ThroughputWindow, TimeSeries};
+use locktune_metrics::{HistogramSnapshot, ThroughputWindow, TimeSeries};
 use locktune_sim::{SimDuration, SimRng, SimTime, Simulator};
 use locktune_workload::{ClientGenerator, DssSpec, OltpSpec, PhaseChange, Schedule};
 
@@ -137,8 +137,8 @@ pub struct Engine {
     app_percent: TimeSeries,
     clients_series: TimeSeries,
     throughput: Option<ThroughputWindow>,
-    wait_times: DurationHistogram,
-    txn_times: DurationHistogram,
+    wait_times: HistogramSnapshot,
+    txn_times: HistogramSnapshot,
 }
 
 impl Engine {
@@ -199,8 +199,8 @@ impl Engine {
             app_percent: TimeSeries::new("lock_percent_per_application"),
             clients_series: TimeSeries::new("active_clients"),
             throughput: Some(throughput),
-            wait_times: DurationHistogram::new(),
-            txn_times: DurationHistogram::new(),
+            wait_times: HistogramSnapshot::default(),
+            txn_times: HistogramSnapshot::default(),
             config,
         }
     }
@@ -409,7 +409,8 @@ impl Engine {
         }
         let c = &mut self.clients[idx];
         if let Some(start) = c.txn_start.take() {
-            self.txn_times.record(now.saturating_since(start));
+            self.txn_times
+                .record(now.saturating_since(start).as_micros());
         }
         c.plan = None;
         if c.is_dss {
@@ -505,7 +506,7 @@ impl Engine {
                 c.state = ClientState::Executing { step };
                 if let Some(since) = c.waiting_since.take() {
                     self.wait_times
-                        .record(self.sim.now().saturating_since(since));
+                        .record(self.sim.now().saturating_since(since).as_micros());
                 }
                 let e = c.epoch;
                 self.sim

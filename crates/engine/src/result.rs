@@ -1,7 +1,7 @@
 //! Results of one simulated run.
 
 use locktune_lockmgr::LockStats;
-use locktune_metrics::{DurationHistogram, TimeSeries};
+use locktune_metrics::{HistogramSnapshot, TimeSeries};
 use locktune_sim::SimTime;
 
 /// Everything a figure needs from one run.
@@ -38,11 +38,11 @@ pub struct RunResult {
     /// Transactions abandoned because a lock wait exceeded the
     /// configured LOCKTIMEOUT.
     pub lock_timeouts: u64,
-    /// Distribution of lock wait durations.
-    pub wait_times: DurationHistogram,
+    /// Distribution of lock wait durations, in microseconds.
+    pub wait_times: HistogramSnapshot,
     /// Distribution of committed transaction durations (first lock to
-    /// commit, including waits).
-    pub txn_times: DurationHistogram,
+    /// commit, including waits), in microseconds.
+    pub txn_times: HistogramSnapshot,
     /// Simulated run length.
     pub duration: SimTime,
 }

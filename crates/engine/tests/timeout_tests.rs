@@ -37,10 +37,10 @@ fn waits_time_out_and_clients_retry() {
     assert!(r.lock_timeouts > 0, "contended waits must time out");
     assert!(r.committed > 0, "the lock holder keeps committing");
     // Wait durations are bounded by the timeout (plus one event tick).
-    let p_max = r.wait_times.max();
+    let p_max = r.wait_times.max;
     assert!(
-        p_max <= SimDuration::from_secs(4),
-        "longest observed completed wait {p_max} exceeds the timeout"
+        p_max <= SimDuration::from_secs(4).as_micros(),
+        "longest observed completed wait {p_max} us exceeds the timeout"
     );
 }
 
@@ -50,9 +50,9 @@ fn without_timeout_waits_run_long() {
     assert_eq!(r.lock_timeouts, 0);
     // Some waits last on the order of the 20 s hold time.
     assert!(
-        r.wait_times.max() >= SimDuration::from_secs(5),
-        "expected long waits, saw max {}",
-        r.wait_times.max()
+        r.wait_times.max >= SimDuration::from_secs(5).as_micros(),
+        "expected long waits, saw max {} us",
+        r.wait_times.max
     );
 }
 

@@ -1,6 +1,6 @@
 //! Lock-free histogram for hot-path instrumentation of the *live*
-//! service (the mutable [`DurationHistogram`](crate::DurationHistogram)
-//! serves the single-threaded simulation harness).
+//! service; it freezes into the plain [`HistogramSnapshot`] the
+//! single-threaded simulation records into directly.
 //!
 //! [`AtomicHistogram::record`] is two relaxed atomic RMWs — one
 //! `fetch_add` on the sample's log2 bucket and one on the running sum —
@@ -26,7 +26,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::histogram::{bucket_index, bucket_upper_edge, BUCKETS};
+use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 
 /// Raise the high-water mark `max` to `v`. Loads and compares first:
 /// a `fetch_max` is a locked read-modify-write even when the value does
@@ -92,91 +92,6 @@ impl AtomicHistogram {
     }
 }
 
-/// Plain-data image of a histogram at one instant: what travels in a
-/// `MetricsSnapshot` wire frame and what quantile queries run against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (bucket *k* covers `[2^k, 2^(k+1))`,
-    /// bucket 0 covers `[0, 2)`).
-    pub counts: [u64; BUCKETS],
-    /// Total samples: always Σ `counts` (constructors enforce it).
-    pub total: u64,
-    /// Sum of all recorded values (wrapping; meaningful while the true
-    /// sum fits a `u64`, which every tracked quantity does).
-    pub sum: u64,
-    /// Largest recorded value.
-    pub max: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            counts: [0; BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// Build from bucket counts plus the tracked sum/max; `total` is
-    /// derived from the buckets.
-    pub fn from_parts(counts: [u64; BUCKETS], sum: u64, max: u64) -> Self {
-        let total = counts.iter().fold(0u64, |a, &c| a.wrapping_add(c));
-        HistogramSnapshot {
-            counts,
-            total,
-            sum,
-            max,
-        }
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Mean recorded value; zero when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.total).unwrap_or(0)
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`): the upper edge of the
-    /// bucket containing the q-th sample, capped at the recorded max.
-    /// Zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (k, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_edge(k).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merge another snapshot into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.wrapping_add(*b);
-        }
-        self.total = self.total.wrapping_add(other.total);
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +149,16 @@ mod tests {
         assert_eq!(acc.count(), 2);
         assert_eq!(acc.max, 10_000);
         assert_eq!(acc.sum, 10_010);
+    }
+
+    #[test]
+    fn plain_record_matches_the_atomic_one() {
+        let (atomic, mut plain) = (AtomicHistogram::new(), HistogramSnapshot::default());
+        for v in [0, 1, 2, 3, 100, 1000, u64::MAX] {
+            atomic.record(v);
+            plain.record(v);
+        }
+        assert_eq!(plain, atomic.snapshot());
     }
 
     #[test]

@@ -15,9 +15,9 @@ pub mod series;
 pub mod summary;
 pub mod window;
 
-pub use atomic::{raise_max, AtomicHistogram, HistogramSnapshot};
+pub use atomic::{raise_max, AtomicHistogram};
 pub use csv::write_csv;
-pub use histogram::{bucket_index, bucket_upper_edge, DurationHistogram, BUCKETS};
+pub use histogram::{bucket_index, bucket_upper_edge, HistogramSnapshot, BUCKETS};
 pub use series::TimeSeries;
 pub use summary::{percentile, Summary};
 pub use window::ThroughputWindow;

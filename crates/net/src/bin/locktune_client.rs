@@ -43,16 +43,16 @@
 //! fewer than `--min-intervals` tuning intervals ran server-side. A
 //! key space with no tables or rows is a usage error.
 //!
-//! `--scrape` additionally audits the METRICS endpoint against both
-//! the `Stats` reply and this client's own observations: the two
-//! server endpoints must agree exactly, the wait histogram must have
-//! timed every wait, and the server's escalation/victim/timeout
-//! counters must be consistent with (at least) what the client saw
-//! on the wire.
+//! `--scrape` additionally audits the METRICS endpoint against this
+//! client's own observations: the wait histogram must have timed every
+//! wait, the server's escalation/victim/timeout counters must cover
+//! (at least) what the client saw on the wire, under `--batch` the
+//! batch counters must cover every transaction, and a second scrape
+//! must show the tuner still ticking.
 //!
 //! `--tenant ID` binds every connection to one tenant of a
 //! `locktune-server --tenants N` and runs the standard stress against
-//! it (stats and drain polls read the machine-wide rollup). `--tenants
+//! it (the report and drain polls read the machine-wide rollup). `--tenants
 //! N` instead drives a whole multi-tenant stress from one process;
 //! `--tenant-mode` picks the shape:
 //!
@@ -118,7 +118,7 @@ struct Args {
     scrape: bool,
     chaos: bool,
     tenant: Option<u32>,
-    tenants: usize,
+    tenants: u32,
     tenant_mode: String,
     connections: usize,
     duration_ms: u64,
@@ -356,7 +356,7 @@ fn report_machine_audit(audit: Result<ValidateReport, ClientError>, exit: &mut i
 }
 
 /// Retry an idempotent *read* across [`ClientError::Reconnected`]
-/// signals (safe precisely because stats/validate/metrics take no
+/// signals (safe precisely because validate/metrics take no
 /// locks — the non-idempotency argument does not apply to them).
 fn read_retry<T>(
     rc: &mut ReconnectingClient,
@@ -459,7 +459,7 @@ fn run_tenant_stress(args: &Args) -> ! {
         eprintln!("locktune-client: control connect {}: {e}", args.addr);
         std::process::exit(1);
     });
-    let n = args.tenants as u32;
+    let n = args.tenants;
     let mut exit = 0;
     // Worker `w` of tenant `t` seeds its rolls apart from every other.
     let seeds = |t: u32| move |w: usize| args.seed ^ (u64::from(t) << 32) ^ w as u64;
@@ -990,11 +990,11 @@ fn main() {
     }
 
     // The server reaps dead connections asynchronously: drain, audit,
-    // then read the statistics of the quiescent server.
+    // then scrape the quiescent server (no ticks, no journal events).
     let mut control = connect_control(&args.addr);
     let audit = drain_and_validate(&mut control, DRAIN);
-    let stats = read_retry(&mut control, |c| c.stats_snapshot()).unwrap_or_else(|e| {
-        eprintln!("locktune-client: stats: {e}");
+    let server = read_retry(&mut control, |c| c.metrics(u64::MAX, 0)).unwrap_or_else(|e| {
+        eprintln!("locktune-client: metrics: {e}");
         std::process::exit(1);
     });
 
@@ -1009,13 +1009,13 @@ fn main() {
             0.0
         }
     );
-    println!("server escalations:{}", stats.stats.escalations);
-    println!("server waits:      {}", stats.stats.waits);
-    println!("tuning intervals:  {}", stats.tuning_intervals);
-    println!("grow decisions:    {}", stats.grow_decisions);
-    println!("shrink decisions:  {}", stats.shrink_decisions);
-    println!("pool bytes:        {}", stats.pool_bytes);
-    println!("pool slots used:   {}", stats.pool_slots_used);
+    println!("server escalations:{}", server.lock_stats.escalations);
+    println!("server waits:      {}", server.lock_stats.waits);
+    println!("tuning intervals:  {}", server.tuning_intervals);
+    println!("grow decisions:    {}", server.grow_decisions);
+    println!("shrink decisions:  {}", server.shrink_decisions);
+    println!("pool bytes:        {}", server.pool_bytes);
+    println!("pool slots used:   {}", server.pool_slots_used);
     if args.chaos {
         println!(
             "chaos recovery:    {} txns lost to reconnects ({} cycles, {} busy refusals, {} failed attempts)",
@@ -1027,7 +1027,7 @@ fn main() {
         println!(
             "chaos recovery:    {} shed rejections, {} watchdog restarts server-side",
             tally.get(TxnOutcome::Overloaded),
-            stats.watchdog_restarts,
+            server.counters.watchdog_restarts,
         );
     }
 
@@ -1045,8 +1045,8 @@ fn main() {
         }
     }
 
-    // Cross-endpoint metrics audit: METRICS vs Stats vs what this
-    // client saw on the wire. Everything is quiescent by now (only the
+    // Metrics audit: the server's telemetry against what this client
+    // saw on the wire. Everything is quiescent by now (only the
     // control connection is live), so the invariants are exact.
     if args.scrape {
         let snap = read_retry(&mut control, |c| c.metrics(0, 0)).unwrap_or_else(|e| {
@@ -1061,28 +1061,21 @@ fn main() {
                 exit = 1;
             }
         };
-        check(
-            snap.lock_stats.escalations == stats.stats.escalations,
-            format!(
-                "escalations agree across endpoints ({} == {})",
-                snap.lock_stats.escalations, stats.stats.escalations
-            ),
-        );
-        check(
-            snap.lock_stats.waits == stats.stats.waits,
-            format!(
-                "waits agree across endpoints ({} == {})",
-                snap.lock_stats.waits, stats.stats.waits
-            ),
-        );
-        check(
-            snap.counters.batches == stats.batches
-                && snap.counters.batch_items == stats.batch_items,
-            format!(
-                "batch counters agree ({} batches, {} items)",
-                stats.batches, stats.batch_items
-            ),
-        );
+        if args.batch && !args.chaos {
+            // Every transaction ships its lock set as at least one
+            // LockBatch frame, and every batch carries at least one
+            // item. (Chaos can lose a transaction before its frame
+            // reaches the server.)
+            let txns = args.workers as u64 * args.txns;
+            let c = &snap.counters;
+            check(
+                c.batches >= txns && c.batch_items >= c.batches,
+                format!(
+                    "batch counters cover the run ({} batches >= {txns} txns, {} items)",
+                    c.batches, c.batch_items
+                ),
+            );
+        }
         check(
             snap.lock_wait_micros.count() == snap.lock_stats.waits,
             format!(
@@ -1122,15 +1115,15 @@ fn main() {
             ),
         );
         check(
-            snap.tuning_intervals >= stats.tuning_intervals,
+            snap.tuning_intervals >= server.tuning_intervals,
             format!("tuner still ticking ({} intervals)", snap.tuning_intervals),
         );
     }
 
-    if stats.tuning_intervals < args.min_intervals {
+    if server.tuning_intervals < args.min_intervals {
         eprintln!(
             "locktune-client: only {} tuning intervals (need >= {})",
-            stats.tuning_intervals, args.min_intervals
+            server.tuning_intervals, args.min_intervals
         );
         exit = 1;
     }
@@ -1166,5 +1159,6 @@ mod tests {
     fn flash_is_not_a_tenant_mode() {
         assert!(parsed(&["--tenants", "2", "--tenant-mode", "flash"]).is_err());
         assert!(parsed(&["--tenants", "2", "--tenant-mode", "churn"]).is_ok());
+        assert!(parsed(&["--tenants", "4294967297"]).is_err());
     }
 }

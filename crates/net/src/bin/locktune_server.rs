@@ -63,7 +63,7 @@ struct Args {
     io_model: IoModel,
     io_shards: usize,
     write_hwm_kb: usize,
-    tenants: usize,
+    tenants: u32,
     machine_mb: u64,
     arbiter_ms: u64,
     quantum_kb: u64,
@@ -274,7 +274,7 @@ fn serve_tenants(
         initial_grant_bytes: if args.initial_grant_mb > 0 {
             args.initial_grant_mb * MIB
         } else {
-            machine / args.tenants as u64
+            machine / u64::from(args.tenants)
         },
         quantum_bytes: args.quantum_kb * KIB,
         arbiter_interval: Duration::from_millis(args.arbiter_ms),
@@ -288,7 +288,7 @@ fn serve_tenants(
             std::process::exit(e.exit_code());
         }
     };
-    for id in 0..args.tenants as u32 {
+    for id in 0..args.tenants {
         if let Err(e) = directory.create_tenant(id) {
             eprintln!("locktune-server: create tenant {id}: {e}");
             std::process::exit(e.exit_code());

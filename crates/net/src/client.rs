@@ -24,8 +24,7 @@ use locktune_service::{BatchOutcome, ServiceError, SpinPark, SpinStats};
 
 use crate::poll;
 use crate::wire::{
-    self, Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport,
-    WaitGraphReply,
+    self, Reply, Request, TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply,
 };
 
 /// A client-side failure.
@@ -315,14 +314,6 @@ impl Client {
             Reply::UnlockAll(Ok(report)) => Ok(report),
             Reply::UnlockAll(Err(e)) => Err(ClientError::Service(e)),
             other => Err(unexpected("UnlockAll", &other)),
-        }
-    }
-
-    /// Snapshot server statistics.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats(snap) => Ok(snap),
-            other => Err(unexpected("Stats", &other)),
         }
     }
 

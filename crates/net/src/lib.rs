@@ -11,7 +11,7 @@
 //!
 //! * [`wire`] — compact length-prefixed binary frames, one opcode per
 //!   [`Request`] and [`Reply`] variant (the frame tables in `wire.rs`
-//!   are the one opcode list: locks and batches, stats, metrics,
+//!   are the one opcode list: locks and batches, metrics,
 //!   tenants, the cluster's wait graph, probes and epoch fencing),
 //!   with explicit request-id correlation so clients can pipeline,
 //!   and `encode_*_into`/`read_payload_into` twins so the hot path
@@ -60,7 +60,7 @@ pub use reconnect::{ReconnectConfig, ReconnectStats, ReconnectingClient, StopSig
 pub use server::{IoModel, Server, ServerConfig};
 pub use txn::{drain_and_validate, Batched, Pipelined};
 pub use wire::{
-    Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply,
-    WireError, GID_RESERVED, MAX_BATCH, MAX_WIRE_DONATIONS, MAX_WIRE_EDGES, MAX_WIRE_EVENTS,
-    MAX_WIRE_GIDS, MAX_WIRE_IO_SHARDS, MAX_WIRE_TENANTS, MAX_WIRE_TICKS,
+    Reply, Request, TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply, WireError,
+    GID_RESERVED, MAX_BATCH, MAX_WIRE_DONATIONS, MAX_WIRE_EDGES, MAX_WIRE_EVENTS, MAX_WIRE_GIDS,
+    MAX_WIRE_IO_SHARDS, MAX_WIRE_TENANTS, MAX_WIRE_TICKS,
 };

@@ -27,7 +27,7 @@ use locktune_service::{BatchOutcome, SpinStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::client::{Client, ClientError};
-use crate::wire::{Request, StatsSnapshot};
+use crate::wire::Request;
 
 /// Reconnect policy for a [`ReconnectingClient`].
 #[derive(Debug, Clone, Copy)]
@@ -191,12 +191,6 @@ impl ReconnectingClient {
         };
         c.establish()?;
         Ok(c)
-    }
-
-    /// Handle on this client's stop signal; clone it into whatever
-    /// thread needs to interrupt a backoff sleep.
-    pub fn stop_signal(&self) -> StopSignal {
-        self.stop.clone()
     }
 
     /// Raise the stop signal: any in-progress backoff sleep returns
@@ -384,11 +378,6 @@ impl ReconnectingClient {
         self.run(|c| c.ping(echo))
     }
 
-    /// [`Client::stats`] with reconnect semantics.
-    pub fn stats_snapshot(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.run(|c| c.stats())
-    }
-
     /// [`Client::metrics`] with reconnect semantics.
     pub fn metrics(
         &mut self,
@@ -417,12 +406,6 @@ impl ReconnectingClient {
     pub fn bind_epoch(&mut self, epoch: u64) -> Result<(), ClientError> {
         self.epoch = Some(epoch);
         self.run(|c| c.bind_epoch(epoch))
-    }
-
-    /// [`Client::probe`] with reconnect semantics (the supervisor's
-    /// health check; also disseminates `epoch` and the degraded flag).
-    pub fn probe_node(&mut self, epoch: u64, degraded: bool) -> Result<(u64, u64), ClientError> {
-        self.run(|c| c.probe(epoch, degraded))
     }
 
     /// [`Client::wait_graph`] with reconnect semantics.

@@ -40,12 +40,11 @@ use std::time::{Duration, Instant};
 use locktune_faults::{FaultInjector, FaultSite};
 use locktune_lockmgr::{AppId, LockMode, ResourceId};
 use locktune_metrics::raise_max;
+use locktune_obs::MetricsSnapshot;
 use locktune_service::{BatchOutcome, CloseOnDrop, EventSink, LockService, Mailbox, Session};
 use locktune_tenants::{MachineRollup, TenantDirectory};
 
-use crate::wire::{
-    self, Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport,
-};
+use crate::wire::{self, Reply, Request, TenantCtl, TenantStatsReply, ValidateReport};
 
 /// Which I/O architecture serves connections. Same wire protocol,
 /// same semantics (disconnect teardown, Busy admission, eviction,
@@ -151,7 +150,7 @@ pub(crate) enum Backend {
     Single(Arc<LockService>),
     /// Multi-tenant server: connections arrive **unbound** and must
     /// send [`Request::Hello`] before any lock traffic. Unbound
-    /// Stats/Metrics/Validate report the machine-wide rollup.
+    /// Metrics/Validate report the machine-wide rollup.
     Tenants(Arc<TenantDirectory>),
 }
 
@@ -243,7 +242,7 @@ impl Server {
 
     /// Bind a **multi-tenant** front-end for `directory`. Connections
     /// arrive unbound and route to their tenant's service after a
-    /// [`Request::Hello`]; unbound Stats/Metrics/Validate report the
+    /// [`Request::Hello`]; unbound Metrics/Validate report the
     /// machine-wide rollup, and [`Request::TenantCtl`] churns tenants
     /// mid-run (dropping a tenant evicts its connections).
     pub fn bind_tenants(
@@ -617,7 +616,7 @@ fn serve_connection(
             break;
         }
         // Post-push queue depth is the frames the writer hasn't drained
-        // yet — the congestion signal the Stats/Metrics replies expose.
+        // yet — the congestion signal the Metrics reply exposes.
         raise_max(&shared.reply_hwm, replies.len() as u64);
     }
     drop(closer);
@@ -715,7 +714,6 @@ pub(crate) fn execute(shared: &Arc<Shared>, conn: &mut ConnCtx, req: Request) ->
                 Reply::BatchOutcomes(conn.session.as_ref()?.lock_many(&items))
             }
         },
-        Request::Stats => Reply::Stats(snapshot(shared, conn)),
         Request::Ping(echo) => Reply::Pong(echo),
         Request::Validate => Reply::Validate(validate(shared, conn)),
         Request::Metrics {
@@ -1024,55 +1022,48 @@ fn tenant_ctl(shared: &Arc<Shared>, action: TenantCtl) -> Result<u64, String> {
     }
 }
 
-fn snapshot(shared: &Arc<Shared>, conn: &ConnCtx) -> StatsSnapshot {
-    match (&conn.service, &shared.backend) {
+fn metrics(
+    shared: &Arc<Shared>,
+    conn: &ConnCtx,
+    reports_since: u64,
+    max_events: u32,
+) -> MetricsSnapshot {
+    let mut snap = match (&conn.service, &shared.backend) {
         // Bound (or single mode): this connection's database.
-        (Some(service), _) => service_snapshot(shared, service),
+        (Some(service), _) | (None, Backend::Single(service)) => {
+            let max = (max_events as usize).min(wire::MAX_WIRE_EVENTS);
+            let mut snap = service.observe(reports_since, max);
+            // Keep the newest ticks if the retained window outgrows a
+            // frame; `next_tick_seq` still cursors past everything.
+            if snap.ticks.len() > wire::MAX_WIRE_TICKS {
+                let excess = snap.ticks.len() - wire::MAX_WIRE_TICKS;
+                snap.ticks.drain(..excess);
+            }
+            snap
+        }
         // Unbound on a multi-tenant server: the machine-wide view.
-        (None, Backend::Tenants(dir)) => machine_snapshot(shared, dir),
-        // Unbound single never happens (sessions bind at admission).
-        (None, Backend::Single(service)) => service_snapshot(shared, &Arc::clone(service)),
-    }
-}
-
-fn service_snapshot(shared: &Arc<Shared>, service: &Arc<LockService>) -> StatsSnapshot {
-    let pool = service.pool_stats();
-    let tuning = service.tuning_counters();
-    let obs = service.obs_counters();
-    StatsSnapshot {
-        stats: service.stats(),
-        pool_bytes: pool.bytes,
-        pool_slots_total: pool.slots_total,
-        pool_slots_used: service.pool_used_slots(),
-        connected_apps: service.connected_apps(),
-        tuning_intervals: tuning.intervals,
-        grow_decisions: tuning.grow_decisions,
-        shrink_decisions: tuning.shrink_decisions,
-        batches: obs.batches,
-        batch_items: obs.batch_items,
-        reply_queue_hwm: shared.reply_hwm.load(Ordering::Relaxed),
-        app_percent: service.app_percent(),
-        watchdog_restarts: service.watchdog_restarts(),
-    }
+        (None, Backend::Tenants(dir)) => machine_metrics(dir),
+    };
+    snap.reply_queue_hwm = shared.reply_hwm.load(Ordering::Relaxed);
+    snap.fence_epoch = shared.fence_epoch.load(Ordering::Relaxed);
+    snap
 }
 
 /// Every tenant summed: monotonic counters merge exactly; point-in-
 /// time gauges (pool sizes, connected apps) sum across the tenant
-/// pools. `app_percent` is per-database and has no machine-wide
-/// meaning, so the rollup reports 0.
-fn machine_snapshot(shared: &Arc<Shared>, dir: &Arc<TenantDirectory>) -> StatsSnapshot {
+/// pools. `app_percent` and the free-fraction band are per-database
+/// and have no machine-wide meaning, so they stay 0; histograms,
+/// journal and ticks are per-tenant (bind to scrape them), so they
+/// stay empty.
+fn machine_metrics(dir: &TenantDirectory) -> MetricsSnapshot {
     let tuning = dir.merged_tuning_counters();
-    let obs = dir.merged_obs_counters();
-    let mut snap = StatsSnapshot {
-        stats: dir.merged_stats(),
+    let mut snap = MetricsSnapshot {
+        lock_stats: dir.merged_stats(),
+        counters: dir.merged_obs_counters(),
         tuning_intervals: tuning.intervals,
         grow_decisions: tuning.grow_decisions,
         shrink_decisions: tuning.shrink_decisions,
-        batches: obs.batches,
-        batch_items: obs.batch_items,
-        reply_queue_hwm: shared.reply_hwm.load(Ordering::Relaxed),
-        watchdog_restarts: obs.watchdog_restarts,
-        ..StatsSnapshot::default()
+        ..MetricsSnapshot::default()
     };
     for id in dir.tenant_ids() {
         if let Some(service) = dir.tenant(id) {
@@ -1083,49 +1074,6 @@ fn machine_snapshot(shared: &Arc<Shared>, dir: &Arc<TenantDirectory>) -> StatsSn
             snap.connected_apps += service.connected_apps();
         }
     }
-    snap
-}
-
-fn metrics(
-    shared: &Arc<Shared>,
-    conn: &ConnCtx,
-    reports_since: u64,
-    max_events: u32,
-) -> locktune_obs::MetricsSnapshot {
-    let service = match (&conn.service, &shared.backend) {
-        (Some(service), _) => Arc::clone(service),
-        (None, Backend::Single(service)) => Arc::clone(service),
-        // Unbound scrape of a multi-tenant server: merged counters and
-        // stats, pool totals summed. Histograms, journal and ticks are
-        // per-tenant (bind to scrape them), so they stay empty here.
-        (None, Backend::Tenants(dir)) => {
-            let stats = machine_snapshot(shared, dir);
-            return locktune_obs::MetricsSnapshot {
-                lock_stats: stats.stats,
-                counters: dir.merged_obs_counters(),
-                pool_bytes: stats.pool_bytes,
-                pool_slots_total: stats.pool_slots_total,
-                pool_slots_used: stats.pool_slots_used,
-                connected_apps: stats.connected_apps,
-                tuning_intervals: stats.tuning_intervals,
-                grow_decisions: stats.grow_decisions,
-                shrink_decisions: stats.shrink_decisions,
-                reply_queue_hwm: stats.reply_queue_hwm,
-                fence_epoch: shared.fence_epoch.load(Ordering::Relaxed),
-                ..locktune_obs::MetricsSnapshot::default()
-            };
-        }
-    };
-    let max = (max_events as usize).min(wire::MAX_WIRE_EVENTS);
-    let mut snap = service.observe(reports_since, max);
-    // Keep the newest ticks if the retained window outgrows a frame;
-    // `next_tick_seq` still cursors past everything.
-    if snap.ticks.len() > wire::MAX_WIRE_TICKS {
-        let excess = snap.ticks.len() - wire::MAX_WIRE_TICKS;
-        snap.ticks.drain(..excess);
-    }
-    snap.reply_queue_hwm = shared.reply_hwm.load(Ordering::Relaxed);
-    snap.fence_epoch = shared.fence_epoch.load(Ordering::Relaxed);
     snap
 }
 

@@ -127,14 +127,16 @@ fn settle<T>(
 /// it once every client is gone: a dead connection's locks are
 /// released when the server notices it, and slot caches flush on
 /// tuning intervals, so the drain is polled for up to `within`. Reads
-/// are idempotent, so a `Reconnected` is retried.
+/// are idempotent, so a `Reconnected` is retried. The polls ask for no
+/// ticks and no journal events, so the drain never takes an event
+/// another scraper is owed.
 pub fn drain_and_validate(
     control: &mut ReconnectingClient,
     within: Duration,
 ) -> Result<ValidateReport, ClientError> {
     let deadline = Instant::now() + within;
     loop {
-        match control.stats_snapshot() {
+        match control.metrics(u64::MAX, 0) {
             Ok(s) if s.pool_slots_used == 0 => break,
             Ok(s) if Instant::now() >= deadline => {
                 return Err(ClientError::Protocol(format!(

@@ -125,8 +125,6 @@ pub enum Request {
     /// Release everything this connection holds (commit under strict
     /// 2PL).
     UnlockAll,
-    /// Snapshot server statistics.
-    Stats,
     /// Liveness probe; the echo bytes come back verbatim in the Pong.
     Ping(Vec<u8>),
     /// Run the server's cross-shard accounting audit.
@@ -247,8 +245,6 @@ pub enum Reply {
     Unlock(Result<UnlockReport, ServiceError>),
     /// Outcome of a [`Request::UnlockAll`].
     UnlockAll(Result<UnlockReport, ServiceError>),
-    /// Server statistics snapshot.
-    Stats(StatsSnapshot),
     /// Echo of a [`Request::Ping`].
     Pong(Vec<u8>),
     /// Outcome of a [`Request::Validate`]: the audited slot counts, or
@@ -350,42 +346,6 @@ pub struct TenantStatsReply {
     pub donations: Vec<TenantDonation>,
     /// Cursor to feed back as the next request's `donations_since`.
     pub next_donation_seq: u64,
-}
-
-/// Server state snapshot carried by [`Reply::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Aggregated lock-manager counters across all shards.
-    pub stats: LockStats,
-    /// Lock pool size in bytes.
-    pub pool_bytes: u64,
-    /// Total lock-structure slots in the pool.
-    pub pool_slots_total: u64,
-    /// Allocated slots (atomic mirror; exact at quiescence).
-    pub pool_slots_used: u64,
-    /// Applications with a live session (network + in-process).
-    pub connected_apps: u64,
-    /// Tuning intervals run since the server started.
-    pub tuning_intervals: u64,
-    /// Intervals that grew the pool.
-    pub grow_decisions: u64,
-    /// Intervals that shrank the pool.
-    pub shrink_decisions: u64,
-    /// `lock_many` batches executed (network `LockBatch` frames and
-    /// in-process batches alike).
-    pub batches: u64,
-    /// Total items across those batches.
-    pub batch_items: u64,
-    /// High-water mark of the server's per-connection reply queues, in
-    /// frames. A value near `reply_queue_capacity` means some client
-    /// stopped draining replies and backpressured its reader.
-    pub reply_queue_hwm: u64,
-    /// Current externalized `lockPercentPerApplication`.
-    pub app_percent: f64,
-    /// Background threads (tuner + sweeper) respawned by the service
-    /// watchdog since start. Non-zero means a thread panicked and was
-    /// recovered.
-    pub watchdog_restarts: u64,
 }
 
 /// Audit result carried by [`Reply::Validate`].
@@ -780,11 +740,6 @@ record! {
         rows_escalated, voluntary_escalations, sync_growth_requests, sync_growth_denied, denials,
         queue_grants, cancelled_waits, deadlock_aborts,
     }
-    StatsSnapshot {
-        stats, pool_bytes, pool_slots_total, pool_slots_used, connected_apps, tuning_intervals,
-        grow_decisions, shrink_decisions, batches, batch_items, reply_queue_hwm, app_percent,
-        watchdog_restarts,
-    }
     ValidateReport { charged_slots, pool_used_slots }
     ObsCounters {
         timeouts, batches, batch_items, deadlock_victims, sync_growth_granted, sync_growth_denied,
@@ -1026,7 +981,10 @@ tagged! {
         0x01 Lock { res, mode },
         0x02 Unlock { res },
         0x03 UnlockAll,
-        0x04 Stats,
+        // 0x04 (and its reply 0x84) carried the retired Stats
+        // snapshot, now a subset of Metrics. Never reuse it: an old
+        // client's Stats frame must fail to decode, not mean something
+        // else.
         0x05 Ping(echo),
         0x06 Validate,
         0x07 LockBatch(items) as OP_LOCK_BATCH,
@@ -1049,7 +1007,7 @@ tagged! {
         0x81 Lock(result),
         0x82 Unlock(result),
         0x83 UnlockAll(result),
-        0x84 Stats(snapshot),
+        // 0x84: retired with 0x04 (see above).
         0x85 Pong(echo),
         0x86 Validate(result),
         0x87 BatchOutcomes(items) as OP_BATCH_OUTCOMES,
@@ -1372,7 +1330,6 @@ mod tests {
                 res: ResourceId::Table(TableId(0)),
             },
             Request::UnlockAll,
-            Request::Stats,
             Request::Ping(vec![1, 2, 3]),
             Request::Validate,
         ];

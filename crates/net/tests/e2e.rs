@@ -14,9 +14,10 @@ use std::time::{Duration, Instant};
 use locktune_lockmgr::{LockError, LockMode, LockOutcome, ResourceId, RowId, TableId};
 use locktune_net::wire::{self, Request};
 use locktune_net::{
-    BatchOutcome, Client, ClientError, IoModel, ReconnectConfig, ReconnectingClient, Reply, Server,
-    ServerConfig,
+    drain_and_validate, BatchOutcome, Client, ClientError, IoModel, ReconnectConfig,
+    ReconnectingClient, Reply, Server, ServerConfig,
 };
+use locktune_obs::EventKind;
 use locktune_service::{LockService, ServiceConfig, ServiceError};
 
 /// Base server config for the model under test.
@@ -39,12 +40,12 @@ fn server(model: IoModel, timeout: Option<Duration>) -> (Server, String) {
     (server, addr)
 }
 
-/// Poll server stats until every pool slot is free (disconnect cleanup
-/// runs on the server's I/O threads, asynchronously to us).
+/// Poll the server's gauges until every pool slot is free (disconnect
+/// cleanup runs on the server's I/O threads, asynchronously to us).
 fn wait_for_drain(control: &mut Client) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = control.stats().expect("stats");
+        let stats = control.metrics(u64::MAX, 0).expect("metrics");
         if stats.pool_slots_used == 0 {
             return;
         }
@@ -89,7 +90,7 @@ fn basic_lock_unlock_over_the_wire(model: IoModel) {
     // The shards' slot caches may pin freed slots until the next
     // tuning interval flushes them, so poll rather than assert once.
     wait_for_drain(&mut client);
-    assert_eq!(client.stats().unwrap().connected_apps, 1);
+    assert_eq!(client.metrics(u64::MAX, 0).unwrap().connected_apps, 1);
 
     let audit = client.validate().expect("audit passes at quiescence");
     assert_eq!(audit.charged_slots, 0);
@@ -602,7 +603,7 @@ fn ping_and_stats_round_trip(model: IoModel) {
     let echo: Vec<u8> = (0u16..2048).map(|i| (i % 256) as u8).collect();
     assert_eq!(client.ping(echo.clone()).unwrap(), echo);
 
-    let stats = client.stats().unwrap();
+    let stats = client.metrics(u64::MAX, 0).unwrap();
     assert_eq!(stats.connected_apps, 1);
     assert!(stats.pool_bytes > 0);
     server.shutdown();
@@ -616,7 +617,7 @@ fn server_shutdown_disconnects_clients(model: IoModel) {
         .unwrap();
     server.shutdown();
     // The next call must fail — not hang.
-    match client.stats() {
+    match client.metrics(u64::MAX, 0) {
         Err(ClientError::Io(_)) => {}
         other => panic!("expected I/O error after server shutdown, got {other:?}"),
     }
@@ -645,8 +646,8 @@ fn shutdown_right_after_connect_returns(model: IoModel) {
 }
 
 /// The METRICS endpoint over a real socket: histogram/stat invariants
-/// hold end-to-end, the tick cursor advances, and batch counters plus
-/// the reply-queue high-water mark ride the extended Stats reply.
+/// hold end-to-end, the tick cursor advances, and the frame carries the
+/// batch counters and a live reply-queue high-water mark.
 fn metrics_scrape_over_the_wire(model: IoModel) {
     let (server, addr) = server(model, None);
     let mut worker = Client::connect(&addr).unwrap();
@@ -687,6 +688,7 @@ fn metrics_scrape_over_the_wire(model: IoModel) {
     assert!(snap.lock_wait_micros.max >= 10_000, "the wait was ~100ms");
     assert_eq!(snap.counters.batches, 1);
     assert_eq!(snap.counters.batch_items, batch.len() as u64);
+    assert!(snap.reply_queue_hwm >= 1, "replies were sent");
     assert!(snap.pool_bytes > 0);
     assert!(snap.free_fraction > 0.0);
 
@@ -703,13 +705,6 @@ fn metrics_scrape_over_the_wire(model: IoModel) {
         }
     }
 
-    // The extended Stats reply carries the same batch counters and a
-    // live reply-queue high-water mark.
-    let stats = scraper.stats().unwrap();
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.batch_items, batch.len() as u64);
-    assert!(stats.reply_queue_hwm >= 1, "replies were sent");
-
     // Cursor: feeding next_tick_seq back yields only new ticks, and
     // the fast tuner (50ms) keeps producing them.
     std::thread::sleep(Duration::from_millis(120));
@@ -721,6 +716,27 @@ fn metrics_scrape_over_the_wire(model: IoModel) {
     if let Some(first) = again.ticks.first() {
         assert!(first.seq >= snap.next_tick_seq, "no tick delivered twice");
     }
+    server.shutdown();
+}
+
+/// The drain-then-validate audit polls with no journal budget, so an
+/// event recorded before it is still there for the real scraper.
+fn drain_and_validate_leaves_the_journal_to_the_scraper(model: IoModel) {
+    let (server, addr) = server(model, None);
+    let mut scraper = Client::connect(&addr).unwrap();
+    // A probe that raises the fence journals an epoch bump.
+    scraper.probe(1, false).unwrap();
+    let mut control = ReconnectingClient::connect(&addr, ReconnectConfig::default()).unwrap();
+    drain_and_validate(&mut control, Duration::from_secs(5)).expect("drained and clean");
+
+    let snap = scraper.metrics(0, 64).unwrap();
+    assert!(
+        snap.events
+            .iter()
+            .any(|e| e.kind == EventKind::EpochBump { epoch: 1 }),
+        "the drain took the scraper's event: {:?}",
+        snap.events
+    );
     server.shutdown();
 }
 
@@ -748,7 +764,7 @@ fn oversized_send_is_refused_before_the_wire(model: IoModel) {
         client.lock(table, LockMode::X).unwrap(),
         LockOutcome::AlreadyHeld
     );
-    assert_eq!(client.stats().unwrap().connected_apps, 1);
+    assert_eq!(client.metrics(u64::MAX, 0).unwrap().connected_apps, 1);
     server.shutdown();
 }
 
@@ -789,6 +805,7 @@ mod matrix {
         server_shutdown_disconnects_clients,
         shutdown_right_after_connect_returns,
         metrics_scrape_over_the_wire,
+        drain_and_validate_leaves_the_journal_to_the_scraper,
         oversized_send_is_refused_before_the_wire,
     );
 }

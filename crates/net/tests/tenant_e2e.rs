@@ -60,7 +60,7 @@ fn tenants_are_isolated_lock_spaces() {
     // An unbound control connection reads the machine rollup: both
     // apps visible, both tenants' slots counted.
     let mut control = Client::connect(&addr).unwrap();
-    let stats = control.stats().unwrap();
+    let stats = control.metrics(u64::MAX, 0).unwrap();
     assert_eq!(stats.connected_apps, 2);
     assert!(stats.pool_slots_used >= 2, "both X locks charged");
 
@@ -180,7 +180,7 @@ fn dropping_a_tenant_evicts_its_connections_and_reclaims_its_budget() {
     // Machine-wide audit still passes after the eviction churn.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = control.stats().unwrap();
+        let stats = control.metrics(u64::MAX, 0).unwrap();
         if stats.pool_slots_used == 0 {
             break;
         }

@@ -17,8 +17,8 @@ use locktune_lockmgr::{
 };
 use locktune_metrics::{HistogramSnapshot, BUCKETS};
 use locktune_net::wire::{
-    decode_reply, decode_request, encode_reply, encode_request, Reply, Request, StatsSnapshot,
-    TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply,
+    decode_reply, decode_request, encode_reply, encode_request, Reply, Request, TenantCtl,
+    TenantStatsReply, ValidateReport, WaitGraphReply, WireError,
 };
 use locktune_net::{MachineRollup, TenantDonation, TenantRow};
 use locktune_obs::{
@@ -77,6 +77,14 @@ fn reply(name: &str, id: u64, rep: Reply, golden: &str) {
     assert_eq!(hex(&got), golden, "{name}: reply bytes drifted");
     let want = unhex(golden);
     assert_eq!(decode_reply(&want[4..]), Ok((id, rep)), "{name}: decode");
+}
+
+/// The payload of a frame whose opcode is retired: opcode and id, no
+/// body. The decoder must refuse the opcode itself.
+fn retired_frame(op: u8, id: u64) -> Vec<u8> {
+    let mut payload = vec![op];
+    payload.extend_from_slice(&id.to_le_bytes());
+    payload
 }
 
 fn row(v: &mut Vals) -> ResourceId {
@@ -326,11 +334,15 @@ fn every_request_opcode() {
         Request::UnlockAll,
         "09000000037ee8befb58da4cb5",
     );
-    request(
-        "stats",
-        v.u64(),
-        Request::Stats,
-        "09000000049364097b12548453",
+    // 0x04 carried the retired Stats request. Its id draw stays, so
+    // every later value, and with it every later hex string, is as
+    // captured.
+    assert_eq!(
+        decode_request(&retired_frame(0x04, v.u64())),
+        Err(WireError::BadTag {
+            what: "request opcode",
+            tag: 0x04
+        })
     );
     request(
         "ping",
@@ -558,32 +570,18 @@ fn batch_outcomes_cover_every_outcome_and_error_tag() {
 fn fixed_layout_replies() {
     let mut v = Vals::new();
     let v = &mut v;
-    let snap = StatsSnapshot {
-        stats: lock_stats(v),
-        pool_bytes: v.u64(),
-        pool_slots_total: v.u64(),
-        pool_slots_used: v.u64(),
-        connected_apps: v.u64(),
-        tuning_intervals: v.u64(),
-        grow_decisions: v.u64(),
-        shrink_decisions: v.u64(),
-        batches: v.u64(),
-        batch_items: v.u64(),
-        reply_queue_hwm: v.u64(),
-        app_percent: v.f64(),
-        watchdog_restarts: v.u64(),
-    };
-    reply(
-        "stats",
-        v.u64(),
-        Reply::Stats(snap),
-        "d9000000843716db6c90d6d9af157c4a7fb979379e2af894fe72f36e3c3f74df\
-        7d2c6da6da54f029fde5e6dd78696c747c9f6015177ee8befb58da4cb5936409\
-        7b12548453a8e053facbcdbbf1bd5c9e798547f38fd2d8e8f83ec12a2ee75433\
-        78f83a62ccfcd07df7b1b4996a114dc8766b2ed10826c912f624a808a73b455d\
-        75de21404550c1a7f4979b77e3653df2735115af817ab93cf30a8fe61f8f3587\
-        72c4081ebea4b1d1f17d82555cb92d1c7137fc8cfacea966f0f075c498e325b1\
-        6faaeffb36f8a1fbee636933d50000000000d04240229a90edd65ca211",
+    // 0x84 carried the retired Stats reply: a LockStats, twelve more
+    // values and the id. Its draws stay, as for 0x04.
+    lock_stats(v);
+    for _ in 0..12 {
+        v.u64();
+    }
+    assert_eq!(
+        decode_reply(&retired_frame(0x84, v.u64())),
+        Err(WireError::BadTag {
+            what: "reply opcode",
+            tag: 0x84
+        })
     );
     reply(
         "pong",

@@ -10,10 +10,10 @@ use locktune_lockmgr::{
 use locktune_metrics::{HistogramSnapshot, BUCKETS};
 use locktune_net::wire::{
     decode_lock_batch_into, decode_reply, decode_request, encode_lock_batch_into, encode_reply,
-    encode_request, Reply, Request, StatsSnapshot, TenantCtl, TenantStatsReply, ValidateReport,
-    WaitGraphReply, WireError, GID_RESERVED, HEADER_LEN, MAX_BATCH, MAX_PAYLOAD,
-    MAX_WIRE_DONATIONS, MAX_WIRE_EDGES, MAX_WIRE_EVENTS, MAX_WIRE_GIDS, MAX_WIRE_IO_SHARDS,
-    MAX_WIRE_TENANTS, MAX_WIRE_TICKS,
+    encode_request, Reply, Request, TenantCtl, TenantStatsReply, ValidateReport, WaitGraphReply,
+    WireError, GID_RESERVED, HEADER_LEN, MAX_BATCH, MAX_PAYLOAD, MAX_WIRE_DONATIONS,
+    MAX_WIRE_EDGES, MAX_WIRE_EVENTS, MAX_WIRE_GIDS, MAX_WIRE_IO_SHARDS, MAX_WIRE_TENANTS,
+    MAX_WIRE_TICKS,
 };
 use locktune_net::{MachineRollup, TenantDonation, TenantRow};
 use locktune_obs::{
@@ -84,7 +84,6 @@ fn request() -> BoxedStrategy<Request> {
         (resource(), mode()).prop_map(|(res, mode)| Request::Lock { res, mode }),
         resource().prop_map(|res| Request::Unlock { res }),
         Just(Request::UnlockAll),
-        Just(Request::Stats),
         proptest::collection::vec(any::<u8>(), 0..512).prop_map(Request::Ping),
         Just(Request::Validate),
         proptest::collection::vec((resource(), mode()), 0..40).prop_map(Request::LockBatch),
@@ -238,38 +237,6 @@ fn obs_counters() -> BoxedStrategy<ObsCounters> {
                 *field = x;
             }
             c
-        })
-        .boxed()
-}
-
-fn snapshot() -> BoxedStrategy<StatsSnapshot> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        0.0f64..100.0,
-        lock_stats(),
-    )
-        .prop_map(|(a, b, c, app_percent, ls)| StatsSnapshot {
-            stats: LockStats {
-                grants: a.0,
-                waits: a.1,
-                escalations: a.2,
-                denials: a.3,
-                ..ls
-            },
-            pool_bytes: b.0,
-            pool_slots_total: b.1,
-            pool_slots_used: b.2,
-            connected_apps: b.3,
-            tuning_intervals: c.0,
-            grow_decisions: c.1,
-            shrink_decisions: c.2,
-            batches: c.0 ^ c.1,
-            batch_items: c.1 ^ c.2,
-            reply_queue_hwm: c.0 ^ c.2,
-            app_percent,
-            watchdog_restarts: a.0 ^ c.2,
         })
         .boxed()
 }
@@ -433,7 +400,6 @@ fn reply() -> BoxedStrategy<Reply> {
         lock_result(outcome()).prop_map(Reply::Lock),
         lock_result(unlock_report()).prop_map(Reply::Unlock),
         lock_result(unlock_report()).prop_map(Reply::UnlockAll),
-        snapshot().prop_map(Reply::Stats),
         proptest::collection::vec(any::<u8>(), 0..512).prop_map(Reply::Pong),
         (any::<u64>(), any::<u64>()).prop_map(|(charged_slots, pool_used_slots)| {
             Reply::Validate(Ok(ValidateReport {

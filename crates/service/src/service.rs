@@ -1084,9 +1084,14 @@ impl LockService {
     }
 
     /// The instrumentation layer's own counters (cheap: a handful of
-    /// relaxed atomic loads, no shard latches).
+    /// relaxed atomic loads, no shard latches). `watchdog_restarts`
+    /// comes from the always-on [`LockService::watchdog_restarts`], so
+    /// it is live even in a build without `obs`.
     pub fn obs_counters(&self) -> ObsCounters {
-        self.inner.obs.counters()
+        ObsCounters {
+            watchdog_restarts: self.watchdog_restarts(),
+            ..self.inner.obs.counters()
+        }
     }
 
     /// Scrape everything at once: counters, gauges, merged histograms,
@@ -1115,7 +1120,7 @@ impl LockService {
         MetricsSnapshot {
             uptime_ms: inner.obs.now_ms(),
             lock_stats: self.stats(),
-            counters: inner.obs.counters(),
+            counters: self.obs_counters(),
             pool_bytes: inner.pool.total_bytes(),
             pool_slots_total: inner.pool.total_slots(),
             pool_slots_used: inner.pool.used_slots(),
