@@ -9,7 +9,7 @@
 
 use crate::hash::FxHashMap;
 use crate::mode::LockMode;
-use crate::resource::{ResourceId, TableId};
+use crate::resource::{ResourceId, RowId, TableId};
 
 /// An application (connection) identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,15 +54,45 @@ pub(crate) struct TableRecord {
     pub rows: TableRowHoldings,
 }
 
+/// One release-list entry: the table lock of `table` when `len` is 0,
+/// else its rows `first_row .. first_row + len`, granted in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    table: TableId,
+    len: u32,
+    first_row: u64,
+}
+
+impl Run {
+    /// The resources of this entry, in grant order.
+    pub(crate) fn resources(self) -> impl Iterator<Item = ResourceId> {
+        (0..u64::from(self.len.max(1))).map(move |i| match self.len {
+            0 => ResourceId::Table(self.table),
+            _ => ResourceId::Row(self.table, RowId(self.first_row + i)),
+        })
+    }
+
+    /// Take in `next` (sorted after this entry) if it is the same table
+    /// lock or rows that overlap or follow this run; true if it did.
+    fn absorb(&mut self, next: &Run) -> bool {
+        let offset = next.first_row.wrapping_sub(self.first_row);
+        let len = u64::from(self.len);
+        let end = len.max(offset.saturating_add(u64::from(next.len)));
+        let covers = next.table == self.table && (next.len == 0) == (self.len == 0);
+        let covers = covers && offset <= len && end <= u64::from(u32::MAX);
+        self.len = if covers { end as u32 } else { self.len };
+        covers
+    }
+}
+
 /// Lock-related state of one application.
 #[derive(Debug, Default)]
 pub struct AppLockState {
-    /// Every resource granted since the last commit, appended at grant.
-    /// Each holding appears at least once; an entry whose lock has
-    /// since been released (explicit unlock) is stale, and one locked
-    /// again after that appears twice. Releasing by this list skips
-    /// both, because the lock head says who still holds.
-    pub(crate) release_list: Vec<ResourceId>,
+    /// Every resource granted since the last commit, in grant order; a
+    /// grant of the row after the last run extends it. A row released
+    /// since (explicit unlock) is stale, and one locked again after that
+    /// is covered twice; releasing skips both, as the head says who holds.
+    pub(crate) release_list: Vec<Run>,
     /// Holdings alive now (the release list minus stale and repeated
     /// entries).
     pub(crate) held_count: usize,
@@ -128,7 +158,25 @@ impl AppLockState {
 
     /// Record a new holding charged `slots` structures.
     pub(crate) fn record_grant(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
-        self.release_list.push(res);
+        let (table, len, first_row) = match res {
+            ResourceId::Table(table) => (table, 0, 0),
+            ResourceId::Row(table, row) => (table, 1, row.0),
+        };
+        match self.release_list.last_mut() {
+            Some(last)
+                if len == 1
+                    && last.table == table
+                    && (1..u32::MAX).contains(&last.len)
+                    && first_row.checked_sub(last.first_row) == Some(u64::from(last.len)) =>
+            {
+                last.len += 1;
+            }
+            _ => self.release_list.push(Run {
+                table,
+                len,
+                first_row,
+            }),
+        }
         self.held_count += 1;
         self.total_slots += slots;
         let t = self.per_table.entry(res.table()).or_default();
@@ -173,9 +221,18 @@ impl AppLockState {
         }
     }
 
-    /// Record that every row holding on `table` was released
-    /// (escalation): `rows` of them, which must be all there were.
-    pub(crate) fn record_table_rows_released(&mut self, table: TableId, rows: u64) {
+    /// Escalation: hand every row of `table` on the release list to
+    /// `release` (true when it was held), drop those entries, and record
+    /// that the rows released were all `table`'s. Returns them.
+    pub(crate) fn release_table_rows(
+        &mut self,
+        table: TableId,
+        mut release: impl FnMut(ResourceId) -> bool,
+    ) -> u64 {
+        let of_table = |run: &mut Run| run.table == table && run.len != 0;
+        let runs = self.release_list.extract_if(.., of_table);
+        let rows = runs.flat_map(Run::resources).filter(|&r| release(r));
+        let rows = rows.count() as u64;
         let t = table_record(&mut self.per_table, table);
         debug_assert_eq!(t.rows.rows, rows, "escalation released every row");
         self.held_count -= rows as usize;
@@ -184,23 +241,25 @@ impl AppLockState {
         if t.mode.is_none() {
             self.per_table.remove(&table);
         }
+        rows
     }
 
-    /// Drop stale and repeated release-list entries once they outnumber
-    /// the live ones, so a transaction that locks and unlocks in a loop
-    /// keeps a bounded list. `still_held` answers from the lock heads.
-    pub(crate) fn compact_release_list(&mut self, still_held: impl FnMut(&ResourceId) -> bool) {
+    /// Once entries outnumber the live holdings, merge overlapping runs
+    /// in place and drop entries that cover nothing `still_held` (asked of
+    /// the lock heads): at most one entry per holding is left.
+    pub(crate) fn compact_release_list(&mut self, mut still_held: impl FnMut(ResourceId) -> bool) {
         if self.release_list.len() > 2 * self.held_count + 16 {
-            self.release_list.sort_unstable();
-            self.release_list.dedup();
-            self.release_list.retain(still_held);
+            let list = &mut self.release_list;
+            list.sort_unstable_by_key(|run| (run.table, run.len != 0, run.first_row));
+            list.dedup_by(|next, kept| kept.absorb(next));
+            list.retain(|run| run.resources().any(&mut still_held));
         }
     }
 
     /// Take the release list for a commit or abort, resetting the
     /// accounting up front; the list keeps its capacity for the next
     /// transaction.
-    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, ResourceId> {
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Run> {
         self.per_table.clear();
         self.total_slots = 0;
         self.held_count = 0;
@@ -220,6 +279,14 @@ mod tests {
 
     fn row(t: u32, r: u64) -> ResourceId {
         ResourceId::Row(TableId(t), RowId(r))
+    }
+
+    /// Every resource the release list covers, in list order.
+    fn listed(a: &AppLockState) -> Vec<ResourceId> {
+        a.release_list
+            .iter()
+            .flat_map(|run| run.resources())
+            .collect()
     }
 
     #[test]
@@ -278,7 +345,7 @@ mod tests {
         let t = a.table_holdings(TableId(1));
         assert_eq!(t.rows, 1);
         assert_eq!(t.write_rows, 0);
-        assert_eq!(a.release_list, vec![row(1, 1), row(1, 2)]);
+        assert_eq!(listed(&a), vec![row(1, 1), row(1, 2)]);
         a.record_release(row(1, 2), LockMode::S, 1);
         assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
         assert!(a.per_table.is_empty(), "nothing left on the table");
@@ -290,7 +357,7 @@ mod tests {
         a.record_grant(ResourceId::Table(TableId(1)), LockMode::IX, 2);
         a.record_grant(row(1, 5), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::X, 1);
-        let drained: Vec<ResourceId> = a.drain().collect();
+        let drained: Vec<ResourceId> = a.drain().flat_map(|run| run.resources()).collect();
         assert_eq!(
             drained,
             vec![ResourceId::Table(TableId(1)), row(1, 5), row(1, 2)],
@@ -309,7 +376,7 @@ mod tests {
         a.record_grant(row(1, 5), LockMode::X, 2);
         a.record_grant(row(1, 2), LockMode::S, 1);
         a.record_grant(row(2, 2), LockMode::S, 2);
-        a.record_table_rows_released(TableId(1), 2);
+        assert_eq!(a.release_table_rows(TableId(1), |_| true), 2);
         assert_eq!(a.total_slots(), 4);
         assert_eq!(a.held_count(), 2);
         assert_eq!(a.table_holdings(TableId(1)), TableRowHoldings::default());
@@ -330,19 +397,79 @@ mod tests {
     }
 
     #[test]
+    fn an_in_order_scan_lists_one_run_per_table() {
+        assert_eq!(std::mem::size_of::<Run>(), 16);
+        let mut a = AppLockState::default();
+        for t in 1..=2 {
+            a.record_grant(ResourceId::Table(TableId(t)), LockMode::IS, 2);
+            for r in 0..100_000 {
+                a.record_grant(row(t, r), LockMode::S, 1);
+            }
+        }
+        assert_eq!(a.release_list.len(), 4, "a table lock and a run per table");
+        assert_eq!(listed(&a).len(), 200_002);
+        let mut scattered = AppLockState::default();
+        for r in [7, 3, 9, 11, 10, 4] {
+            scattered.record_grant(row(1, r), LockMode::S, 1);
+        }
+        assert_eq!(scattered.release_list.len(), 6, "no row follows the last");
+        scattered.record_grant(row(1, 5), LockMode::S, 1);
+        assert_eq!(scattered.release_list.len(), 6, "5 follows 4");
+        let drained: Vec<ResourceId> = scattered.drain().flat_map(|run| run.resources()).collect();
+        let rows = [7, 3, 9, 11, 10, 4, 5].map(|r| row(1, r));
+        assert_eq!(drained, rows, "grant order");
+    }
+
+    #[test]
     fn compaction_drops_stale_and_repeated_entries() {
         let mut a = AppLockState::default();
-        a.record_grant(row(1, 0), LockMode::S, 2);
+        a.record_grant(row(1, 5), LockMode::S, 2);
+        a.record_grant(row(2, 0), LockMode::S, 2);
+        a.record_release(row(2, 0), LockMode::S, 2);
         for _ in 0..20 {
-            a.record_grant(row(1, 1), LockMode::S, 2);
-            a.record_release(row(1, 1), LockMode::S, 2);
+            a.record_grant(row(1, 6), LockMode::S, 2);
+            a.record_release(row(1, 6), LockMode::S, 2);
         }
-        a.record_grant(row(1, 1), LockMode::S, 2);
-        assert_eq!(a.release_list.len(), 22);
-        a.compact_release_list(|_| true);
-        assert_eq!(a.release_list, vec![row(1, 0), row(1, 1)]);
+        a.record_grant(row(1, 6), LockMode::S, 2);
+        assert_eq!(a.release_list.len(), 23);
+        let held = [row(1, 5), row(1, 6)];
+        a.compact_release_list(|res| held.contains(&res));
+        // Row 6's repeats merge into row 5's run; table 2's entry, which
+        // sorts after it with a lower row, covers nothing held.
+        assert_eq!(listed(&a), held);
+        assert_eq!(a.release_list.len(), 1);
         a.compact_release_list(|_| false);
-        assert_eq!(a.release_list.len(), 2, "short lists are left alone");
+        assert_eq!(a.release_list.len(), 1, "short lists are left alone");
+    }
+
+    /// Runs that overlap only partly still merge, so entries that each
+    /// cover some held row cannot pile up.
+    #[test]
+    fn compaction_merges_overlapping_runs() {
+        let mut a = AppLockState::default();
+        a.record_grant(ResourceId::Table(TableId(1)), LockMode::IS, 2);
+        a.record_grant(row(1, 1), LockMode::S, 1);
+        a.record_grant(row(1, 2), LockMode::S, 1);
+        for end in 3..30 {
+            // Rows 1 and 2 again, one at a time so that one of them is
+            // always held, then rows up to `end`: a run a row longer
+            // than the last.
+            for r in 1..=2 {
+                a.record_release(row(1, r), LockMode::S, 1);
+                a.record_grant(row(1, r), LockMode::S, 1);
+            }
+            for r in 3..=end {
+                a.record_grant(row(1, r), LockMode::S, 1);
+                a.record_release(row(1, r), LockMode::S, 1);
+            }
+        }
+        a.record_grant(ResourceId::Table(TableId(1)), LockMode::IS, 2);
+        assert_eq!(a.release_list.len(), 30);
+        a.compact_release_list(|res| res == row(1, 1) || res == row(1, 2) || !res.is_row());
+        let rows: Vec<ResourceId> = (1..30).map(|r| row(1, r)).collect();
+        assert_eq!(listed(&a)[0], ResourceId::Table(TableId(1)));
+        assert_eq!(listed(&a)[1..], rows, "one run over every row seen");
+        assert_eq!(a.release_list.len(), 2);
     }
 
     #[test]

@@ -572,10 +572,25 @@ impl<P: PoolBackend> LockManager<P> {
         target: LockMode,
         hooks: &mut dyn TuningHooks,
     ) {
+        let Self {
+            heads,
+            apps,
+            pool,
+            spare,
+            worklist,
+            ..
+        } = self;
+        // Rows left with waiters join the worklist in commit order.
+        let state = apps.get_mut(&app).expect("known app");
+        let appended = worklist.len();
+        let rows = state.release_table_rows(table, |res| {
+            Self::release_probed(heads, res, app, pool, spare, worklist).is_some()
+        });
+        worklist[appended..].sort_unstable_by_key(commit_order);
         let exclusive = target == LockMode::X;
         self.stats.escalations += 1;
         self.stats.exclusive_escalations += u64::from(exclusive);
-        self.stats.rows_escalated += self.release_table_rows(app, table);
+        self.stats.rows_escalated += rows;
         hooks.on_escalation(app, table, exclusive);
     }
 
@@ -630,36 +645,6 @@ impl<P: PoolBackend> LockManager<P> {
         released
     }
 
-    /// Release every row lock `app` holds on `table` (the rows an
-    /// escalated table lock now covers), dropping the table's rows from
-    /// the release list in the same pass. The rows left with waiters
-    /// are appended to the worklist in commit order. Returns the rows
-    /// released.
-    fn release_table_rows(&mut self, app: AppId, table: TableId) -> u64 {
-        let Self {
-            heads,
-            apps,
-            pool,
-            spare,
-            worklist,
-            ..
-        } = self;
-        let state = apps.get_mut(&app).expect("known app");
-        let appended = worklist.len();
-        let mut rows = 0;
-        state.release_list.retain(|res| match res {
-            ResourceId::Row(t, _) if *t == table => {
-                let released = Self::release_probed(heads, *res, app, pool, spare, worklist);
-                rows += u64::from(released.is_some());
-                false
-            }
-            _ => true,
-        });
-        state.record_table_rows_released(table, rows);
-        worklist[appended..].sort_unstable_by_key(commit_order);
-        rows
-    }
-
     /// Release one lock explicitly (non-2PL callers and tests).
     pub fn unlock(
         &mut self,
@@ -681,7 +666,7 @@ impl<P: PoolBackend> LockManager<P> {
         };
         let state = apps.get_mut(&app).expect("a holder is a known app");
         state.record_release(res, mode, freed);
-        state.compact_release_list(|r| heads.get(r).is_some_and(|h| h.holder(app).is_some()));
+        state.compact_release_list(|r| heads.get(&r).is_some_and(|h| h.holder(app).is_some()));
         self.process_queues(hooks);
         Ok(UnlockReport {
             released_locks: 1,
@@ -719,14 +704,16 @@ impl<P: PoolBackend> LockManager<P> {
         if sweeps(state.held_count(), heads.len(), heads.capacity()) {
             // The heads say what `app` holds; the release list is
             // dropped unread.
-            state.drain();
+            drop(state.drain());
             heads.retain(|&res, head| {
                 count(Self::release_holder(res, head, app, pool, spare, worklist));
                 !head.is_empty()
             });
         } else {
-            for res in state.drain() {
-                count(Self::release_probed(heads, res, app, pool, spare, worklist));
+            for run in state.drain() {
+                for res in run.resources() {
+                    count(Self::release_probed(heads, res, app, pool, spare, worklist));
+                }
             }
         }
         // Deterministic queue processing: tables before rows, each by
@@ -908,12 +895,12 @@ impl<P: PoolBackend> LockManager<P> {
                 head.is_held() || !head.queue().is_empty(),
                 "empty head left behind on {res}"
             );
-            for (i, a) in head.holders().enumerate() {
+            for (i, a) in head.holders().iter().enumerate() {
                 rebuilt
                     .entry(a.app)
                     .or_default()
                     .record_grant(*res, a.mode, head.slots_of(a.app));
-                for b in head.holders().skip(i + 1) {
+                for b in &head.holders()[i + 1..] {
                     assert_ne!(a.app, b.app, "{} holds {res} twice", a.app);
                     assert!(
                         a.mode.compatible_with(b.mode),
@@ -937,14 +924,15 @@ impl<P: PoolBackend> LockManager<P> {
         // What each application believes it holds is exactly what the
         // heads say, and its release list reaches every holding.
         for (app, state) in &self.apps {
-            let heads_say = rebuilt.remove(app).unwrap_or_default();
+            let mut heads_say = rebuilt.remove(app).unwrap_or_default();
             assert_eq!(state.held_count, heads_say.held_count, "{app} held count");
             assert_eq!(state.total_slots, heads_say.total_slots, "{app} slots");
             assert_eq!(state.per_table, heads_say.per_table, "{app} per-table");
-            let listed: FxHashSet<&ResourceId> = state.release_list.iter().collect();
-            for res in &heads_say.release_list {
+            let runs = state.release_list.iter();
+            let listed: FxHashSet<ResourceId> = runs.flat_map(|run| run.resources()).collect();
+            for res in heads_say.drain().flat_map(|run| run.resources()) {
                 assert!(
-                    listed.contains(res),
+                    listed.contains(&res),
                     "{app} holds {res} but its release list does not reach it"
                 );
             }

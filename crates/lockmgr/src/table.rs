@@ -3,9 +3,9 @@
 //! A [`LockHead`] is the only record of who holds a resource. Almost
 //! every head has one holder charged two lock structures and nobody
 //! waiting, so that case lives inside the head and a `(ResourceId,
-//! LockHead)` bucket fits one 64-byte cache line; co-holders, waiters
-//! and lock structures past the second sit behind one box that only a
-//! contended head carries. Emptied boxes go back on a [`SpareBoxes`]
+//! LockHead)` bucket is 48 bytes; a shared or contended head keeps its
+//! holders, waiters and lock structures past the second behind one box
+//! instead. Emptied boxes go back on a [`SpareBoxes`]
 //! list with their capacity, so hand-offs on a hot row do not allocate.
 
 use std::collections::VecDeque;
@@ -55,11 +55,11 @@ pub struct Waiter {
 /// The queue of every head that has no box.
 static NO_WAITERS: VecDeque<Waiter> = VecDeque::new();
 
-/// What a head needs only once it is shared or contended.
+/// A head that is shared, contended or charged past its inline slots.
 #[derive(Debug, Default)]
 pub struct Contended {
-    /// Holders after the first, in grant order.
-    co_holders: Vec<Holder>,
+    /// Every holder, in grant order.
+    holders: Vec<Holder>,
     /// FIFO wait queue (conversions are pushed to the front: they beat
     /// new requests).
     queue: VecDeque<Waiter>,
@@ -71,43 +71,52 @@ pub struct Contended {
 /// Per-resource lock state ("lock head").
 ///
 /// Holders keep `Vec` order: a grant appends, a release moves the last
-/// holder into the hole. `first` is `None` only while nobody holds the
-/// resource.
+/// holder into the hole. A head moves to `Many` when it needs a second
+/// holder, a waiter or a spilled slot, and stays there until it is empty.
 #[derive(Debug, Default)]
-pub struct LockHead {
-    first: Option<Holder>,
-    more: Option<Box<Contended>>,
+pub enum LockHead {
+    /// Nothing granted, nothing waiting.
+    #[default]
+    Idle,
+    /// One holder; no other holder, waiter or spilled slot since `Idle`.
+    One(Holder),
+    /// Anything else.
+    Many(Box<Contended>),
 }
 
 impl LockHead {
     /// Current holders, in order.
-    pub fn holders(&self) -> impl Iterator<Item = &Holder> {
-        let co_holders = self.more.as_deref().map(|m| &m.co_holders[..]);
-        self.first.iter().chain(co_holders.unwrap_or_default())
+    pub fn holders(&self) -> &[Holder] {
+        match self {
+            LockHead::Idle => &[],
+            LockHead::One(h) => std::slice::from_ref(h),
+            LockHead::Many(m) => &m.holders,
+        }
     }
 
     /// Find the holder entry for `app`.
     pub fn holder(&self, app: AppId) -> Option<&Holder> {
-        self.holders().find(|h| h.app == app)
+        self.holders().iter().find(|h| h.app == app)
     }
 
     /// Find the holder entry for `app`, mutably.
     pub fn holder_mut(&mut self, app: AppId) -> Option<&mut Holder> {
-        let co_holders = self.more.as_deref_mut().map(|m| &mut m.co_holders[..]);
-        self.first
-            .iter_mut()
-            .chain(co_holders.unwrap_or_default())
-            .find(|h| h.app == app)
+        match self {
+            LockHead::Idle => None,
+            LockHead::One(h) => Some(h).filter(|h| h.app == app),
+            LockHead::Many(m) => m.holders.iter_mut().find(|h| h.app == app),
+        }
     }
 
     /// True while at least one application holds the resource.
     pub fn is_held(&self) -> bool {
-        self.first.is_some()
+        !self.holders().is_empty()
     }
 
     /// Is `mode` compatible with every holder other than `app`?
     pub fn compatible_for(&self, app: AppId, mode: LockMode) -> bool {
         self.holders()
+            .iter()
             .filter(|h| h.app != app)
             .all(|h| mode.compatible_with(h.mode))
     }
@@ -117,9 +126,10 @@ impl LockHead {
         let inline = self
             .holder(app)
             .map_or(0, |h| h.slots.iter().flatten().count());
-        let spilled = self.more.as_deref().map_or(0, |m| {
-            m.spill.iter().filter(|(owner, _)| *owner == app).count()
-        });
+        let spilled = match self {
+            LockHead::Many(m) => m.spill.iter().filter(|(owner, _)| *owner == app).count(),
+            _ => 0,
+        };
         (inline + spilled) as u64
     }
 
@@ -140,15 +150,14 @@ impl LockHead {
             mode,
             slots: inline,
         };
-        if self.first.is_none() {
-            self.first = Some(holder);
-        } else {
-            self.contended(spare).co_holders.push(holder);
+        let rest = slots.get(INLINE_SLOTS..).unwrap_or_default();
+        if matches!(self, LockHead::Idle) && rest.is_empty() {
+            *self = LockHead::One(holder);
+            return;
         }
-        if let Some(rest) = slots.get(INLINE_SLOTS..).filter(|rest| !rest.is_empty()) {
-            let spill = &mut self.contended(spare).spill;
-            spill.extend(rest.iter().map(|&slot| (app, slot)));
-        }
+        let m = self.contended(spare);
+        m.holders.push(holder);
+        m.spill.extend(rest.iter().map(|&slot| (app, slot)));
     }
 
     /// Remove `app`'s holding, handing each lock structure it was
@@ -159,21 +168,23 @@ impl LockHead {
         app: AppId,
         mut free: impl FnMut(SlotHandle),
     ) -> Option<(LockMode, u64)> {
-        let more = self.more.as_deref_mut();
-        let holder = if self.first.as_ref()?.app == app {
-            let last = more.and_then(|m| m.co_holders.pop());
-            std::mem::replace(&mut self.first, last)?
-        } else {
-            let co_holders = &mut more?.co_holders;
-            let pos = co_holders.iter().position(|h| h.app == app)?;
-            co_holders.swap_remove(pos)
+        let holder = match self {
+            LockHead::One(h) if h.app == app => match std::mem::take(self) {
+                LockHead::One(h) => h,
+                _ => unreachable!("matched One above"),
+            },
+            LockHead::Many(m) => {
+                let pos = m.holders.iter().position(|h| h.app == app)?;
+                m.holders.swap_remove(pos)
+            }
+            _ => return None,
         };
         let mut freed = 0;
         for slot in holder.slots.into_iter().flatten() {
             free(slot);
             freed += 1;
         }
-        if let Some(m) = self.more.as_deref_mut().filter(|m| !m.spill.is_empty()) {
+        if let LockHead::Many(m) = self {
             m.spill.retain(|&(owner, slot)| {
                 if owner == app {
                     free(slot);
@@ -187,7 +198,10 @@ impl LockHead {
 
     /// The wait queue, front first.
     pub fn queue(&self) -> &VecDeque<Waiter> {
-        self.more.as_deref().map_or(&NO_WAITERS, |m| &m.queue)
+        match self {
+            LockHead::Many(m) => &m.queue,
+            _ => &NO_WAITERS,
+        }
     }
 
     /// The wait queue, to push to or pop from.
@@ -195,14 +209,14 @@ impl LockHead {
         &mut self.contended(spare).queue
     }
 
-    /// Hand the box back once nothing is left in it. Returns true when
-    /// the whole head is empty (nothing granted, nothing waiting) and
-    /// can be dropped from the hash map.
+    /// Hand the box back once nothing is granted or waiting (not before:
+    /// a hot row keeps its box across hand-offs). Returns true when the
+    /// head is empty and can be dropped from the hash map.
     pub fn trim(&mut self, spare: &mut SpareBoxes) -> bool {
-        let unused =
-            |m: &Contended| m.co_holders.is_empty() && m.queue.is_empty() && m.spill.is_empty();
-        if self.more.as_deref().is_some_and(unused) {
-            let emptied = self.more.take().expect("checked above");
+        if matches!(self, LockHead::Many(m) if m.holders.is_empty() && m.queue.is_empty()) {
+            let LockHead::Many(emptied) = std::mem::take(self) else {
+                unreachable!("matched Many above");
+            };
             if spare.len() < MAX_SPARE_BOXES {
                 spare.push(emptied);
             }
@@ -213,12 +227,23 @@ impl LockHead {
     /// True when nothing is granted, nothing is waiting and no box is
     /// left: the head can be dropped from the hash map.
     pub fn is_empty(&self) -> bool {
-        self.first.is_none() && self.more.is_none()
+        matches!(self, LockHead::Idle)
     }
 
+    /// The box, taken from `spare` (or made) and given the holder of a
+    /// `One` head if this head has none yet.
     fn contended(&mut self, spare: &mut SpareBoxes) -> &mut Contended {
-        self.more
-            .get_or_insert_with(|| spare.pop().unwrap_or_default())
+        if !matches!(self, LockHead::Many(_)) {
+            let mut m = spare.pop().unwrap_or_default();
+            if let LockHead::One(h) = std::mem::take(self) {
+                m.holders.push(h);
+            }
+            *self = LockHead::Many(m);
+        }
+        match self {
+            LockHead::Many(m) => m,
+            _ => unreachable!("made Many above"),
+        }
     }
 }
 
@@ -243,11 +268,11 @@ mod tests {
         }
     }
 
-    /// One lock, one cache line: the hash-map bucket of an uncontended
-    /// lock must not outgrow 64 bytes.
+    /// The hash-map bucket of an uncontended lock is 48 bytes: a 16-byte
+    /// key and a head that keeps its one holder inline.
     #[test]
     fn a_lock_fits_one_cache_line() {
-        assert!(std::mem::size_of::<(ResourceId, LockHead)>() <= 64);
+        assert_eq!(std::mem::size_of::<(ResourceId, LockHead)>(), 48);
     }
 
     #[test]
@@ -282,24 +307,29 @@ mod tests {
         let holders: Vec<(u32, LockMode)> = (1..=4).map(|a| (a, LockMode::IS)).collect();
         let mut h = head_with(&holders, &mut Vec::new());
         assert!(h.remove_holder(AppId(1), |_| {}).is_some());
-        let order: Vec<u32> = h.holders().map(|g| g.app.0).collect();
+        let order: Vec<u32> = h.holders().iter().map(|g| g.app.0).collect();
         assert_eq!(order, vec![4, 2, 3], "the last holder fills the hole");
         assert!(h.remove_holder(AppId(1), |_| {}).is_none());
         assert!(h.remove_holder(AppId(2), |_| {}).is_some());
-        let order: Vec<u32> = h.holders().map(|g| g.app.0).collect();
+        let order: Vec<u32> = h.holders().iter().map(|g| g.app.0).collect();
         assert_eq!(order, vec![4, 3]);
     }
 
-    /// An emptied box goes to the spare list and the next contended
-    /// head takes it from there.
+    /// A head keeps its box while anything is held; the emptied box goes
+    /// to the spare list and the next contended head takes it from there.
     #[test]
     fn emptied_boxes_are_recycled() {
         let mut spare = Vec::new();
         let mut h = head_with(&[(1, LockMode::IS), (2, LockMode::IS)], &mut spare);
         assert!(h.remove_holder(AppId(2), |_| {}).is_some());
         assert!(!h.trim(&mut spare), "app 1 still holds");
+        assert!(spare.is_empty(), "the box stays while app 1 holds");
+        assert!(h.remove_holder(AppId(1), |_| {}).is_some());
+        assert!(h.trim(&mut spare), "nothing granted, nothing waiting");
         assert_eq!(spare.len(), 1);
-        h.queue_mut(&mut spare).push_back(waiter(3));
+        let mut next = head_with(&[(3, LockMode::X)], &mut spare);
+        assert_eq!(spare.len(), 1, "one holder needs no box");
+        next.queue_mut(&mut spare).push_back(waiter(4));
         assert!(spare.is_empty(), "the queue reuses the spare box");
     }
 }

@@ -188,43 +188,46 @@ fn hot_set_hand_offs_do_not_allocate() {
     assert_eq!(held as u64, HOT_ROWS + 2);
 }
 
-/// A transaction that is not two-phase: 100 000 lock/unlock cycles on
-/// one row. Every cycle appends to the release list and leaves the
-/// entry behind stale; compaction must keep the list bounded (it never
-/// outgrows its warm capacity, so nothing is allocated) and the commit
-/// must release exactly what is still held.
+/// A transaction that is not two-phase: 100 000 unlock/relock cycles on
+/// two rows, taken in turn so that one of them is always held. Each
+/// cycle starts a release-list run at the first row and extends it by
+/// the second, and every such run still covers a held row whenever a
+/// compaction looks at it; compaction must merge them to keep the list
+/// bounded (it never outgrows its warm capacity, so nothing is
+/// allocated) and the commit must release exactly what is still held.
 #[test]
 fn lock_unlock_cycles_keep_the_release_list_bounded() {
     let (mut m, mut hooks) = manager(4 << 20);
     let (app, table) = (AppId(1), TableId(1));
-    let (kept, cycled) = (
-        ResourceId::Row(table, RowId(0)),
-        ResourceId::Row(table, RowId(1)),
-    );
+    let rows = [1, 2].map(|r| ResourceId::Row(table, RowId(r)));
     m.lock(app, ResourceId::Table(table), LockMode::IX, &mut hooks)
         .unwrap();
-    m.lock(app, kept, LockMode::X, &mut hooks).unwrap();
+    for r in 0..3 {
+        let res = ResourceId::Row(table, RowId(r));
+        m.lock(app, res, LockMode::X, &mut hooks).unwrap();
+    }
     let mut cycles = |m: &mut LockManager, n: u64| {
         for _ in 0..n {
-            assert_eq!(
-                m.lock(app, cycled, LockMode::X, &mut hooks),
-                Ok(LockOutcome::Granted)
-            );
-            assert_eq!(m.unlock(app, cycled, &mut hooks).unwrap().freed_slots, 2);
+            for res in rows {
+                assert_eq!(m.unlock(app, res, &mut hooks).unwrap().freed_slots, 2);
+                assert_eq!(
+                    m.lock(app, res, LockMode::X, &mut hooks),
+                    Ok(LockOutcome::Granted)
+                );
+            }
         }
     };
     cycles(&mut m, 100);
     let (events, bytes) = allocations_during(|| cycles(&mut m, 100_000));
     assert_eq!(
         events, 0,
-        "100 000 lock/unlock cycles allocated {events} times ({bytes} bytes)"
+        "100 000 unlock/relock cycles allocated {events} times ({bytes} bytes)"
     );
     m.validate();
-    // Held: the intent, the kept row, and the cycled row once more.
-    m.lock(app, cycled, LockMode::X, &mut hooks).unwrap();
-    assert_eq!(m.app(app).unwrap().held_count(), 3);
+    // Held: the intent and rows 0, 1 and 2.
+    assert_eq!(m.app(app).unwrap().held_count(), 4);
     let report = m.unlock_all(app, &mut hooks);
-    assert_eq!((report.released_locks, report.freed_slots), (3, 6));
+    assert_eq!((report.released_locks, report.freed_slots), (4, 8));
     assert_eq!(m.pool().used_slots(), 0);
     m.validate();
 }

@@ -222,14 +222,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Six applications over 24 rows put three and more holders on one
-    /// head (past the inline holder); `first_holder_slots = 3` puts a
-    /// holding past its inline slots; the smaller growth caps (a pool of
+    /// head (past the inline holder); `first_holder_slots` 3 and 4 put
+    /// a holding past its inline slots; the smaller growth caps (a pool of
     /// 24 slots at the low end) force MAXLOCKS escalation and
     /// reclaim-by-escalation, while the larger ones let a scan hold the
     /// 64 and more locks that make its commit sweep.
     #[test]
     fn random_workload_preserves_invariants(
-        first_holder_slots in 2u32..4,
+        first_holder_slots in 2u32..5,
         max_blocks in prop_oneof![3u64..17, 64u64..160],
         ops in proptest::collection::vec(op_strategy(APPS, TABLES, ROWS), 1..300),
     ) {

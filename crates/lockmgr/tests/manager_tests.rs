@@ -301,6 +301,41 @@ fn maxlocks_triggers_escalation_to_exclusive_table_lock() {
     m.validate();
 }
 
+/// A scan's rows sit in one release-list run; escalation takes the run
+/// whole, and releases exactly the rows still held — not one the scan
+/// unlocked, which another reader holds now.
+#[test]
+fn escalation_releases_only_the_held_rows_of_a_run() {
+    let mut m = big_manager();
+    let mut h = hooks();
+    m.lock(app(1), table(1), LockMode::IS, &mut h).unwrap();
+    for r in 0..10 {
+        m.lock(app(1), row(1, r), LockMode::S, &mut h).unwrap();
+    }
+    m.unlock(app(1), row(1, 3), &mut h).unwrap();
+    m.lock(app(2), table(1), LockMode::IS, &mut h).unwrap();
+    m.lock(app(2), row(1, 3), LockMode::S, &mut h).unwrap();
+    let bias = EscalationBias::PreferEscalation {
+        table_row_threshold: 9,
+    };
+    m.set_escalation_bias(app(1), bias);
+    assert_eq!(
+        m.lock(app(1), row(1, 10), LockMode::S, &mut h).unwrap(),
+        LockOutcome::GrantedAfterEscalation {
+            table: TableId(1),
+            exclusive: false
+        }
+    );
+    assert_eq!(m.stats().rows_escalated, 9);
+    assert_eq!(m.held_mode(app(1), table(1)), Some(LockMode::S));
+    assert_eq!(m.app(app(1)).unwrap().held_count(), 1);
+    assert_eq!(m.held_mode(app(2), row(1, 3)), Some(LockMode::S));
+    assert_eq!(m.locked_resources(), 2, "the table and app 2's row");
+    m.validate();
+    assert_eq!(m.unlock_all(app(1), &mut h).released_locks, 1);
+    m.validate();
+}
+
 #[test]
 fn share_only_rows_escalate_to_share_table_lock() {
     let mut m = big_manager();

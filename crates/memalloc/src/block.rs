@@ -1,5 +1,7 @@
 //! A single 128 KiB lock memory block and the handles into it.
 
+use std::num::NonZeroU32;
+
 use crate::error::PoolError;
 
 /// Sentinel for "no block" in the intrusive lists.
@@ -22,13 +24,16 @@ pub(crate) enum ListId {
 
 /// A stable handle to one allocated lock structure slot.
 ///
-/// Handles embed the block's generation so that a handle surviving past
-/// a shrink that recycled its block id is detected as stale instead of
-/// silently corrupting another block.
+/// Handles embed the block's generation (never 0: `Option<SlotHandle>` is
+/// 12 bytes) so that a handle surviving past a shrink that recycled its
+/// block id is detected as stale instead of silently corrupting another
+/// block. `repr(C)` here and on [`SlotRun`] keeps `block` and `generation`
+/// side by side in both, so a handle is copied out of a run word-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C)]
 pub struct SlotHandle {
     pub(crate) block: u32,
-    pub(crate) generation: u32,
+    pub(crate) generation: NonZeroU32,
     pub(crate) slot: u32,
 }
 
@@ -43,9 +48,10 @@ impl SlotHandle {
 /// the run while bit `i` of `bits` is set. The pool claims and releases
 /// runs in one step; a single slot is a one-bit run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub(crate) struct SlotRun {
     pub block: u32,
-    pub generation: u32,
+    pub generation: NonZeroU32,
     pub word: u32,
     pub bits: u64,
 }
@@ -54,7 +60,7 @@ impl SlotRun {
     /// A run that no real handle falls into.
     pub const EMPTY: SlotRun = SlotRun {
         block: NIL,
-        generation: 0,
+        generation: NonZeroU32::MIN,
         word: 0,
         bits: 0,
     };
@@ -101,8 +107,8 @@ pub(crate) struct Block {
     used_count: u32,
     /// Every bitmap word below this one is full.
     cursor: u32,
-    /// Monotonic reuse counter for stale-handle detection.
-    pub generation: u32,
+    /// Reuse counter for stale-handle detection, from 1, wrapping to 1.
+    pub generation: NonZeroU32,
     /// Intrusive list linkage.
     pub prev: u32,
     pub next: u32,
@@ -112,7 +118,7 @@ pub(crate) struct Block {
 
 impl Block {
     /// Create a fresh, fully-free block with `capacity` slots.
-    pub fn new(capacity: u32, generation: u32) -> Self {
+    pub fn new(capacity: u32, generation: NonZeroU32) -> Self {
         Block {
             allocated: vec![0; capacity.div_ceil(WORD_BITS) as usize],
             capacity,
@@ -204,7 +210,7 @@ mod tests {
 
     #[test]
     fn fresh_block_is_fully_free() {
-        let b = Block::new(100, 0);
+        let b = Block::new(100, NonZeroU32::MIN);
         assert!(b.is_fully_free());
         assert!(!b.is_full());
         assert_eq!(b.capacity(), 100);
@@ -214,7 +220,7 @@ mod tests {
 
     #[test]
     fn slots_hand_out_in_ascending_order() {
-        let mut b = Block::new(4, 0);
+        let mut b = Block::new(4, NonZeroU32::MIN);
         let order: Vec<_> = (0..4).map(|_| b.claim(false)).collect();
         assert_eq!(order, vec![(0, 1), (0, 2), (0, 4), (0, 8)]);
         // A freed slot is the lowest clear bit again.
@@ -224,7 +230,7 @@ mod tests {
 
     #[test]
     fn bitmap_tracks_allocation() {
-        let mut b = Block::new(130, 0); // spans 3 bitmap words
+        let mut b = Block::new(130, NonZeroU32::MIN); // spans 3 bitmap words
         assert_eq!(b.claim(true), (0, u64::MAX));
         assert_eq!(b.claim(true), (1, u64::MAX));
         // The last word holds two slots; the mask keeps the rest out.
@@ -244,7 +250,7 @@ mod tests {
 
     #[test]
     fn release_is_all_or_nothing() {
-        let mut b = Block::new(8, 0);
+        let mut b = Block::new(8, NonZeroU32::MIN);
         assert_eq!(b.claim(true), (0, 0xff));
         b.release(0, 0b0001).unwrap();
         // Bit 0 is already free: the whole release is refused.
@@ -257,7 +263,7 @@ mod tests {
 
     #[test]
     fn full_detection() {
-        let mut b = Block::new(2, 0);
+        let mut b = Block::new(2, NonZeroU32::MIN);
         assert_eq!(b.claim(true), (0, 0b11));
         assert!(b.is_full());
         assert_eq!(b.used(), 2);
@@ -268,15 +274,18 @@ mod tests {
     fn runs_hand_out_their_lowest_slot() {
         let mut run = SlotRun {
             block: 3,
-            generation: 1,
+            generation: NonZeroU32::MIN,
             word: 2,
             bits: 0b1010,
         };
         let h = run.take();
-        assert_eq!((h.block, h.generation, h.slot), (3, 1, 129));
+        assert_eq!((h.block, h.generation.get(), h.slot), (3, 1, 129));
         assert_eq!(run.bits, 0b1000);
         assert_eq!(run.bit_of(h), Some(0b10));
-        let stale = SlotHandle { generation: 0, ..h };
+        let stale = SlotHandle {
+            generation: NonZeroU32::MAX,
+            ..h
+        };
         assert_eq!(run.bit_of(stale), None);
         assert_eq!(SlotRun::of(h).bits, 0b10);
     }

@@ -247,13 +247,15 @@ impl LockMemoryPool {
             let capacity = self.config.slots_per_block();
             let id = match self.vacant.pop() {
                 Some(id) => {
-                    let generation = self.blocks[id as usize].generation + 1;
+                    let generation = self.blocks[id as usize].generation.checked_add(1);
+                    let generation = generation.unwrap_or(std::num::NonZeroU32::MIN);
                     self.blocks[id as usize] = Block::new(capacity, generation);
                     id
                 }
                 None => {
                     assert!(self.blocks.len() < NIL as usize, "pool block limit reached");
-                    self.blocks.push(Block::new(capacity, 0));
+                    self.blocks
+                        .push(Block::new(capacity, std::num::NonZeroU32::MIN));
                     (self.blocks.len() - 1) as u32
                 }
             };
@@ -470,6 +472,8 @@ impl LockMemoryPool {
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroU32;
+
     use super::*;
 
     fn small_pool(blocks: u64) -> LockMemoryPool {
@@ -620,6 +624,31 @@ mod tests {
         p.validate();
     }
 
+    /// A recycled block id past `u32::MAX` generations starts over at 1,
+    /// not 0, and a handle from the incarnation before the wrap is still
+    /// stale.
+    #[test]
+    fn generation_wraps_to_one_and_keeps_old_handles_stale() {
+        let mut p = small_pool(1);
+        p.blocks[0].generation = NonZeroU32::MAX;
+        let h = p.allocate().unwrap();
+        p.free(h).unwrap();
+        p.try_shrink_blocks(1).unwrap();
+        p.grow_blocks(1);
+        assert_eq!(p.blocks[0].generation, NonZeroU32::MIN);
+        assert_eq!(p.free(h), Err(PoolError::StaleHandle));
+        let fresh = p.allocate().unwrap();
+        assert_eq!(fresh.generation, NonZeroU32::MIN);
+        p.free(fresh).unwrap();
+        p.validate();
+    }
+
+    #[test]
+    fn an_absent_handle_costs_no_space() {
+        assert_eq!(std::mem::size_of::<SlotHandle>(), 12);
+        assert_eq!(std::mem::size_of::<Option<SlotHandle>>(), 12);
+    }
+
     #[test]
     fn double_free_is_rejected() {
         let mut p = small_pool(1);
@@ -633,7 +662,7 @@ mod tests {
         let mut p = small_pool(1);
         let bogus = SlotHandle {
             block: 42,
-            generation: 0,
+            generation: NonZeroU32::MIN,
             slot: 0,
         };
         assert_eq!(p.free(bogus), Err(PoolError::StaleHandle));

@@ -40,8 +40,9 @@
 //! ([`drain_and_validate`]).
 //!
 //! Exits nonzero if the audit fails, locks outlive the clients, or
-//! fewer than `--min-intervals` tuning intervals ran server-side. A
-//! key space with no tables or rows is a usage error.
+//! fewer than `--min-intervals` tuning intervals ran server-side; the
+//! final scrape waits up to 10 s for the tuner to get there. A key
+//! space with no tables or rows is a usage error.
 //!
 //! `--scrape` additionally audits the METRICS endpoint against this
 //! client's own observations: the wait histogram must have timed every
@@ -88,8 +89,8 @@ use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
 use locktune_metrics::percentile;
 use locktune_net::wire::{self, Request};
 use locktune_net::{
-    drain_and_validate, BatchOutcome, Batched, Client, ClientError, Pipelined, ReconnectConfig,
-    ReconnectStats, ReconnectingClient, Reply, ValidateReport,
+    drain_and_validate, BatchOutcome, Batched, Client, ClientError, MetricsSnapshot, Pipelined,
+    ReconnectConfig, ReconnectStats, ReconnectingClient, Reply, ValidateReport,
 };
 use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_sim::dist::Zipf;
@@ -100,6 +101,9 @@ use rand::SeedableRng;
 
 /// How long the pool may take to drain once every client is gone.
 const DRAIN: Duration = Duration::from_secs(5);
+
+/// How long the final scrape waits for `--min-intervals` to be reached.
+const INTERVALS_DEADLINE: Duration = Duration::from_secs(10);
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -367,6 +371,25 @@ fn read_retry<T>(
             Err(ClientError::Reconnected) => continue,
             other => return other,
         }
+    }
+}
+
+/// Scrape `Metrics` (no reports, no events) until the server has run
+/// `min` tuning intervals or [`INTERVALS_DEADLINE`] has passed, and
+/// return the last scrape. A short run can end inside one interval, and
+/// injected tuner panics cost intervals, so the bar is checked against
+/// a tuner given time to tick rather than against the run's length.
+fn await_intervals(control: &mut ReconnectingClient, min: u64) -> MetricsSnapshot {
+    let deadline = Instant::now() + INTERVALS_DEADLINE;
+    loop {
+        let snap = read_retry(control, |c| c.metrics(u64::MAX, 0)).unwrap_or_else(|e| {
+            eprintln!("locktune-client: metrics: {e}");
+            std::process::exit(1);
+        });
+        if snap.tuning_intervals >= min || Instant::now() >= deadline {
+            return snap;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -990,13 +1013,11 @@ fn main() {
     }
 
     // The server reaps dead connections asynchronously: drain, audit,
-    // then scrape the quiescent server (no ticks, no journal events).
+    // then scrape the quiescent server (no journal events) once the
+    // tuner has ticked `--min-intervals` times.
     let mut control = connect_control(&args.addr);
     let audit = drain_and_validate(&mut control, DRAIN);
-    let server = read_retry(&mut control, |c| c.metrics(u64::MAX, 0)).unwrap_or_else(|e| {
-        eprintln!("locktune-client: metrics: {e}");
-        std::process::exit(1);
-    });
+    let server = await_intervals(&mut control, args.min_intervals);
 
     let committed = tally.get(TxnOutcome::Committed);
     println!("--- remote stress report ---");
