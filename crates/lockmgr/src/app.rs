@@ -54,6 +54,19 @@ pub(crate) struct TableRecord {
     pub rows: TableRowHoldings,
 }
 
+impl TableRecord {
+    /// Count a new holding of `res`, on this table, charged `slots`.
+    pub(crate) fn count_grant(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
+        if res.is_row() {
+            self.rows.rows += 1;
+            self.rows.slots += slots;
+            self.rows.write_rows += u64::from(mode.escalation_table_mode() == LockMode::X);
+        } else {
+            self.mode = Some(mode);
+        }
+    }
+}
+
 /// One release-list entry: the table lock of `table` when `len` is 0,
 /// else its rows `first_row .. first_row + len`, granted in that order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +171,13 @@ impl AppLockState {
 
     /// Record a new holding charged `slots` structures.
     pub(crate) fn record_grant(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
+        let t = self.per_table.entry(res.table()).or_default();
+        t.count_grant(res, mode, slots);
+        self.record_holding(res, slots);
+    }
+
+    /// [`Self::record_grant`] minus the table record's count.
+    pub(crate) fn record_holding(&mut self, res: ResourceId, slots: u64) {
         let (table, len, first_row) = match res {
             ResourceId::Table(table) => (table, 0, 0),
             ResourceId::Row(table, row) => (table, 1, row.0),
@@ -179,14 +199,6 @@ impl AppLockState {
         }
         self.held_count += 1;
         self.total_slots += slots;
-        let t = self.per_table.entry(res.table()).or_default();
-        if res.is_row() {
-            t.rows.rows += 1;
-            t.rows.slots += slots;
-            t.rows.write_rows += u64::from(mode.escalation_table_mode() == LockMode::X);
-        } else {
-            t.mode = Some(mode);
-        }
     }
 
     /// Record an in-place conversion from `before` to `after` (no new

@@ -76,7 +76,7 @@ pub type LockTableMap<V> =
     std::collections::HashMap<crate::ResourceId, V, BuildHasherDefault<LockTableHasher>>;
 
 /// Row ids that differ only in their low `ROW_BLOCK_BITS` bits share a
-/// block: 64 rows × 48-byte buckets is 3 KiB, within two 4 KiB pages.
+/// block: 64 rows × 40-byte buckets is 2.5 KiB, within two 4 KiB pages.
 const ROW_BLOCK_BITS: u32 = 6;
 const ROW_BLOCK_MASK: u64 = (1 << ROW_BLOCK_BITS) - 1;
 

@@ -133,6 +133,8 @@ pub struct LockManager<P: PoolBackend = LockMemoryPool> {
     slot_scratch: Vec<SlotHandle>,
     /// Boxes emptied by contended heads, reused by the next one.
     spare: SpareBoxes,
+    /// The last MAXLOCKS check's inputs and cap (see [`cap_slots`]).
+    cap: (u64, u64, u64),
 }
 
 impl<P: PoolBackend> LockManager<P> {
@@ -149,6 +151,7 @@ impl<P: PoolBackend> LockManager<P> {
             worklist: Vec::new(),
             slot_scratch: Vec::new(),
             spare: Vec::new(),
+            cap: (0, 0, 0),
         }
     }
 
@@ -267,6 +270,7 @@ impl<P: PoolBackend> LockManager<P> {
             biases,
             slot_scratch,
             spare,
+            cap,
             ..
         } = self;
         let state = apps.entry(app).or_default();
@@ -274,9 +278,11 @@ impl<P: PoolBackend> LockManager<P> {
             return Err(LockError::AlreadyWaiting(waiting));
         }
 
-        // A held table lock may cover the row request entirely.
+        // A held table lock may cover the row request; its record counts it.
+        let mut record = None;
         if let ResourceId::Row(table, _) = res {
-            match state.table_mode(table) {
+            record = state.per_table.get_mut(&table);
+            match record.as_ref().and_then(|t| t.mode) {
                 Some(held) if held.covers(mode.escalation_table_mode()) => {
                     stats.covered_by_table += 1;
                     return Ok(LockOutcome::CoveredByTableLock);
@@ -352,7 +358,7 @@ impl<P: PoolBackend> LockManager<P> {
                     table_row_threshold,
                 }) = biases.get(&app)
                 {
-                    if state.table_holdings(req_table).rows >= *table_row_threshold {
+                    if record.as_ref().map_or(0, |t| t.rows.rows) >= *table_row_threshold {
                         stats.voluntary_escalations += 1;
                         return self.escalate_requester_on(app, Some(req_table), res, mode, hooks);
                     }
@@ -361,16 +367,17 @@ impl<P: PoolBackend> LockManager<P> {
 
             // MAXLOCKS / lockPercentPerApplication check (row locks only).
             let wanted_slots = state.total_slots + slots_needed as u64;
-            let cap_slots = |pool: &P| (cap_percent / 100.0 * pool.total_slots() as f64) as u64;
-            if wanted_slots > cap_slots(pool) {
+            if wanted_slots > cap_slots(cap, cap_percent, pool.total_slots()) {
                 // The tuned system prefers growing the pool over
                 // escalating (§3.5).
                 if cap_percent > 0.0 {
                     grow_under_cap(pool, stats, wanted_slots, cap_percent, hooks);
                 }
-                if wanted_slots > cap_slots(pool) && state.most_locked_table().is_some() {
+                let limit = cap_slots(cap, cap_percent, pool.total_slots());
+                if wanted_slots > limit && state.most_locked_table().is_some() {
                     return self.escalate_requester_on(app, None, res, mode, hooks);
                 }
+                record = state.per_table.get_mut(&req_table);
             }
         }
 
@@ -383,7 +390,15 @@ impl<P: PoolBackend> LockManager<P> {
             Entry::Occupied(occupied) => occupied.into_mut(),
             Entry::Vacant(vacant) => vacant.insert(LockHead::default()),
         };
-        grant(head, state, slot_scratch, spare, app, res, mode);
+        head.add_holder(app, mode, slot_scratch, spare);
+        let charged = slot_scratch.len() as u64;
+        slot_scratch.clear();
+        let record = match record {
+            Some(t) => t,
+            None => state.per_table.entry(res.table()).or_default(),
+        };
+        record.count_grant(res, mode, charged);
+        state.record_holding(res, charged);
         stats.grants += 1;
         Ok(LockOutcome::Granted)
     }
@@ -965,7 +980,8 @@ fn commit_order(res: &ResourceId) -> (bool, ResourceId) {
     (!res.is_row(), *res)
 }
 
-/// Allocate `n` lock structures into `slots` (empty on entry), growing
+/// Allocate `n` lock structures into `slots` (empty on entry), the first
+/// two as a pair if the pool has one, then one at a time, growing
 /// synchronously through the hooks when the pool runs dry. On failure
 /// every slot already taken is returned (dropping a `SlotHandle` would
 /// leak its slot) and `slots` is empty again.
@@ -976,7 +992,10 @@ fn allocate_slots<P: PoolBackend>(
     slots: &mut Vec<SlotHandle>,
     hooks: &mut dyn TuningHooks,
 ) -> Result<(), ()> {
-    for _ in 0..n {
+    if n >= 2 {
+        slots.extend(pool.allocate_pair().into_iter().flatten());
+    }
+    for _ in slots.len() as u32..n {
         loop {
             match pool.allocate() {
                 Ok(h) => {
@@ -1019,6 +1038,16 @@ fn grant(
     head.add_holder(app, mode, slots, spare);
     state.record_grant(res, mode, slots.len() as u64);
     slots.clear();
+}
+
+/// `cap_percent` of `total_slots`, worked out again only when `memo`
+/// (`(cap_percent.to_bits(), total_slots, cap)`) says either changed.
+fn cap_slots(memo: &mut (u64, u64, u64), cap_percent: f64, total_slots: u64) -> u64 {
+    if (memo.0, memo.1) != (cap_percent.to_bits(), total_slots) {
+        let cap = (cap_percent / 100.0 * total_slots as f64) as u64;
+        *memo = (cap_percent.to_bits(), total_slots, cap);
+    }
+    memo.2
 }
 
 /// An application is about to exceed its `cap_percent` share: ask for

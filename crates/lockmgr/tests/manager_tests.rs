@@ -810,6 +810,42 @@ fn spilled_holders_and_slots_account_exactly() {
     assert_eq!(m.locked_resources(), 0);
 }
 
+/// Three-slot blocks: every other two-slot holding straddles a block
+/// boundary and spills its second slot. Accounting stays exact through
+/// the grants, an escalation of the table whose rows hold them, and the
+/// commit.
+#[test]
+fn pairs_across_blocks_account_and_escalate_exactly() {
+    let pool = LockMemoryPool::with_bytes(PoolConfig::new(3 * 64, 64), 8 * 3 * 64);
+    let mut m = LockManager::new(pool, LockManagerConfig::default());
+    let mut h = hooks();
+    m.lock(app(1), table(1), LockMode::IX, &mut h).unwrap();
+    for r in 0..6 {
+        m.lock(app(1), row(1, r), LockMode::X, &mut h).unwrap();
+        m.validate();
+    }
+    assert_eq!(m.pool().used_slots(), 2 + 6 * 2);
+    m.set_escalation_bias(
+        app(1),
+        EscalationBias::PreferEscalation {
+            table_row_threshold: 6,
+        },
+    );
+    assert_eq!(
+        m.lock(app(1), row(1, 6), LockMode::X, &mut h).unwrap(),
+        LockOutcome::GrantedAfterEscalation {
+            table: TableId(1),
+            exclusive: true
+        }
+    );
+    assert_eq!(m.stats().rows_escalated, 6);
+    assert_eq!(m.pool().used_slots(), 2, "only the table lock's pair");
+    m.validate();
+    assert_eq!(m.unlock_all(app(1), &mut h).freed_slots, 2);
+    assert_eq!(m.pool().used_slots(), 0);
+    m.validate();
+}
+
 #[test]
 fn forget_app_drops_state_and_bias() {
     let mut m = big_manager();

@@ -28,6 +28,16 @@ pub trait PoolBackend: std::fmt::Debug {
     /// Allocate one lock structure slot.
     fn allocate(&mut self) -> Result<SlotHandle, PoolError>;
 
+    /// Allocate two slots, as [`Self::allocate`] twice would; a second
+    /// failure returns the first, so a failed pair takes nothing.
+    fn allocate_pair(&mut self) -> Result<[SlotHandle; 2], PoolError> {
+        let first = self.allocate()?;
+        let second = self
+            .allocate()
+            .inspect_err(|_| self.free(first).expect("just allocated"))?;
+        Ok([first, second])
+    }
+
     /// Return a slot to the pool.
     fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError>;
 
@@ -157,6 +167,32 @@ mod tests {
         assert_eq!(pool.used_slots(), before + 1);
         pool.free(h).expect("live handle");
         assert_eq!(pool.used_slots(), before);
+    }
+
+    /// An owned pool's pair is two single allocations, placed as they
+    /// would be; a pair the pool has one slot for takes nothing.
+    #[test]
+    fn a_failed_pair_takes_nothing() {
+        let mut pool = LockMemoryPool::with_bytes(PoolConfig::new(3 * 64, 64), 2 * 3 * 64);
+        let [a, b] = PoolBackend::allocate_pair(&mut pool).unwrap();
+        let [c, d] = PoolBackend::allocate_pair(&mut pool).unwrap();
+        let blocks = [a, b, c, d].map(|h| h.block_index());
+        assert_eq!(
+            blocks,
+            [0, 0, 0, 1],
+            "the second pair straddles blocks 0 and 1"
+        );
+        let e = pool.allocate().unwrap();
+        assert_eq!(
+            PoolBackend::allocate_pair(&mut pool),
+            Err(PoolError::Exhausted)
+        );
+        assert_eq!(pool.used_slots(), 5);
+        pool.validate();
+        for h in [a, b, c, d, e] {
+            pool.free(h).unwrap();
+        }
+        assert_eq!(pool.used_slots(), 0);
     }
 
     #[test]

@@ -44,6 +44,56 @@ impl SlotHandle {
     }
 }
 
+/// A lock holding's first two slots, of one block incarnation, in 12
+/// bytes (`Option<SlotPair>` too; `second` is `u16::MAX` for one slot).
+/// Each expands back to a full [`SlotHandle`]: frees stay checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct SlotPair {
+    block: u32,
+    generation: NonZeroU32,
+    first: u16,
+    second: u16,
+}
+
+impl SlotPair {
+    const ONE: u16 = u16::MAX;
+
+    /// The pair of the front of `slots` and how many it took: the first
+    /// if its index fits a `u16`, the second too if also of its block.
+    #[inline]
+    pub fn pack(slots: &[SlotHandle]) -> (Option<Self>, usize) {
+        let fits = |h: &&SlotHandle| h.slot < u32::from(Self::ONE);
+        let Some(&a) = slots.first().filter(fits) else {
+            return (None, 0);
+        };
+        let same = |h: &&SlotHandle| (h.block, h.generation) == (a.block, a.generation);
+        let b = slots.get(1).filter(fits).filter(same);
+        let second = b.map_or(Self::ONE, |b| b.slot as u16);
+        let (block, generation, first) = (a.block, a.generation, a.slot as u16);
+        let pair = SlotPair {
+            block,
+            generation,
+            first,
+            second,
+        };
+        (Some(pair), 1 + usize::from(b.is_some()))
+    }
+
+    /// The slots, first first.
+    #[inline]
+    pub fn handles(self) -> impl Iterator<Item = SlotHandle> {
+        let (block, generation) = (self.block, self.generation);
+        let slots = [self.first, self.second].into_iter();
+        let handle = move |s: u16| SlotHandle {
+            block,
+            generation,
+            slot: s.into(),
+        };
+        slots.filter(|&s| s != Self::ONE).map(handle)
+    }
+}
+
 /// Slots of one bitmap word of one block: slot `word * 64 + i` is in
 /// the run while bit `i` of `bits` is set. The pool claims and releases
 /// runs in one step; a single slot is a one-bit run.
@@ -268,6 +318,29 @@ mod tests {
         assert!(b.is_full());
         assert_eq!(b.used(), 2);
         assert_eq!(b.capacity(), 2);
+    }
+
+    #[test]
+    fn a_pair_holds_two_slots_of_one_block_incarnation() {
+        let h = |block, generation, slot| SlotHandle {
+            block,
+            generation: NonZeroU32::new(generation).unwrap(),
+            slot,
+        };
+        let taken = |slots: &[SlotHandle]| {
+            let (pair, n) = SlotPair::pack(slots);
+            let handles: Vec<_> = pair.into_iter().flat_map(SlotPair::handles).collect();
+            assert_eq!(handles, slots[..n]);
+            n
+        };
+        let first = h(3, 2, 7);
+        assert_eq!(taken(&[first, h(4, 2, 8)]), 1, "another block");
+        assert_eq!(taken(&[first, h(3, 1, 8)]), 1, "another incarnation");
+        assert_eq!(taken(&[first, h(3, 2, 65_535)]), 1, "an index past u16");
+        assert_eq!(taken(&[first]), 1);
+        assert_eq!(taken(&[first, h(3, 2, 65_534), h(3, 2, 9)]), 2);
+        assert_eq!(taken(&[h(3, 2, 65_535), first]), 0);
+        assert_eq!(taken(&[]), 0);
     }
 
     #[test]

@@ -23,16 +23,16 @@
 //! [`LockMemoryPool`] implements exactly this discipline. It does not
 //! allocate real 128 KiB buffers — the lock *structures* that matter to
 //! the tuning algorithm are slot bookkeeping — but every byte count it
-//! reports corresponds to what a real allocation would hold, and the
-//! lock manager stores its lock/request objects keyed by the
-//! [`SlotHandle`]s this pool issues. A block's only per-slot state is
-//! its allocation bitmap (256 bytes for 2 048 slots); a slot is the
-//! lowest clear bit.
+//! reports corresponds to what a real allocation would hold. The lock
+//! manager keeps the [`SlotHandle`]s this pool issues in its lock heads,
+//! a holding's first two as one 12-byte [`SlotPair`]. A block's only
+//! per-slot state is its allocation bitmap (256 bytes for 2 048 slots);
+//! a slot is the lowest clear bit.
 //!
 //! [`SharedLockMemoryPool`] puts one pool behind a mutex for the
 //! concurrent service and gives each handle a private slot cache: one
-//! bitmap word's worth of free slots claimed in one trip, and a small
-//! buffer of frees returned in one trip.
+//! bitmap word's worth of free slots claimed in one trip (a pair comes
+//! from one word), and a small buffer of frees returned in one trip.
 
 pub mod backend;
 pub mod block;
@@ -43,7 +43,7 @@ pub mod shared;
 pub mod stats;
 
 pub use backend::PoolBackend;
-pub use block::SlotHandle;
+pub use block::{SlotHandle, SlotPair};
 pub use config::PoolConfig;
 pub use error::{PoolError, ShrinkError};
 pub use pool::LockMemoryPool;

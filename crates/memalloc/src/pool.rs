@@ -647,6 +647,8 @@ mod tests {
     fn an_absent_handle_costs_no_space() {
         assert_eq!(std::mem::size_of::<SlotHandle>(), 12);
         assert_eq!(std::mem::size_of::<Option<SlotHandle>>(), 12);
+        assert_eq!(std::mem::size_of::<crate::SlotPair>(), 12);
+        assert_eq!(std::mem::size_of::<Option<crate::SlotPair>>(), 12);
     }
 
     #[test]

@@ -34,12 +34,12 @@
 //!   so a commit that frees a block's slots in order returns them 64 at
 //!   a time.
 //!
-//! The run is refilled only when empty, and that trip returns the
-//! buffer first. Refills and whole-buffer returns are the only pool
-//! trips on the slot path, and neither allocates. The pool releases a
-//! word all or nothing; a word it refuses (a stale or double free
-//! folded in with good ones) is released again slot by slot, so only
-//! the bad handle is refused and no good slot leaks.
+//! The run is refilled when empty, returning the buffer first, or for a
+//! pair when down to one slot (see `allocate_pair`). Refills and
+//! whole-buffer returns are the only pool trips on the slot path. The
+//! pool releases a word all or nothing; a word it refuses (a stale or
+//! double free folded in with good ones) is released again slot by
+//! slot, so only the bad handle is refused and no good slot leaks.
 //!
 //! The slots a handle parks are *allocated* as far as the pool is
 //! concerned, so `used_slots()` reads as "charged by managers + parked
@@ -253,6 +253,30 @@ impl PoolBackend for SharedLockMemoryPool {
         Ok(self.run.take())
     }
 
+    /// Both slots come from the run's word. A run down to one slot is
+    /// refilled in one trip: words are claimed until one has two free, the
+    /// stray slot and one-slot words met waiting in the buffer meanwhile.
+    fn allocate_pair(&mut self) -> Result<[SlotHandle; 2], PoolError> {
+        if self.inner.faults.should(FaultSite::AllocFail) {
+            return Err(PoolError::Exhausted);
+        }
+        let (run, buffer) = (&mut self.run, &mut self.buffer);
+        if run.bits & run.bits.wrapping_sub(1) == 0 {
+            self.buffered = 0;
+            self.inner.with(|p| {
+                let mut claimed = Ok(());
+                while claimed.is_ok() && run.bits & run.bits.wrapping_sub(1) == 0 {
+                    let stray = std::mem::replace(run, SlotRun { bits: 0, ..*run });
+                    buffer.extend(Some(stray).filter(|stray| stray.bits != 0));
+                    claimed = p.allocate_run().map(|next| *run = next);
+                }
+                let _ = return_buffer(p, buffer);
+                claimed
+            })?;
+        }
+        Ok([self.run.take(), self.run.take()])
+    }
+
     fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError> {
         let run = &mut self.run;
         if let Some(bit) = run.bit_of(handle) {
@@ -461,6 +485,55 @@ mod tests {
         shared.validate();
     }
 
+    /// A pair comes from one word: a run down to one slot gives it to the
+    /// pool, and so does a word with one free slot that a refill meets.
+    #[test]
+    fn pairs_come_from_one_word() {
+        let mut shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
+        let word = |h: SlotHandle| (h.block, h.slot / 64);
+        let [a, b] = shared.allocate_pair().unwrap();
+        assert_eq!((word(a), word(b)), ((0, 0), (0, 0)));
+        let singles: Vec<_> = (0..61).map(|_| shared.allocate().unwrap()).collect();
+        assert_eq!(shared.cached_slots(), 1);
+        let [c, d] = shared.allocate_pair().unwrap();
+        assert_eq!((word(c), word(d)), ((0, 1), (0, 1)));
+        // Word 0's last slot went back: 63 handed out there, 64 claimed
+        // in word 1.
+        assert_eq!((shared.used_slots(), shared.cached_slots()), (127, 62));
+
+        // Another handle meets word 0 with that one slot free, passes it
+        // over, and takes its pair from word 2.
+        let mut other = shared.clone();
+        let [e, f] = other.allocate_pair().unwrap();
+        assert_eq!((word(e), word(f)), ((0, 2), (0, 2)));
+        let g = other.allocate().unwrap();
+        assert_eq!(word(g), (0, 2));
+        assert_eq!(shared.used_slots(), 127 + 64);
+        drop(other);
+        for h in [a, b, c, d, e, f, g].into_iter().chain(singles) {
+            shared.free(h).unwrap();
+        }
+        shared.flush_cache();
+        assert_eq!(shared.used_slots(), 0);
+        shared.validate();
+    }
+
+    /// A pool with one free slot left gives no pair and loses nothing.
+    #[test]
+    fn a_dry_pair_takes_nothing() {
+        let mut shared = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
+        let all: Vec<_> = (0..2047).map(|_| shared.allocate().unwrap()).collect();
+        assert_eq!(shared.allocate_pair(), Err(PoolError::Exhausted));
+        assert_eq!((shared.used_slots(), shared.cached_slots()), (2047, 0));
+        let last = shared.allocate().unwrap();
+        for h in all.into_iter().chain([last]) {
+            shared.free(h).unwrap();
+        }
+        shared.flush_cache();
+        assert_eq!(shared.used_slots(), 0);
+        shared.validate();
+    }
+
     #[cfg(feature = "faults")]
     #[test]
     fn injected_alloc_faults_surface_as_exhausted() {
@@ -477,9 +550,15 @@ mod tests {
         let a = shared.allocate().expect("check 2 of 4 passes");
         let b = shared.allocate().expect("check 3 of 4 passes");
         assert_eq!(inj.injected(FaultSite::AllocFail), 2);
+        // A pair is one check, and an injected failure takes nothing.
+        assert!(matches!(shared.allocate_pair(), Err(PoolError::Exhausted)));
+        assert!(matches!(shared.allocate_pair(), Err(PoolError::Exhausted)));
+        let [c, d] = shared.allocate_pair().expect("check 2 of 4 passes");
+        assert_eq!(inj.injected(FaultSite::AllocFail), 4);
         // Accounting is untouched by injected failures.
-        shared.free(a).unwrap();
-        shared.free(b).unwrap();
+        for h in [a, b, c, d] {
+            shared.free(h).unwrap();
+        }
         shared.flush_cache();
         assert_eq!(shared.used_slots(), 0);
         shared.validate();

@@ -8,7 +8,9 @@
 
 use std::collections::HashSet;
 
-use locktune_memalloc::{PoolBackend, PoolConfig, PoolError, SharedLockMemoryPool, SlotHandle};
+use locktune_memalloc::{
+    PoolBackend, PoolConfig, PoolError, SharedLockMemoryPool, SlotHandle, SlotPair,
+};
 use proptest::prelude::*;
 
 /// Slots one handle may park: 63 in its run, 63 in its buffer.
@@ -17,6 +19,9 @@ const SLACK_PER_HANDLE: usize = 126;
 #[derive(Debug, Clone)]
 enum Op {
     Alloc(usize),
+    /// Handle `.0` takes a pair, falling back to two single slots when
+    /// the pool has no word with two free, as the lock manager does.
+    AllocPair(usize),
     /// Handle `.0` frees the `.1`-th slot it holds (mod its holdings).
     Free(usize, usize),
     /// Handle `.0` frees every slot it holds, in the order it got them
@@ -29,7 +34,8 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (0usize..4).prop_map(Op::Alloc),
+        4 => (0usize..4).prop_map(Op::Alloc),
+        2 => (0usize..4).prop_map(Op::AllocPair),
         5 => (0usize..4, 0usize..256).prop_map(|(h, i)| Op::Free(h, i)),
         1 => (0usize..4).prop_map(Op::FreeAll),
         1 => (0usize..4).prop_map(Op::Flush),
@@ -67,6 +73,23 @@ proptest! {
                             prop_assert_eq!(handles[h].free_slots(), 0, "Exhausted with free slots");
                         }
                         Err(e) => return Err(TestCaseError::fail(format!("allocate: {e}"))),
+                    }
+                }
+                Op::AllocPair(h) => {
+                    let h = h % n;
+                    if let Ok([a, b]) = handles[h].allocate_pair() {
+                        let (_, n) = SlotPair::pack(&[a, b]);
+                        prop_assert_eq!(n, 2, "{:?} and {:?} straddle blocks", a, b);
+                        for slot in [a, b] {
+                            prop_assert!(live.insert(slot), "{slot:?} handed out twice");
+                            held[h].push(slot);
+                        }
+                    } else {
+                        for _ in 0..2 {
+                            let Ok(slot) = handles[h].allocate() else { break };
+                            prop_assert!(live.insert(slot), "{slot:?} handed out twice");
+                            held[h].push(slot);
+                        }
                     }
                 }
                 Op::Free(h, i) => {
@@ -187,6 +210,38 @@ fn bad_frees_among_buffered_words_are_refused_alone() {
     pool.flush_cache();
     assert_eq!(pool.used_slots(), live.len() as u64 - 3);
     for h in live.drain(..).filter(|h| ![a, b, c].contains(h)) {
+        pool.free(h).unwrap();
+    }
+    pool.flush_cache();
+    assert_eq!(pool.used_slots(), 0);
+    pool.validate();
+}
+
+/// Each slot of a pair keeps its own checks: freeing the pair twice is a
+/// double free, and once its block is shrunk away and regrown, a stale
+/// handle, for each slot.
+#[test]
+fn pair_frees_are_checked_per_slot() {
+    let mut pool = SharedLockMemoryPool::with_bytes(PoolConfig::default(), 128 * 1024);
+    let [a, b] = pool.allocate_pair().unwrap();
+    let (Some(pair), 2) = SlotPair::pack(&[a, b]) else {
+        panic!("{a:?} and {b:?} are no pair");
+    };
+    for h in pair.handles() {
+        pool.free(h).unwrap();
+    }
+    for h in pair.handles() {
+        assert_eq!(pool.free(h), Err(PoolError::DoubleFree));
+    }
+    pool.flush_cache();
+    assert_eq!(pool.resize_to_blocks(0), 0);
+    pool.grow_blocks(1);
+    let fresh = pool.allocate_pair().unwrap();
+    assert_eq!(fresh.map(|h| h.block_index()), [a.block_index(); 2]);
+    for h in pair.handles() {
+        assert_eq!(pool.free(h), Err(PoolError::StaleHandle));
+    }
+    for h in fresh {
         pool.free(h).unwrap();
     }
     pool.flush_cache();
