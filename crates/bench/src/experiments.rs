@@ -8,8 +8,8 @@ use locktune_engine::{Policy, RunResult, Scenario};
 use locktune_metrics::TimeSeries;
 use locktune_sim::SimTime;
 
-use crate::fig6;
 use crate::report::Report;
+use crate::{ablations, fig6};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -581,9 +581,9 @@ pub fn cmp() -> Report {
 /// An experiment's command-line id and the function that runs it.
 pub type Experiment = (&'static str, fn() -> Report);
 
-/// Every experiment by its command-line id, in paper order: the one
-/// list of experiments.
-pub const EXPERIMENTS: [Experiment; 12] = [
+/// Every experiment by its command-line id, in paper order and then
+/// the design ablations: the one list of experiments.
+pub const EXPERIMENTS: [Experiment; 13] = [
     ("table1", table1),
     ("curve", curve_experiment),
     ("fig6", fig6),
@@ -596,6 +596,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     ("constrained", constrained),
     ("twodss", two_dss),
     ("cmp", cmp),
+    ("ablations", ablations::run),
 ];
 
 /// All experiments, in paper order.

@@ -18,9 +18,9 @@
 
 use locktune_core::TunerParams;
 use locktune_memalloc::{LockMemoryPool, PoolConfig, SlotHandle};
-use locktune_memory::{DatabaseMemory, HeapKind, MemoryConfig, PerfHeap, Stmm};
+use locktune_memory::{DatabaseMemory, HeapKind, IntervalReport, MemoryConfig, PerfHeap, Stmm};
 use locktune_metrics::TimeSeries;
-use locktune_sim::{SimDuration, SimTime};
+use locktune_sim::SimTime;
 
 use crate::report::Report;
 
@@ -54,6 +54,43 @@ impl Occupancy {
     }
 }
 
+/// The figure's bars: allocated, used and free-overflow lock memory as
+/// percentages of database memory, sampled at each labelled time.
+struct Bars {
+    alloc: TimeSeries,
+    used: TimeSeries,
+    overflow: TimeSeries,
+}
+
+impl Bars {
+    fn sample(&mut self, pool: &LockMemoryPool, mem: &DatabaseMemory, t: u64) -> (f64, f64, f64) {
+        let pct = |bytes: u64| bytes as f64 / DB as f64 * 100.0;
+        let (alloc, used, overflow) = (
+            pct(pool.total_bytes()),
+            pct(pool.used_bytes()),
+            pct(mem.overflow_free()),
+        );
+        let at = SimTime::from_secs(t);
+        self.alloc.push(at, alloc);
+        self.used.push(at, used);
+        self.overflow.push(at, overflow);
+        (alloc, used, overflow)
+    }
+}
+
+/// One tuning interval for 100 applications, applied to `pool`.
+fn interval(
+    stmm: &mut Stmm,
+    mem: &mut DatabaseMemory,
+    pool: &mut LockMemoryPool,
+) -> IntervalReport {
+    let stats = pool.stats();
+    stmm.run_interval(mem, &stats, 100, 0, |target| {
+        pool.resize_to_blocks(target / pool.config().block_bytes);
+        pool.total_bytes()
+    })
+}
+
 fn pct_to_slots(pct: f64) -> u64 {
     ((pct / 100.0 * DB as f64) as u64) / 64
 }
@@ -81,43 +118,18 @@ pub fn run() -> Report {
         40 * MIB,
     );
     let mut pool = LockMemoryPool::with_bytes(PoolConfig::default(), 40 * MIB);
-    let mut stmm = Stmm::new(params, SimDuration::from_secs(30), 40 * MIB);
+    let mut stmm = Stmm::new(params, 40 * MIB);
     let mut occ = Occupancy::new();
-    let mut alloc_series = TimeSeries::new("lock_alloc_pct");
-    let mut used_series = TimeSeries::new("lock_used_pct");
-    let mut overflow_series = TimeSeries::new("overflow_pct");
-    let mut t = 0u64;
-
-    let snapshot = |label: &str,
-                    pool: &LockMemoryPool,
-                    mem: &DatabaseMemory,
-                    t: u64,
-                    alloc_series: &mut TimeSeries,
-                    used_series: &mut TimeSeries,
-                    overflow_series: &mut TimeSeries|
-     -> (f64, f64, f64) {
-        let alloc = pool.total_bytes() as f64 / DB as f64 * 100.0;
-        let used = pool.used_bytes() as f64 / DB as f64 * 100.0;
-        let ovf = mem.overflow_free() as f64 / DB as f64 * 100.0;
-        let at = SimTime::from_secs(t);
-        alloc_series.push(at, alloc);
-        used_series.push(at, used);
-        overflow_series.push(at, ovf);
-        let _ = label;
-        (alloc, used, ovf)
+    let mut bars = Bars {
+        alloc: TimeSeries::new("lock_alloc_pct"),
+        used: TimeSeries::new("lock_used_pct"),
+        overflow: TimeSeries::new("overflow_pct"),
     };
+    let mut t = 0u64;
 
     // T0: steady state — 4% allocated, 2% used, 10% overflow.
     occ.set(&mut pool, pct_to_slots(2.0));
-    let (a, u, o) = snapshot(
-        "T0",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    let (a, u, o) = bars.sample(&pool, &mem, t);
     report.check(
         "T0: 4% of memory allocated to locks, half unused, overflow 10%",
         format!("alloc {a:.1}%, used {u:.1}%, overflow {o:.1}%"),
@@ -128,15 +140,7 @@ pub fn run() -> Report {
     t += 30;
     occ.set(&mut pool, pct_to_slots(3.0));
     let grew = pool.total_bytes() != 40 * MIB;
-    let (a, u, o) = snapshot(
-        "T1",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    let (a, u, o) = bars.sample(&pool, &mem, t);
     report.check(
         "T1: surge to 3% used needs no overflow memory",
         format!("alloc {a:.1}%, used {u:.1}%, overflow {o:.1}%, synchronous growth: {grew}"),
@@ -145,21 +149,9 @@ pub fn run() -> Report {
 
     // T2: tuning interval — grow to 50% free from donor heaps.
     t += 30;
-    let stats = pool.stats();
-    stmm.run_interval(&mut mem, &stats, 100, 0, |target| {
-        pool.resize_to_blocks(target / params.block_bytes);
-        pool.total_bytes()
-    });
+    interval(&mut stmm, &mut mem, &mut pool);
     let sort_after_t2 = mem.heap(HeapKind::SortHeap).size;
-    let (a, _u, o) = snapshot(
-        "T2",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    let (a, _u, o) = bars.sample(&pool, &mem, t);
     report.check(
         "T2: STMM grows lock memory to 50% free by shrinking sort, overflow untouched",
         format!(
@@ -180,32 +172,12 @@ pub fn run() -> Report {
         if pool.used_slots() >= target_slots {
             break;
         }
-        let snap = locktune_core::LockMemorySnapshot {
-            allocated_bytes: pool.total_bytes(),
-            used_bytes: pool.used_bytes(),
-            lmoc_bytes: stmm.lmoc(),
-            num_applications: 100,
-            escalations_since_last: 0,
-            overflow: mem.overflow_state(),
-        };
-        match stmm.tuner().request_sync_growth(params.block_bytes, &snap) {
-            locktune_core::SyncGrant::Granted { bytes } => {
-                mem.note_lock_sync_growth(bytes);
-                pool.grow_blocks(bytes / params.block_bytes);
-            }
-            locktune_core::SyncGrant::Denied(r) => panic!("unexpected denial: {r:?}"),
-        }
+        let bytes = stmm.sync_growth(&mut mem, params.block_bytes, pool.total_bytes(), 100);
+        assert!(bytes > 0, "unexpected synchronous growth denial");
+        pool.grow_blocks(bytes / params.block_bytes);
     }
     debug_assert_eq!(mem.lock_memory(), pool.total_bytes());
-    let (a, u, o) = snapshot(
-        "T3",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    let (a, u, o) = bars.sample(&pool, &mem, t);
     report.check(
         "T3: 267% surge to 8% used; ~2% taken synchronously; overflow 10% -> 8%",
         format!("alloc {a:.1}%, used {u:.1}%, overflow {o:.1}%"),
@@ -214,20 +186,8 @@ pub fn run() -> Report {
 
     // T4: tuning interval — restore overflow goal, 50% free again.
     t += 30;
-    let stats = pool.stats();
-    stmm.run_interval(&mut mem, &stats, 100, 0, |target| {
-        pool.resize_to_blocks(target / params.block_bytes);
-        pool.total_bytes()
-    });
-    let (a, _u, o) = snapshot(
-        "T4",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    interval(&mut stmm, &mut mem, &mut pool);
+    let (a, _u, o) = bars.sample(&pool, &mem, t);
     report.check(
         "T4: heaps reduced to meet the 50%-free objective and reclaim the overflow goal",
         format!(
@@ -241,15 +201,7 @@ pub fn run() -> Report {
     t += 30;
     occ.set(&mut pool, pct_to_slots(2.0));
     let free_frac = pool.free_fraction() * 100.0;
-    let (_a, _u, _o) = snapshot(
-        "T5",
-        &pool,
-        &mem,
-        t,
-        &mut alloc_series,
-        &mut used_series,
-        &mut overflow_series,
-    );
+    let (_a, _u, _o) = bars.sample(&pool, &mem, t);
     report.check(
         "T5: most of the lock memory is now empty (87.5%)",
         format!("free fraction {free_frac:.1}%"),
@@ -261,20 +213,8 @@ pub fn run() -> Report {
     let before_decay = pool.total_bytes();
     loop {
         t += 30;
-        let stats = pool.stats();
-        let r = stmm.run_interval(&mut mem, &stats, 100, 0, |target| {
-            pool.resize_to_blocks(target / params.block_bytes);
-            pool.total_bytes()
-        });
-        snapshot(
-            "Tn",
-            &pool,
-            &mem,
-            t,
-            &mut alloc_series,
-            &mut used_series,
-            &mut overflow_series,
-        );
+        let r = interval(&mut stmm, &mut mem, &mut pool);
+        bars.sample(&pool, &mem, t);
         if r.released_bytes == 0 {
             break;
         }
@@ -301,7 +241,7 @@ pub fn run() -> Report {
         intervals >= 10 && (final_alloc as f64) < 0.6 * before_decay as f64,
     );
 
-    report.series = vec![alloc_series, used_series, overflow_series];
+    report.series = vec![bars.alloc, bars.used, bars.overflow];
     report
 }
 

@@ -33,9 +33,8 @@ use locktune_cluster::{
 };
 use locktune_net::{drain_and_validate, ReconnectConfig, ReconnectingClient};
 use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[derive(Clone)]
 struct Args {
@@ -182,7 +181,7 @@ fn worker(args: &Args, w: u64, map: Option<MapHandle>) -> Tally {
         }
     };
     let mix = args.mix().expect("checked by parse_args");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     let mut set = Vec::new();
     for _ in 0..args.txns {

@@ -59,7 +59,7 @@ use locktune_lockmgr::partition::resource_slot;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_net::wire::ValidateReport;
 use locktune_net::{BatchOutcome, ClientError, ReconnectConfig, ReconnectingClient};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use locktune_sim::SimRng;
 
 use crate::epoch::MapHandle;
 
@@ -237,7 +237,7 @@ struct Breaker {
     state: BreakerState,
     failures: u32,
     backoff: Duration,
-    rng: StdRng,
+    rng: SimRng,
     config: BreakerConfig,
 }
 
@@ -247,7 +247,7 @@ impl Breaker {
             state: BreakerState::Closed,
             failures: 0,
             backoff: config.open_base,
-            rng: StdRng::seed_from_u64(
+            rng: SimRng::seed_from_u64(
                 config
                     .seed
                     .wrapping_add((node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -291,7 +291,7 @@ impl Breaker {
             let jitter = if nanos == 0 {
                 0
             } else {
-                self.rng.gen_range_u64(0, nanos / 2 + 1)
+                self.rng.next_below(nanos / 2 + 1)
             };
             self.state = BreakerState::Open {
                 until: Instant::now() + self.backoff + Duration::from_nanos(jitter),

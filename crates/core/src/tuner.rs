@@ -89,15 +89,10 @@ impl LockMemoryTuner {
         self.app_percent.current()
     }
 
-    /// Mutable access to the per-application controller (the lock
-    /// manager calls `on_lock_request` / `exceeds_cap` through this).
+    /// Mutable access to the per-application controller (the STMM
+    /// controller recomputes the cap through this between ticks).
     pub fn app_percent_mut(&mut self) -> &mut AppPercentController {
         &mut self.app_percent
-    }
-
-    /// Shared access to the per-application controller.
-    pub fn app_percent_controller(&self) -> &AppPercentController {
-        &self.app_percent
     }
 
     /// Synchronous growth admission (used by the lock manager when the
@@ -113,14 +108,6 @@ impl LockMemoryTuner {
             snapshot.num_applications,
             &snapshot.overflow,
         )
-    }
-
-    /// Notify the tuner that the pool was resized outside a tick (the
-    /// synchronous growth path); recomputes the per-application cap as
-    /// §3.5 requires ("every time the lock memory is resized").
-    pub fn on_resize(&mut self, used_bytes: u64, snapshot_bounds: &LockMemoryBounds) {
-        let x = snapshot_bounds.used_fraction_of_max(used_bytes);
-        self.app_percent.recompute(x);
     }
 
     /// One asynchronous tuning step.
@@ -447,14 +434,6 @@ mod tests {
             SyncGrant::Granted { bytes } => assert_eq!(bytes, BLOCK),
             other => panic!("expected grant, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn on_resize_recomputes_app_percent() {
-        let mut t = tuner();
-        let bounds = LockMemoryBounds::compute(&TunerParams::default(), 130, 5120 * MIB);
-        t.on_resize(bounds.max_bytes, &bounds);
-        assert_eq!(t.app_percent(), 1.0);
     }
 
     #[test]

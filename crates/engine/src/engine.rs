@@ -14,6 +14,21 @@ use crate::client::{Client, ClientState};
 use crate::policy::{HookCounters, Policy, PolicyHooks, PolicyRuntime, SilentHooks};
 use crate::result::RunResult;
 
+/// The policy callbacks for one lock-manager call. A macro, not a
+/// method, so it borrows only the policy, memory and counter fields and
+/// leaves `manager` free for the call.
+macro_rules! hooks {
+    ($engine:ident) => {
+        PolicyHooks {
+            policy: &mut $engine.policy,
+            mem: &mut $engine.mem,
+            counters: &mut $engine.counters,
+            num_applications: $engine.num_apps,
+            now: $engine.sim.now(),
+        }
+    };
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -151,7 +166,7 @@ impl Engine {
         let actual_lock = pool.total_bytes();
         let manager = LockManager::new(pool, LockManagerConfig::default());
         let mem = DatabaseMemory::new(config.memory, config.heaps.clone(), actual_lock);
-        let policy = PolicyRuntime::new(config.policy, config.tuning_interval, actual_lock);
+        let policy = PolicyRuntime::new(config.policy, actual_lock);
 
         let mut rng = SimRng::seed_from_u64(config.seed);
         let mut clients = Vec::with_capacity(config.max_clients as usize + 1);
@@ -286,13 +301,7 @@ impl Engine {
         let mut acquired = 0usize;
         let exit;
         {
-            let mut hooks = PolicyHooks {
-                policy: &mut self.policy,
-                mem: &mut self.mem,
-                counters: &mut self.counters,
-                num_applications: self.num_apps,
-                now: self.sim.now(),
-            };
+            let mut hooks = hooks!(self);
             loop {
                 if step >= len {
                     exit = Exit::Committing;
@@ -392,16 +401,7 @@ impl Engine {
             return;
         }
         let app = self.clients[idx].app;
-        {
-            let mut hooks = PolicyHooks {
-                policy: &mut self.policy,
-                mem: &mut self.mem,
-                counters: &mut self.counters,
-                num_applications: self.num_apps,
-                now: self.sim.now(),
-            };
-            self.manager.unlock_all(app, &mut hooks);
-        }
+        self.manager.unlock_all(app, &mut hooks!(self));
         self.committed += 1;
         let now = self.sim.now();
         if let Some(w) = self.throughput.as_mut() {
@@ -439,16 +439,7 @@ impl Engine {
         }
         let app = c.app;
         self.manager.cancel_wait(app);
-        {
-            let mut hooks = PolicyHooks {
-                policy: &mut self.policy,
-                mem: &mut self.mem,
-                counters: &mut self.counters,
-                num_applications: self.num_apps,
-                now: self.sim.now(),
-            };
-            self.manager.unlock_all(app, &mut hooks);
-        }
+        self.manager.unlock_all(app, &mut hooks!(self));
         self.lock_timeouts += 1;
         let c = &mut self.clients[idx];
         let was_active = c.active && !c.is_dss;
@@ -469,16 +460,7 @@ impl Engine {
     /// A transaction died for lock memory: release and retry later.
     fn fail_txn_oom(&mut self, idx: usize) {
         let app = self.clients[idx].app;
-        {
-            let mut hooks = PolicyHooks {
-                policy: &mut self.policy,
-                mem: &mut self.mem,
-                counters: &mut self.counters,
-                num_applications: self.num_apps,
-                now: self.sim.now(),
-            };
-            self.manager.unlock_all(app, &mut hooks);
-        }
+        self.manager.unlock_all(app, &mut hooks!(self));
         self.oom_failures += 1;
         let c = &mut self.clients[idx];
         let was_active = c.active && !c.is_dss;
@@ -540,16 +522,7 @@ impl Engine {
         let victims = self.detector.find_victims(&self.manager.wait_edges());
         for v in victims {
             let idx = v.app.0 as usize;
-            {
-                let mut hooks = PolicyHooks {
-                    policy: &mut self.policy,
-                    mem: &mut self.mem,
-                    counters: &mut self.counters,
-                    num_applications: self.num_apps,
-                    now: self.sim.now(),
-                };
-                self.manager.abort(v.app, &mut hooks);
-            }
+            self.manager.abort(v.app, &mut hooks!(self));
             self.aborted += 1;
             if idx < self.clients.len() {
                 let c = &mut self.clients[idx];

@@ -1,11 +1,11 @@
 //! Pluggable lock-memory policies and their hook adapter.
 
 use locktune_baselines::{SqlServerModel, StaticPolicy};
-use locktune_core::{LockMemoryBounds, LockMemorySnapshot, SyncGrowth, TunerParams};
+use locktune_core::{LockMemoryBounds, TunerParams};
 use locktune_lockmgr::{AppId, TableId, TuningHooks};
 use locktune_memalloc::PoolUsage;
 use locktune_memory::{DatabaseMemory, Stmm};
-use locktune_sim::{SimDuration, SimTime};
+use locktune_sim::SimTime;
 
 /// Which policy governs the lock memory.
 #[derive(Debug, Clone, Copy)]
@@ -40,14 +40,10 @@ pub(crate) enum PolicyRuntime {
 }
 
 impl PolicyRuntime {
-    pub(crate) fn new(
-        policy: Policy,
-        tuning_interval: SimDuration,
-        initial_lock_bytes: u64,
-    ) -> Self {
+    pub(crate) fn new(policy: Policy, initial_lock_bytes: u64) -> Self {
         match policy {
             Policy::SelfTuning(params) => {
-                PolicyRuntime::SelfTuning(Stmm::new(params, tuning_interval, initial_lock_bytes))
+                PolicyRuntime::SelfTuning(Stmm::new(params, initial_lock_bytes))
             }
             Policy::Static(p) => PolicyRuntime::Static(p),
             Policy::SqlServer(m) => PolicyRuntime::SqlServer(m),
@@ -110,12 +106,7 @@ impl TuningHooks for PolicyHooks<'_> {
     fn on_lock_request(&mut self, pool: &PoolUsage) -> f64 {
         match self.policy {
             PolicyRuntime::SelfTuning(stmm) => {
-                let params = *stmm.tuner().params();
-                let bounds =
-                    LockMemoryBounds::compute(&params, self.num_applications, self.mem.total());
-                let used = pool.slots_used * params.lock_struct_bytes;
-                let x = bounds.used_fraction_of_max(used);
-                stmm.tuner_mut().app_percent_mut().on_lock_request(x)
+                stmm.on_lock_request(self.mem, pool, self.num_applications)
             }
             PolicyRuntime::Static(p) => p.maxlocks_percent,
             PolicyRuntime::SqlServer(m) => {
@@ -133,27 +124,7 @@ impl TuningHooks for PolicyHooks<'_> {
     fn sync_growth(&mut self, wanted_bytes: u64, pool: &PoolUsage) -> u64 {
         match self.policy {
             PolicyRuntime::SelfTuning(stmm) => {
-                let params = *stmm.tuner().params();
-                let snapshot = LockMemorySnapshot {
-                    allocated_bytes: pool.bytes,
-                    used_bytes: pool.slots_used * params.lock_struct_bytes,
-                    lmoc_bytes: stmm.lmoc(),
-                    num_applications: self.num_applications,
-                    escalations_since_last: 0,
-                    overflow: self.mem.overflow_state(),
-                };
-                match SyncGrowth::new(&params).request(
-                    wanted_bytes,
-                    snapshot.allocated_bytes,
-                    snapshot.num_applications,
-                    &snapshot.overflow,
-                ) {
-                    locktune_core::sync_growth::SyncGrant::Granted { bytes } => {
-                        self.mem.note_lock_sync_growth(bytes);
-                        bytes
-                    }
-                    locktune_core::sync_growth::SyncGrant::Denied(_) => 0,
-                }
+                stmm.sync_growth(self.mem, wanted_bytes, pool.bytes, self.num_applications)
             }
             PolicyRuntime::Static(_) => 0,
             PolicyRuntime::SqlServer(m) => {
@@ -171,11 +142,7 @@ impl TuningHooks for PolicyHooks<'_> {
 
     fn on_pool_resized(&mut self, pool: &PoolUsage) {
         if let PolicyRuntime::SelfTuning(stmm) = self.policy {
-            let params = *stmm.tuner().params();
-            let bounds =
-                LockMemoryBounds::compute(&params, self.num_applications, self.mem.total());
-            let used = pool.slots_used * params.lock_struct_bytes;
-            stmm.tuner_mut().on_resize(used, &bounds);
+            stmm.recompute_app_percent(self.mem, pool, self.num_applications);
         }
     }
 

@@ -17,7 +17,10 @@
 //!   recipients ("least needy" donates, "neediest" receives);
 //! * [`Stmm`] — the per-interval controller that runs the
 //!   `locktune-core` tuner, funds growth by shrinking donor heaps,
-//!   distributes shrink proceeds, and restores the overflow goal.
+//!   distributes shrink proceeds, and restores the overflow goal; and,
+//!   between intervals, the one copy of the paper's per-request rules
+//!   (the `lockPercentPerApplication` recompute and synchronous growth)
+//!   that the simulator and the service both call.
 
 pub mod bufferpool;
 pub mod database;

@@ -6,10 +6,20 @@
 //! pool through a caller-provided closure (the pool lives inside the
 //! lock manager), distributes shrink proceeds, restores the overflow
 //! goal and updates the on-disk configuration (`LMOC`).
+//!
+//! Between intervals it owns the paper's per-request rules, so the
+//! simulator and the service make the same decisions:
+//! [`recompute_app_percent`](Stmm::recompute_app_percent) on every
+//! resize (§3.5), [`on_lock_request`](Stmm::on_lock_request) for the
+//! `refreshPeriodForAppPercent` cadence, and
+//! [`sync_growth`](Stmm::sync_growth) for growth out of overflow
+//! (§3.4).
 
-use locktune_core::{LockMemorySnapshot, LockMemoryTuner, TunerParams, TuningDecision};
-use locktune_memalloc::PoolStats;
-use locktune_sim::SimDuration;
+use locktune_core::{
+    LockMemoryBounds, LockMemorySnapshot, LockMemoryTuner, SyncGrant, SyncGrowth, TunerParams,
+    TuningDecision,
+};
+use locktune_memalloc::{PoolStats, PoolUsage};
 
 use crate::database::DatabaseMemory;
 
@@ -32,27 +42,16 @@ pub struct IntervalReport {
 #[derive(Debug)]
 pub struct Stmm {
     tuner: LockMemoryTuner,
-    interval: SimDuration,
     lmoc: u64,
-    intervals_run: u64,
 }
 
 impl Stmm {
-    /// Create the controller. `interval` is the tuning interval
-    /// (30 seconds in every experiment of the paper; DB2 allows 0.5–10
-    /// minutes).
-    pub fn new(params: TunerParams, interval: SimDuration, initial_lock_bytes: u64) -> Self {
+    /// Create the controller for a pool of `initial_lock_bytes`.
+    pub fn new(params: TunerParams, initial_lock_bytes: u64) -> Self {
         Stmm {
             tuner: LockMemoryTuner::new(params),
-            interval,
             lmoc: initial_lock_bytes,
-            intervals_run: 0,
         }
-    }
-
-    /// The tuning interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// The on-disk configured lock memory (`LMOC`).
@@ -60,20 +59,69 @@ impl Stmm {
         self.lmoc
     }
 
-    /// Intervals executed.
-    pub fn intervals_run(&self) -> u64 {
-        self.intervals_run
-    }
-
-    /// The embedded tuner (the engine routes per-request and
-    /// synchronous-growth queries through it).
+    /// The embedded tuner.
     pub fn tuner(&self) -> &LockMemoryTuner {
         &self.tuner
     }
 
-    /// Mutable tuner access.
-    pub fn tuner_mut(&mut self) -> &mut LockMemoryTuner {
-        &mut self.tuner
+    /// `x`: the fraction of `maxLockMemory` the pool's structures use.
+    fn used_fraction_of_max(&self, mem: &DatabaseMemory, pool: &PoolUsage, num_apps: u64) -> f64 {
+        let params = self.tuner.params();
+        let bounds = LockMemoryBounds::compute(params, num_apps, mem.total());
+        bounds.used_fraction_of_max(pool.slots_used * params.lock_struct_bytes)
+    }
+
+    /// Recompute `lockPercentPerApplication` from the pool as it is now
+    /// (§3.5: "every time the lock memory is resized"). Restarts the
+    /// request count of [`on_lock_request`](Self::on_lock_request).
+    pub fn recompute_app_percent(
+        &mut self,
+        mem: &DatabaseMemory,
+        pool: &PoolUsage,
+        num_apps: u64,
+    ) -> f64 {
+        let x = self.used_fraction_of_max(mem, pool, num_apps);
+        self.tuner.app_percent_mut().recompute(x)
+    }
+
+    /// Count one lock-structure request and return the cap in force,
+    /// recomputed on every `refreshPeriodForAppPercent`-th request
+    /// since the last recompute.
+    pub fn on_lock_request(
+        &mut self,
+        mem: &DatabaseMemory,
+        pool: &PoolUsage,
+        num_apps: u64,
+    ) -> f64 {
+        let x = self.used_fraction_of_max(mem, pool, num_apps);
+        self.tuner.app_percent_mut().on_lock_request(x)
+    }
+
+    /// Synchronous growth: admit up to `wanted_bytes` more lock memory
+    /// straight from overflow for a pool of `pool_bytes`, and book the
+    /// grant in `mem`. Returns the bytes granted (whole blocks), or 0
+    /// when `maxLockMemory` or `LMOmax` leaves no room; the caller then
+    /// escalates.
+    pub fn sync_growth(
+        &self,
+        mem: &mut DatabaseMemory,
+        wanted_bytes: u64,
+        pool_bytes: u64,
+        num_apps: u64,
+    ) -> u64 {
+        let grant = SyncGrowth::new(self.tuner.params()).request(
+            wanted_bytes,
+            pool_bytes,
+            num_apps,
+            &mem.overflow_state(),
+        );
+        match grant {
+            SyncGrant::Granted { bytes } => {
+                mem.note_lock_sync_growth(bytes);
+                bytes
+            }
+            SyncGrant::Denied(_) => 0,
+        }
     }
 
     /// Execute one tuning interval.
@@ -89,7 +137,6 @@ impl Stmm {
         escalations_since_last: u64,
         mut apply_resize: impl FnMut(u64) -> u64,
     ) -> IntervalReport {
-        self.intervals_run += 1;
         let params = *self.tuner.params();
         let current = pool.bytes;
         let snapshot = LockMemorySnapshot {
@@ -171,11 +218,7 @@ mod tests {
             ],
             lock_actual,
         );
-        let stmm = Stmm::new(
-            TunerParams::default(),
-            SimDuration::from_secs(30),
-            lock_actual,
-        );
+        let stmm = Stmm::new(TunerParams::default(), lock_actual);
         (mem, pool, stmm)
     }
 
@@ -267,7 +310,7 @@ mod tests {
         assert_eq!(report.lock_bytes_after, before);
         assert_eq!(report.funded_bytes, 0);
         assert_eq!(report.released_bytes, 0);
-        assert_eq!(stmm.intervals_run(), 1);
+        assert_eq!(stmm.tuner().ticks(), 1);
     }
 
     #[test]
@@ -302,6 +345,82 @@ mod tests {
         assert_eq!(report.released_bytes, 0);
         assert_eq!(mem.lock_memory(), before);
         mem.validate();
+    }
+
+    /// A usage view of a pool of `bytes` with `slots_used` structures
+    /// held (64-byte structures: 2048 per block).
+    fn usage(bytes: u64, slots_used: u64) -> PoolUsage {
+        PoolUsage {
+            bytes,
+            slots_total: bytes / 64,
+            slots_used,
+        }
+    }
+
+    #[test]
+    fn recompute_app_percent_matches_the_curve_at_x() {
+        let (mem, _pool, mut stmm) = setup(8 * MIB);
+        let params = TunerParams::default();
+        let max = LockMemoryBounds::compute(&params, 130, mem.total()).max_bytes;
+        // Half of maxLockMemory in use: x = 0.5.
+        let pool = usage(max, max / 2 / params.lock_struct_bytes);
+        let pct = stmm.recompute_app_percent(&mem, &pool, 130);
+        assert_eq!(
+            pct,
+            locktune_core::lock_percent_per_application(&params, 0.5)
+        );
+        assert!((pct - 98.0 * (1.0 - 0.125)).abs() < 1e-9);
+        assert_eq!(stmm.tuner().app_percent(), pct);
+    }
+
+    #[test]
+    fn sync_growth_books_grants_and_leaves_memory_alone_on_denial() {
+        let (mut mem, _pool, stmm) = setup(8 * MIB);
+        let booked =
+            |m: &DatabaseMemory| (m.lock_memory(), m.lock_from_overflow(), m.overflow_free());
+        let (lock, _, overflow) = booked(&mem);
+        assert_eq!(stmm.sync_growth(&mut mem, 100_000, lock, 130), BLOCK);
+        assert_eq!(booked(&mem), (lock + BLOCK, BLOCK, overflow - BLOCK));
+        // Denied at maxLockMemory.
+        let max = LockMemoryBounds::compute(&TunerParams::default(), 130, mem.total()).max_bytes;
+        let before = booked(&mem);
+        assert_eq!(stmm.sync_growth(&mut mem, BLOCK, max, 130), 0);
+        assert_eq!(booked(&mem), before);
+        // Denied once LMOmax is spent.
+        let granted = stmm.sync_growth(&mut mem, u64::MAX / 2, lock + BLOCK, 130);
+        assert!(granted > 0);
+        let spent = booked(&mem);
+        assert_eq!(
+            stmm.sync_growth(&mut mem, BLOCK, lock + BLOCK + granted, 130),
+            0
+        );
+        assert_eq!(booked(&mem), spent);
+        mem.validate();
+    }
+
+    #[test]
+    fn on_lock_request_recomputes_on_the_0x80th_call_and_resize_resets_the_count() {
+        let (mem, _pool, mut stmm) = setup(8 * MIB);
+        let params = TunerParams::default();
+        let max = LockMemoryBounds::compute(&params, 130, mem.total()).max_bytes;
+        let full = usage(max, max / params.lock_struct_bytes);
+        let empty = usage(max, 0);
+        // 127 requests at x = 1 leave the cap where it started.
+        for _ in 0..127 {
+            assert_eq!(stmm.on_lock_request(&mem, &full, 130), 98.0);
+        }
+        // The 128th (0x80) recomputes it.
+        assert_eq!(stmm.on_lock_request(&mem, &full, 130), 1.0);
+        // A resize part-way through the next period recomputes and
+        // restarts the count: 127 more requests change nothing.
+        for _ in 0..100 {
+            stmm.on_lock_request(&mem, &empty, 130);
+        }
+        assert_eq!(stmm.recompute_app_percent(&mem, &empty, 130), 98.0);
+        for _ in 0..127 {
+            assert_eq!(stmm.on_lock_request(&mem, &full, 130), 98.0);
+        }
+        assert_eq!(stmm.on_lock_request(&mem, &full, 130), 1.0);
     }
 
     #[test]

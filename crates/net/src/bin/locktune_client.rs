@@ -96,8 +96,6 @@ use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_sim::dist::Zipf;
 use locktune_sim::SimRng;
 use locktune_workload::{Mix, MixError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// How long the pool may take to drain once every client is gone.
 const DRAIN: Duration = Duration::from_secs(5);
@@ -251,7 +249,7 @@ type WorkerResult = Result<(Tally, ReconnectStats), String>;
 /// reconnecting under `--chaos`, batched under `--batch`, pipelined
 /// otherwise.
 fn worker(args: &Args, mix: &Mix, tenant: Option<u32>, w: usize, seed: u64) -> WorkerResult {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     if args.chaos {
         let policy = ReconnectConfig {

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_obs::MetricsSnapshot;
 use locktune_service::{BatchOutcome, SpinStats};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use locktune_sim::SimRng;
 
 use crate::client::{Client, ClientError};
 use crate::wire::Request;
@@ -141,7 +141,7 @@ pub struct ReconnectingClient {
     addr: SocketAddr,
     config: ReconnectConfig,
     client: Option<Client>,
-    rng: StdRng,
+    rng: SimRng,
     stats: ReconnectStats,
     /// Cluster-global transaction id to re-bind on every fresh
     /// session (set by [`ReconnectingClient::bind_gid`]).
@@ -182,7 +182,7 @@ impl ReconnectingClient {
             addr,
             config,
             client: None,
-            rng: StdRng::seed_from_u64(config.seed),
+            rng: SimRng::seed_from_u64(config.seed),
             stats: ReconnectStats::default(),
             gid: None,
             epoch: None,
@@ -245,7 +245,7 @@ impl ReconnectingClient {
         let jitter = if nanos == 0 {
             0
         } else {
-            self.rng.gen_range_u64(0, nanos / 2 + 1)
+            self.rng.next_below(nanos / 2 + 1)
         };
         exp + Duration::from_nanos(jitter)
     }

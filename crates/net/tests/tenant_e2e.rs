@@ -15,10 +15,9 @@ use locktune_net::wire::Request;
 use locktune_net::{Client, ClientError, Pipelined, Reply, Server};
 use locktune_service::txn::{self, Tally};
 use locktune_service::{ServiceConfig, ServiceError};
+use locktune_sim::SimRng;
 use locktune_tenants::{TenantDirectory, TenantsConfig};
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const MIB: u64 = 1024 * 1024;
 const KIB: u64 = 1024;
@@ -275,7 +274,7 @@ fn oltp_burst(addr: &str, tenant: u32, txns: u64, seed: u64) {
     let mut c = Client::connect(addr).unwrap();
     c.hello(tenant).unwrap();
     let mix = Mix::new(4, 64, 8).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     txn::run(
         &mut Pipelined::new(&mut c),
         &mix,

@@ -38,7 +38,6 @@ use locktune_memory::{DatabaseMemory, HeapKind, IntervalReport, PerfHeap, Stmm};
 use locktune_obs::{
     MetricsSnapshot, Obs, ObsCounters, ThreadRole, TuningTick, LATCH_SAMPLE_PERIOD,
 };
-use locktune_sim::SimDuration;
 
 use crate::config::{ConfigError, ServiceConfig};
 use crate::latch::Latch;
@@ -793,11 +792,7 @@ impl LockService {
             .collect();
 
         let mem = Self::build_memory(&config, pool.total_bytes());
-        let stmm = Stmm::new(
-            config.params,
-            SimDuration::from_secs_f64(config.tuning_interval.as_secs_f64().max(1e-6)),
-            pool.total_bytes(),
-        );
+        let stmm = Stmm::new(config.params, pool.total_bytes());
 
         let inner = Arc::new(ServiceInner {
             tuning: TuningShared::new(stmm, mem),

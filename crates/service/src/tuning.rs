@@ -11,6 +11,12 @@
 //! externalized percent lives in an atomic (`f64` bits) and only every
 //! `refresh_period`-th request takes the tuning mutex to recompute it.
 //!
+//! The rules themselves (the cap recompute and synchronous growth) are
+//! [`Stmm`]'s, shared with the simulator. The hooks add only what is
+//! the service's own: the per-session request count, the tenant
+//! ceiling clamp, the sync-stall timing, and publishing the recomputed
+//! cap, on a refresh tick and after every resize.
+//!
 //! Lock ordering (deadlock freedom): shard latch → tuning mutex → pool
 //! mutex. Hooks run under a shard latch and take the tuning mutex; the
 //! tuning thread takes the tuning mutex and then the pool mutex; pool
@@ -20,8 +26,6 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use locktune_core::sync_growth::SyncGrant;
-use locktune_core::{LockMemoryBounds, SyncGrowth};
 use locktune_lockmgr::{AppId, TableId, TuningHooks};
 use locktune_memalloc::PoolUsage;
 use locktune_memory::{DatabaseMemory, Stmm};
@@ -112,6 +116,18 @@ impl TuningShared {
             self.app_percent_bits.store(bits, Ordering::Release);
         }
     }
+
+    /// Recompute the cap from `pool` under the tuning mutex and
+    /// publish it: a session's refresh tick and every resize.
+    fn refresh_app_percent(&self, pool: &PoolUsage) -> f64 {
+        let num_apps = self.num_applications.load(Ordering::Relaxed);
+        let mut state = self.state.lock();
+        let TuningState { stmm, mem } = &mut *state;
+        let pct = stmm.recompute_app_percent(mem, pool, num_apps);
+        drop(state);
+        self.publish_app_percent(pct);
+        pct
+    }
 }
 
 /// Per-operation [`TuningHooks`] adapter. Constructed per lock
@@ -155,16 +171,7 @@ impl TuningHooks for ServiceHooks<'_> {
             None => return self.shared.app_percent(),
         };
         if self.shared.is_refresh_tick(n) {
-            let num_apps = self.shared.num_applications.load(Ordering::Relaxed);
-            let mut state = self.shared.state.lock();
-            let params = *state.stmm.tuner().params();
-            let bounds = LockMemoryBounds::compute(&params, num_apps, state.mem.total());
-            let used = pool.slots_used * params.lock_struct_bytes;
-            let x = bounds.used_fraction_of_max(used);
-            let pct = state.stmm.tuner_mut().app_percent_mut().recompute(x);
-            drop(state);
-            self.shared.publish_app_percent(pct);
-            pct
+            self.shared.refresh_app_percent(pool)
         } else {
             self.shared.app_percent()
         }
@@ -192,15 +199,8 @@ impl TuningHooks for ServiceHooks<'_> {
         } else {
             let num_apps = self.shared.num_applications.load(Ordering::Relaxed);
             let mut state = self.shared.state.lock();
-            let params = *state.stmm.tuner().params();
-            let overflow = state.mem.overflow_state();
-            match SyncGrowth::new(&params).request(wanted_bytes, pool.bytes, num_apps, &overflow) {
-                SyncGrant::Granted { bytes } => {
-                    state.mem.note_lock_sync_growth(bytes);
-                    bytes
-                }
-                SyncGrant::Denied(_) => 0,
-            }
+            let TuningState { stmm, mem } = &mut *state;
+            stmm.sync_growth(mem, wanted_bytes, pool.bytes, num_apps)
         };
         if let Some(t0) = t0 {
             self.obs
@@ -210,12 +210,7 @@ impl TuningHooks for ServiceHooks<'_> {
     }
 
     fn on_pool_resized(&mut self, pool: &PoolUsage) {
-        let num_apps = self.shared.num_applications.load(Ordering::Relaxed);
-        let mut state = self.shared.state.lock();
-        let params = *state.stmm.tuner().params();
-        let bounds = LockMemoryBounds::compute(&params, num_apps, state.mem.total());
-        let used = pool.slots_used * params.lock_struct_bytes;
-        state.stmm.tuner_mut().on_resize(used, &bounds);
+        self.shared.refresh_app_percent(pool);
     }
 
     fn on_escalation(&mut self, app: AppId, table: TableId, exclusive: bool) {

@@ -23,8 +23,8 @@
 use std::fmt;
 
 use locktune_lockmgr::{LockError, LockMode, LockOutcome, ResourceId};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::Rng;
 
 use crate::service::{BatchOutcome, ServiceError, Session};
 
@@ -204,7 +204,7 @@ pub fn run_txn<B: TxnBackend + ?Sized>(
 pub fn run<B: TxnBackend + ?Sized>(
     backend: &mut B,
     mix: &Mix,
-    rng: &mut impl Rng,
+    rng: &mut SimRng,
     txns: u64,
     tally: &mut Tally,
 ) -> Result<(), B::Error> {

@@ -1,12 +1,11 @@
 //! Deterministic pseudo-random number generation.
 //!
-//! Experiments must be bit-reproducible across runs, platforms and
-//! `rand` crate versions, so we implement xoshiro256** directly (public
-//! domain algorithm by Blackman & Vigna) and seed it through SplitMix64
-//! as its authors recommend. The [`rand::RngCore`] impl lets the
-//! generator plug into any `rand`-based API in benches and tests.
-
-use rand::RngCore;
+//! Experiments must be bit-reproducible across runs and platforms, so
+//! we implement xoshiro256** directly (public domain algorithm by
+//! Blackman & Vigna) and seed it through SplitMix64 as its authors
+//! recommend. It is the workspace's one generator: the simulator, the
+//! load generators, the soaks and the client back-off jitter all draw
+//! from it.
 
 /// Deterministic xoshiro256** generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,28 +98,6 @@ impl SimRng {
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -229,14 +206,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(child1.next_u64(), child2.next_u64());
         }
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunks() {
-        let mut r = SimRng::seed_from_u64(31);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

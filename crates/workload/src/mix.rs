@@ -15,7 +15,7 @@
 use std::fmt;
 
 use locktune_lockmgr::{LockMode, ResourceId, RowId, TableId};
-use rand::Rng;
+use locktune_sim::SimRng;
 
 /// A validated OLTP + DSS lock-set mix.
 ///
@@ -104,25 +104,25 @@ impl Mix {
 
     /// Roll one transaction's lock set into `out` (cleared first), in
     /// acquisition order: each table's intent before its rows.
-    pub fn roll(&self, rng: &mut impl Rng, out: &mut Vec<(ResourceId, LockMode)>) {
+    pub fn roll(&self, rng: &mut SimRng, out: &mut Vec<(ResourceId, LockMode)>) {
         out.clear();
-        let dss = self.dss_percent > 0 && rng.gen_range_u64(0, 100) < u64::from(self.dss_percent);
+        let dss = self.dss_percent > 0 && rng.next_below(100) < u64::from(self.dss_percent);
         let (intent, mode, rows) = if dss {
             (LockMode::IS, LockMode::S, self.dss_rows)
         } else {
             (LockMode::IX, LockMode::X, self.oltp_rows)
         };
         for _ in 0..self.tables_per_txn {
-            let table = TableId(rng.gen_range_u64(0, u64::from(self.tables)) as u32);
+            let table = TableId(rng.next_below(u64::from(self.tables)) as u32);
             out.push((ResourceId::Table(table), intent));
-            let mut scan = rng.gen_range_u64(0, self.rows);
+            let mut scan = rng.next_below(self.rows);
             for _ in 0..rows {
                 let row = if dss {
                     let row = scan;
                     scan = if scan + 1 == self.rows { 0 } else { scan + 1 };
                     row
                 } else {
-                    rng.gen_range_u64(0, self.rows)
+                    rng.next_below(self.rows)
                 };
                 out.push((ResourceId::Row(table, RowId(self.row_base + row)), mode));
             }
@@ -133,11 +133,9 @@ impl Mix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn rolls(mix: Result<Mix, MixError>, n: usize) -> Vec<Vec<(ResourceId, LockMode)>> {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         let mut set = Vec::new();
         let mix = mix.unwrap();
         (0..n)

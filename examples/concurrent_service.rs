@@ -29,9 +29,8 @@ use std::time::{Duration, Instant};
 use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
 use locktune_memory::IntervalReport;
 use locktune_service::{txn, LockService, ServiceConfig, Tally};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const WORKERS: u32 = 4;
 const TXNS_PER_WORKER: u64 = 300;
@@ -73,7 +72,7 @@ fn main() {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 let mut session = service.connect(AppId(w + 1));
-                let mut rng = StdRng::seed_from_u64(SEED + u64::from(w));
+                let mut rng = SimRng::seed_from_u64(SEED + u64::from(w));
                 let mut tally = Tally::default();
                 let Ok(()) = txn::run(&mut session, &mix, &mut rng, TXNS_PER_WORKER, &mut tally);
                 tally

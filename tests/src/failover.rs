@@ -17,9 +17,8 @@ use locktune_lockmgr::{LockMode, ResourceId};
 use locktune_net::{ReconnectConfig, ServerConfig};
 use locktune_service::txn::{self, Tally, TxnBackend, TxnOutcome, Verdict};
 use locktune_service::{BatchOutcome, ServiceConfig};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::{assert_drained, eventually, serve, start_nodes};
 
@@ -193,7 +192,7 @@ fn worker(addrs: Vec<String>, map: MapHandle, seed: u64, gid: u64, storm: &Storm
         .and_then(|m| m.with_tables_per_txn(2))
         .and_then(|m| m.with_row_base(gid * 10_000))
         .expect("storm mix");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     let mut set = Vec::new();
     let mut backend = Claiming {

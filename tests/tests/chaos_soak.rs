@@ -26,9 +26,8 @@ use locktune_net::{IoModel, ReconnectConfig, ReconnectingClient, Server, ServerC
 use locktune_obs::EventKind;
 use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_service::{FaultInjector, FaultPlan, FaultSite, LockService, ServiceConfig};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const WORKERS: u64 = 4;
 const TXNS_PER_WORKER: u64 = 60;
@@ -69,7 +68,7 @@ fn worker(addr: std::net::SocketAddr, seed: u64) -> (Tally, u64) {
     };
     let mut rc = ReconnectingClient::connect(addr, policy).expect("worker connect");
     let mix = Mix::new(8, 256, 4).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     txn::run(&mut rc, &mix, &mut rng, TXNS_PER_WORKER, &mut tally).expect("worker storm");
     (tally, rc.stats().reconnects)
@@ -293,7 +292,7 @@ fn tenant_storm_never_leaks_budget() {
             let service = Arc::clone(service);
             workers.push(std::thread::spawn(move || {
                 let mut session = service.connect(AppId(100 * (t as u32 + 1) + w as u32));
-                let mut rng = StdRng::seed_from_u64(w ^ 0xC0FFEE);
+                let mut rng = SimRng::seed_from_u64(w ^ 0xC0FFEE);
                 let Ok(()) = txn::run(&mut session, &mix, &mut rng, 200, &mut Tally::default());
             }));
         }

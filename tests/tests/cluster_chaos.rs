@@ -28,9 +28,8 @@ use locktune_integration_tests::{assert_drained, start_nodes};
 use locktune_net::{ReconnectConfig, ServerConfig};
 use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_service::{FaultInjector, FaultPlan, FaultSite, ServiceConfig};
+use locktune_sim::SimRng;
 use locktune_workload::Mix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const NODES: usize = 3;
 const WORKERS: u64 = 4;
@@ -80,7 +79,7 @@ fn worker(
     let mix = Mix::new(64, 64, 2)
         .and_then(|m| m.with_tables_per_txn(2))
         .unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     let mut set = Vec::new();
     let mut txns = 0;
