@@ -76,19 +76,6 @@ impl AppPercentController {
         self.externalized = self.current;
         self.externalized
     }
-
-    /// Would an application holding `app_used_bytes` of a
-    /// `total_lock_bytes` pool exceed the cap if it grew further?
-    ///
-    /// This is the `MAXLOCKS` escalation trigger: DB2 escalates when an
-    /// application *saturates* its portion of the lock memory.
-    pub fn exceeds_cap(&self, app_used_bytes: u64, total_lock_bytes: u64) -> bool {
-        if total_lock_bytes == 0 {
-            return app_used_bytes > 0;
-        }
-        let share = app_used_bytes as f64 / total_lock_bytes as f64 * 100.0;
-        share > self.current
-    }
 }
 
 #[cfg(test)]
@@ -169,35 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn cap_check() {
-        let mut c = ctl();
-        // At 98%: an app holding 97% of the pool is fine, 99% is not.
-        assert!(!c.exceeds_cap(97, 100));
-        assert!(c.exceeds_cap(99, 100));
-        // Throttled to 1%: holding 2 of 100 exceeds.
-        c.recompute(1.0);
-        assert!(c.exceeds_cap(2, 100));
-        assert!(!c.exceeds_cap(1, 100));
-    }
-
-    #[test]
-    fn cap_check_empty_pool() {
-        let c = ctl();
-        assert!(!c.exceeds_cap(0, 0));
-        assert!(c.exceeds_cap(1, 0));
-    }
-
-    #[test]
     fn single_heavy_consumer_allowed_while_memory_far_from_max() {
         // §5.3's key property: one DSS query may take nearly all lock
         // memory as long as total usage is far from maxLockMemory.
         let mut c = ctl();
         c.recompute(0.10); // only 10% of max used
-        assert!(c.current() > 97.0);
-        assert!(!c.exceeds_cap(90, 100), "DSS query may dominate the pool");
+        assert!(c.current() > 97.0, "DSS query may dominate the pool");
         // But near the max, two heavy consumers get throttled.
         c.recompute(0.95);
         assert!(c.current() < 15.0);
-        assert!(c.exceeds_cap(90, 100));
     }
 }

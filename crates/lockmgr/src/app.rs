@@ -56,6 +56,7 @@ pub(crate) struct TableRecord {
 
 impl TableRecord {
     /// Count a new holding of `res`, on this table, charged `slots`.
+    #[inline]
     pub(crate) fn count_grant(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
         if res.is_row() {
             self.rows.rows += 1;
@@ -78,6 +79,7 @@ pub(crate) struct Run {
 
 impl Run {
     /// The resources of this entry, in grant order.
+    #[inline]
     pub(crate) fn resources(self) -> impl Iterator<Item = ResourceId> {
         (0..u64::from(self.len.max(1))).map(move |i| match self.len {
             0 => ResourceId::Table(self.table),
@@ -127,11 +129,13 @@ fn table_record(
 
 impl AppLockState {
     /// Number of held resources.
+    #[inline]
     pub fn held_count(&self) -> usize {
         self.held_count
     }
 
     /// Total lock structure slots charged.
+    #[inline]
     pub fn total_slots(&self) -> u64 {
         self.total_slots
     }
@@ -177,6 +181,7 @@ impl AppLockState {
     }
 
     /// [`Self::record_grant`] minus the table record's count.
+    #[inline]
     pub(crate) fn record_holding(&mut self, res: ResourceId, slots: u64) {
         let (table, len, first_row) = match res {
             ResourceId::Table(table) => (table, 0, 0),
@@ -216,6 +221,7 @@ impl AppLockState {
 
     /// Record the release of one holding that was held in `mode` and
     /// charged `slots`. Its release-list entry stays behind, stale.
+    #[inline]
     pub(crate) fn record_release(&mut self, res: ResourceId, mode: LockMode, slots: u64) {
         self.held_count -= 1;
         self.total_slots -= slots;
@@ -271,6 +277,7 @@ impl AppLockState {
     /// Take the release list for a commit or abort, resetting the
     /// accounting up front; the list keeps its capacity for the next
     /// transaction.
+    #[inline]
     pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Run> {
         self.per_table.clear();
         self.total_slots = 0;
@@ -279,6 +286,7 @@ impl AppLockState {
     }
 
     /// True when nothing is held and nothing is awaited.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.held_count == 0 && self.waiting_on.is_none()
     }

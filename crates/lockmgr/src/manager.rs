@@ -621,6 +621,7 @@ impl<P: PoolBackend> LockManager<P> {
     /// the table. Returns the mode released and the slots freed, or
     /// `None` when `app` was not a holder (a head it never held, or a
     /// stale or repeated release-list entry).
+    #[inline]
     fn release_holder(
         res: ResourceId,
         head: &mut LockHead,
@@ -642,6 +643,7 @@ impl<P: PoolBackend> LockManager<P> {
 
     /// [`Self::release_holder`] on the head of `res`, found by one probe
     /// that also drops the head if the release empties it.
+    #[inline]
     fn release_probed(
         heads: &mut LockTableMap<LockHead>,
         res: ResourceId,
@@ -993,7 +995,10 @@ fn allocate_slots<P: PoolBackend>(
     hooks: &mut dyn TuningHooks,
 ) -> Result<(), ()> {
     if n >= 2 {
-        slots.extend(pool.allocate_pair().into_iter().flatten());
+        if let Ok([first, second]) = pool.allocate_pair() {
+            slots.push(first);
+            slots.push(second);
+        }
     }
     for _ in slots.len() as u32..n {
         loop {
@@ -1120,5 +1125,27 @@ mod tests {
         assert!(!sweeps(21, 21, 114_688));
         assert!(!sweeps(64, 64, 114_688));
         assert!(sweeps(14_336, 14_336, 114_688));
+    }
+
+    /// The MAXLOCKS check is `wanted > cap_slots(..)`: an application may
+    /// hold its cap's worth of slots and not one more.
+    #[test]
+    fn cap_slots_is_the_maxlocks_check() {
+        let mut memo = (0, 0, 0);
+        // At 98 %: 97 of 100 slots is fine, 99 is over.
+        assert_eq!(cap_slots(&mut memo, 98.0, 100), 98);
+        // Throttled to 1 %: 2 of 100 is over, 1 is fine.
+        assert_eq!(cap_slots(&mut memo, 1.0, 100), 1);
+        // The memo follows the pool's size as well as the percentage.
+        assert_eq!(cap_slots(&mut memo, 1.0, 1_000), 10);
+        assert_eq!(cap_slots(&mut memo, 1.0, 1_000), 10);
+    }
+
+    /// An empty pool caps every application at no slots: asking for
+    /// none is fine, one is over.
+    #[test]
+    fn an_empty_pool_caps_at_zero_slots() {
+        assert_eq!(cap_slots(&mut (0, 0, 0), 98.0, 0), 0);
+        assert_eq!(cap_slots(&mut (98f64.to_bits(), 100, 98), 98.0, 0), 0);
     }
 }

@@ -9,6 +9,7 @@
 //!   compatible with S but not with another U),
 //! * `SIX` — share + intention exclusive,
 //! * `X` — exclusive.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 
@@ -34,12 +35,63 @@ use LockMode::*;
 /// All modes, in lattice-friendly order.
 pub const ALL_MODES: [LockMode; 6] = [IS, IX, S, SIX, U, X];
 
+/// The join over the conversion lattice:
+///
+/// ```text
+///        X
+///      / | \
+///   SIX  U  |
+///   /  \ |  |
+///  S    \|  |
+///  | \   \  |
+///  |  \  |  |
+///  IS  IX --+   (IS below everything)
+/// ```
+const fn join(a: LockMode, b: LockMode) -> LockMode {
+    match (a, b) {
+        (IS, m) | (m, IS) => m,
+        (IX, IX) => IX,
+        (IX, S) | (S, IX) => SIX,
+        (IX, SIX) | (SIX, IX) => SIX,
+        (IX, U) | (U, IX) => X,
+        (IX, X) | (X, IX) => X,
+        (S, S) => S,
+        (S, SIX) | (SIX, S) => SIX,
+        (S, U) | (U, S) => U,
+        (S, X) | (X, S) => X,
+        (SIX, SIX) => SIX,
+        (SIX, U) | (U, SIX) => X,
+        (SIX, X) | (X, SIX) => X,
+        (U, U) => U,
+        (U, X) | (X, U) => X,
+        (X, X) => X,
+    }
+}
+
+/// [`join`] for every pair, indexed like [`ALL_MODES`]: worked out at
+/// compile time, so `supremum` and `covers`, inlined on every grant,
+/// are one load.
+const JOIN: [[LockMode; 6]; 6] = {
+    let mut table = [[IS; 6]; 6];
+    let mut a = 0;
+    while a < 6 {
+        let mut b = 0;
+        while b < 6 {
+            table[a][b] = join(ALL_MODES[a], ALL_MODES[b]);
+            b += 1;
+        }
+        a += 1;
+    }
+    table
+};
+
 impl LockMode {
     /// Compatibility of a *requested* mode with a *held* mode.
     ///
     /// The matrix is the standard one; note the asymmetric-looking `U`
     /// row is modelled symmetrically (U ↔ S compatible, U ↔ U not),
     /// which matches DB2's documented behaviour for readers vs updaters.
+    #[inline]
     pub fn compatible_with(self, held: LockMode) -> bool {
         const T: bool = true;
         const F: bool = false;
@@ -58,59 +110,20 @@ impl LockMode {
 
     /// The least mode covering both `self` and `other` (conversion
     /// target when a holder re-requests in a different mode).
+    #[inline]
     pub fn supremum(self, other: LockMode) -> LockMode {
-        if self == other {
-            return self;
-        }
-        // Explicit join table over the lattice
-        //        X
-        //      / | \
-        //   SIX  U  |
-        //   /  \ |  |
-        //  S    \|  |
-        //  | \   \  |
-        //  |  \  |  |
-        //  IS  IX --+   (IS below everything except... IS <= all)
-        const fn join(a: LockMode, b: LockMode) -> LockMode {
-            match (a, b) {
-                (IS, m) | (m, IS) => m,
-                (IX, IX) => IX,
-                (IX, S) | (S, IX) => SIX,
-                (IX, SIX) | (SIX, IX) => SIX,
-                (IX, U) | (U, IX) => X,
-                (IX, X) | (X, IX) => X,
-                (S, S) => S,
-                (S, SIX) | (SIX, S) => SIX,
-                (S, U) | (U, S) => U,
-                (S, X) | (X, S) => X,
-                (SIX, SIX) => SIX,
-                (SIX, U) | (U, SIX) => X,
-                (SIX, X) | (X, SIX) => X,
-                (U, U) => U,
-                (U, X) | (X, U) => X,
-                (X, X) => X,
-            }
-        }
-        join(self, other)
+        JOIN[self.index()][other.index()]
     }
 
     /// True when `self` grants at least the access of `other` (i.e. a
     /// holder of `self` need not convert to get `other`).
+    #[inline]
     pub fn covers(self, other: LockMode) -> bool {
         self.supremum(other) == self
     }
 
-    /// True for modes that exclude concurrent readers (`X`).
-    pub fn is_exclusive(self) -> bool {
-        self == X
-    }
-
-    /// True for the intention modes that live only on tables.
-    pub fn is_intent(self) -> bool {
-        matches!(self, IS | IX)
-    }
-
     /// The table-level intent mode implied by taking this mode on a row.
+    #[inline]
     pub fn intent_for_row_mode(self) -> LockMode {
         match self {
             S | IS => IS,
@@ -119,6 +132,7 @@ impl LockMode {
     }
 
     /// Escalating rows held in this mode needs this table mode.
+    #[inline]
     pub fn escalation_table_mode(self) -> LockMode {
         match self {
             S | IS => S,
@@ -126,6 +140,7 @@ impl LockMode {
         }
     }
 
+    #[inline]
     fn index(self) -> usize {
         match self {
             IS => 0,
@@ -139,6 +154,7 @@ impl LockMode {
 }
 
 impl fmt::Display for LockMode {
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             IS => "IS",

@@ -1,4 +1,5 @@
 //! Lockable resources: tables and rows.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -28,6 +29,7 @@ pub enum ResourceId {
 /// ([`LockTableHasher`](crate::hash::LockTableHasher)) tells the two
 /// apart by width.
 impl Hash for ResourceId {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u32(self.table().0);
         if let ResourceId::Row(_, row) = self {
@@ -38,6 +40,7 @@ impl Hash for ResourceId {
 
 impl ResourceId {
     /// The table this resource belongs to (itself for tables).
+    #[inline]
     pub fn table(&self) -> TableId {
         match self {
             ResourceId::Table(t) => *t,
@@ -46,12 +49,14 @@ impl ResourceId {
     }
 
     /// True for row-level resources.
+    #[inline]
     pub fn is_row(&self) -> bool {
         matches!(self, ResourceId::Row(..))
     }
 }
 
 impl fmt::Display for ResourceId {
+    #[inline(never)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResourceId::Table(t) => write!(f, "table#{}", t.0),

@@ -7,6 +7,7 @@
 //! a shared or contended head keeps its holders, waiters and what the
 //! pair cannot take behind one box instead. Emptied boxes go back on a
 //! [`SpareBoxes`] list with their capacity: hot-row hand-offs do not allocate.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::collections::VecDeque;
 
@@ -81,6 +82,7 @@ pub enum LockHead {
 
 impl LockHead {
     /// Current holders, in order.
+    #[inline]
     pub fn holders(&self) -> &[Holder] {
         match self {
             LockHead::Idle => &[],
@@ -90,11 +92,13 @@ impl LockHead {
     }
 
     /// Find the holder entry for `app`.
+    #[inline]
     pub fn holder(&self, app: AppId) -> Option<&Holder> {
         self.holders().iter().find(|h| h.app == app)
     }
 
     /// Find the holder entry for `app`, mutably.
+    #[inline]
     pub fn holder_mut(&mut self, app: AppId) -> Option<&mut Holder> {
         match self {
             LockHead::Idle => None,
@@ -104,11 +108,13 @@ impl LockHead {
     }
 
     /// True while at least one application holds the resource.
+    #[inline]
     pub fn is_held(&self) -> bool {
         !self.holders().is_empty()
     }
 
     /// Is `mode` compatible with every holder other than `app`?
+    #[inline]
     pub fn compatible_for(&self, app: AppId, mode: LockMode) -> bool {
         self.holders()
             .iter()
@@ -117,6 +123,7 @@ impl LockHead {
     }
 
     /// Lock structures charged to `app`'s holding here.
+    #[inline(never)]
     pub fn slots_of(&self, app: AppId) -> u64 {
         let inline = self
             .holder(app)
@@ -129,6 +136,7 @@ impl LockHead {
     }
 
     /// Append `app` as a holder in `mode`, charged `slots`.
+    #[inline]
     pub fn add_holder(
         &mut self,
         app: AppId,
@@ -155,6 +163,7 @@ impl LockHead {
     /// Remove `app`'s holding, handing each lock structure it was
     /// charged to `free`. Returns the mode it held and the number of
     /// structures, or `None` when `app` was not a holder.
+    #[inline]
     pub fn remove_holder(
         &mut self,
         app: AppId,
@@ -192,6 +201,7 @@ impl LockHead {
     }
 
     /// The wait queue, front first.
+    #[inline]
     pub fn queue(&self) -> &VecDeque<Waiter> {
         match self {
             LockHead::Many(m) => &m.queue,
@@ -200,6 +210,7 @@ impl LockHead {
     }
 
     /// The wait queue, to push to or pop from.
+    #[inline]
     pub fn queue_mut(&mut self, spare: &mut SpareBoxes) -> &mut VecDeque<Waiter> {
         &mut self.contended(spare).queue
     }
@@ -207,6 +218,7 @@ impl LockHead {
     /// Hand the box back once nothing is granted or waiting (not before:
     /// a hot row keeps its box across hand-offs). Returns true when the
     /// head is empty and can be dropped from the hash map.
+    #[inline]
     pub fn trim(&mut self, spare: &mut SpareBoxes) -> bool {
         if matches!(self, LockHead::Many(m) if m.holders.is_empty() && m.queue.is_empty()) {
             let LockHead::Many(emptied) = std::mem::take(self) else {
@@ -221,6 +233,7 @@ impl LockHead {
 
     /// True when nothing is granted, nothing is waiting and no box is
     /// left: the head can be dropped from the hash map.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         matches!(self, LockHead::Idle)
     }

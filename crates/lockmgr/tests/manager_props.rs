@@ -1,6 +1,7 @@
 //! Property-based stress of the lock manager: arbitrary interleavings
 //! of lock/unlock/abort across many applications must preserve every
-//! cross-structure invariant and never leak lock memory.
+//! cross-structure invariant and never leak lock memory, over an owned
+//! pool and over the shared pool the service runs.
 
 use std::collections::BTreeMap;
 
@@ -8,7 +9,9 @@ use locktune_lockmgr::{
     AppId, DeadlockDetector, GrantNotice, LockError, LockManager, LockManagerConfig, LockMode,
     LockOutcome, ResourceId, RowId, TableId, TuningHooks,
 };
-use locktune_memalloc::{LockMemoryPool, PoolConfig, PoolUsage};
+use locktune_memalloc::{
+    LockMemoryPool, PoolBackend, PoolConfig, PoolError, PoolUsage, SharedLockMemoryPool, SlotHandle,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -152,7 +155,12 @@ impl Model {
     /// except a row granted to the escalated application itself on the
     /// escalated table, where the two orders differ and only the
     /// manager knows which happened.
-    fn absorb(&mut self, m: &LockManager, hooks: &mut CappedGrow, notices: Vec<GrantNotice>) {
+    fn absorb<P: PoolBackend>(
+        &mut self,
+        m: &LockManager<P>,
+        hooks: &mut CappedGrow,
+        notices: Vec<GrantNotice>,
+    ) {
         let escalations = std::mem::take(&mut hooks.escalations);
         for &(app, table, exclusive) in &escalations {
             self.escalate(app, table, exclusive);
@@ -177,7 +185,7 @@ impl Model {
 
     /// The manager holds exactly what the model says, and every
     /// per-application counter is the matching sum over the model.
-    fn check(&self, m: &LockManager) -> Result<(), TestCaseError> {
+    fn check<P: PoolBackend>(&self, m: &LockManager<P>) -> Result<(), TestCaseError> {
         for app in (0..APPS).map(AppId) {
             let mine = || self.held.iter().filter(move |(&(a, _), _)| a == app);
             for t in (0..TABLES).map(TableId) {
@@ -218,6 +226,225 @@ impl Model {
     }
 }
 
+/// Drive `ops` through a manager over `pool`, checking it against the
+/// reference model after every operation (and `after_op`, which sees the
+/// manager then), then quiesce it: every application committed and
+/// forgotten. Returns the manager for the caller's pool checks.
+fn run_workload<P: PoolBackend>(
+    pool: P,
+    first_holder_slots: u32,
+    max_blocks: u64,
+    ops: Vec<Op>,
+    mut after_op: impl FnMut(&LockManager<P>) -> Result<(), TestCaseError>,
+) -> Result<LockManager<P>, TestCaseError> {
+    let config = LockManagerConfig {
+        first_holder_slots,
+        ..LockManagerConfig::default()
+    };
+    let mut m = LockManager::new(pool, config);
+    let mut hooks = CappedGrow {
+        max_blocks,
+        escalations: Vec::new(),
+    };
+    let detector = DeadlockDetector::new();
+    let mut model = Model {
+        first_holder_slots: first_holder_slots.into(),
+        ..Model::default()
+    };
+    // One request: the manager's answer, folded into the model.
+    let request = |m: &mut LockManager<P>,
+                   hooks: &mut CappedGrow,
+                   model: &mut Model,
+                   app: AppId,
+                   res: ResourceId,
+                   mode: LockMode| {
+        // The charge is settled by who holds `res` on arrival, even
+        // if reclaiming memory for this request escalates them away.
+        let charge = model.charge(res);
+        let outcome = m.lock(app, res, mode, hooks);
+        let notices = m.take_notifications();
+        model.absorb(m, hooks, notices);
+        match outcome {
+            Ok(LockOutcome::Granted) => model.grant(app, res, mode, charge),
+            Ok(LockOutcome::GrantedAfterEscalation { table, .. }) if table != res.table() => {
+                model.grant(app, res, mode, charge)
+            }
+            Ok(LockOutcome::Queued) => model.queue(app, res, mode),
+            Ok(LockOutcome::QueuedWithEscalation { table }) => {
+                model.pending.insert(app, (ResourceId::Table(table), None));
+            }
+            _ => {}
+        }
+        outcome
+    };
+
+    for op in ops {
+        match op {
+            Op::LockRow {
+                app,
+                table,
+                rowid,
+                exclusive,
+            } => {
+                let a = AppId(app);
+                // Skip if this app is blocked (a client can only wait once).
+                if m.app(a).map(|s| s.waiting_on().is_some()).unwrap_or(false) {
+                    continue;
+                }
+                let t = TableId(table);
+                let (tmode, rmode) = if exclusive {
+                    (LockMode::IX, LockMode::X)
+                } else {
+                    (LockMode::IS, LockMode::S)
+                };
+                match request(
+                    &mut m,
+                    &mut hooks,
+                    &mut model,
+                    a,
+                    ResourceId::Table(t),
+                    tmode,
+                ) {
+                    Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => continue,
+                    Ok(_) => {}
+                    Err(LockError::OutOfLockMemory) => continue,
+                    Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
+                }
+                let row = ResourceId::Row(t, RowId(rowid));
+                match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
+                    Ok(_) => {}
+                    Err(LockError::OutOfLockMemory) => {}
+                    // The table intent may have queued above.
+                    Err(LockError::MissingIntent(_)) => {}
+                    Err(LockError::AlreadyWaiting(_)) => {}
+                    Err(e) => return Err(TestCaseError::fail(format!("row lock: {e}"))),
+                }
+            }
+            Op::Scan {
+                app,
+                table,
+                from,
+                len,
+                exclusive,
+            } => {
+                let a = AppId(app);
+                if m.app(a).map(|s| s.waiting_on().is_some()).unwrap_or(false) {
+                    continue;
+                }
+                let t = TableId(table);
+                let (tmode, rmode) = if exclusive {
+                    (LockMode::IX, LockMode::X)
+                } else {
+                    (LockMode::IS, LockMode::S)
+                };
+                match request(
+                    &mut m,
+                    &mut hooks,
+                    &mut model,
+                    a,
+                    ResourceId::Table(t),
+                    tmode,
+                ) {
+                    Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => continue,
+                    Ok(_) => {}
+                    Err(LockError::OutOfLockMemory) => continue,
+                    Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
+                }
+                for rowid in from..from + len {
+                    let row = ResourceId::Row(t, RowId(rowid));
+                    match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
+                        Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => break,
+                        Ok(_) => {}
+                        Err(LockError::OutOfLockMemory) => break,
+                        Err(e) => return Err(TestCaseError::fail(format!("scan: {e}"))),
+                    }
+                }
+            }
+            Op::Commit { app } => {
+                let a = AppId(app);
+                m.cancel_wait(a);
+                m.unlock_all(a, &mut hooks);
+                model.release_all(a);
+            }
+            Op::Abort { app } => {
+                m.abort(AppId(app), &mut hooks);
+                model.release_all(AppId(app));
+            }
+            Op::CancelWait { app } => {
+                m.cancel_wait(AppId(app));
+                model.pending.remove(&AppId(app));
+            }
+            Op::UnlockRow { app, table, rowid } => {
+                let res = ResourceId::Row(TableId(table), RowId(rowid));
+                let held = model.held.remove(&(AppId(app), res));
+                match m.unlock(AppId(app), res, &mut hooks) {
+                    Ok(report) => {
+                        prop_assert_eq!(report.released_locks, 1);
+                        prop_assert_eq!(Some(report.freed_slots), held.map(|(_, slots)| slots));
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e, LockError::NotHeld(res));
+                        prop_assert_eq!(held, None);
+                    }
+                }
+            }
+            Op::DetectDeadlocks => {
+                for v in detector.find_victims(&m.wait_edges()) {
+                    m.abort(v.app, &mut hooks);
+                    model.release_all(v.app);
+                    let notices = m.take_notifications();
+                    model.absorb(&m, &mut hooks, notices);
+                }
+            }
+        }
+        m.validate();
+        let notices = m.take_notifications();
+        model.absorb(&m, &mut hooks, notices);
+        model.check(&m)?;
+        after_op(&m)?;
+    }
+
+    // Quiesce: resolve any residual deadlocks, then commit everyone.
+    for v in detector.find_victims(&m.wait_edges()) {
+        m.abort(v.app, &mut hooks);
+    }
+    for app in 0..6 {
+        let a = AppId(app);
+        m.cancel_wait(a);
+        m.unlock_all(a, &mut hooks);
+    }
+    m.validate();
+    prop_assert_eq!(m.charged_slots(), 0, "every holding released");
+    prop_assert_eq!(m.locked_resources(), 0, "no stale lock heads");
+    for app in 0..6 {
+        m.forget_app(AppId(app));
+    }
+    prop_assert_eq!(m.known_apps(), 0, "no per-application state survives");
+    Ok(m)
+}
+
+/// A second handle on the manager's shared pool, as another shard is:
+/// between operations it takes a slot or gives its oldest back, so the
+/// manager's runs and frees meet words this handle holds part of.
+struct Neighbour {
+    pool: SharedLockMemoryPool,
+    held: Vec<SlotHandle>,
+}
+
+impl Neighbour {
+    fn step(&mut self, take: bool) {
+        if take && self.held.len() < 4 {
+            match self.pool.allocate() {
+                Ok(h) => self.held.push(h),
+                Err(e) => assert_eq!(e, PoolError::Exhausted),
+            }
+        } else if !self.held.is_empty() {
+            let h = self.held.remove(0);
+            self.pool.free(h).expect("the neighbour's own slot");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -234,156 +461,44 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(APPS, TABLES, ROWS), 1..300),
     ) {
         let pool = LockMemoryPool::with_bytes(PoolConfig::new(512, 64), 2 * 512);
-        let config = LockManagerConfig { first_holder_slots, ..LockManagerConfig::default() };
-        let mut m = LockManager::new(pool, config);
-        let mut hooks = CappedGrow { max_blocks, escalations: Vec::new() };
-        let detector = DeadlockDetector::new();
-        let mut model = Model { first_holder_slots: first_holder_slots.into(), ..Model::default() };
-        // One request: the manager's answer, folded into the model.
-        let request = |m: &mut LockManager, hooks: &mut CappedGrow, model: &mut Model,
-                           app: AppId, res: ResourceId, mode: LockMode| {
-            // The charge is settled by who holds `res` on arrival, even
-            // if reclaiming memory for this request escalates them away.
-            let charge = model.charge(res);
-            let outcome = m.lock(app, res, mode, hooks);
-            let notices = m.take_notifications();
-            model.absorb(m, hooks, notices);
-            match outcome {
-                Ok(LockOutcome::Granted) => model.grant(app, res, mode, charge),
-                Ok(LockOutcome::GrantedAfterEscalation { table, .. }) if table != res.table() => {
-                    model.grant(app, res, mode, charge)
-                }
-                Ok(LockOutcome::Queued) => model.queue(app, res, mode),
-                Ok(LockOutcome::QueuedWithEscalation { table }) => {
-                    model.pending.insert(app, (ResourceId::Table(table), None));
-                }
-                _ => {}
-            }
-            outcome
-        };
-
-        for op in ops {
-            match op {
-                Op::LockRow { app, table, rowid, exclusive } => {
-                    let a = AppId(app);
-                    // Skip if this app is blocked (a client can only wait once).
-                    if m.app(a).map(|s| s.waiting_on().is_some()).unwrap_or(false) {
-                        continue;
-                    }
-                    let t = TableId(table);
-                    let (tmode, rmode) = if exclusive {
-                        (LockMode::IX, LockMode::X)
-                    } else {
-                        (LockMode::IS, LockMode::S)
-                    };
-                    match request(&mut m, &mut hooks, &mut model, a, ResourceId::Table(t), tmode) {
-                        Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                            continue
-                        }
-                        Ok(_) => {}
-                        Err(LockError::OutOfLockMemory) => continue,
-                        Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
-                    }
-                    let row = ResourceId::Row(t, RowId(rowid));
-                    match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
-                        Ok(_) => {}
-                        Err(LockError::OutOfLockMemory) => {}
-                        // The table intent may have queued above.
-                        Err(LockError::MissingIntent(_)) => {}
-                        Err(LockError::AlreadyWaiting(_)) => {}
-                        Err(e) => return Err(TestCaseError::fail(format!("row lock: {e}"))),
-                    }
-                }
-                Op::Scan { app, table, from, len, exclusive } => {
-                    let a = AppId(app);
-                    if m.app(a).map(|s| s.waiting_on().is_some()).unwrap_or(false) {
-                        continue;
-                    }
-                    let t = TableId(table);
-                    let (tmode, rmode) = if exclusive {
-                        (LockMode::IX, LockMode::X)
-                    } else {
-                        (LockMode::IS, LockMode::S)
-                    };
-                    match request(&mut m, &mut hooks, &mut model, a, ResourceId::Table(t), tmode) {
-                        Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                            continue
-                        }
-                        Ok(_) => {}
-                        Err(LockError::OutOfLockMemory) => continue,
-                        Err(e) => return Err(TestCaseError::fail(format!("table lock: {e}"))),
-                    }
-                    for rowid in from..from + len {
-                        let row = ResourceId::Row(t, RowId(rowid));
-                        match request(&mut m, &mut hooks, &mut model, a, row, rmode) {
-                            Ok(LockOutcome::Queued | LockOutcome::QueuedWithEscalation { .. }) => {
-                                break
-                            }
-                            Ok(_) => {}
-                            Err(LockError::OutOfLockMemory) => break,
-                            Err(e) => return Err(TestCaseError::fail(format!("scan: {e}"))),
-                        }
-                    }
-                }
-                Op::Commit { app } => {
-                    let a = AppId(app);
-                    m.cancel_wait(a);
-                    m.unlock_all(a, &mut hooks);
-                    model.release_all(a);
-                }
-                Op::Abort { app } => {
-                    m.abort(AppId(app), &mut hooks);
-                    model.release_all(AppId(app));
-                }
-                Op::CancelWait { app } => {
-                    m.cancel_wait(AppId(app));
-                    model.pending.remove(&AppId(app));
-                }
-                Op::UnlockRow { app, table, rowid } => {
-                    let res = ResourceId::Row(TableId(table), RowId(rowid));
-                    let held = model.held.remove(&(AppId(app), res));
-                    match m.unlock(AppId(app), res, &mut hooks) {
-                        Ok(report) => {
-                            prop_assert_eq!(report.released_locks, 1);
-                            prop_assert_eq!(Some(report.freed_slots), held.map(|(_, slots)| slots));
-                        }
-                        Err(e) => {
-                            prop_assert_eq!(e, LockError::NotHeld(res));
-                            prop_assert_eq!(held, None);
-                        }
-                    }
-                }
-                Op::DetectDeadlocks => {
-                    for v in detector.find_victims(&m.wait_edges()) {
-                        m.abort(v.app, &mut hooks);
-                        model.release_all(v.app);
-                        let notices = m.take_notifications();
-                        model.absorb(&m, &mut hooks, notices);
-                    }
-                }
-            }
-            m.validate();
-            let notices = m.take_notifications();
-            model.absorb(&m, &mut hooks, notices);
-            model.check(&m)?;
-        }
-
-        // Quiesce: resolve any residual deadlocks, then commit everyone.
-        for v in detector.find_victims(&m.wait_edges()) {
-            m.abort(v.app, &mut hooks);
-        }
-        for app in 0..6 {
-            let a = AppId(app);
-            m.cancel_wait(a);
-            m.unlock_all(a, &mut hooks);
-        }
-        m.validate();
+        let m = run_workload(pool, first_holder_slots, max_blocks, ops, |_| Ok(()))?;
         prop_assert_eq!(m.pool().used_slots(), 0, "all lock memory returned");
-        prop_assert_eq!(m.locked_resources(), 0, "no stale lock heads");
-        for app in 0..6 {
-            m.forget_app(AppId(app));
+    }
+
+    /// The same workload over the shared pool the service instantiates,
+    /// with a second handle taking and returning slots in between: the
+    /// manager's frees land in its run, in its buffer and in whole-buffer
+    /// pool trips, and its pairs meet words with one free slot. Slots are
+    /// accounted exactly throughout — charged, parked in either cache, or
+    /// held by the neighbour — and all come back at the end.
+    #[test]
+    fn random_workload_preserves_invariants_on_a_shared_pool(
+        first_holder_slots in 2u32..5,
+        max_blocks in prop_oneof![3u64..17, 64u64..160],
+        ops in proptest::collection::vec(op_strategy(APPS, TABLES, ROWS), 1..300),
+        takes in proptest::collection::vec(any::<bool>(), 1..64),
+    ) {
+        let pool = SharedLockMemoryPool::with_bytes(PoolConfig::new(512, 64), 2 * 512);
+        let neighbour = std::cell::RefCell::new(Neighbour { pool: pool.clone(), held: Vec::new() });
+        let mut step = 0;
+        let m = run_workload(pool, first_holder_slots, max_blocks, ops, |m| {
+            let mut n = neighbour.borrow_mut();
+            n.step(takes[step % takes.len()]);
+            step += 1;
+            let parked = m.pool().cached_slots() + n.pool.cached_slots();
+            let accounted = m.charged_slots() + (parked + n.held.len()) as u64;
+            prop_assert_eq!(m.pool().used_slots(), accounted, "shared slot accounting");
+            Ok(())
+        })?;
+        let mut n = neighbour.into_inner();
+        for h in n.held.drain(..) {
+            n.pool.free(h).expect("the neighbour's own slot");
         }
-        prop_assert_eq!(m.known_apps(), 0, "no per-application state survives");
+        drop(n);
+        let mut m = m;
+        m.flush_pool_cache();
+        prop_assert_eq!(m.pool().used_slots(), 0, "all lock memory returned");
+        m.validate();
     }
 
     /// Escalation equivalence: locking N rows one-by-one under a tight

@@ -9,6 +9,7 @@
 //! pools implement it by delegation, and
 //! [`SharedLockMemoryPool`](crate::SharedLockMemoryPool) implements it
 //! over an `Arc<Mutex<..>>` with atomic accounting mirrors.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use crate::config::PoolConfig;
 use crate::error::PoolError;
@@ -30,6 +31,7 @@ pub trait PoolBackend: std::fmt::Debug {
 
     /// Allocate two slots, as [`Self::allocate`] twice would; a second
     /// failure returns the first, so a failed pair takes nothing.
+    #[inline]
     fn allocate_pair(&mut self) -> Result<[SlotHandle; 2], PoolError> {
         let first = self.allocate()?;
         let second = self
@@ -75,6 +77,7 @@ pub trait PoolBackend: std::fmt::Debug {
     /// The cheap aggregate view the per-request hooks consume. Must
     /// not take locks: shared backends serve it from their atomic
     /// accounting mirrors.
+    #[inline]
     fn usage(&self) -> PoolUsage {
         PoolUsage {
             bytes: self.total_bytes(),
@@ -89,6 +92,7 @@ pub trait PoolBackend: std::fmt::Debug {
     /// True when other lock managers draw from this pool too. A shard
     /// over a shared backend cannot expect the pool-wide used count to
     /// equal its own charged count.
+    #[inline]
     fn is_shared(&self) -> bool {
         false
     }
@@ -96,62 +100,77 @@ pub trait PoolBackend: std::fmt::Debug {
     /// Return any privately cached free slots to the pool so the
     /// global used count is exact. No-op for owned pools (they have no
     /// cache); shared backends drain their slot cache.
+    #[inline]
     fn flush_cache(&mut self) {}
 }
 
 impl PoolBackend for LockMemoryPool {
+    #[inline]
     fn config(&self) -> PoolConfig {
         *LockMemoryPool::config(self)
     }
 
+    #[inline]
     fn allocate(&mut self) -> Result<SlotHandle, PoolError> {
         LockMemoryPool::allocate(self)
     }
 
+    #[inline]
     fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError> {
         LockMemoryPool::free(self, handle)
     }
 
+    #[inline]
     fn grow_blocks(&mut self, n: u64) -> u64 {
         LockMemoryPool::grow_blocks(self, n)
     }
 
+    #[inline]
     fn resize_to_blocks(&mut self, target_blocks: u64) -> u64 {
         LockMemoryPool::resize_to_blocks(self, target_blocks)
     }
 
+    #[inline]
     fn total_blocks(&self) -> u64 {
         LockMemoryPool::total_blocks(self)
     }
 
+    #[inline]
     fn total_bytes(&self) -> u64 {
         LockMemoryPool::total_bytes(self)
     }
 
+    #[inline]
     fn total_slots(&self) -> u64 {
         LockMemoryPool::total_slots(self)
     }
 
+    #[inline]
     fn used_slots(&self) -> u64 {
         LockMemoryPool::used_slots(self)
     }
 
+    #[inline]
     fn free_slots(&self) -> u64 {
         LockMemoryPool::free_slots(self)
     }
 
+    #[inline]
     fn used_bytes(&self) -> u64 {
         LockMemoryPool::used_bytes(self)
     }
 
+    #[inline]
     fn free_fraction(&self) -> f64 {
         LockMemoryPool::free_fraction(self)
     }
 
+    #[inline]
     fn stats(&self) -> PoolStats {
         LockMemoryPool::stats(self)
     }
 
+    #[inline]
     fn validate(&self) {
         LockMemoryPool::validate(self)
     }

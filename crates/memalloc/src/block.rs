@@ -1,4 +1,5 @@
 //! A single 128 KiB lock memory block and the handles into it.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::num::NonZeroU32;
 
@@ -39,6 +40,7 @@ pub struct SlotHandle {
 
 impl SlotHandle {
     /// The block index this handle points into (diagnostic use).
+    #[inline]
     pub fn block_index(&self) -> u32 {
         self.block
     }
@@ -116,6 +118,7 @@ impl SlotRun {
     };
 
     /// The one-slot run of `h`.
+    #[inline]
     pub fn of(h: SlotHandle) -> Self {
         SlotRun {
             block: h.block,
@@ -126,6 +129,7 @@ impl SlotRun {
     }
 
     /// Remove and return the lowest slot. `bits` must be non-zero.
+    #[inline]
     pub fn take(&mut self) -> SlotHandle {
         let bit = self.bits.trailing_zeros();
         self.bits &= self.bits - 1;
@@ -138,6 +142,7 @@ impl SlotRun {
 
     /// `h`'s bit if `h` lies in this run's word of the same block
     /// incarnation, whether or not the run holds it right now.
+    #[inline]
     pub fn bit_of(&self, h: SlotHandle) -> Option<u64> {
         let run = SlotRun::of(h);
         (run.block == self.block && run.generation == self.generation && run.word == self.word)

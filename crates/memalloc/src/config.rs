@@ -1,9 +1,5 @@
 //! Pool geometry.
 
-/// Size of one `LOCKLIST` page in bytes (DB2 configures `LOCKLIST` in
-/// 4 KiB pages).
-pub const PAGE_BYTES: u64 = 4096;
-
 /// Geometry of the lock memory pool.
 ///
 /// The defaults reproduce the paper: 128 KiB blocks (32 `LOCKLIST`
@@ -60,12 +56,6 @@ impl PoolConfig {
     pub fn blocks_for_bytes(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.block_bytes)
     }
-
-    /// `LOCKLIST` pages represented by `blocks` blocks.
-    #[inline]
-    pub fn pages_for_blocks(&self, blocks: u64) -> u64 {
-        blocks * self.block_bytes / PAGE_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -78,8 +68,6 @@ mod tests {
         assert_eq!(c.block_bytes, 131_072);
         // "approximately 2000 locks" per 128 KiB block.
         assert_eq!(c.slots_per_block(), 2048);
-        // One block per 32 LOCKLIST pages.
-        assert_eq!(c.pages_for_blocks(1), 32);
     }
 
     #[test]

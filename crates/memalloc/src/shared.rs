@@ -54,6 +54,12 @@
 //! slots early — under half a 2 048-slot block at the service's
 //! default 8 shards, well inside the one-block granularity of the
 //! manager's synchronous-growth response.
+//!
+//! The slot path — `allocate`, `allocate_pair`, `free` and the mirror
+//! reads — is `#[inline]`, so it compiles into the lock manager that
+//! calls it; a pool trip (`refill`, `refill_pair`, `return_buffer`) is
+//! not.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -136,12 +142,14 @@ pub struct SharedLockMemoryPool {
 }
 
 impl Clone for SharedLockMemoryPool {
+    #[inline(never)]
     fn clone(&self) -> Self {
         Self::handle(Arc::clone(&self.inner))
     }
 }
 
 impl Drop for SharedLockMemoryPool {
+    #[inline(never)]
     fn drop(&mut self) {
         self.flush_cache();
     }
@@ -149,6 +157,7 @@ impl Drop for SharedLockMemoryPool {
 
 impl SharedLockMemoryPool {
     /// Wrap an owned pool.
+    #[inline(never)]
     pub fn new(pool: LockMemoryPool) -> Self {
         Self::with_fault_injector(pool, FaultInjector::disabled())
     }
@@ -156,6 +165,7 @@ impl SharedLockMemoryPool {
     /// Wrap an owned pool with a fault injector consulted on every
     /// allocation (the [`FaultSite::AllocFail`] site). All clones of
     /// the returned handle share the injector.
+    #[inline(never)]
     pub fn with_fault_injector(pool: LockMemoryPool, faults: FaultInjector) -> Self {
         Self::handle(Arc::new(SharedInner {
             config: *pool.config(),
@@ -178,6 +188,7 @@ impl SharedLockMemoryPool {
     }
 
     /// Create a shared pool of at least `bytes` (rounded up to blocks).
+    #[inline(never)]
     pub fn with_bytes(config: PoolConfig, bytes: u64) -> Self {
         Self::new(LockMemoryPool::with_bytes(config, bytes))
     }
@@ -186,17 +197,13 @@ impl SharedLockMemoryPool {
     ///
     /// This is the only path that touches the pool; every [`PoolBackend`]
     /// method funnels through it.
+    #[inline(never)]
     pub fn with<R>(&self, f: impl FnOnce(&mut LockMemoryPool) -> R) -> R {
         self.inner.with(f)
     }
 
-    /// Number of handles (lock manager shards plus the tuner) sharing
-    /// this pool.
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-
     /// Slots currently parked in this handle's cache (run + buffer).
+    #[inline]
     pub fn cached_slots(&self) -> usize {
         self.run.bits.count_ones() as usize + self.buffered
     }
@@ -204,6 +211,7 @@ impl SharedLockMemoryPool {
     /// Return the run and the buffer to the pool (exact accounting;
     /// used before quiescence checks and by the tuning thread's
     /// snapshot). Handles the pool refuses are dropped, as on refill.
+    #[inline(never)]
     pub fn flush_cache(&mut self) {
         let run = std::mem::replace(&mut self.run, SlotRun::EMPTY);
         if run.bits == 0 && self.buffer.is_empty() {
@@ -233,13 +241,33 @@ impl SharedLockMemoryPool {
             Ok(())
         })
     }
+
+    /// One pool trip for a pair: words are claimed until one has two
+    /// free, the stray slot and one-slot words met waiting in the buffer
+    /// meanwhile; then the buffer goes back.
+    fn refill_pair(&mut self) -> Result<(), PoolError> {
+        self.buffered = 0;
+        let (run, buffer) = (&mut self.run, &mut self.buffer);
+        self.inner.with(|p| {
+            let mut claimed = Ok(());
+            while claimed.is_ok() && run.bits & run.bits.wrapping_sub(1) == 0 {
+                let stray = std::mem::replace(run, SlotRun { bits: 0, ..*run });
+                buffer.extend(Some(stray).filter(|stray| stray.bits != 0));
+                claimed = p.allocate_run().map(|next| *run = next);
+            }
+            let _ = return_buffer(p, buffer);
+            claimed
+        })
+    }
 }
 
 impl PoolBackend for SharedLockMemoryPool {
+    #[inline]
     fn config(&self) -> PoolConfig {
         self.inner.config
     }
 
+    #[inline]
     fn allocate(&mut self) -> Result<SlotHandle, PoolError> {
         // Injected OOM: surface `Exhausted` before any state changes,
         // exactly as a genuinely dry pool would. The caller's recovery
@@ -253,30 +281,20 @@ impl PoolBackend for SharedLockMemoryPool {
         Ok(self.run.take())
     }
 
-    /// Both slots come from the run's word. A run down to one slot is
-    /// refilled in one trip: words are claimed until one has two free, the
-    /// stray slot and one-slot words met waiting in the buffer meanwhile.
+    /// Both slots come from the run's word; a run down to one slot is
+    /// refilled first (see `refill_pair`).
+    #[inline]
     fn allocate_pair(&mut self) -> Result<[SlotHandle; 2], PoolError> {
         if self.inner.faults.should(FaultSite::AllocFail) {
             return Err(PoolError::Exhausted);
         }
-        let (run, buffer) = (&mut self.run, &mut self.buffer);
-        if run.bits & run.bits.wrapping_sub(1) == 0 {
-            self.buffered = 0;
-            self.inner.with(|p| {
-                let mut claimed = Ok(());
-                while claimed.is_ok() && run.bits & run.bits.wrapping_sub(1) == 0 {
-                    let stray = std::mem::replace(run, SlotRun { bits: 0, ..*run });
-                    buffer.extend(Some(stray).filter(|stray| stray.bits != 0));
-                    claimed = p.allocate_run().map(|next| *run = next);
-                }
-                let _ = return_buffer(p, buffer);
-                claimed
-            })?;
+        if self.run.bits & self.run.bits.wrapping_sub(1) == 0 {
+            self.refill_pair()?;
         }
         Ok([self.run.take(), self.run.take()])
     }
 
+    #[inline]
     fn free(&mut self, handle: SlotHandle) -> Result<(), PoolError> {
         let run = &mut self.run;
         if let Some(bit) = run.bit_of(handle) {
@@ -308,38 +326,47 @@ impl PoolBackend for SharedLockMemoryPool {
         self.inner.with(|p| return_buffer(p, buffer))
     }
 
+    #[inline(never)]
     fn grow_blocks(&mut self, n: u64) -> u64 {
         self.with(|p| p.grow_blocks(n))
     }
 
+    #[inline(never)]
     fn resize_to_blocks(&mut self, target_blocks: u64) -> u64 {
         self.with(|p| p.resize_to_blocks(target_blocks))
     }
 
+    #[inline]
     fn total_blocks(&self) -> u64 {
         self.inner.total_blocks.load(Ordering::Acquire)
     }
 
+    #[inline]
     fn total_bytes(&self) -> u64 {
         self.inner.total_bytes.load(Ordering::Acquire)
     }
 
+    #[inline]
     fn total_slots(&self) -> u64 {
         self.inner.total_slots.load(Ordering::Acquire)
     }
 
+    #[inline]
     fn used_slots(&self) -> u64 {
         self.inner.used_slots.load(Ordering::Acquire)
     }
 
+    #[inline]
     fn free_slots(&self) -> u64 {
         self.total_slots().saturating_sub(self.used_slots())
     }
 
+    #[inline]
     fn used_bytes(&self) -> u64 {
         self.used_slots() * self.inner.config.lock_struct_bytes
     }
 
+    #[inline]
     fn free_fraction(&self) -> f64 {
         let total = self.total_slots();
         if total == 0 {
@@ -349,18 +376,22 @@ impl PoolBackend for SharedLockMemoryPool {
         }
     }
 
+    #[inline(never)]
     fn stats(&self) -> PoolStats {
         self.with(|p| p.stats())
     }
 
+    #[inline(never)]
     fn validate(&self) {
         self.with(|p| p.validate())
     }
 
+    #[inline]
     fn is_shared(&self) -> bool {
         true
     }
 
+    #[inline]
     fn flush_cache(&mut self) {
         SharedLockMemoryPool::flush_cache(self)
     }

@@ -76,15 +76,6 @@ impl PoolStats {
             self.slots_free as f64 / self.slots_total as f64
         }
     }
-
-    /// Fraction of slots in use, `[0, 1]`; 0 for an empty pool.
-    pub fn used_fraction(&self) -> f64 {
-        if self.slots_total == 0 {
-            0.0
-        } else {
-            self.slots_used as f64 / self.slots_total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,13 +98,11 @@ mod tests {
     fn fractions() {
         let s = stats(100, 25);
         assert_eq!(s.free_fraction(), 0.75);
-        assert_eq!(s.used_fraction(), 0.25);
     }
 
     #[test]
     fn empty_pool_fractions_are_zero() {
         let s = stats(0, 0);
         assert_eq!(s.free_fraction(), 0.0);
-        assert_eq!(s.used_fraction(), 0.0);
     }
 }
