@@ -48,7 +48,7 @@ impl OracleItl {
     /// Permanent on-page overhead at a given grown ITL size, in bytes
     /// per page. This space is never reclaimed without a reorg — one of
     /// the §2.3 criticisms.
-    pub fn page_overhead_bytes(&self, grown_slots: u32) -> u64 {
+    fn page_overhead_bytes(&self, grown_slots: u32) -> u64 {
         u64::from(grown_slots.clamp(self.initrans, self.maxtrans)) * self.itl_slot_bytes
     }
 
@@ -63,7 +63,7 @@ impl OracleItl {
     /// page as Poisson with mean `lambda`, and `slots` usable slots.
     ///
     /// `P(N >= slots)` for `N ~ Poisson(lambda)`.
-    pub fn itl_wait_probability(lambda: f64, slots: u32) -> f64 {
+    fn itl_wait_probability(lambda: f64, slots: u32) -> f64 {
         assert!(lambda >= 0.0 && lambda.is_finite());
         if slots == 0 {
             return 1.0; // P(N >= 0) = 1
@@ -81,7 +81,7 @@ impl OracleItl {
     /// Effective usable slots when free page space limits ITL growth:
     /// a page with `free_bytes` of slack can host that many more slots
     /// beyond INITRANS, capped at MAXTRANS.
-    pub fn usable_slots(&self, free_bytes: u64) -> u32 {
+    fn usable_slots(&self, free_bytes: u64) -> u32 {
         let extra = (free_bytes / self.itl_slot_bytes) as u32;
         (self.initrans + extra).min(self.maxtrans)
     }

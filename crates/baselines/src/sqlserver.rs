@@ -55,7 +55,7 @@ impl SqlServerModel {
     }
 
     /// Lock-memory level at which escalations begin (40 %).
-    pub fn escalation_bytes(&self) -> u64 {
+    fn escalation_bytes(&self) -> u64 {
         (self.escalation_threshold * self.engine_memory_bytes as f64) as u64
     }
 

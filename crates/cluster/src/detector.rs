@@ -35,12 +35,11 @@
 //! with that bit set).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use locktune_lockmgr::find_victims_in;
 use locktune_net::{ClientError, ReconnectConfig, ReconnectingClient, GID_RESERVED};
+use locktune_service::StopSignal;
 
 use crate::router::{ClusterConfig, ClusterError};
 
@@ -254,21 +253,22 @@ impl ClusterDetector {
     }
 
     /// Run [`ClusterDetector::run_once`] every `interval` on a
-    /// background thread until the handle is stopped.
+    /// background thread until the handle is stopped. A stop cuts the
+    /// sleep between rounds short.
     pub fn spawn(self, interval: Duration) -> DetectorHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let stop = StopSignal::new();
+        let stop2 = stop.clone();
         let mut detector = self;
         let thread = std::thread::Builder::new()
             .name("locktune-cluster-detector".into())
             .spawn(move || {
                 let mut rounds = 0u64;
                 let mut victims = 0u64;
-                while !stop2.load(Ordering::Relaxed) {
+                while !stop2.is_stopped() {
                     let r = detector.run_once();
                     rounds += 1;
                     victims += r.victims.len() as u64;
-                    std::thread::sleep(interval);
+                    stop2.sleep(interval);
                 }
                 (rounds, victims)
             })
@@ -279,14 +279,14 @@ impl ClusterDetector {
 
 /// Handle to a background detector loop.
 pub struct DetectorHandle {
-    stop: Arc<AtomicBool>,
+    stop: StopSignal,
     thread: std::thread::JoinHandle<(u64, u64)>,
 }
 
 impl DetectorHandle {
     /// Stop the loop; returns `(rounds run, victims cancelled)`.
     pub fn stop(self) -> (u64, u64) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.stop();
         self.thread.join().expect("detector thread panicked")
     }
 }
@@ -416,5 +416,26 @@ mod tests {
             .collect();
         victims.sort_unstable();
         assert_eq!(victims, vec![2, 4]);
+    }
+
+    /// `stop` cuts the sleep between rounds short: with a 60 s
+    /// interval the loop is asleep when the stop comes, and the handle
+    /// still returns at once.
+    #[test]
+    fn stop_does_not_wait_out_the_interval() {
+        let handle = ClusterDetector {
+            clients: Vec::new(),
+        }
+        .spawn(Duration::from_secs(60));
+        std::thread::sleep(Duration::from_millis(20));
+        let start = std::time::Instant::now();
+        let (rounds, victims) = handle.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "stop waited {:?} for the interval to end",
+            start.elapsed()
+        );
+        assert!(rounds <= 1, "{rounds} rounds inside one interval");
+        assert_eq!(victims, 0);
     }
 }

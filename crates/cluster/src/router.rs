@@ -400,7 +400,7 @@ impl RoutingClient {
     }
 
     /// The node that owns `res` under the current map.
-    pub fn partition_of(&self, res: ResourceId) -> usize {
+    fn partition_of(&self, res: ResourceId) -> usize {
         self.owners[resource_slot(res, self.nodes.len())]
     }
 

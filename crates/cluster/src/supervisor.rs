@@ -40,7 +40,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use locktune_net::{Client, StopSignal};
+use locktune_net::Client;
+use locktune_service::StopSignal;
 
 use crate::epoch::{EpochMap, MapHandle, NodeState};
 

@@ -44,8 +44,6 @@ pub struct LockMemoryTuner {
     app_percent: AppPercentController,
     /// Target from the previous tick (hysteresis anchor).
     prev_target: Option<u64>,
-    /// Consecutive ticks that observed escalations.
-    escalation_streak: u64,
     /// Ticks processed.
     ticks: u64,
 }
@@ -64,7 +62,6 @@ impl LockMemoryTuner {
             app_percent: AppPercentController::new(params),
             params,
             prev_target: None,
-            escalation_streak: 0,
             ticks: 0,
         }
     }
@@ -77,11 +74,6 @@ impl LockMemoryTuner {
     /// Ticks processed so far.
     pub fn ticks(&self) -> u64 {
         self.ticks
-    }
-
-    /// Consecutive ticks that observed escalations (diagnostics).
-    pub fn escalation_streak(&self) -> u64 {
-        self.escalation_streak
     }
 
     /// Current in-memory `lockPercentPerApplication`.
@@ -121,7 +113,6 @@ impl LockMemoryTuner {
         let current = snap.allocated_bytes;
 
         let (raw_target, mut reason) = if snap.escalations_since_last > 0 {
-            self.escalation_streak += 1;
             let doubled = (current.max(self.params.block_bytes) as f64
                 * self.params.escalation_growth_factor) as u64;
             (
@@ -129,7 +120,6 @@ impl LockMemoryTuner {
                 TuningReason::EscalationDoubling,
             )
         } else {
-            self.escalation_streak = 0;
             let free = snap.free_fraction();
             if free < self.params.min_free_fraction {
                 // Size at which exactly minFree of the allocation is free.
@@ -326,16 +316,13 @@ mod tests {
         let d = t.tick(&s);
         assert_eq!(d.reason, TuningReason::EscalationDoubling);
         assert_eq!(d.target_bytes, 20 * MIB);
-        assert_eq!(t.escalation_streak(), 1);
         // Continuing escalations keep doubling.
         let mut s2 = snap(20 * MIB, 20 * MIB);
         s2.escalations_since_last = 1;
         let d2 = t.tick(&s2);
         assert_eq!(d2.target_bytes, 40 * MIB);
-        assert_eq!(t.escalation_streak(), 2);
-        // Escalations stop: streak resets.
+        // Escalations stop: so does the doubling.
         let d3 = t.tick(&snap(40 * MIB, 20 * MIB));
-        assert_eq!(t.escalation_streak(), 0);
         assert_ne!(d3.reason, TuningReason::EscalationDoubling);
     }
 

@@ -43,7 +43,7 @@ impl Scenario {
     /// ~1050 row locks for ~13 s. At 130 clients this sustains ~160k
     /// held lock structures ≈ 10 MB used ≈ 20 MB tuned allocation
     /// (Fig. 9's ~10x growth over the 2 MB minimal configuration).
-    pub fn heavy_oltp() -> OltpSpec {
+    fn heavy_oltp() -> OltpSpec {
         OltpSpec {
             tables: 9,
             rows_per_table: 4_000_000,
@@ -64,7 +64,7 @@ impl Scenario {
 
     /// Light OLTP profile (Fig. 11): ~300 row locks held ~4 s; at 130
     /// clients the tuned steady state sits near the paper's 8 MB.
-    pub fn light_oltp() -> OltpSpec {
+    fn light_oltp() -> OltpSpec {
         OltpSpec {
             tables: 9,
             rows_per_table: 2_000_000,

@@ -25,7 +25,7 @@
 //!
 //! Injected faults are counted per site ([`FaultInjector::injected`])
 //! so harnesses can pair each injection with the recovery it expects
-//! (a watchdog restart, a client reconnect, a shed cycle). A run can
+//! (a background-job recovery, a client reconnect, a shed cycle). A run can
 //! also [`FaultInjector::disarm`] the injector to get a clean drain
 //! phase after the storm.
 
@@ -75,11 +75,6 @@ impl FaultSite {
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Site for a given tag, if in range.
-    pub fn from_index(i: usize) -> Option<FaultSite> {
-        Self::ALL.get(i).copied()
     }
 
     /// Stable lowercase name for logs and metrics labels.
@@ -357,7 +352,7 @@ impl FaultInjector {
     }
 
     /// Total injections across all sites.
-    pub fn injected_total(&self) -> u64 {
+    fn injected_total(&self) -> u64 {
         self.injected_counts().iter().sum()
     }
 

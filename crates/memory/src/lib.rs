@@ -12,9 +12,9 @@
 //!   the overflow area and its goal, including the `LMO` (lock memory
 //!   taken from overflow between intervals) that §3.2's `LMOmax`
 //!   constrains;
-//! * performance-heap models ([`BufferPool`], [`SortHeap`],
-//!   [`PackageCache`]) whose *demand* signals let STMM rank donors and
-//!   recipients ("least needy" donates, "neediest" receives);
+//! * [`PerfHeap`] — a performance heap's size and demand, by which
+//!   STMM ranks donors and recipients ("least needy" donates,
+//!   "neediest" receives);
 //! * [`Stmm`] — the per-interval controller that runs the
 //!   `locktune-core` tuner, funds growth by shrinking donor heaps,
 //!   distributes shrink proceeds, and restores the overflow goal; and,
@@ -22,16 +22,10 @@
 //!   (the `lockPercentPerApplication` recompute and synchronous growth)
 //!   that the simulator and the service both call.
 
-pub mod bufferpool;
 pub mod database;
 pub mod heap;
-pub mod pkgcache;
-pub mod sortheap;
 pub mod stmm;
 
-pub use bufferpool::BufferPool;
 pub use database::{DatabaseMemory, MemoryConfig};
 pub use heap::{HeapKind, PerfHeap};
-pub use pkgcache::PackageCache;
-pub use sortheap::SortHeap;
 pub use stmm::{IntervalReport, Stmm};

@@ -113,14 +113,6 @@ impl TimeSeries {
             Some(sum / n as f64)
         }
     }
-
-    /// First time the series reaches at least `threshold`.
-    pub fn first_time_at_least(&self, threshold: f64) -> Option<SimTime> {
-        self.points
-            .iter()
-            .find(|&&(_, v)| v >= threshold)
-            .map(|&(t, _)| SimTime::from_micros(t))
-    }
 }
 
 #[cfg(test)]
@@ -180,13 +172,6 @@ mod tests {
         assert_eq!(s.window_mean(t(0), t(11)), Some(3.0));
         assert_eq!(s.window_mean(t(0), t(10)), Some(1.0));
         assert_eq!(s.window_mean(t(30), t(40)), None);
-    }
-
-    #[test]
-    fn first_time_at_least() {
-        let s = series();
-        assert_eq!(s.first_time_at_least(4.0), Some(t(10)));
-        assert_eq!(s.first_time_at_least(99.0), None);
     }
 
     #[test]

@@ -1044,7 +1044,7 @@ fn main() {
             reconnect_stats.failed_attempts,
         );
         println!(
-            "chaos recovery:    {} shed rejections, {} watchdog restarts server-side",
+            "chaos recovery:    {} shed rejections, {} background-job recoveries server-side",
             tally.get(TxnOutcome::Overloaded),
             server.counters.watchdog_restarts,
         );

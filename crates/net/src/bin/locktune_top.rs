@@ -403,7 +403,7 @@ fn fmt_event(e: &JournalEvent) -> String {
             format!("{at}  depot reclaim   {slots} slots")
         }
         EventKind::WatchdogRestart { thread } => {
-            format!("{at}  watchdog        respawned {thread:?} thread")
+            format!("{at}  job recovered   {thread:?} panic caught in place")
         }
         EventKind::ClientEvicted { app } => {
             format!("{at}  client evicted  app {} (reply queue stuck)", app.0)

@@ -18,12 +18,11 @@
 //! [`Reply::Busy`]: crate::wire::Reply::Busy
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_obs::MetricsSnapshot;
-use locktune_service::{BatchOutcome, SpinStats};
+use locktune_service::{BatchOutcome, SpinStats, StopSignal};
 use locktune_sim::SimRng;
 
 use crate::client::{Client, ClientError};
@@ -63,58 +62,6 @@ impl Default for ReconnectConfig {
             seed: 0,
             max_total_attempts: u64::MAX,
         }
-    }
-}
-
-/// Cooperative shutdown flag shared between a [`ReconnectingClient`]
-/// and whoever wants it to stop promptly. The client's connect
-/// backoff sleeps on the signal's condvar instead of
-/// `thread::sleep`, so [`StopSignal::stop`] from another thread cuts
-/// a multi-second backoff short immediately — without it, shutting
-/// down a client stuck reconnecting to a dead node blocks for the
-/// remainder of whatever delay it is sleeping through.
-#[derive(Clone, Default)]
-pub struct StopSignal {
-    inner: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl StopSignal {
-    /// A fresh, un-raised signal.
-    pub fn new() -> StopSignal {
-        StopSignal::default()
-    }
-
-    /// Raise the flag and wake every backoff sleep immediately. Safe
-    /// to call from any thread, any number of times.
-    pub fn stop(&self) {
-        let (flag, cvar) = &*self.inner;
-        *flag.lock().unwrap() = true;
-        cvar.notify_all();
-    }
-
-    /// True once [`StopSignal::stop`] has been called.
-    pub fn is_stopped(&self) -> bool {
-        *self.inner.0.lock().unwrap()
-    }
-
-    /// Sleep up to `dur`, returning early with `true` the moment the
-    /// signal is raised (`false` = slept the full duration). Public
-    /// so any loop pacing itself against a stop request (the cluster
-    /// supervisor's probe loop, a bin's main loop) can share one
-    /// interruptible primitive.
-    pub fn sleep(&self, dur: Duration) -> bool {
-        let (flag, cvar) = &*self.inner;
-        let deadline = Instant::now() + dur;
-        let mut stopped = flag.lock().unwrap();
-        while !*stopped {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = cvar.wait_timeout(stopped, deadline - now).unwrap();
-            stopped = guard;
-        }
-        true
     }
 }
 
@@ -169,7 +116,7 @@ impl ReconnectingClient {
     /// [`StopSignal`], so even the *initial* connect cycle (which can
     /// spend the whole attempt budget backing off against a dead
     /// node) can be interrupted from another thread.
-    pub fn connect_with_stop(
+    fn connect_with_stop(
         addr: impl ToSocketAddrs,
         config: ReconnectConfig,
         stop: StopSignal,
@@ -469,6 +416,7 @@ fn stop_error() -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// A stop raised mid-backoff interrupts the sleep immediately:
     /// against a dead address whose cycle would otherwise back off

@@ -68,7 +68,8 @@ pub enum EventKind {
         /// Slots the sweep reclaimed.
         slots: u64,
     },
-    /// The watchdog found a dead background thread and respawned it.
+    /// A background job (tuning interval or deadlock sweep) panicked,
+    /// and the service's background loop recovered in place.
     WatchdogRestart {
         /// Which thread was restarted.
         thread: ThreadRole,
@@ -118,12 +119,12 @@ pub enum EventKind {
     },
 }
 
-/// Background thread named by a [`EventKind::WatchdogRestart`].
+/// Background job named by a [`EventKind::WatchdogRestart`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadRole {
-    /// The STMM tuning thread.
+    /// The STMM tuning interval.
     Tuner,
-    /// The deadlock sweeper.
+    /// The deadlock sweep.
     Sweeper,
 }
 

@@ -239,7 +239,7 @@ impl Obs {
         );
     }
 
-    /// The watchdog respawned a dead background thread.
+    /// A panicked background job was recovered from in place.
     pub fn record_watchdog_restart(&self, thread: journal::ThreadRole) {
         self.note(
             &self.counters.watchdog_restarts,

@@ -117,7 +117,7 @@ counters! {
         depot_reclaimed_slots: "Reserved, always 0, like depot_reclaim_sweeps.", off;
         journal_recorded: "Events recorded into the journal.", total(journal_events);
         journal_dropped: "Events dropped because the journal was full.", total;
-        watchdog_restarts: "Dead tuner/sweeper threads respawned by the watchdog.", total;
+        watchdog_restarts: "Panicked tuner/sweeper jobs recovered in place.", total;
         clients_evicted: "Clients evicted for a reply queue stuck at capacity.", total;
         shed_engaged: "Times shed mode engaged under sustained pool exhaustion.", total;
         shed_released: "Times shed mode released.", total;

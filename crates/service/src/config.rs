@@ -24,7 +24,8 @@ pub enum ConfigError {
     /// A background thread could not be spawned (OS resource failure,
     /// not a configuration mistake).
     Spawn {
-        /// Which thread (`"tuning"` / `"deadlock"` / `"watchdog"`).
+        /// Which thread (`"background"` for a service, `"arbiter"` for
+        /// a tenant directory).
         thread: &'static str,
         /// The OS error, stringified (io::Error is not `Clone`).
         message: String,
@@ -71,11 +72,14 @@ pub struct ServiceConfig {
     ///
     /// [`LockManager`]: locktune_lockmgr::LockManager
     pub shards: usize,
-    /// Wake-up period of the STMM tuning thread. The paper runs 30 s
-    /// intervals (DB2 allows 0.5–10 min); tests and the in-process
-    /// example use milliseconds so grow/shrink cycles happen in-process.
+    /// Period of the STMM tuning interval: the background thread runs
+    /// the tuner this long after the previous interval finished. The
+    /// paper runs 30 s intervals (DB2 allows 0.5–10 min); tests and the
+    /// in-process example use milliseconds so grow/shrink cycles happen
+    /// in-process.
     pub tuning_interval: Duration,
-    /// Sweep period of the deadlock detector thread.
+    /// Period of the deadlock sweep, which the same background thread
+    /// runs this long after the previous sweep finished.
     pub deadlock_interval: Duration,
     /// How long a blocked lock request waits before giving up
     /// (`LOCKTIMEOUT`). `None` waits forever (DB2's default of -1).
@@ -100,11 +104,6 @@ pub struct ServiceConfig {
     pub params: TunerParams,
     /// Per-shard lock manager structure.
     pub manager: LockManagerConfig,
-    /// How often the watchdog thread checks the tuner and deadlock
-    /// sweeper for unexpected exits (a panic, injected or otherwise)
-    /// and respawns the dead thread. `Duration::ZERO` disables the
-    /// watchdog entirely — no thread is spawned.
-    pub watchdog_interval: Duration,
     /// Shed mode: once this many `OutOfLockMemory` denials surface to
     /// sessions within one tuning interval, the service stops
     /// accepting new lock requests ([`ServiceError::Overloaded`])
@@ -143,7 +142,6 @@ impl Default for ServiceConfig {
             heap_fraction: 0.70,
             params: TunerParams::default(),
             manager: LockManagerConfig::default(),
-            watchdog_interval: Duration::from_millis(250),
             shed_oom_threshold: 0,
             tenant_id: None,
         }
@@ -160,7 +158,6 @@ impl ServiceConfig {
             deadlock_interval: Duration::from_millis(10),
             lock_wait_timeout: Some(Duration::from_secs(2)),
             initial_lock_bytes: 2 * 1024 * 1024,
-            watchdog_interval: Duration::from_millis(20),
             ..Default::default()
         }
     }

@@ -15,16 +15,17 @@
 //!   hash, each behind its own [`Latch`] (spin, yield, then block —
 //!   see [`latch`]), all charging one
 //!   [`SharedLockMemoryPool`];
-//! * a **tuning thread** waking every `tuning_interval` to run the
-//!   paper's tuner (50 % free target, δ_reduce shrink, hysteresis,
-//!   escalation-driven doubling) over the shared pool;
-//! * a **deadlock sweeper** unioning per-shard wait-for edges into the
-//!   global graph;
+//! * one **background thread** that runs two periodic jobs: the
+//!   paper's tuner every `tuning_interval` (50 % free target, δ_reduce
+//!   shrink, hysteresis, escalation-driven doubling) over the shared
+//!   pool, and the deadlock sweep every `deadlock_interval`, unioning
+//!   per-shard wait-for edges into the global graph;
 //! * blocking [`Session`] handles that park on their own event sink
 //!   until a grant or abort arrives, with `LOCKTIMEOUT` support,
 //!   waiting through the shared spin-then-park policy in [`spin`];
 //! * one single-consumer [`Mailbox`] for every hand-off between threads
-//!   (session and I/O-shard events, the network server's queues);
+//!   (session and I/O-shard events, the network server's queues), and
+//!   one [`StopSignal`] for every loop that paces itself;
 //! * one batch engine, [`step::BatchMachine`], which blocking sessions
 //!   and the evented network core both drive;
 //! * one transaction loop, [`txn`], that every load generator (in
@@ -39,6 +40,7 @@ pub mod mailbox;
 pub mod service;
 pub mod spin;
 pub mod step;
+pub mod stop;
 mod tuning;
 pub mod txn;
 
@@ -47,9 +49,10 @@ pub use latch::Latch;
 pub use locktune_faults::{FaultInjector, FaultPlan, FaultSite};
 pub use mailbox::{CloseOnDrop, Mailbox};
 pub use service::{
-    BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ShutdownReport,
-    ThreadExit, ThreadHealth, TuningCounters,
+    BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ThreadHealth,
+    TuningCounters,
 };
 pub use spin::{SpinPark, SpinStats};
 pub use step::{BatchMachine, Step};
+pub use stop::StopSignal;
 pub use txn::{run, run_txn, Tally, TxnBackend, TxnOutcome, Verdict};

@@ -3,17 +3,20 @@
 //! N independent [`LockManager`] shards, selected by **table** hash
 //! (a row and its covering table intent lock must land on the same
 //! shard so multi-granularity checks and escalation stay shard-local),
-//! all drawing lock structures from one [`SharedLockMemoryPool`]. Two
-//! background threads provide the database-wide services the shards
-//! cannot do alone:
+//! all drawing lock structures from one [`SharedLockMemoryPool`]. One
+//! background thread runs the two database-wide jobs the shards cannot
+//! do alone, each when its deadline comes due:
 //!
-//! * the **tuning thread** wakes every `tuning_interval`, aggregates
+//! * the **tuning interval**, every `tuning_interval`, aggregates
 //!   shard statistics, runs the paper's STMM tuner over the shared
 //!   pool and applies the grow/shrink decision;
-//! * the **deadlock sweeper** wakes every `deadlock_interval`, unions
-//!   the per-shard wait-for edges (application ids are global, so a
+//! * the **deadlock sweep**, every `deadlock_interval`, unions the
+//!   per-shard wait-for edges (application ids are global, so a
 //!   cross-shard cycle appears once the edges are combined), picks
 //!   victims and aborts them.
+//!
+//! A job that panics is caught where it runs; the loop counts the
+//! recovery and carries on with the next deadline.
 //!
 //! Every session has an [`EventSink`]; grants discovered while any
 //! thread releases locks, and deadlock aborts, are pushed to the
@@ -23,9 +26,10 @@
 //! engine, [`crate::step::BatchMachine`], whichever way they wait.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use locktune_core::TunerParams;
 use locktune_faults::{FaultInjector, FaultSite, SITE_COUNT};
@@ -44,6 +48,7 @@ use crate::latch::Latch;
 use crate::mailbox::Mailbox;
 use crate::spin::SpinPark;
 use crate::step::{BatchMachine, WaitState};
+use crate::stop::StopSignal;
 use crate::tuning::{ServiceHooks, TuningShared};
 
 /// Whether the hot-path recording call sites are live. A `const` so
@@ -272,84 +277,19 @@ impl ReportLog {
     }
 }
 
-/// How a background thread left its loop, as observed at join time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThreadExit {
-    /// The loop saw the shutdown flag and returned.
-    #[default]
-    Clean,
-    /// The thread panicked (join returned an error payload).
-    Panicked,
-}
-
-/// Liveness snapshot of the background threads, plus how many times
-/// the watchdog has had to respawn each one.
+/// Liveness of the background thread, plus how many panics each of
+/// its two jobs has recovered from. [`LockService::shutdown`] returns
+/// the final value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadHealth {
-    /// The tuning thread is running.
-    pub tuner_alive: bool,
-    /// The deadlock sweeper is running.
-    pub sweeper_alive: bool,
-    /// Tuner respawns since start.
+    /// The background thread is running. In the value
+    /// [`LockService::shutdown`] returns: it was still running when
+    /// the stop came, and exited on it.
+    pub alive: bool,
+    /// Tuning intervals that panicked and were recovered from.
     pub tuner_restarts: u64,
-    /// Sweeper respawns since start.
+    /// Deadlock sweeps that panicked and were recovered from.
     pub sweeper_restarts: u64,
-}
-
-/// What [`LockService::shutdown`] observed while joining the
-/// background threads: the final exit kind of each, and the lifetime
-/// restart totals. A healthy run reports `Clean`/`Clean` with zero
-/// restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShutdownReport {
-    /// Final exit of the tuning thread.
-    pub tuner: ThreadExit,
-    /// Final exit of the deadlock sweeper.
-    pub sweeper: ThreadExit,
-    /// Tuner respawns over the service's lifetime.
-    pub tuner_restarts: u64,
-    /// Sweeper respawns over the service's lifetime.
-    pub sweeper_restarts: u64,
-}
-
-impl ShutdownReport {
-    /// True when both threads exited cleanly at shutdown (they may
-    /// still have been restarted earlier; check the counters).
-    pub fn is_clean(&self) -> bool {
-        self.tuner == ThreadExit::Clean && self.sweeper == ThreadExit::Clean
-    }
-}
-
-/// One background thread's join handle and its most recent observed
-/// exit. The handle lives here (not on [`LockService`]) so the
-/// watchdog can join a dead thread and install the respawn's handle.
-#[derive(Default)]
-struct ThreadSlot {
-    handle: Option<std::thread::JoinHandle<()>>,
-    last_exit: ThreadExit,
-}
-
-impl ThreadSlot {
-    fn is_alive(&self) -> bool {
-        self.handle.as_ref().is_some_and(|h| !h.is_finished())
-    }
-
-    /// Join `handle` (which must be finished or finishing) and record
-    /// how it exited.
-    fn join(&mut self) {
-        if let Some(h) = self.handle.take() {
-            self.last_exit = match h.join() {
-                Ok(()) => ThreadExit::Clean,
-                Err(_) => ThreadExit::Panicked,
-            };
-        }
-    }
-}
-
-#[derive(Default)]
-struct ThreadTable {
-    tuner: ThreadSlot,
-    sweeper: ThreadSlot,
 }
 
 pub(crate) struct ServiceInner {
@@ -369,9 +309,6 @@ pub(crate) struct ServiceInner {
     /// Fault-injection plan. Disabled (every check constant-false) in
     /// production; [`LockService::start_with_faults`] arms it.
     faults: FaultInjector,
-    /// The background threads' handles, owned behind a lock so the
-    /// watchdog can swap in respawns while the service runs.
-    threads: Latch<ThreadTable>,
     tuner_restarts: AtomicU64,
     sweeper_restarts: AtomicU64,
     /// Upper bound on the lock pool's size in bytes, `0` = unlimited.
@@ -391,9 +328,8 @@ pub(crate) struct ServiceInner {
     /// interval journals the delta (same mirror pattern as the
     /// allocator's reclaim counters).
     fault_seen: Latch<[u64; SITE_COUNT]>,
-    shutdown: AtomicBool,
-    park: Latch<()>,
-    park_cv: Condvar,
+    /// Paces the background loop; raised once, at shutdown.
+    stop: StopSignal,
 }
 
 impl ServiceInner {
@@ -537,9 +473,8 @@ impl ServiceInner {
         true
     }
 
-    /// Kill the calling background thread if the fault plan says so.
-    /// Sits at the top of the loop body, so no latch is held when the
-    /// panic unwinds.
+    /// Panic the running job if the fault plan says so. Sits at the
+    /// top of the job, so no latch is held when the panic unwinds.
     fn maybe_inject_panic(&self, site: FaultSite) {
         if self.faults.should(site) {
             panic!("injected {site} fault");
@@ -659,118 +594,76 @@ impl ServiceInner {
         report
     }
 
-    /// Flag shutdown and wake the background threads.
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Lock and release the park mutex between the store and the
-        // notify: a background thread that has locked `park` and seen
-        // `shutdown == false` but not yet begun waiting would otherwise
-        // miss the notification and sleep out its full interval.
-        drop(self.park.lock());
-        self.park_cv.notify_all();
-    }
-
-    /// Park for `interval` or until shutdown wakes the thread early.
-    /// Returns false once the service is shutting down.
-    fn park(&self, interval: Duration) -> bool {
-        let g = self.park.lock();
-        if self.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        drop(
-            self.park_cv
-                .wait_timeout(g, interval)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        !self.shutdown.load(Ordering::Acquire)
-    }
-}
-
-/// Spawn the STMM tuning thread.
-fn spawn_tuner(inner: Arc<ServiceInner>) -> std::io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("locktune-stmm".into())
-        .spawn(move || {
-            while inner.park(inner.config.tuning_interval) {
-                inner.maybe_inject_panic(FaultSite::TunerPanic);
-                inner.run_tuning_interval();
+    /// Run one background job. A panic is caught here: no latch
+    /// outlives it ([`Latch`] ignores poison) and no lock-table state
+    /// is touched outside the shard latches, so the next run picks up
+    /// where this one stopped. The recovery is counted and journaled.
+    fn run_job(&self, role: ThreadRole) {
+        let job = || match role {
+            ThreadRole::Tuner => {
+                self.maybe_inject_panic(FaultSite::TunerPanic);
+                self.run_tuning_interval();
             }
-        })
-}
-
-/// Spawn the deadlock sweeper thread.
-fn spawn_sweeper(inner: Arc<ServiceInner>) -> std::io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("locktune-deadlock".into())
-        .spawn(move || {
-            while inner.park(inner.config.deadlock_interval) {
-                inner.maybe_inject_panic(FaultSite::SweeperPanic);
-                inner.sweep_deadlocks();
+            ThreadRole::Sweeper => {
+                self.maybe_inject_panic(FaultSite::SweeperPanic);
+                self.sweep_deadlocks();
             }
-        })
-}
-
-/// One watchdog pass: join any background thread that died and, if
-/// the service is still running, respawn it. A panic between two loop
-/// iterations loses at most one interval of tuning or sweeping — no
-/// lock-table state is touched outside the shard latches, so the
-/// respawn picks up exactly where the victim left off.
-fn watchdog_scan(inner: &Arc<ServiceInner>) {
-    let mut table = inner.threads.lock();
-    for role in [ThreadRole::Tuner, ThreadRole::Sweeper] {
-        let slot = match role {
-            ThreadRole::Tuner => &mut table.tuner,
-            ThreadRole::Sweeper => &mut table.sweeper,
         };
-        if slot.handle.is_none() || slot.is_alive() {
-            continue;
-        }
-        slot.join();
-        if inner.shutdown.load(Ordering::Acquire) || slot.last_exit == ThreadExit::Clean {
-            // A clean exit without shutdown cannot happen (the loops
-            // only return on the flag); respawning one would mask the
-            // bug if it ever does.
-            continue;
-        }
-        let spawned = match role {
-            ThreadRole::Tuner => spawn_tuner(Arc::clone(inner)),
-            ThreadRole::Sweeper => spawn_sweeper(Arc::clone(inner)),
-        };
-        if let Ok(handle) = spawned {
-            slot.handle = Some(handle);
+        if catch_unwind(AssertUnwindSafe(job)).is_err() {
             let restarts = match role {
-                ThreadRole::Tuner => &inner.tuner_restarts,
-                ThreadRole::Sweeper => &inner.sweeper_restarts,
+                ThreadRole::Tuner => &self.tuner_restarts,
+                ThreadRole::Sweeper => &self.sweeper_restarts,
             };
             restarts.fetch_add(1, Ordering::Relaxed);
             if OBS_ENABLED {
-                inner.obs.record_watchdog_restart(role);
+                self.obs.record_watchdog_restart(role);
             }
         }
-        // Respawn failure (OS thread exhaustion): leave the slot
-        // empty; `thread_health` reports the thread dead and the next
-        // scan retries nothing — the condition is not transient at
-        // this scale.
+    }
+
+    /// The background loop: sleep until the earlier of the two jobs'
+    /// deadlines, run that job, and set its next deadline one interval
+    /// after it finished. Returns once the stop signal is raised.
+    fn background_loop(&self) {
+        let now = Instant::now();
+        let mut next_tune = now + self.config.tuning_interval;
+        let mut next_sweep = now + self.config.deadlock_interval;
+        loop {
+            let (role, due) = if next_tune <= next_sweep {
+                (ThreadRole::Tuner, next_tune)
+            } else {
+                (ThreadRole::Sweeper, next_sweep)
+            };
+            if self.stop.sleep_until(due) {
+                return;
+            }
+            self.run_job(role);
+            let next = Instant::now();
+            match role {
+                ThreadRole::Tuner => next_tune = next + self.config.tuning_interval,
+                ThreadRole::Sweeper => next_sweep = next + self.config.deadlock_interval,
+            }
+        }
     }
 }
 
 /// The concurrent lock service. See the module docs for the design.
 pub struct LockService {
     inner: Arc<ServiceInner>,
-    watchdog_thread: Option<std::thread::JoinHandle<()>>,
+    /// The background loop; taken when it is joined.
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LockService {
     /// Validate `config`, build the shards and start the background
-    /// threads.
+    /// thread.
     pub fn start(config: ServiceConfig) -> Result<LockService, ConfigError> {
         Self::start_with_faults(config, FaultInjector::disabled())
     }
 
     /// [`LockService::start`] with an armed fault injector: the pool's
     /// allocator consults it before every slot allocation and the
-    /// background threads consult it at the top of every loop
-    /// iteration. Pass the same injector (it is a cheap `Arc` clone)
+    /// background jobs consult it each time they start. Pass the same injector (it is a cheap `Arc` clone)
     /// to the network server to correlate wire faults with service
     /// faults under one seed. With the `faults` feature off the
     /// injector is inert and this is identical to `start`.
@@ -806,69 +699,26 @@ impl LockService {
             grow_decisions: AtomicU64::new(0),
             shrink_decisions: AtomicU64::new(0),
             faults,
-            threads: Latch::new(ThreadTable::default()),
             tuner_restarts: AtomicU64::new(0),
             sweeper_restarts: AtomicU64::new(0),
             lock_memory_ceiling: AtomicU64::new(0),
             shed: AtomicBool::new(false),
             shed_ooms: AtomicU64::new(0),
             fault_seen: Latch::new([0; SITE_COUNT]),
-            shutdown: AtomicBool::new(false),
-            park: Latch::new(()),
-            park_cv: Condvar::new(),
+            stop: StopSignal::new(),
         });
 
-        let tuner = spawn_tuner(Arc::clone(&inner)).map_err(|e| ConfigError::Spawn {
-            thread: "tuning",
-            message: e.to_string(),
-        })?;
-        let sweeper = match spawn_sweeper(Arc::clone(&inner)) {
-            Ok(t) => t,
-            Err(e) => {
-                // Don't leak the already-running tuner thread.
-                inner.request_shutdown();
-                let _ = tuner.join();
-                return Err(ConfigError::Spawn {
-                    thread: "deadlock",
-                    message: e.to_string(),
-                });
-            }
-        };
-        {
-            let mut table = inner.threads.lock();
-            table.tuner.handle = Some(tuner);
-            table.sweeper.handle = Some(sweeper);
-        }
-
-        let watchdog_thread = if inner.config.watchdog_interval.is_zero() {
-            None
-        } else {
-            let wd = Arc::clone(&inner);
-            let spawned = std::thread::Builder::new()
-                .name("locktune-watchdog".into())
-                .spawn(move || {
-                    while wd.park(wd.config.watchdog_interval) {
-                        watchdog_scan(&wd);
-                    }
-                });
-            match spawned {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    inner.request_shutdown();
-                    let mut table = inner.threads.lock();
-                    table.tuner.join();
-                    table.sweeper.join();
-                    return Err(ConfigError::Spawn {
-                        thread: "watchdog",
-                        message: e.to_string(),
-                    });
-                }
-            }
-        };
-
+        let looped = Arc::clone(&inner);
+        let thread = std::thread::Builder::new()
+            .name("locktune-background".into())
+            .spawn(move || looped.background_loop())
+            .map_err(|e| ConfigError::Spawn {
+                thread: "background",
+                message: e.to_string(),
+            })?;
         Ok(LockService {
             inner,
-            watchdog_thread,
+            thread: Some(thread),
         })
     }
 
@@ -1207,20 +1057,23 @@ impl LockService {
         self.inner.config.params
     }
 
-    /// Liveness of the background threads (and the watchdog's restart
-    /// totals). Cheap — one table lock and two `is_finished` probes —
-    /// so health endpoints can poll it.
+    /// Liveness of the background thread and its jobs' recovery
+    /// totals. Cheap — one `is_finished` probe and two loads — so
+    /// health endpoints can poll it.
     pub fn thread_health(&self) -> ThreadHealth {
-        let table = self.inner.threads.lock();
+        let alive = self.thread.as_ref().is_some_and(|t| !t.is_finished());
+        self.health(alive)
+    }
+
+    fn health(&self, alive: bool) -> ThreadHealth {
         ThreadHealth {
-            tuner_alive: table.tuner.is_alive(),
-            sweeper_alive: table.sweeper.is_alive(),
+            alive,
             tuner_restarts: self.inner.tuner_restarts.load(Ordering::Relaxed),
             sweeper_restarts: self.inner.sweeper_restarts.load(Ordering::Relaxed),
         }
     }
 
-    /// Total background-thread respawns (tuner + sweeper) since start.
+    /// Total background-job recoveries (tuner + sweeper) since start.
     pub fn watchdog_restarts(&self) -> u64 {
         self.inner.tuner_restarts.load(Ordering::Relaxed)
             + self.inner.sweeper_restarts.load(Ordering::Relaxed)
@@ -1271,34 +1124,22 @@ impl LockService {
         }
     }
 
-    /// Stop the background threads and return once they have joined,
-    /// reporting whether each exited cleanly or panicked.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        self.stop_threads()
+    /// Stop the background thread and return once it has joined,
+    /// with the final [`ThreadHealth`].
+    pub fn shutdown(mut self) -> ThreadHealth {
+        self.stop_thread()
     }
 
-    fn stop_threads(&mut self) -> ShutdownReport {
-        self.inner.request_shutdown();
-        // Watchdog first: once it is gone, nothing respawns the
-        // threads we are about to join.
-        if let Some(t) = self.watchdog_thread.take() {
-            let _ = t.join();
-        }
-        let mut table = self.inner.threads.lock();
-        table.tuner.join();
-        table.sweeper.join();
-        ShutdownReport {
-            tuner: table.tuner.last_exit,
-            sweeper: table.sweeper.last_exit,
-            tuner_restarts: self.inner.tuner_restarts.load(Ordering::Relaxed),
-            sweeper_restarts: self.inner.sweeper_restarts.load(Ordering::Relaxed),
-        }
+    fn stop_thread(&mut self) -> ThreadHealth {
+        self.inner.stop.stop();
+        let alive = self.thread.take().is_some_and(|t| t.join().is_ok());
+        self.health(alive)
     }
 }
 
 impl Drop for LockService {
     fn drop(&mut self) {
-        let _ = self.stop_threads();
+        let _ = self.stop_thread();
     }
 }
 

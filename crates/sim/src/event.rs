@@ -86,11 +86,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| e.0)
     }
 
-    /// The firing time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -169,11 +164,6 @@ impl<E> Simulator<E> {
         Some(ev)
     }
 
-    /// Firing time of the next event without consuming it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -236,15 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut sim = Simulator::new();
-        sim.schedule_in(SimDuration::from_secs(1), 42);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.next().unwrap().event, 42);
-    }
-
-    #[test]
     fn schedule_at_current_instant_is_allowed() {
         let mut sim = Simulator::new();
         sim.schedule_at(SimTime::ZERO, "now");
@@ -259,7 +240,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
     }
 
     #[test]

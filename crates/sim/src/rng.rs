@@ -85,16 +85,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_inclusive requires lo <= hi");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(span + 1)
-    }
-
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
@@ -150,29 +140,6 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut r = SimRng::seed_from_u64(13);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(5, 8) {
-                5 => lo_seen = true,
-                8 => hi_seen = true,
-                x => assert!((5..=8).contains(&x)),
-            }
-        }
-        assert!(lo_seen && hi_seen);
-    }
-
-    #[test]
-    fn range_inclusive_degenerate() {
-        let mut r = SimRng::seed_from_u64(17);
-        assert_eq!(r.range_inclusive(3, 3), 3);
-        // Full u64 range must not overflow.
-        let _ = r.range_inclusive(0, u64::MAX);
     }
 
     #[test]

@@ -20,14 +20,16 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use locktune_faults::FaultInjector;
 use locktune_lockmgr::LockStats;
 use locktune_obs::ObsCounters;
-use locktune_service::{ConfigError, Latch, LockService, ServiceConfig, TuningCounters};
+use locktune_service::{
+    ConfigError, Latch, LockService, ServiceConfig, StopSignal, TuningCounters,
+};
 
 use crate::config::{TenantsConfig, TenantsConfigError};
 use crate::ledger::{BudgetLedger, LedgerError, TenantBudget};
@@ -258,31 +260,11 @@ struct DirInner {
     arbitrations: AtomicU64,
     donations_total: AtomicU64,
     donated_bytes_total: AtomicU64,
-    shutdown: AtomicBool,
-    park: Latch<()>,
-    park_cv: Condvar,
+    /// Paces the arbiter; raised once, at shutdown.
+    stop: StopSignal,
 }
 
 impl DirInner {
-    fn park(&self, interval: Duration) -> bool {
-        let g = self.park.lock();
-        if self.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        drop(
-            self.park_cv
-                .wait_timeout(g, interval)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        !self.shutdown.load(Ordering::Acquire)
-    }
-
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        drop(self.park.lock());
-        self.park_cv.notify_all();
-    }
-
     /// One arbitration pass. See the module docs for the algorithm.
     fn arbitrate(&self) -> ArbitrationOutcome {
         let mut state = self.state.lock();
@@ -459,9 +441,7 @@ impl TenantDirectory {
             arbitrations: AtomicU64::new(0),
             donations_total: AtomicU64::new(0),
             donated_bytes_total: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            park: Latch::new(()),
-            park_cv: Condvar::new(),
+            stop: StopSignal::new(),
             config,
         });
         let arbiter_thread = if config.arbiter_interval.is_zero() {
@@ -471,7 +451,7 @@ impl TenantDirectory {
             let handle = std::thread::Builder::new()
                 .name("locktune-arbiter".into())
                 .spawn(move || {
-                    while arb.park(arb.config.arbiter_interval) {
+                    while !arb.stop.sleep(arb.config.arbiter_interval) {
                         arb.arbitrate();
                     }
                 })
@@ -712,7 +692,7 @@ impl TenantDirectory {
     }
 
     fn stop_arbiter(&mut self) {
-        self.inner.request_shutdown();
+        self.inner.stop.stop();
         if let Some(t) = self.arbiter_thread.take() {
             let _ = t.join();
         }

@@ -23,18 +23,6 @@ pub struct DssSpec {
 }
 
 impl DssSpec {
-    /// §5.3-shaped default: a share-mode scan of half a million rows at
-    /// ~20k locks/s (60× growth within ~25 s of injection).
-    pub fn reporting_default(table: u32) -> Self {
-        DssSpec {
-            row_locks: 500_000,
-            table,
-            table_rows: 1_000_000,
-            locks_per_second: 20_000.0,
-            exclusive: false,
-        }
-    }
-
     /// Materialize the query as a transaction plan.
     ///
     /// Rows are visited in a pseudo-random permutation-ish order (stride
@@ -86,9 +74,21 @@ impl DssPlan {
 mod tests {
     use super::*;
 
+    /// §5.3-shaped: a share-mode scan of half a million rows at ~20k
+    /// locks/s (60× growth within ~25 s of injection).
+    fn reporting(table: u32) -> DssSpec {
+        DssSpec {
+            row_locks: 500_000,
+            table,
+            table_rows: 1_000_000,
+            locks_per_second: 20_000.0,
+            exclusive: false,
+        }
+    }
+
     #[test]
     fn default_is_massive() {
-        let spec = DssSpec::reporting_default(3);
+        let spec = reporting(3);
         let mut rng = SimRng::seed_from_u64(1);
         let plan = spec.plan(&mut rng);
         assert_eq!(plan.txn.lock_count(), 500_000);
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let spec = DssSpec::reporting_default(1);
+        let spec = reporting(1);
         let mut a = SimRng::seed_from_u64(5);
         let mut b = SimRng::seed_from_u64(5);
         assert_eq!(spec.plan(&mut a), spec.plan(&mut b));

@@ -44,20 +44,6 @@ impl Schedule {
         &self.changes
     }
 
-    /// The client count in force at `at` (0 before the first
-    /// `SetClients`).
-    pub fn clients_at(&self, at: SimTime) -> u32 {
-        self.changes
-            .iter()
-            .take_while(|&&(t, _)| t <= at)
-            .filter_map(|&(_, c)| match c {
-                PhaseChange::SetClients(n) => Some(n),
-                _ => None,
-            })
-            .last()
-            .unwrap_or(0)
-    }
-
     /// Convenience: constant client count for the whole run.
     pub fn steady(clients: u32, end: SimTime) -> Self {
         Schedule::new(vec![(SimTime::ZERO, PhaseChange::SetClients(clients))], end)
@@ -94,11 +80,25 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The client count in force at `at` (0 before the first
+    /// `SetClients`).
+    fn clients_at(s: &Schedule, at: SimTime) -> u32 {
+        s.changes()
+            .iter()
+            .take_while(|&&(t, _)| t <= at)
+            .filter_map(|&(_, c)| match c {
+                PhaseChange::SetClients(n) => Some(n),
+                _ => None,
+            })
+            .last()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn steady_schedule() {
         let s = Schedule::steady(130, t(100));
-        assert_eq!(s.clients_at(t(0)), 130);
-        assert_eq!(s.clients_at(t(99)), 130);
+        assert_eq!(clients_at(&s, t(0)), 130);
+        assert_eq!(clients_at(&s, t(99)), 130);
         assert_eq!(s.end(), t(100));
     }
 
@@ -111,10 +111,10 @@ mod tests {
             ],
             t(3000),
         );
-        assert_eq!(s.clients_at(t(0)), 50);
-        assert_eq!(s.clients_at(t(1499)), 50);
-        assert_eq!(s.clients_at(t(1500)), 130);
-        assert_eq!(s.clients_at(t(2999)), 130);
+        assert_eq!(clients_at(&s, t(0)), 50);
+        assert_eq!(clients_at(&s, t(1499)), 50);
+        assert_eq!(clients_at(&s, t(1500)), 130);
+        assert_eq!(clients_at(&s, t(2999)), 130);
     }
 
     #[test]
@@ -122,11 +122,11 @@ mod tests {
         let s = Schedule::ramp(1, 130, t(0), t(300), 20, t(600));
         let mut prev = 0;
         for sec in (0..600).step_by(10) {
-            let c = s.clients_at(t(sec));
+            let c = clients_at(&s, t(sec));
             assert!(c >= prev, "ramp decreased at {sec}");
             prev = c;
         }
-        assert_eq!(s.clients_at(t(300)), 130);
+        assert_eq!(clients_at(&s, t(300)), 130);
     }
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
             t(100),
         );
         assert_eq!(s.changes()[0].0, t(10));
-        assert_eq!(s.clients_at(t(20)), 1);
+        assert_eq!(clients_at(&s, t(20)), 1);
     }
 
     #[test]
@@ -151,6 +151,6 @@ mod tests {
     #[test]
     fn clients_before_first_change_is_zero() {
         let s = Schedule::new(vec![(t(10), PhaseChange::SetClients(5))], t(20));
-        assert_eq!(s.clients_at(t(5)), 0);
+        assert_eq!(clients_at(&s, t(5)), 0);
     }
 }
