@@ -37,136 +37,95 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use locktune_net::{Client, MetricsSnapshot, TenantDonation, TenantStatsReply};
+use locktune_cli::fail;
+use locktune_net::{Client, ClientError, MetricsSnapshot, TenantDonation, TenantStatsReply};
 use locktune_obs::{prom, EventKind, JournalEvent, ObsCounters};
 
-struct Args {
-    addr: String,
-    interval_ms: u64,
-    frames: u64,
-    max_events: u32,
-    once: bool,
-    tenants: bool,
-    cluster: Vec<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7474".into(),
-        interval_ms: 500,
-        frames: 0,
-        max_events: 64,
-        once: false,
-        tenants: false,
-        cluster: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--interval-ms" => args.interval_ms = parse(&value("--interval-ms")?, "--interval-ms")?,
-            "--frames" => args.frames = parse(&value("--frames")?, "--frames")?,
-            "--max-events" => args.max_events = parse(&value("--max-events")?, "--max-events")?,
-            "--once" => args.once = true,
-            "--tenants" => args.tenants = true,
-            "--cluster" => {
-                args.cluster = value("--cluster")?
-                    .split(',')
-                    .map(str::to_string)
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if args.cluster.is_empty() {
-                    return Err("--cluster needs at least one HOST:PORT".into());
-                }
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
+locktune_cli::config! {
+    Args {
+        addr: String = "127.0.0.1:7474".into(), value "--addr";
+        interval_ms: u64 = 500, value "--interval-ms";
+        frames: u64 = 0, value "--frames";
+        max_events: u32 = 64, value "--max-events";
+        once: bool = false, switch "--once";
+        tenants: bool = false, switch "--tenants";
+        cluster: Option<String> = None, opt "--cluster";
     }
-    Ok(args)
-}
-
-fn parse<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {name}"))
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("locktune-top: {e}");
-            std::process::exit(1);
-        }
-    };
-    if !args.cluster.is_empty() {
-        cluster_view(&args);
+    let mut args = Args::default();
+    let parsed = args.flags().parse(std::env::args().skip(1));
+    parsed.unwrap_or_else(|e| fail("locktune-top", e, 1));
+    fn scrape_failed<T>(what: &str, e: ClientError) -> T {
+        fail("locktune-top", format!("{what} scrape failed: {e}"), 2)
     }
-    let mut client = match Client::connect(&args.addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("locktune-top: connect {}: {e}", args.addr);
-            std::process::exit(2);
+    if let Some(nodes) = &args.cluster {
+        let nodes: Vec<_> = nodes
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(String::from)
+            .collect();
+        if nodes.is_empty() {
+            fail("locktune-top", "--cluster needs at least one HOST:PORT", 1);
         }
-    };
-
+        // A node that fails a scrape is drawn DOWN and re-dialed next
+        // frame: kills and partitions are what this panel is for.
+        let mut clients: Vec<Option<Client>> = nodes.iter().map(|_| None).collect();
+        every_frame(&args, || {
+            let snaps: Vec<_> = (clients.iter_mut().zip(&nodes))
+                .map(|(client, addr)| {
+                    let mut c = client.take().or_else(|| Client::connect(addr).ok())?;
+                    let snap = c.metrics(0, 0).ok()?;
+                    *client = Some(c);
+                    Some(snap)
+                })
+                .collect();
+            draw_cluster(&nodes, &snaps, !args.once);
+        });
+    }
+    let mut client = Client::connect(&args.addr)
+        .unwrap_or_else(|e| fail("locktune-top", format!("connect {}: {e}", args.addr), 2));
     if args.tenants {
-        tenants_view(&args, &mut client);
-    }
-
-    let mut cursor = 0u64;
-    let mut prev: Option<MetricsSnapshot> = None;
-    let mut frame = 0u64;
-    loop {
-        let snap = match client.metrics(cursor, args.max_events) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("locktune-top: scrape failed: {e}");
-                std::process::exit(2);
+        // The donation cursor is fed back, so each donation prints once.
+        let (mut cursor, mut recent) = (0, VecDeque::new());
+        every_frame(&args, || {
+            let reply =
+                (client.tenant_stats(cursor)).unwrap_or_else(|e| scrape_failed("tenant stats", e));
+            cursor = reply.next_donation_seq;
+            recent.extend(reply.donations.iter().copied());
+            while recent.len() > 8 {
+                recent.pop_front();
             }
-        };
+            draw_tenants(&args.addr, &reply, &recent, !args.once);
+        });
+    }
+    let (mut cursor, mut prev) = (0, None);
+    every_frame(&args, || {
+        let snap = (client.metrics(cursor, args.max_events))
+            .unwrap_or_else(|e| scrape_failed("metrics", e));
         cursor = snap.next_tick_seq;
         if args.once {
             print!("{}", prom::render(&snap));
-            return;
+        } else {
+            draw(&args.addr, &snap, prev.as_ref());
         }
-        frame += 1;
-        draw(&args.addr, &snap, prev.as_ref());
         prev = Some(snap);
-        if args.frames != 0 && frame >= args.frames {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(args.interval_ms.max(1)));
-    }
+    });
 }
 
-/// The `--cluster` loop: poll every node's METRICS each frame and
-/// redraw the per-partition panel. A node that fails a scrape is
-/// drawn DOWN and re-dialed next frame — kills and partitions are
-/// exactly what this panel exists to watch. Never returns.
-fn cluster_view(args: &Args) -> ! {
-    let n = args.cluster.len();
-    let mut clients: Vec<Option<Client>> = (0..n).map(|_| None).collect();
-    let mut frame = 0u64;
-    loop {
-        let snaps: Vec<Option<MetricsSnapshot>> = (0..n)
-            .map(|i| {
-                if clients[i].is_none() {
-                    clients[i] = Client::connect(&args.cluster[i]).ok();
-                }
-                let snap = clients[i].as_mut().and_then(|c| c.metrics(0, 0).ok());
-                if snap.is_none() {
-                    clients[i] = None; // re-dial next frame
-                }
-                snap
-            })
-            .collect();
-        frame += 1;
-        draw_cluster(&args.cluster, &snaps, !args.once);
-        if args.once || (args.frames != 0 && frame >= args.frames) {
-            std::process::exit(0);
+/// Run `frame` every `--interval-ms` until `--frames` frames (one
+/// under `--once`; 0 runs until killed), then exit.
+fn every_frame(args: &Args, mut frame: impl FnMut()) -> ! {
+    for n in 1.. {
+        frame();
+        std::io::Write::flush(&mut std::io::stdout()).ok();
+        if args.once || n == args.frames {
+            break;
         }
         std::thread::sleep(Duration::from_millis(args.interval_ms.max(1)));
     }
+    std::process::exit(0)
 }
 
 fn draw_cluster(addrs: &[String], snaps: &[Option<MetricsSnapshot>], clear: bool) {
@@ -211,38 +170,6 @@ fn draw_cluster(addrs: &[String], snaps: &[Option<MetricsSnapshot>], clear: bool
         }
     }
     row("sum", "", &total);
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-}
-
-/// The `--tenants` loop: poll TENANT_STATS, feed the donation cursor
-/// back, redraw the budget-partition dashboard. Never returns.
-fn tenants_view(args: &Args, client: &mut Client) -> ! {
-    let mut cursor = 0u64;
-    let mut recent: VecDeque<TenantDonation> = VecDeque::new();
-    let mut frame = 0u64;
-    loop {
-        let reply = match client.tenant_stats(cursor) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("locktune-top: tenant stats scrape failed: {e}");
-                std::process::exit(2);
-            }
-        };
-        cursor = reply.next_donation_seq;
-        for d in &reply.donations {
-            recent.push_back(*d);
-        }
-        while recent.len() > 8 {
-            recent.pop_front();
-        }
-        frame += 1;
-        draw_tenants(&args.addr, &reply, &recent, !args.once);
-        if args.once || (args.frames != 0 && frame >= args.frames) {
-            std::process::exit(0);
-        }
-        std::thread::sleep(Duration::from_millis(args.interval_ms.max(1)));
-    }
 }
 
 /// One 60-cell bar partitioning the machine budget: each tenant's
@@ -333,8 +260,6 @@ fn draw_tenants(
             );
         }
     }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
 }
 
 /// Counter delta per second between two polls, from the server's own
@@ -373,63 +298,52 @@ fn band_bar(snap: &MetricsSnapshot) -> String {
 }
 
 fn fmt_event(e: &JournalEvent) -> String {
-    let at = format!("{:>8.3}s", e.at_ms as f64 / 1000.0);
-    match e.kind {
+    let (what, detail) = match e.kind {
         EventKind::Escalation {
             app,
             table,
             exclusive,
-        } => format!(
-            "{at}  escalation      app {} table {}{}",
-            app.0,
-            table.0,
-            if exclusive { " (exclusive)" } else { "" }
-        ),
-        EventKind::DeadlockVictim { app } => {
-            format!("{at}  deadlock victim app {}", app.0)
-        }
-        EventKind::SyncGrowth { granted_bytes } => {
-            format!("{at}  sync growth     +{:.0} KiB", kib(granted_bytes))
-        }
-        EventKind::TunerResize {
-            from_bytes,
-            to_bytes,
-        } => format!(
-            "{at}  tuner resize    {:.0} -> {:.0} KiB",
-            kib(from_bytes),
-            kib(to_bytes)
-        ),
-        EventKind::DepotReclaim { slots } => {
-            format!("{at}  depot reclaim   {slots} slots")
-        }
-        EventKind::WatchdogRestart { thread } => {
-            format!("{at}  job recovered   {thread:?} panic caught in place")
-        }
-        EventKind::ClientEvicted { app } => {
-            format!("{at}  client evicted  app {} (reply queue stuck)", app.0)
-        }
-        EventKind::ShedEngaged { ooms } => {
-            format!("{at}  shed engaged    {ooms} OOM denials in window")
-        }
-        EventKind::ShedReleased => {
-            format!("{at}  shed released   pressure cleared")
-        }
-        EventKind::FaultInjected { site, count } => {
-            format!("{at}  fault injected  site {site} x{count}")
-        }
-        EventKind::RemoteCancel { app } => {
-            format!(
-                "{at}  remote cancel   app {} (cluster deadlock victim)",
-                app.0
+        } => {
+            let exclusive = if exclusive { " (exclusive)" } else { "" };
+            (
+                "escalation",
+                format!("app {} table {}{exclusive}", app.0, table.0),
             )
         }
-        EventKind::EpochBump { epoch } => {
-            format!("{at}  epoch bump      fence raised to {epoch}")
+        EventKind::DeadlockVictim { app } => ("deadlock victim", format!("app {}", app.0)),
+        EventKind::SyncGrowth { granted_bytes: b } => {
+            ("sync growth", format!("+{:.0} KiB", kib(b)))
         }
-        EventKind::RequestFenced { epoch } => {
-            format!("{at}  request fenced  stale epoch {epoch}")
+        EventKind::TunerResize {
+            from_bytes: a,
+            to_bytes: b,
+        } => (
+            "tuner resize",
+            format!("{:.0} -> {:.0} KiB", kib(a), kib(b)),
+        ),
+        EventKind::DepotReclaim { slots } => ("depot reclaim", format!("{slots} slots")),
+        EventKind::WatchdogRestart { thread } => {
+            ("job recovered", format!("{thread:?} panic caught in place"))
         }
-    }
+        EventKind::ClientEvicted { app } => (
+            "client evicted",
+            format!("app {} (reply queue stuck)", app.0),
+        ),
+        EventKind::ShedEngaged { ooms } => {
+            ("shed engaged", format!("{ooms} OOM denials in window"))
+        }
+        EventKind::ShedReleased => ("shed released", "pressure cleared".into()),
+        EventKind::FaultInjected { site, count } => {
+            ("fault injected", format!("site {site} x{count}"))
+        }
+        EventKind::RemoteCancel { app } => (
+            "remote cancel",
+            format!("app {} (cluster deadlock victim)", app.0),
+        ),
+        EventKind::EpochBump { epoch } => ("epoch bump", format!("fence raised to {epoch}")),
+        EventKind::RequestFenced { epoch } => ("request fenced", format!("stale epoch {epoch}")),
+    };
+    format!("{:>8.3}s  {what:<15} {detail}", e.at_ms as f64 / 1000.0)
 }
 
 /// The counters `first..=last` in table order as `name value` pairs:
@@ -538,20 +452,13 @@ fn draw(addr: &str, snap: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) {
     // per epoll shard thread.
     if !snap.io_shards.is_empty() {
         println!("\nio shards    ({} event loops)", snap.io_shards.len());
+        let ratio = |a: u64, b: u64| if b == 0 { 0.0 } else { a as f64 / b as f64 };
         for sh in &snap.io_shards {
-            let coalesce = if sh.writev_calls == 0 {
-                0.0
-            } else {
-                sh.writev_frames as f64 / sh.writev_calls as f64
-            };
+            let coalesce = ratio(sh.writev_frames, sh.writev_calls);
             // Share of readiness waits the spin caught before the
             // shard blocked in epoll_wait; ~0 % on an idle server.
             let waits = sh.spin_hits + sh.parks;
-            let spun = if waits == 0 {
-                0.0
-            } else {
-                100.0 * sh.spin_hits as f64 / waits as f64
-            };
+            let spun = 100.0 * ratio(sh.spin_hits, waits);
             println!(
                 "  shard {:>2}   conns {:>6}   wakeups {:>9}   writev {:>9} ({:.2} frames/call)   write hwm {:>8} B   waits {:>9} ({:.0}% spun)",
                 sh.shard, sh.connections, sh.wakeups, sh.writev_calls, coalesce, sh.write_buf_hwm, waits, spun,
@@ -583,6 +490,4 @@ fn draw(addr: &str, snap: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) {
             println!("  {}", fmt_event(e));
         }
     }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
 }

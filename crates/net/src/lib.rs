@@ -18,18 +18,19 @@
 //!   encodes and decodes without heap allocation;
 //! * [`server`] — a TCP server owning a
 //!   [`LockService`](locktune_service::LockService), with two I/O
-//!   models behind [`ServerConfig::io_model`]: the **threaded** model
-//!   gives each accepted connection a reader/writer thread pair over a
-//!   blocking [`Session`](locktune_service::Session); the **evented**
-//!   model ([`evented`], built on the hand-rolled epoll bindings in
-//!   [`poll`]) multiplexes thousands of nonblocking connections onto N
-//!   I/O shard threads with run-to-completion dispatch, vectored
-//!   writes and eventfd grant wakeups. Either way, disconnect (EOF,
+//!   models behind [`ServerConfig::io_model`]: the **evented** model
+//!   (the default; [`evented`], built on the hand-rolled epoll
+//!   bindings in [`poll`]) multiplexes thousands of nonblocking
+//!   connections onto N I/O shard threads with run-to-completion
+//!   dispatch, vectored writes and eventfd grant wakeups; the
+//!   **threaded** model gives each accepted connection a reader/writer
+//!   thread pair over a blocking
+//!   [`Session`](locktune_service::Session). Either way, disconnect (EOF,
 //!   protocol error, or a killed client) always releases the
 //!   connection's locks;
 //! * [`client`] — a synchronous client library with an explicit
-//!   pipelining API, used by the `locktune-client` remote load
-//!   generator and `locktune-top` dashboard binaries;
+//!   pipelining API, used by the `locktune-cli` drivers and binaries
+//!   (`locktune-client`, `locktune-top`);
 //! * [`reconnect`] — a self-healing client wrapper (exponential
 //!   backoff with jitter, `Busy`-aware) with explicit
 //!   session-lost semantics: a mid-operation disconnect surfaces as

@@ -50,17 +50,19 @@ use crate::wire::{self, Reply, Request, TenantCtl, TenantStatsReply, ValidateRep
 /// same semantics (disconnect teardown, Busy admission, eviction,
 /// tenant binding, fault sites) either way — the A/B comparison in
 /// EXPERIMENTS.md's `net_scaling` holds everything else fixed.
+/// [`IoModel::Evented`] is the default: it is the core the perf
+/// ledger measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoModel {
     /// One reader + one writer thread per connection, blocking I/O.
     /// Simple and fast at small connection counts; two threads per
     /// connection is fatal at thousands.
-    #[default]
     Threaded,
     /// N I/O shard threads (see [`ServerConfig::io_shards`]), each
     /// multiplexing many nonblocking connections via epoll with
     /// run-to-completion dispatch, vectored writes and eventfd grant
     /// wakeups. Scales to 10k+ connections.
+    #[default]
     Evented,
 }
 
@@ -129,7 +131,7 @@ impl Default for ServerConfig {
             reply_queue_capacity: 128,
             max_connections: 1024,
             eviction_deadline: Duration::from_secs(5),
-            io_model: IoModel::Threaded,
+            io_model: IoModel::Evented,
             // Two shards: enough to prove cross-shard ownership even
             // on small machines; servers pin this to core count.
             io_shards: 2,

@@ -382,8 +382,28 @@ fn hot_row_storm_grants_every_lock() {
     let mut config = ServiceConfig::fast(4);
     config.lock_wait_timeout = Some(Duration::from_secs(2));
     let service = Arc::new(LockService::start(config).unwrap());
-    let start = Arc::new(Barrier::new(SESSIONS as usize));
 
+    // One explicit conflict first: B queues behind A's X lock on a hot
+    // row, so the wait counter rises whether or not the storm's
+    // sessions ever overlap on this host.
+    let a = service.connect(AppId(100));
+    a.lock(table(0), LockMode::IX).unwrap();
+    a.lock(row(0, 0), LockMode::X).unwrap();
+    std::thread::scope(|s| {
+        let b = s.spawn(|| {
+            let b = service.connect(AppId(101));
+            b.lock(table(0), LockMode::IX).unwrap();
+            b.lock(row(0, 0), LockMode::X).expect("granted");
+            b.unlock_all().unwrap();
+        });
+        while service.stats().waits == 0 && !b.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(service.stats().waits > 0, "B never queued behind A");
+        a.unlock_all().unwrap();
+    });
+
+    let start = Arc::new(Barrier::new(SESSIONS as usize));
     let handles: Vec<_> = (1..=SESSIONS)
         .map(|app| {
             let service = Arc::clone(&service);
@@ -417,7 +437,7 @@ fn hot_row_storm_grants_every_lock() {
     for h in handles {
         h.join().unwrap();
     }
-    assert!(service.stats().waits > 0, "the hot rows never contended");
+    assert!(service.stats().waits > 0, "no wait counted");
     service.validate();
     assert_eq!(service.pool_used_slots(), 0);
 }

@@ -11,6 +11,7 @@
 use std::process::exit;
 use std::time::Duration;
 
+use locktune_cli::fail;
 use locktune_cluster::SupervisorConfig;
 use locktune_integration_tests::failover;
 use locktune_metrics::percentile;
@@ -24,61 +25,32 @@ const USAGE: &str = "usage: locktune-failover-bench [options]
   --out-csv PATH         per-trial rows (default results/failover_recovery.csv)
   --out-json PATH        median summary (default BENCH_failover.json)";
 
-struct Args {
-    node_counts: Vec<usize>,
-    trials: u64,
-    probe_interval_ms: u64,
-    seed: u64,
-    out_csv: String,
-    out_json: String,
+locktune_cli::config! {
+    Args {
+        node_counts: Vec<usize> = vec![2, 4], list "--nodes";
+        trials: u64 = 5, value "--trials";
+        probe_interval_ms: u64 = 25, value "--probe-interval-ms";
+        seed: u64 = 42, value "--seed";
+        out_csv: String = "results/failover_recovery.csv".into(), value "--out-csv";
+        out_json: String = "BENCH_failover.json".into(), value "--out-json";
+    }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        node_counts: vec![2, 4],
-        trials: 5,
-        probe_interval_ms: 25,
-        seed: 42,
-        out_csv: "results/failover_recovery.csv".into(),
-        out_json: "BENCH_failover.json".into(),
-    };
-    let num = |s: String| s.parse().map_err(|_| format!("bad number {s:?}"));
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--nodes" => {
-                args.node_counts = value?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|_| format!("bad node count {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--trials" => args.trials = num(value?)?,
-            "--probe-interval-ms" => args.probe_interval_ms = num(value?)?,
-            "--seed" => args.seed = num(value?)?,
-            "--out-csv" => args.out_csv = value?,
-            "--out-json" => args.out_json = value?,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.node_counts.iter().any(|&n| n < 2) {
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args::default();
+    a.flags().help(USAGE).parse(args)?;
+    if a.node_counts.iter().any(|&n| n < 2) {
         return Err("--nodes entries must be >= 2 (someone must survive)".into());
     }
-    if args.trials == 0 {
+    if a.trials == 0 {
         return Err("--trials must be positive".into());
     }
-    Ok(args)
+    Ok(a)
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("locktune-failover-bench: {e}\n{USAGE}");
-        exit(2);
-    });
+    let args = parse(std::env::args().skip(1))
+        .unwrap_or_else(|e| fail("locktune-failover-bench", format!("{e}\n{USAGE}"), 2));
     let probe = Duration::from_millis(args.probe_interval_ms.max(1));
     let mut rows = String::from(
         "nodes,trial,detect_ms,reassign_ms,full_service_ms,final_epoch,\

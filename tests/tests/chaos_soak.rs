@@ -18,18 +18,20 @@
 
 #![cfg(feature = "faults")]
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
+use locktune_cli::stress;
 use locktune_integration_tests::{assert_drained, eventually};
-use locktune_net::{IoModel, ReconnectConfig, ReconnectingClient, Server, ServerConfig};
+use locktune_net::{IoModel, Server, ServerConfig};
 use locktune_obs::EventKind;
 use locktune_service::txn::{self, Tally, TxnOutcome};
 use locktune_service::{FaultInjector, FaultPlan, FaultSite, LockService, ServiceConfig};
 use locktune_sim::SimRng;
 use locktune_workload::Mix;
 
-const WORKERS: u64 = 4;
+const WORKERS: usize = 4;
 const TXNS_PER_WORKER: u64 = 60;
 
 /// The storm profile. Rates are calibrated so a run of
@@ -52,26 +54,6 @@ fn plan(seed: u64) -> FaultInjector {
         .rate(FaultSite::SweeperPanic, 1.0)
         .limit(FaultSite::SweeperPanic, 2)
         .build()
-}
-
-/// One worker: small OLTP transactions (an IX intent and 4 X rows on
-/// one of 8 tables of 256 rows) through a reconnecting session. Every
-/// survivable failure is counted by the shared loop; anything else
-/// fails the test. Returns the tally and the reconnect cycles.
-fn worker(addr: std::net::SocketAddr, seed: u64) -> (Tally, u64) {
-    let policy = ReconnectConfig {
-        max_attempts: 50,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(100),
-        seed,
-        ..ReconnectConfig::default()
-    };
-    let mut rc = ReconnectingClient::connect(addr, policy).expect("worker connect");
-    let mix = Mix::new(8, 256, 4).unwrap();
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut tally = Tally::default();
-    txn::run(&mut rc, &mix, &mut rng, TXNS_PER_WORKER, &mut tally).expect("worker storm");
-    (tally, rc.stats().reconnects)
 }
 
 fn run_chaos(seed: u64, model: IoModel) {
@@ -97,18 +79,23 @@ fn run_chaos(seed: u64, model: IoModel) {
         },
     )
     .expect("bind loopback");
-    let addr = server.local_addr();
 
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|w| std::thread::spawn(move || worker(addr, seed ^ (w + 1).wrapping_mul(0x9E37))))
-        .collect();
-    let mut tally = Tally::default();
-    let mut reconnect_cycles = 0;
-    for w in workers {
-        let (t, cycles) = w.join().expect("worker panicked");
-        tally.merge(&t);
-        reconnect_cycles += cycles;
-    }
+    // Small OLTP transactions (an IX intent and 4 X rows on one of 8
+    // tables of 256 rows) through reconnecting sessions. Every
+    // survivable failure is counted by the shared loop; anything else
+    // fails the test.
+    let config = stress::Config {
+        addr: server.local_addr().to_string(),
+        txns: TXNS_PER_WORKER,
+        chaos: true,
+        ..stress::Config::default()
+    };
+    let mix = Mix::new(8, 256, 4).unwrap();
+    let seeds = |w: usize| seed ^ (w as u64 + 1).wrapping_mul(0x9E37);
+    let progress = AtomicU64::new(0);
+    let (tally, reconnects) =
+        stress::cohort(&config, &mix, None, WORKERS, &progress, seeds).expect("worker storm");
+    let reconnect_cycles = reconnects.reconnects;
     let committed = tally.get(TxnOutcome::Committed);
     let reconnected_txns = tally.get(TxnOutcome::Lost);
     // The storm must not have prevented all progress.

@@ -7,15 +7,15 @@
 //! before HELLO is a protocol kill) and the per-tenant shed path
 //! (`Overloaded` names the shedding tenant on the wire).
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use locktune_cli::stress;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, RowId, TableId};
 use locktune_net::wire::Request;
-use locktune_net::{Client, ClientError, Pipelined, Reply, Server};
-use locktune_service::txn::{self, Tally};
+use locktune_net::{Client, ClientError, Reply, Server};
 use locktune_service::{ServiceConfig, ServiceError};
-use locktune_sim::SimRng;
 use locktune_tenants::{TenantDirectory, TenantsConfig};
 use locktune_workload::Mix;
 
@@ -266,32 +266,19 @@ fn overloaded_reply_names_the_shedding_tenant() {
     server.shutdown();
 }
 
-/// One OLTP burst through the shared transaction loop: `txns`
-/// transactions of an IX intent plus 8 X row locks over 4 tables of 64
-/// rows (enough overlap for real waits). Contention aborts (timeout,
-/// deadlock victim) are part of the workload, not a harness failure.
-fn oltp_burst(addr: &str, tenant: u32, txns: u64, seed: u64) {
-    let mut c = Client::connect(addr).unwrap();
-    c.hello(tenant).unwrap();
-    let mix = Mix::new(4, 64, 8).unwrap();
-    let mut rng = SimRng::seed_from_u64(seed);
-    txn::run(
-        &mut Pipelined::new(&mut c),
-        &mix,
-        &mut rng,
-        txns,
-        &mut Tally::default(),
-    )
-    .expect("oltp burst");
-}
-
-/// The p99 lock wait a bound tenant connection observes via the
-/// METRICS frame — the exact assertion surface the ISSUE names.
-fn tenant_p99(addr: &str, tenant: u32) -> u64 {
-    let mut c = Client::connect(addr).unwrap();
-    c.hello(tenant).unwrap();
-    let snap = c.metrics(0, 0).unwrap();
-    snap.lock_wait_micros.quantile(0.99)
+/// Two overlapping OLTP workers on `tenant` through the stress
+/// driver, 150 transactions each of an IX intent plus 8 X row locks
+/// over 4 tables of 64 rows (enough overlap for real waits).
+/// Contention aborts (timeout, deadlock victim) are part of the
+/// workload, not a harness failure.
+fn oltp_burst(addr: &str, tenant: u32) {
+    let config = stress::Config {
+        addr: addr.into(),
+        ..stress::Config::default()
+    };
+    let (mix, progress) = (Mix::new(4, 64, 8).unwrap(), AtomicU64::new(0));
+    let seeds = |w| [0x5EED, 0xBEEF][w];
+    stress::cohort(&config, &mix, Some(tenant), 2, &progress, seeds).expect("oltp burst");
 }
 
 /// The noisy-neighbor regression: tenant 1 measures its solo OLTP
@@ -314,11 +301,8 @@ fn noisy_neighbor_keeps_oltp_p99_bounded() {
 
     // Phase 1 — solo baseline on tenant 1: two overlapping workers so
     // the histogram records real intra-tenant waits.
-    let addr1 = addr.clone();
-    let w = std::thread::spawn(move || oltp_burst(&addr1, 1, 150, 0x5EED));
-    oltp_burst(&addr, 1, 150, 0xBEEF);
-    w.join().unwrap();
-    let solo_p99 = tenant_p99(&addr, 1);
+    oltp_burst(&addr, 1);
+    let solo_p99 = stress::tenant_wait(&addr, 1).unwrap().p99_us;
 
     // Phase 2 — tenant 0 surges contiguous scans (the footprint that
     // outgrows any fixed budget) while tenant 2 runs the identical
@@ -348,11 +332,8 @@ fn noisy_neighbor_keeps_oltp_p99_bounded() {
             pass += 1;
         }
     });
-    let addr2 = addr.clone();
-    let w = std::thread::spawn(move || oltp_burst(&addr2, 2, 150, 0x5EED));
-    oltp_burst(&addr, 2, 150, 0xBEEF);
-    w.join().unwrap();
-    let noisy_p99 = tenant_p99(&addr, 2);
+    oltp_burst(&addr, 2);
+    let noisy_p99 = stress::tenant_wait(&addr, 2).unwrap().p99_us;
     surge.join().unwrap();
 
     // The documented bound (DESIGN.md §12.5): 20x the solo baseline,
