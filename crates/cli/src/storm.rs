@@ -13,7 +13,7 @@ use locktune_cluster::{
     MapHandle, RoutingClient, SupervisorConfig, Transition,
 };
 use locktune_net::{drain_and_validate, ReconnectConfig, ReconnectingClient};
-use locktune_service::txn::{self, Tally, TxnOutcome};
+use locktune_service::txn::{self, Tally, TxnBackend, TxnOutcome};
 use locktune_sim::SimRng;
 use locktune_workload::{Mix, MixError};
 
@@ -233,28 +233,61 @@ fn worker(
     };
     connected.wait();
     let mut rc = rc.map_err(|e| format!("worker {w}: connect: {e}"))?;
-    let mut rng = SimRng::seed_from_u64(seed);
-    let (mut tally, mut set) = (Tally::default(), Vec::new());
     let start = Instant::now();
     let lost = |t: &Tally| t.get(TxnOutcome::Lost) + t.get(TxnOutcome::Unavailable) > 0;
     let mut txns = 0;
-    while txns < config.txns
-        || (config.expect_node_loss && !lost(&tally) && start.elapsed() < STORM_LIMIT)
-    {
+    let more = |tally: &Tally| {
         txns += 1;
-        mix.roll(&mut rng, &mut set);
-        // Supervised, dead partitions come back unavailable while live
-        // partitions commit through the failover.
-        let ran = if config.supervise {
-            txn::run_txn(&mut Degraded::new(&mut rc), &set, &mut tally)
-        } else {
-            txn::run_txn(&mut rc, &set, &mut tally)
-        };
-        if ran.map_err(|e| format!("worker {w}: {e}"))? == TxnOutcome::Committed {
+        txns <= config.txns
+            || (config.expect_node_loss && !lost(tally) && start.elapsed() < STORM_LIMIT)
+    };
+    let pace = Duration::from_millis(config.pace_ms);
+    // Supervised, dead partitions come back unavailable while live
+    // partitions commit through the failover.
+    let ran = if config.supervise {
+        drive(
+            &mut Degraded::new(&mut rc),
+            mix,
+            seed,
+            pace,
+            more,
+            count_commits(progress),
+        )
+    } else {
+        drive(&mut rc, mix, seed, pace, more, count_commits(progress))
+    };
+    ran.map_err(|e| format!("worker {w}: {e}"))
+}
+
+/// An `after` for [`drive`] that bumps `progress` on each commit.
+fn count_commits<B>(progress: &AtomicU64) -> impl FnMut(&B, TxnOutcome) + '_ {
+    move |_, outcome| {
+        if outcome == TxnOutcome::Committed {
             progress.fetch_add(1, Ordering::Relaxed);
         }
-        if config.pace_ms > 0 {
-            std::thread::sleep(Duration::from_millis(config.pace_ms));
+    }
+}
+
+/// One storm worker's loop, shared with the failover drill: while
+/// `more` says so, roll a transaction from `mix` (seeded by `seed`), run
+/// it through `backend`, tell `after` its outcome, and wait `pace`.
+/// Returns the worker's tally, or the error that ended its session.
+pub fn drive<B: TxnBackend>(
+    backend: &mut B,
+    mix: &Mix,
+    seed: u64,
+    pace: Duration,
+    mut more: impl FnMut(&Tally) -> bool,
+    mut after: impl FnMut(&B, TxnOutcome),
+) -> Result<Tally, B::Error> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let (mut tally, mut set) = (Tally::default(), Vec::new());
+    while more(&tally) {
+        mix.roll(&mut rng, &mut set);
+        let outcome = txn::run_txn(backend, &set, &mut tally)?;
+        after(backend, outcome);
+        if !pace.is_zero() {
+            std::thread::sleep(pace);
         }
     }
     Ok(tally)

@@ -87,6 +87,12 @@ impl Run {
         })
     }
 
+    /// The table of a run of rows; `None` for a table lock.
+    #[inline]
+    pub(crate) fn rows_of(self) -> Option<TableId> {
+        (self.len != 0).then_some(self.table)
+    }
+
     /// Take in `next` (sorted after this entry) if it is the same table
     /// lock or rows that overlap or follow this run; true if it did.
     fn absorb(&mut self, next: &Run) -> bool {

@@ -8,18 +8,16 @@
 //! queue ([`LockManager::take_notifications`]) so the engine can wake
 //! the blocked clients.
 
-use std::collections::hash_map::Entry;
-
 use locktune_memalloc::{LockMemoryPool, PoolBackend, PoolError, SlotHandle};
 
 use crate::app::{AppId, AppLockState};
 use crate::error::LockError;
-use crate::hash::{FxHashMap, FxHashSet, LockTableMap};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::hooks::TuningHooks;
 use crate::mode::LockMode;
 use crate::resource::{ResourceId, TableId};
 use crate::stats::LockStats;
-use crate::table::{LockHead, SpareBoxes, Waiter};
+use crate::table::{LockHead, LockTable, Slot, SpareBoxes, Waiter};
 
 /// Structural configuration of the lock manager.
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +118,7 @@ pub struct UnlockReport {
 #[derive(Debug)]
 pub struct LockManager<P: PoolBackend = LockMemoryPool> {
     config: LockManagerConfig,
-    heads: LockTableMap<LockHead>,
+    heads: LockTable,
     apps: FxHashMap<AppId, AppLockState>,
     pool: P,
     stats: LockStats,
@@ -129,6 +127,9 @@ pub struct LockManager<P: PoolBackend = LockMemoryPool> {
     /// Scratch for the heads a release leaves with waiters; kept so a
     /// commit does not allocate.
     worklist: Vec<ResourceId>,
+    /// Scratch for the tables a commit sweeps; presized, so a first
+    /// large commit does not allocate.
+    sweeping: Vec<TableId>,
     /// Scratch for the lock structures of the grant in progress.
     slot_scratch: Vec<SlotHandle>,
     /// Boxes emptied by contended heads, reused by the next one.
@@ -142,13 +143,14 @@ impl<P: PoolBackend> LockManager<P> {
     pub fn new(pool: P, config: LockManagerConfig) -> Self {
         LockManager {
             config,
-            heads: LockTableMap::default(),
+            heads: LockTable::new(),
             apps: FxHashMap::default(),
             pool,
             stats: LockStats::default(),
             notifications: Vec::new(),
             biases: FxHashMap::default(),
             worklist: Vec::new(),
+            sweeping: Vec::with_capacity(8),
             slot_scratch: Vec::new(),
             spare: Vec::new(),
             cap: (0, 0, 0),
@@ -209,12 +211,12 @@ impl<P: PoolBackend> LockManager<P> {
 
     /// Number of resources with live lock heads.
     pub fn locked_resources(&self) -> usize {
-        self.heads.len()
+        self.heads.iter().count()
     }
 
     /// The mode in which `app` holds `res`, if it holds it.
     pub fn held_mode(&self, app: AppId, res: ResourceId) -> Option<LockMode> {
-        Some(self.heads.get(&res)?.holder(app)?.mode)
+        Some(self.heads.get(res)?.holder(app)?.mode)
     }
 
     /// Move the grant notifications produced since the last drain onto
@@ -306,10 +308,9 @@ impl<P: PoolBackend> LockManager<P> {
 
         // A resource nobody holds has no head until the grant below
         // inserts one, so the fallbacks leave no empty head behind.
-        let mut slot = heads.entry(res);
+        let mut slot = heads.slot(res);
         let first_holder = match &mut slot {
-            Entry::Occupied(occupied) => {
-                let head = occupied.get_mut();
+            Slot::Head(head) => {
                 // Existing holding: re-entrant grant or conversion.
                 if let Some(held) = head.holder(app).map(|h| h.mode) {
                     if held.covers(mode) {
@@ -341,7 +342,7 @@ impl<P: PoolBackend> LockManager<P> {
                 }
                 !head.is_held()
             }
-            Entry::Vacant(_) => true,
+            Slot::Row(..) | Slot::NoTable => true,
         };
         let slots_needed = if first_holder {
             config.first_holder_slots
@@ -387,8 +388,12 @@ impl<P: PoolBackend> LockManager<P> {
             return self.lock_under_memory_pressure(app, res, mode, slots_needed, hooks);
         }
         let head = match slot {
-            Entry::Occupied(occupied) => occupied.into_mut(),
-            Entry::Vacant(vacant) => vacant.insert(LockHead::default()),
+            Slot::Head(head) => head,
+            Slot::Row(vacant, rows) => {
+                *rows += 1;
+                vacant.insert(LockHead::Idle)
+            }
+            Slot::NoTable => heads.head_or_default(res),
         };
         head.add_holder(app, mode, slot_scratch, spare);
         let charged = slot_scratch.len() as u64;
@@ -422,7 +427,7 @@ impl<P: PoolBackend> LockManager<P> {
         // The reclaim may have escalated a co-holder of `res` itself (its
         // intent on the requested table is now S or X): the compatibility
         // established before it no longer holds, so the request waits.
-        if let Some(head) = self.heads.get_mut(&res) {
+        if let Slot::Head(head) = self.heads.slot(res) {
             if !head.compatible_for(app, mode) {
                 let state = self.apps.get_mut(&app).expect("known app");
                 let (stats, spare) = (&mut self.stats, &mut self.spare);
@@ -443,7 +448,7 @@ impl<P: PoolBackend> LockManager<P> {
             self.stats.denials += 1;
             return Err(LockError::OutOfLockMemory);
         }
-        let head = self.heads.entry(res).or_default();
+        let head = self.heads.head_or_default(res);
         let state = self.apps.get_mut(&app).expect("known app");
         grant(head, state, scratch, &mut self.spare, app, res, mode);
         self.stats.grants += 1;
@@ -479,7 +484,7 @@ impl<P: PoolBackend> LockManager<P> {
         let table_res = ResourceId::Table(table);
         let compatible = self
             .heads
-            .get(&table_res)
+            .get(table_res)
             .map(|h| h.compatible_for(app, target))
             .unwrap_or(true);
         if compatible {
@@ -505,7 +510,7 @@ impl<P: PoolBackend> LockManager<P> {
         }
         // Table lock contended: queue the escalation as a front-of-queue
         // conversion; the row locks are released when it is granted.
-        let head = self.heads.entry(table_res).or_default();
+        let head = self.heads.head_or_default(table_res);
         head.queue_mut(&mut self.spare).push_front(Waiter {
             app,
             mode: target,
@@ -527,7 +532,7 @@ impl<P: PoolBackend> LockManager<P> {
             for (&app, state) in &self.apps {
                 for (table, holdings) in state.row_holdings() {
                     let target = holdings.escalation_mode();
-                    let head = self.heads.get(&ResourceId::Table(table));
+                    let head = self.heads.get(ResourceId::Table(table));
                     // Escalation must net-free memory: it frees the row
                     // slots (>= 1 row with > 0 slots).
                     let key = (holdings.slots, app, table);
@@ -558,7 +563,7 @@ impl<P: PoolBackend> LockManager<P> {
         let table_res = ResourceId::Table(table);
         let state = self.apps.get_mut(&app).expect("known app");
         // Upgrade the existing table holding (the intent lock).
-        let head = self.heads.entry(table_res).or_default();
+        let head = self.heads.head_or_default(table_res);
         match head.holder_mut(app) {
             Some(h) => {
                 let before = h.mode;
@@ -641,25 +646,22 @@ impl<P: PoolBackend> LockManager<P> {
         Some(released)
     }
 
-    /// [`Self::release_holder`] on the head of `res`, found by one probe
-    /// that also drops the head if the release empties it.
+    /// [`Self::release_holder`] on the head of `res`, dropped if the
+    /// release empties it.
     #[inline]
     fn release_probed(
-        heads: &mut LockTableMap<LockHead>,
+        heads: &mut LockTable,
         res: ResourceId,
         app: AppId,
         pool: &mut P,
         spare: &mut SpareBoxes,
         worklist: &mut Vec<ResourceId>,
     ) -> Option<(LockMode, u64)> {
-        let Entry::Occupied(mut slot) = heads.entry(res) else {
-            return None;
-        };
-        let released = Self::release_holder(res, slot.get_mut(), app, pool, spare, worklist);
-        if slot.get().is_empty() {
-            slot.remove();
-        }
-        released
+        heads
+            .release(res, |head| {
+                Self::release_holder(res, head, app, pool, spare, worklist)
+            })
+            .flatten()
     }
 
     /// Release one lock explicitly (non-2PL callers and tests).
@@ -683,7 +685,7 @@ impl<P: PoolBackend> LockManager<P> {
         };
         let state = apps.get_mut(&app).expect("a holder is a known app");
         state.record_release(res, mode, freed);
-        state.compact_release_list(|r| heads.get(&r).is_some_and(|h| h.holder(app).is_some()));
+        state.compact_release_list(|r| heads.get(r).is_some_and(|h| h.holder(app).is_some()));
         self.process_queues(hooks);
         Ok(UnlockReport {
             released_locks: 1,
@@ -693,12 +695,12 @@ impl<P: PoolBackend> LockManager<P> {
 
     /// Release everything `app` holds (commit under strict 2PL).
     ///
-    /// A commit that holds a large share of the table (see [`sweeps`])
-    /// walks the table once and releases what it meets; any other
-    /// probes for each release-list entry. Both run the same per-head
-    /// step, and neither order is observable: the set of slots freed is
-    /// the same, and only heads that have waiters need further work,
-    /// which are sorted before their queues are processed.
+    /// The rows of a table where the commit holds a large share of the
+    /// rows (see [`sweeps`]) are released by one walk over that table's
+    /// rows; everything else by a probe per release-list entry. Both run
+    /// the same per-head step, and neither order is observable: the set
+    /// of slots freed is the same, and only heads that have waiters need
+    /// further work, which are sorted before their queues are processed.
     pub fn unlock_all(&mut self, app: AppId, hooks: &mut dyn TuningHooks) -> UnlockReport {
         let Self {
             heads,
@@ -706,6 +708,7 @@ impl<P: PoolBackend> LockManager<P> {
             pool,
             spare,
             worklist,
+            sweeping,
             ..
         } = self;
         let Some(state) = apps.get_mut(&app) else {
@@ -718,20 +721,29 @@ impl<P: PoolBackend> LockManager<P> {
                 report.freed_slots += freed;
             }
         };
-        if sweeps(state.held_count(), heads.len(), heads.capacity()) {
-            // The heads say what `app` holds; the release list is
-            // dropped unread.
-            drop(state.drain());
-            heads.retain(|&res, head| {
-                count(Self::release_holder(res, head, app, pool, spare, worklist));
-                !head.is_empty()
-            });
-        } else {
-            for run in state.drain() {
-                for res in run.resources() {
-                    count(Self::release_probed(heads, res, app, pool, spare, worklist));
+        sweeping.clear();
+        if state.held_count() >= SWEEP_MIN_HELD {
+            for (table, holdings) in state.row_holdings() {
+                let (rows, capacity) = heads.rows_and_capacity(table);
+                if sweeps(holdings.rows as usize, rows, capacity) {
+                    sweeping.push(table);
                 }
             }
+        }
+        // The heads of a swept table say what `app` holds there; its
+        // rows' release-list entries are dropped unread.
+        for run in state.drain() {
+            if run.rows_of().is_some_and(|table| sweeping.contains(&table)) {
+                continue;
+            }
+            for res in run.resources() {
+                count(Self::release_probed(heads, res, app, pool, spare, worklist));
+            }
+        }
+        for &table in sweeping.iter() {
+            heads.sweep_rows(table, |res, head| {
+                count(Self::release_holder(res, head, app, pool, spare, worklist));
+            });
         }
         // Deterministic queue processing: tables before rows, each by
         // descending id (the worklist is popped from the back).
@@ -750,13 +762,11 @@ impl<P: PoolBackend> LockManager<P> {
             return false;
         };
         state.waiting_on = None;
-        if let Entry::Occupied(mut slot) = self.heads.entry(res) {
-            let queue = slot.get_mut().queue_mut(&mut self.spare);
-            queue.retain(|w| w.app != app);
-            if slot.get_mut().trim(&mut self.spare) {
-                slot.remove();
-            }
-        }
+        let spare = &mut self.spare;
+        self.heads.release(res, |head| {
+            head.queue_mut(spare).retain(|w| w.app != app);
+            head.trim(spare);
+        });
         self.stats.cancelled_waits += 1;
         true
     }
@@ -789,14 +799,14 @@ impl<P: PoolBackend> LockManager<P> {
     /// head if that leaves it empty. Returns true when it stopped early
     /// to complete an escalation ticket and must be called again.
     fn grant_from_queue(&mut self, res: ResourceId, hooks: &mut dyn TuningHooks) -> bool {
-        let Entry::Occupied(mut slot) = self.heads.entry(res) else {
+        let Slot::Head(head) = self.heads.slot(res) else {
             return false;
         };
         loop {
-            let head = slot.get_mut();
             let Some(front) = head.queue().front() else {
                 if head.trim(&mut self.spare) {
-                    slot.remove();
+                    // Nothing to release: this drops the emptied head.
+                    self.heads.release(res, |_| ());
                 }
                 return false;
             };
@@ -856,7 +866,7 @@ impl<P: PoolBackend> LockManager<P> {
     /// Wait-for edges: `(waiter, holder-or-earlier-waiter)` pairs.
     pub fn wait_edges(&self) -> Vec<(AppId, AppId)> {
         let mut edges = Vec::new();
-        for head in self.heads.values() {
+        for (_, head) in self.heads.iter() {
             for (i, w) in head.queue().iter().enumerate() {
                 let held = head.holder(w.app).map(|h| h.mode);
                 let target = held.map_or(w.mode, |m| m.supremum(w.mode));
@@ -906,8 +916,9 @@ impl<P: PoolBackend> LockManager<P> {
         }
         // Rebuild every application's accounting from the heads alone;
         // every pair of granted modes on a resource is compatible.
+        self.heads.validate();
         let mut rebuilt: FxHashMap<AppId, AppLockState> = FxHashMap::default();
-        for (res, head) in &self.heads {
+        for (res, head) in self.heads.iter() {
             assert!(
                 head.is_held() || !head.queue().is_empty(),
                 "empty head left behind on {res}"
@@ -916,7 +927,7 @@ impl<P: PoolBackend> LockManager<P> {
                 rebuilt
                     .entry(a.app)
                     .or_default()
-                    .record_grant(*res, a.mode, head.slots_of(a.app));
+                    .record_grant(res, a.mode, head.slots_of(a.app));
                 for b in &head.holders()[i + 1..] {
                     assert_ne!(a.app, b.app, "{} holds {res} twice", a.app);
                     assert!(
@@ -932,7 +943,7 @@ impl<P: PoolBackend> LockManager<P> {
             for w in head.queue() {
                 assert_eq!(
                     self.apps.get(&w.app).and_then(|a| a.waiting_on()),
-                    Some(*res),
+                    Some(res),
                     "waiter {} not marked waiting on {res}",
                     w.app
                 );
@@ -962,8 +973,12 @@ impl<P: PoolBackend> LockManager<P> {
     }
 }
 
-/// Whether a commit of `held` holdings sweeps the lock table (`len`
-/// heads, room for `capacity`) instead of probing once per holding.
+/// Fewer holdings than this are never swept.
+const SWEEP_MIN_HELD: usize = 64;
+
+/// Whether a commit of `held` row holdings on one table sweeps the
+/// table's rows (`len` heads, room for `capacity`) instead of probing
+/// once per holding.
 ///
 /// * `held >= 64`: a small commit always probes; its few random probes
 ///   cost less than any walk over the table.
@@ -973,7 +988,7 @@ impl<P: PoolBackend> LockManager<P> {
 ///   table never shrinks — one that a past scan grew would make every
 ///   later, smaller commit pay for the scan's size.
 fn sweeps(held: usize, len: usize, capacity: usize) -> bool {
-    held >= 64 && 2 * held >= len && 8 * held >= capacity
+    held >= SWEEP_MIN_HELD && 2 * held >= len && 8 * held >= capacity
 }
 
 /// Sort key for heads whose queues a release must process: popped from

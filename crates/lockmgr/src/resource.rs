@@ -2,7 +2,6 @@
 #![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A table identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,26 +15,12 @@ pub struct RowId(pub u64);
 ///
 /// The two-level hierarchy (table → row) is what lock escalation
 /// collapses: many `Row` locks become one `Table` lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceId {
     /// A whole table.
     Table(TableId),
     /// One row of a table.
     Row(TableId, RowId),
-}
-
-/// The table id as one `u32`, then — for a row — the row id as one
-/// `u64`: the lock table's hasher
-/// ([`LockTableHasher`](crate::hash::LockTableHasher)) tells the two
-/// apart by width.
-impl Hash for ResourceId {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u32(self.table().0);
-        if let ResourceId::Row(_, row) = self {
-            state.write_u64(row.0);
-        }
-    }
 }
 
 impl ResourceId {

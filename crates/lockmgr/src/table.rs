@@ -3,18 +3,28 @@
 //! A [`LockHead`] is the only record of who holds a resource. Almost
 //! every head has one holder charged two lock structures of one block
 //! and nobody waiting, so that case lives inside the head, the two as
-//! one [`SlotPair`], and a `(ResourceId, LockHead)` bucket is 40 bytes;
-//! a shared or contended head keeps its holders, waiters and what the
+//! one [`SlotPair`], and a `(RowId, LockHead)` bucket is 32 bytes; a
+//! shared or contended head keeps its holders, waiters and what the
 //! pair cannot take behind one box instead. Emptied boxes go back on a
 //! [`SpareBoxes`] list with their capacity: hot-row hand-offs do not allocate.
+//!
+//! The heads are keyed in two steps ([`LockTable`]): a small map from
+//! table to that table's entry, which holds the table lock's own head,
+//! and the entry's row heads split over [`ROW_SEGMENTS`] `RowId` maps.
+//! A map grows by doubling, so a table grows one segment at a time and
+//! never holds two generations of itself at once. Emptied entries go on
+//! a spare list with their segments' capacity, as boxes do.
 #![warn(clippy::missing_inline_in_public_items)]
 
+use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::VecDeque;
 
 use locktune_memalloc::{SlotHandle, SlotPair};
 
 use crate::app::AppId;
+use crate::hash::{row_segment, FxHashMap, RowMap, ROW_SEGMENT_BITS};
 use crate::mode::LockMode;
+use crate::resource::{ResourceId, RowId, TableId};
 
 /// Emptied boxes kept for reuse; beyond this they are freed.
 const MAX_SPARE_BOXES: usize = 64;
@@ -255,10 +265,224 @@ impl LockHead {
     }
 }
 
+/// Row maps per table. Growth rehashes one segment, at most 1/64 of a
+/// table: 4 tables × 100 000 rows locked in order peak at 16.55 MiB of
+/// heap and end at 16.51, where one doubling map of 40-byte
+/// `ResourceId` buckets peaked at 30.75 and ended at 20.50 (EXPERIMENTS
+/// "A lock table that lands on its size").
+pub(crate) const ROW_SEGMENTS: usize = 1 << ROW_SEGMENT_BITS;
+
+/// Emptied table entries kept for reuse; beyond this they are freed.
+const MAX_SPARE_TABLES: usize = 16;
+
+/// One table's heads: the table lock's (`Idle` while only rows are
+/// locked), a count of its rows', and theirs by [`row_segment`].
+#[derive(Debug)]
+struct TableHeads {
+    head: LockHead,
+    rows: usize,
+    segments: [RowMap<LockHead>; ROW_SEGMENTS],
+}
+
+impl TableHeads {
+    fn is_empty(&self) -> bool {
+        self.rows == 0 && self.head.is_empty()
+    }
+}
+
+/// Where a resource's head is, or would go ([`LockTable::slot`]).
+pub(crate) enum Slot<'a> {
+    /// The head: held or awaited, or an entry's `Idle` table head.
+    Head(&'a mut LockHead),
+    /// A row with no head, and its table's row count.
+    Row(VacantEntry<'a, RowId, LockHead>, &'a mut usize),
+    /// A table with no entry.
+    NoTable,
+}
+
+/// Every lock head of a manager: held or awaited resources only, so an
+/// emptied head is removed, and a table entry left with no head at all
+/// goes on the spare list.
+#[derive(Debug)]
+pub(crate) struct LockTable {
+    tables: FxHashMap<TableId, Box<TableHeads>>,
+    /// Emptied entries, with their segments' capacity; boxed, as in the
+    /// map, so an entry moves between the two without a 2 KiB copy.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<TableHeads>>,
+}
+
+impl LockTable {
+    /// An empty table whose spare list is presized, so the first commit
+    /// to empty a table allocates nothing.
+    pub(crate) fn new() -> Self {
+        let spare = Vec::with_capacity(MAX_SPARE_TABLES);
+        LockTable {
+            tables: FxHashMap::default(),
+            spare,
+        }
+    }
+
+    /// The head of `res`; an entry's table head may be `Idle`.
+    #[inline]
+    pub(crate) fn get(&self, res: ResourceId) -> Option<&LockHead> {
+        let t = self.tables.get(&res.table())?;
+        match res {
+            ResourceId::Table(_) => Some(&t.head),
+            ResourceId::Row(_, row) => t.segments[row_segment(row)].get(&row),
+        }
+    }
+
+    /// Where the head of `res` is, or would go: a probe of the table map
+    /// and, for a row, one of its segment.
+    #[inline]
+    pub(crate) fn slot(&mut self, res: ResourceId) -> Slot<'_> {
+        let Some(t) = self.tables.get_mut(&res.table()) else {
+            return Slot::NoTable;
+        };
+        match res {
+            ResourceId::Table(_) => Slot::Head(&mut t.head),
+            ResourceId::Row(_, row) => match t.segments[row_segment(row)].entry(row) {
+                Entry::Occupied(occupied) => Slot::Head(occupied.into_mut()),
+                Entry::Vacant(vacant) => Slot::Row(vacant, &mut t.rows),
+            },
+        }
+    }
+
+    /// The head of `res`, made `Idle` (with its table's entry, taken from
+    /// the spare list) if it has none; the caller fills it.
+    pub(crate) fn head_or_default(&mut self, res: ResourceId) -> &mut LockHead {
+        let spare = &mut self.spare;
+        let t = self.tables.entry(res.table()).or_insert_with(|| {
+            spare.pop().unwrap_or_else(|| {
+                let segments = std::array::from_fn(|_| RowMap::default());
+                let (head, rows) = (LockHead::Idle, 0);
+                Box::new(TableHeads {
+                    head,
+                    rows,
+                    segments,
+                })
+            })
+        });
+        match res {
+            ResourceId::Table(_) => &mut t.head,
+            ResourceId::Row(_, row) => match t.segments[row_segment(row)].entry(row) {
+                Entry::Occupied(occupied) => occupied.into_mut(),
+                Entry::Vacant(vacant) => {
+                    t.rows += 1;
+                    vacant.insert(LockHead::Idle)
+                }
+            },
+        }
+    }
+
+    /// Apply `release` to the head of `res`, then drop the head if that
+    /// emptied it, and its table's entry if that leaves it empty. `None`
+    /// when `res` has no head.
+    #[inline]
+    pub(crate) fn release<R>(
+        &mut self,
+        res: ResourceId,
+        release: impl FnOnce(&mut LockHead) -> R,
+    ) -> Option<R> {
+        let t = self.tables.get_mut(&res.table())?;
+        let released = match res {
+            ResourceId::Table(_) => release(&mut t.head),
+            ResourceId::Row(_, row) => {
+                let Entry::Occupied(mut slot) = t.segments[row_segment(row)].entry(row) else {
+                    return None;
+                };
+                let released = release(slot.get_mut());
+                if slot.get().is_empty() {
+                    slot.remove();
+                    t.rows -= 1;
+                }
+                released
+            }
+        };
+        if t.is_empty() {
+            self.retire(res.table());
+        }
+        Some(released)
+    }
+
+    /// Move `table`'s emptied entry to the spare list.
+    fn retire(&mut self, table: TableId) {
+        let emptied = self.tables.remove(&table).expect("a table with an entry");
+        if self.spare.len() < MAX_SPARE_TABLES {
+            self.spare.push(emptied);
+        }
+    }
+
+    /// `table`'s row heads and the room its segments have for them.
+    pub(crate) fn rows_and_capacity(&self, table: TableId) -> (usize, usize) {
+        let t = self.tables.get(&table);
+        t.map_or((0, 0), |t| {
+            (t.rows, t.segments.iter().map(RowMap::capacity).sum())
+        })
+    }
+
+    /// Hand every row head of `table` to `release`, then drop the ones
+    /// it emptied: a segment it emptied whole by one `clear`, which
+    /// keeps the segment's capacity.
+    pub(crate) fn sweep_rows(
+        &mut self,
+        table: TableId,
+        mut release: impl FnMut(ResourceId, &mut LockHead),
+    ) {
+        let Some(t) = self.tables.get_mut(&table) else {
+            return;
+        };
+        for segment in &mut t.segments {
+            let mut left = 0;
+            for (&row, head) in segment.iter_mut() {
+                release(ResourceId::Row(table, row), head);
+                left += usize::from(!head.is_empty());
+            }
+            t.rows -= segment.len() - left;
+            match left {
+                0 => segment.clear(),
+                _ => segment.retain(|_, head| !head.is_empty()),
+            }
+        }
+        if t.is_empty() {
+            self.retire(table);
+        }
+    }
+
+    /// Every head held or awaited, table by table.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ResourceId, &LockHead)> {
+        self.tables.iter().flat_map(|(&table, t)| {
+            let head = Some((ResourceId::Table(table), &t.head)).filter(|(_, h)| !h.is_empty());
+            let rows = t.segments.iter().flatten();
+            head.into_iter()
+                .chain(rows.map(move |(&row, h)| (ResourceId::Row(table, row), h)))
+        })
+    }
+
+    /// Panics unless every entry listed has a head, counts its rows, and
+    /// keeps each row in its segment, and every spare is empty.
+    pub(crate) fn validate(&self) {
+        for (table, t) in &self.tables {
+            let rows = t.segments.iter().enumerate();
+            let rows = rows.flat_map(|(i, s)| s.keys().map(move |&r| (i, r)));
+            assert!(
+                rows.clone().all(|(i, r)| row_segment(r) == i),
+                "{table:?}: misplaced row"
+            );
+            assert!(
+                !t.is_empty() && t.rows == rows.count(),
+                "{table:?}: row count"
+            );
+        }
+        let empty = |t: &TableHeads| t.is_empty() && t.segments.iter().all(RowMap::is_empty);
+        assert!(self.spare.iter().all(|t| empty(t)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::ResourceId;
 
     fn head_with(holders: &[(u32, LockMode)], spare: &mut SpareBoxes) -> LockHead {
         let mut h = LockHead::default();
@@ -276,14 +500,14 @@ mod tests {
         }
     }
 
-    /// The hash-map bucket of an uncontended lock is 40 bytes: a 16-byte
-    /// key and a head that keeps its one holder, and that holder's two
-    /// lock structures, inline.
+    /// The hash-map bucket of an uncontended row lock is 32 bytes: an
+    /// 8-byte key and a head that keeps its one holder, and that holder's
+    /// two lock structures, inline.
     #[test]
     fn a_lock_fits_one_cache_line() {
         assert_eq!(std::mem::size_of::<Holder>(), 20);
         assert_eq!(std::mem::size_of::<LockHead>(), 24);
-        assert_eq!(std::mem::size_of::<(ResourceId, LockHead)>(), 40);
+        assert_eq!(std::mem::size_of::<(RowId, LockHead)>(), 32);
     }
 
     /// A holding's two lock structures stay inline when they share a

@@ -5,19 +5,19 @@
 //! [`Report`]; `locktune-failover-bench` times the drill over trials.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use locktune_cli::storm;
 use locktune_cluster::{
     BreakerConfig, ClusterConfig, ClusterError, ClusterSupervisor, Degraded, EpochMap, MapHandle,
     NodeState, RoutedOutcome, RoutingClient, SupervisorConfig, Transition,
 };
 use locktune_lockmgr::{LockMode, ResourceId};
 use locktune_net::{ReconnectConfig, ServerConfig};
-use locktune_service::txn::{self, Tally, TxnBackend, TxnOutcome, Verdict};
-use locktune_service::{BatchOutcome, ServiceConfig};
-use locktune_sim::SimRng;
+use locktune_service::txn::{Tally, TxnBackend, TxnOutcome, Verdict};
+use locktune_service::{BatchOutcome, ServiceConfig, StopSignal};
 use locktune_workload::Mix;
 
 use crate::{assert_drained, eventually, serve, start_nodes};
@@ -119,7 +119,7 @@ pub fn drill(nodes: usize, workers: u64, seed: u64, probe: Duration) -> Report {
     .expect("rejoin never restored full service");
 
     wait_progress();
-    storm.stop.store(true, Relaxed);
+    storm.stop.stop();
     let mut tally = Tally::default();
     for h in handles {
         tally.merge(&h.join().expect("worker panicked"));
@@ -146,7 +146,7 @@ pub fn drill(nodes: usize, workers: u64, seed: u64, probe: Duration) -> Report {
 /// What the storm's workers share with the drill.
 #[derive(Default)]
 struct Storm {
-    stop: AtomicBool,
+    stop: StopSignal,
     /// Transactions finished, any outcome.
     progress: AtomicU64,
     /// Workers past their initial connect.
@@ -162,8 +162,8 @@ struct Storm {
     double_grants: AtomicU64,
 }
 
-/// One storm worker: the transaction loop through [`Claiming`] until
-/// told to stop; its tally.
+/// One storm worker: [`storm::drive`] through [`Claiming`] until told
+/// to stop; its tally.
 fn worker(addrs: Vec<String>, map: MapHandle, seed: u64, gid: u64, storm: &Storm) -> Tally {
     let config = ClusterConfig {
         nodes: addrs,
@@ -192,25 +192,22 @@ fn worker(addrs: Vec<String>, map: MapHandle, seed: u64, gid: u64, storm: &Storm
         .and_then(|m| m.with_tables_per_txn(2))
         .and_then(|m| m.with_row_base(gid * 10_000))
         .expect("storm mix");
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut tally = Tally::default();
-    let mut set = Vec::new();
     let mut backend = Claiming {
         inner: Degraded::new(&mut rc),
         storm,
         gid,
         snap: map.snapshot(),
+        map,
     };
-    while !storm.stop.load(Relaxed) {
-        backend.snap = map.snapshot();
-        mix.roll(&mut rng, &mut set);
-        let outcome = txn::run_txn(&mut backend, &set, &mut tally)
-            .unwrap_or_else(|e| panic!("worker {gid}: {e}"));
+    let more = |_: &Tally| !storm.stop.is_stopped();
+    let after = |backend: &Claiming, outcome| {
         if outcome == TxnOutcome::Committed && backend.snap.degraded() {
             storm.committed_degraded.fetch_add(1, Relaxed);
         }
         storm.progress.fetch_add(1, Relaxed);
-    }
+    };
+    let tally = storm::drive(&mut backend, &mix, seed, Duration::ZERO, more, after)
+        .unwrap_or_else(|e| panic!("worker {gid}: {e}"));
     rc.stop();
     tally
 }
@@ -223,8 +220,9 @@ struct Claiming<'a> {
     inner: Degraded<'a>,
     storm: &'a Storm,
     gid: u64,
-    /// The routing map at the start of the transaction.
+    /// The routing map at the start of the transaction, taken from `map`.
     snap: Arc<EpochMap>,
+    map: MapHandle,
 }
 
 impl TxnBackend for Claiming<'_> {
@@ -235,6 +233,8 @@ impl TxnBackend for Claiming<'_> {
         set: &[(ResourceId, LockMode)],
         verdict: &mut Verdict,
     ) -> Result<(), ClusterError> {
+        // A transaction's first call: the map it starts on.
+        self.snap = self.map.snapshot();
         self.inner.lock_set(set, verdict)?;
         for (k, outcome) in self.inner.outcomes().iter().enumerate() {
             let (res, mode) = set[k];
