@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use locktune_lockmgr::partition::resource_slot;
 use locktune_lockmgr::{LockMode, LockOutcome, ResourceId, UnlockReport};
 use locktune_net::wire::ValidateReport;
-use locktune_net::{BatchOutcome, ClientError, ReconnectConfig, ReconnectingClient};
+use locktune_net::{jittered, BatchOutcome, ClientError, ReconnectConfig, ReconnectingClient};
 use locktune_sim::SimRng;
 
 use crate::epoch::MapHandle;
@@ -287,14 +287,8 @@ impl Breaker {
             BreakerState::Open { .. } => false,
         };
         if reopen {
-            let nanos = self.backoff.as_nanos().min(u128::from(u64::MAX)) as u64;
-            let jitter = if nanos == 0 {
-                0
-            } else {
-                self.rng.next_below(nanos / 2 + 1)
-            };
             self.state = BreakerState::Open {
-                until: Instant::now() + self.backoff + Duration::from_nanos(jitter),
+                until: Instant::now() + jittered(self.backoff, &mut self.rng),
             };
             self.backoff = (self.backoff * 2).min(self.config.open_max);
         }

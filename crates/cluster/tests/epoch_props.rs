@@ -8,7 +8,7 @@
 //! and arbitrary failure/rejoin histories.
 
 use locktune_cluster::{EpochMap, NodeState};
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 /// An arbitrary membership state, biased toward Up so most generated
 /// clusters have a quorum of survivors.

@@ -4,7 +4,7 @@ use locktune_core::{
     lock_percent_per_application, LockMemoryBounds, LockMemorySnapshot, LockMemoryTuner,
     OverflowState, TunerParams, TuningReason,
 };
-use proptest::prelude::*;
+use locktune_sim::check::prelude::*;
 
 const MIB: u64 = 1024 * 1024;
 const BLOCK: u64 = 131_072;

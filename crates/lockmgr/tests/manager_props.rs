@@ -12,7 +12,7 @@ use locktune_lockmgr::{
 use locktune_memalloc::{
     LockMemoryPool, PoolBackend, PoolConfig, PoolError, PoolUsage, SharedLockMemoryPool, SlotHandle,
 };
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 #[derive(Debug, Clone)]
 enum Op {

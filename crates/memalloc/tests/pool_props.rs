@@ -5,7 +5,7 @@
 //! after every step.
 
 use locktune_memalloc::{LockMemoryPool, PoolConfig, PoolError, SlotHandle};
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 #[derive(Debug, Clone)]
 enum Op {

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use locktune_memalloc::{
     PoolBackend, PoolConfig, PoolError, SharedLockMemoryPool, SlotHandle, SlotPair,
 };
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 /// Slots one handle may park: 63 in its run, 63 in its buffer.
 const SLACK_PER_HANDLE: usize = 126;

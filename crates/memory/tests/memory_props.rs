@@ -3,7 +3,7 @@
 //! bytes, exceed `databaseMemory`, or push a heap below its floor.
 
 use locktune_memory::{DatabaseMemory, HeapKind, MemoryConfig, PerfHeap};
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 const MIB: u64 = 1024 * 1024;
 

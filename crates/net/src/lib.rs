@@ -57,7 +57,7 @@ pub use client::{Client, ClientError};
 pub use locktune_obs::MetricsSnapshot;
 pub use locktune_service::BatchOutcome;
 pub use locktune_tenants::{MachineRollup, TenantDonation, TenantRow};
-pub use reconnect::{ReconnectConfig, ReconnectStats, ReconnectingClient};
+pub use reconnect::{jittered, ReconnectConfig, ReconnectStats, ReconnectingClient};
 pub use server::{IoModel, Server, ServerConfig};
 pub use txn::{drain_and_validate, Batched, Pipelined};
 pub use wire::{

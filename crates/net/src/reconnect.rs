@@ -28,6 +28,17 @@ use locktune_sim::SimRng;
 use crate::client::{Client, ClientError};
 use crate::wire::Request;
 
+/// `delay` plus up to +50 % jitter drawn from `rng`, so a fleet of
+/// clients (or breakers) that failed together does not retry in
+/// lockstep. A zero delay draws nothing, so seeded runs replay.
+pub fn jittered(delay: Duration, rng: &mut SimRng) -> Duration {
+    let nanos = delay.as_nanos().min(u128::from(u64::MAX)) as u64;
+    if nanos == 0 {
+        return delay;
+    }
+    delay + Duration::from_nanos(rng.next_below(nanos / 2 + 1))
+}
+
 /// Reconnect policy for a [`ReconnectingClient`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReconnectConfig {
@@ -179,22 +190,14 @@ impl ReconnectingClient {
         self.gave_up
     }
 
-    /// Exponential delay for attempt `n` of a cycle, with up to +50 %
-    /// deterministic jitter so a fleet of clients refused together
-    /// doesn't retry in lockstep.
+    /// Exponential delay for attempt `n` of a cycle, [`jittered`].
     fn backoff(&mut self, attempt: u32) -> Duration {
         let exp = self
             .config
             .base_delay
             .saturating_mul(1u32 << attempt.min(16))
             .min(self.config.max_delay);
-        let nanos = exp.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let jitter = if nanos == 0 {
-            0
-        } else {
-            self.rng.next_below(nanos / 2 + 1)
-        };
-        exp + Duration::from_nanos(jitter)
+        jittered(exp, &mut self.rng)
     }
 
     /// One connect cycle: up to `max_attempts` tries with backoff. A
@@ -458,6 +461,24 @@ mod tests {
             "stop did not interrupt the backoff sleep: took {:?}",
             start.elapsed()
         );
+    }
+
+    /// The jitter adds at most half the delay, and a zero delay draws
+    /// nothing from the stream, so seeded runs replay.
+    #[test]
+    fn jitter_is_bounded_and_zero_draws_nothing() {
+        let mut rng = SimRng::seed_from_u64(7);
+        let d = Duration::from_millis(10);
+        for _ in 0..1000 {
+            let j = jittered(d, &mut rng);
+            assert!(d <= j && j <= d + d / 2, "{j:?}");
+        }
+        let mut fresh = SimRng::seed_from_u64(7);
+        let mut twin = fresh.clone();
+        assert_eq!(jittered(Duration::ZERO, &mut fresh), Duration::ZERO);
+        assert_eq!(fresh, twin);
+        let expect = d + Duration::from_nanos(twin.next_below(5_000_001));
+        assert_eq!(jittered(d, &mut fresh), expect);
     }
 
     /// A signal raised before the cycle starts fails fast without a

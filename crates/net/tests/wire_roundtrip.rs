@@ -3,6 +3,8 @@
 //! decodes (every variable-length field is length-prefixed and every
 //! decoder consumes its payload exactly, so a cut anywhere is caught).
 
+use std::collections::BTreeSet;
+
 use locktune_core::TuningReason;
 use locktune_lockmgr::{
     AppId, LockError, LockMode, LockOutcome, LockStats, ResourceId, RowId, TableId, UnlockReport,
@@ -20,7 +22,8 @@ use locktune_obs::{
     EventKind, IoShardStats, JournalEvent, MetricsSnapshot, ObsCounters, ThreadRole, TuningTick,
 };
 use locktune_service::{BatchOutcome, ServiceError};
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
+use locktune_sim::SimRng;
 
 fn resource() -> BoxedStrategy<ResourceId> {
     prop_oneof![
@@ -577,6 +580,37 @@ proptest! {
 
 /// The largest legal ping round-trips through the framed reader and
 /// writer (not just the in-memory codec).
+/// The request and reply strategies reach every opcode the codec
+/// decodes, so no frame kind is left out of the round-trip properties.
+/// The opcode set is read off the decoder: a tag it rejects as an
+/// unknown opcode is not one.
+#[test]
+fn strategies_draw_every_opcode() {
+    fn known(what: &str, decode: impl Fn(&[u8]) -> Result<(), WireError>) -> BTreeSet<u8> {
+        (0..=255u8)
+            .filter(|&op| {
+                let mut payload = [0u8; HEADER_LEN];
+                payload[0] = op;
+                !matches!(decode(&payload), Err(WireError::BadTag { what: w, .. }) if w == what)
+            })
+            .collect()
+    }
+    let mut rng = SimRng::seed_from_u64(0x0DC0DE);
+    let (requests, replies) = (request(), reply());
+    let drawn_requests: BTreeSet<u8> = (0..4096)
+        .map(|_| encode_request(0, &requests.generate(&mut rng))[4])
+        .collect();
+    let drawn_replies: BTreeSet<u8> = (0..4096)
+        .map(|_| encode_reply(0, &replies.generate(&mut rng))[4])
+        .collect();
+    let request_ops = known("request opcode", |p| decode_request(p).map(drop));
+    let reply_ops = known("reply opcode", |p| decode_reply(p).map(drop));
+    assert_eq!(request_ops.len(), 15);
+    assert_eq!(reply_ops.len(), 17);
+    assert_eq!(drawn_requests, request_ops);
+    assert_eq!(drawn_replies, reply_ops);
+}
+
 #[test]
 fn max_length_frame_through_framed_io() {
     let echo: Vec<u8> = (0..MAX_PAYLOAD - HEADER_LEN - 4)

@@ -14,8 +14,6 @@ use locktune_memory::MemoryConfig;
 pub enum ConfigError {
     /// `shards == 0`.
     ZeroShards,
-    /// `heap_fraction` outside `[0, 1)`.
-    HeapFraction(f64),
     /// `tuning_log_capacity == 0`: the decision log must keep at least
     /// the most recent interval.
     ZeroTuningLogCapacity,
@@ -36,9 +34,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("shards must be >= 1"),
-            ConfigError::HeapFraction(v) => {
-                write!(f, "heap_fraction must be in [0, 1), got {v}")
-            }
             ConfigError::ZeroTuningLogCapacity => f.write_str("tuning_log_capacity must be >= 1"),
             ConfigError::Params(msg) => write!(f, "tuner params: {msg}"),
             ConfigError::Spawn { thread, message } => {
@@ -97,9 +92,6 @@ pub struct ServiceConfig {
     /// The database memory around the lock pool (funds growth, absorbs
     /// shrink proceeds).
     pub memory: MemoryConfig,
-    /// Fraction of `databaseMemory` configured into performance heaps
-    /// at start (the rest, minus lock memory, is overflow).
-    pub heap_fraction: f64,
     /// Tuner parameters (paper Table 1).
     pub params: TunerParams,
     /// Per-shard lock manager structure.
@@ -139,7 +131,6 @@ impl Default for ServiceConfig {
             initial_lock_bytes: 2 * 1024 * 1024,
             tuning_log_capacity: 512,
             memory: MemoryConfig::default(),
-            heap_fraction: 0.70,
             params: TunerParams::default(),
             manager: LockManagerConfig::default(),
             shed_oom_threshold: 0,
@@ -166,9 +157,6 @@ impl ServiceConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if !(0.0..1.0).contains(&self.heap_fraction) {
-            return Err(ConfigError::HeapFraction(self.heap_fraction));
         }
         if self.tuning_log_capacity == 0 {
             return Err(ConfigError::ZeroTuningLogCapacity);
@@ -204,14 +192,5 @@ mod tests {
         };
         assert_eq!(c.validate(), Err(ConfigError::ZeroTuningLogCapacity));
         assert_eq!(c.validate().unwrap_err().exit_code(), 2);
-    }
-
-    #[test]
-    fn bad_heap_fraction_rejected() {
-        let c = ServiceConfig {
-            heap_fraction: 1.0,
-            ..Default::default()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::HeapFraction(1.0)));
     }
 }

@@ -25,7 +25,8 @@
 //!   waiting through the shared spin-then-park policy in [`spin`];
 //! * one single-consumer [`Mailbox`] for every hand-off between threads
 //!   (session and I/O-shard events, the network server's queues), and
-//!   one [`StopSignal`] for every loop that paces itself;
+//!   one [`StopSignal`] for every loop that paces itself, and one
+//!   keep-last-N [`RingLog`] for every journal pollers follow by cursor;
 //! * one batch engine, [`step::BatchMachine`], which blocking sessions
 //!   and the evented network core both drive;
 //! * one transaction loop, [`txn`], that every load generator (in
@@ -37,6 +38,7 @@
 pub mod config;
 pub mod latch;
 pub mod mailbox;
+pub mod ring;
 pub mod service;
 pub mod spin;
 pub mod step;
@@ -48,6 +50,7 @@ pub use config::{ConfigError, ServiceConfig};
 pub use latch::Latch;
 pub use locktune_faults::{FaultInjector, FaultPlan, FaultSite};
 pub use mailbox::{CloseOnDrop, Mailbox};
+pub use ring::RingLog;
 pub use service::{
     BatchOutcome, EventSink, LockService, ServiceError, Session, SessionEvent, ThreadHealth,
     TuningCounters,

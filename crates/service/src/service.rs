@@ -25,7 +25,7 @@
 //! shares one sink among its sessions. Batches run on the one batch
 //! engine, [`crate::step::BatchMachine`], whichever way they wait.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +46,7 @@ use locktune_obs::{
 use crate::config::{ConfigError, ServiceConfig};
 use crate::latch::Latch;
 use crate::mailbox::Mailbox;
+use crate::ring::RingLog;
 use crate::spin::SpinPark;
 use crate::step::{BatchMachine, WaitState};
 use crate::stop::StopSignal;
@@ -62,6 +63,10 @@ pub(crate) const OBS_ENABLED: bool = cfg!(feature = "obs");
 /// `inproc_contended` waits per transaction double and p50 goes ×1.7
 /// (DESIGN §8.2).
 const HANDOFF_PAUSE: u32 = 32;
+
+/// Fraction of `databaseMemory` configured into performance heaps at
+/// start (the rest, minus lock memory, is overflow).
+const HEAP_FRACTION: f64 = 0.70;
 
 /// One shard: a lock manager behind its [`Latch`] (spin, yield, then
 /// block: holds are sub-microsecond), on cache lines of its own. Shards
@@ -228,55 +233,6 @@ impl TuningCounters {
     }
 }
 
-/// Fixed-capacity keep-last-N log of [`IntervalReport`]s. A
-/// long-running server ticks the tuner indefinitely; the former
-/// unbounded `Vec` grew without limit.
-#[derive(Debug)]
-struct ReportLog {
-    cap: usize,
-    buf: VecDeque<IntervalReport>,
-    /// Reports ever pushed — the sequence number the *next* report
-    /// will carry. The retained window is
-    /// `[next_seq - buf.len(), next_seq)`, so pollers can resume from
-    /// a cursor instead of re-copying the whole ring every scrape.
-    next_seq: u64,
-}
-
-impl ReportLog {
-    fn new(cap: usize) -> Self {
-        debug_assert!(cap > 0, "validated by ServiceConfig");
-        ReportLog {
-            cap,
-            buf: VecDeque::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
-    fn push(&mut self, report: IntervalReport) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(report);
-        self.next_seq += 1;
-    }
-
-    /// Oldest-retained → newest.
-    fn snapshot(&self) -> Vec<IntervalReport> {
-        self.buf.iter().cloned().collect()
-    }
-
-    /// Reports with sequence ≥ `since` (clamped to the retained
-    /// window), oldest first, plus the next sequence number — the
-    /// cursor for the following call. The first returned report's
-    /// sequence is `next_seq - reports.len()`.
-    fn since(&self, since: u64) -> (u64, Vec<IntervalReport>) {
-        let oldest = self.next_seq - self.buf.len() as u64;
-        let start = since.clamp(oldest, self.next_seq);
-        let skip = (start - oldest) as usize;
-        (self.next_seq, self.buf.iter().skip(skip).cloned().collect())
-    }
-}
-
 /// Liveness of the background thread, plus how many panics each of
 /// its two jobs has recovered from. [`LockService::shutdown`] returns
 /// the final value.
@@ -298,7 +254,7 @@ pub(crate) struct ServiceInner {
     pool: SharedLockMemoryPool,
     tuning: TuningShared,
     registry: Latch<HashMap<AppId, EventSink>>,
-    reports: Latch<ReportLog>,
+    reports: Latch<RingLog<IntervalReport>>,
     /// Instrumentation root. Always present; with the `obs` feature
     /// off the recording call sites compile away and everything in
     /// here scrapes empty/zero.
@@ -689,7 +645,7 @@ impl LockService {
 
         let inner = Arc::new(ServiceInner {
             tuning: TuningShared::new(stmm, mem),
-            reports: Latch::new(ReportLog::new(config.tuning_log_capacity)),
+            reports: Latch::new(RingLog::new(config.tuning_log_capacity)),
             obs: Obs::new(config.shards),
             config,
             shards,
@@ -723,11 +679,11 @@ impl LockService {
     }
 
     /// The database memory set surrounding the pool: configured heaps
-    /// at `heap_fraction` of `databaseMemory`, lock memory as given,
+    /// at [`HEAP_FRACTION`] of `databaseMemory`, lock memory as given,
     /// the rest overflow.
     fn build_memory(config: &ServiceConfig, initial_lock_bytes: u64) -> DatabaseMemory {
         let total = config.memory.total_bytes;
-        let heap_total = (total as f64 * config.heap_fraction) as u64;
+        let heap_total = (total as f64 * HEAP_FRACTION) as u64;
         // Same split the simulation engine uses: the bufferpool
         // dominates, sort and package cache share the rest.
         let bp = heap_total / 2;

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use locktune_lockmgr::{AppId, LockMode, ResourceId, RowId, TableId};
 use locktune_service::{LockService, ServiceConfig, ServiceError};
-use proptest::prelude::*;
+use locktune_sim::check::{self as proptest, prelude::*};
 
 fn table(t: u32) -> ResourceId {
     ResourceId::Table(TableId(t))

@@ -21,6 +21,7 @@
 //! seed must produce byte-identical traces so experiments are
 //! reproducible and property tests can shrink failures.
 
+pub mod check;
 pub mod clock;
 pub mod dist;
 pub mod event;

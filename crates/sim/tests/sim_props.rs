@@ -1,8 +1,8 @@
 //! Property tests for the simulation kernel.
 
+use locktune_sim::check::{self as proptest, prelude::*};
 use locktune_sim::dist::{Distribution, Exponential, LogNormal, Uniform, Zipf};
 use locktune_sim::{SimDuration, SimRng, SimTime, Simulator};
-use proptest::prelude::*;
 
 proptest! {
     /// Events always pop in chronological order with FIFO tie-breaks,

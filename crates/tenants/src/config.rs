@@ -24,8 +24,6 @@ pub enum TenantsConfigError {
     },
     /// `quantum_bytes == 0`: the arbiter could never move anything.
     ZeroQuantum,
-    /// `donation_log_capacity == 0`.
-    ZeroDonationLog,
     /// The per-tenant service template failed its own validation.
     Service(ConfigError),
 }
@@ -42,9 +40,6 @@ impl std::fmt::Display for TenantsConfigError {
                 "per-tenant floor ({floor} B) below one pool block ({block} B)"
             ),
             TenantsConfigError::ZeroQuantum => f.write_str("quantum_bytes must be >= 1"),
-            TenantsConfigError::ZeroDonationLog => {
-                f.write_str("donation_log_capacity must be >= 1")
-            }
             TenantsConfigError::Service(e) => write!(f, "service template: {e}"),
         }
     }
@@ -105,12 +100,6 @@ pub struct TenantsConfig {
     ///
     /// [`TenantDirectory::arbitrate_now`]: crate::TenantDirectory::arbitrate_now
     pub arbiter_interval: Duration,
-    /// How many [`TenantDonation`] records the donation log retains
-    /// (keep-last-N ring with a monotonic cursor, same shape as the
-    /// service's tuning-report log).
-    ///
-    /// [`TenantDonation`]: crate::TenantDonation
-    pub donation_log_capacity: usize,
     /// Template for every tenant's service. `tenant_id` and
     /// `initial_lock_bytes` are overridden per tenant; everything else
     /// applies as-is.
@@ -128,7 +117,6 @@ impl Default for TenantsConfig {
             quantum_bytes: 4 * MIB,
             hysteresis: 0.05,
             arbiter_interval: Duration::from_secs(30),
-            donation_log_capacity: 512,
             service: ServiceConfig::default(),
         }
     }
@@ -176,9 +164,6 @@ impl TenantsConfig {
         }
         if self.quantum_bytes == 0 {
             return Err(TenantsConfigError::ZeroQuantum);
-        }
-        if self.donation_log_capacity == 0 {
-            return Err(TenantsConfigError::ZeroDonationLog);
         }
         self.service.validate()?;
         Ok(())

@@ -19,7 +19,6 @@
 //! clears the hysteresis threshold so near-equal tenants don't slosh.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,13 +27,17 @@ use locktune_faults::FaultInjector;
 use locktune_lockmgr::LockStats;
 use locktune_obs::ObsCounters;
 use locktune_service::{
-    ConfigError, Latch, LockService, ServiceConfig, StopSignal, TuningCounters,
+    ConfigError, Latch, LockService, RingLog, ServiceConfig, StopSignal, TuningCounters,
 };
 
 use crate::config::{TenantsConfig, TenantsConfigError};
 use crate::ledger::{BudgetLedger, LedgerError, TenantBudget};
 
 const MIB_F: f64 = (1024 * 1024) as f64;
+
+/// How many [`TenantDonation`] records the donation journal retains:
+/// as many as one `TenantStats` reply carries.
+const DONATION_LOG_CAPACITY: usize = 512;
 
 /// Errors surfaced by directory operations.
 #[derive(Debug)]
@@ -209,47 +212,12 @@ struct TenantEntry {
     benefit: f64,
 }
 
-/// Keep-last-N donation journal with a monotonic cursor — the same
-/// non-destructive shape as the service's tuning-report log, so any
-/// number of pollers can follow the flow without stealing each
-/// other's events.
-struct DonationLog {
-    cap: usize,
-    buf: VecDeque<TenantDonation>,
-    next_seq: u64,
-}
-
-impl DonationLog {
-    fn new(cap: usize) -> Self {
-        DonationLog {
-            cap,
-            buf: VecDeque::with_capacity(cap.min(64)),
-            next_seq: 0,
-        }
-    }
-
-    fn push(&mut self, mut d: TenantDonation) -> TenantDonation {
-        d.seq = self.next_seq;
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(d);
-        self.next_seq += 1;
-        d
-    }
-
-    fn since(&self, since: u64) -> (u64, Vec<TenantDonation>) {
-        let oldest = self.next_seq - self.buf.len() as u64;
-        let start = since.clamp(oldest, self.next_seq);
-        let skip = (start - oldest) as usize;
-        (self.next_seq, self.buf.iter().skip(skip).copied().collect())
-    }
-}
-
 struct DirState {
     ledger: BudgetLedger,
     tenants: BTreeMap<u32, TenantEntry>,
-    donations: DonationLog,
+    /// Keep-last-N donation journal, the same ring as the service's
+    /// tuning-report log: any number of pollers follow it by cursor.
+    donations: RingLog<TenantDonation>,
 }
 
 struct DirInner {
@@ -399,8 +367,9 @@ impl DirInner {
         }
     }
 
-    fn record_donation(&self, state: &mut DirState, d: TenantDonation) {
-        let d = state.donations.push(d);
+    fn record_donation(&self, state: &mut DirState, mut d: TenantDonation) {
+        d.seq = state.donations.next_seq();
+        state.donations.push(d);
         self.donations_total.fetch_add(1, Ordering::Relaxed);
         self.donated_bytes_total
             .fetch_add(d.bytes, Ordering::Relaxed);
@@ -434,7 +403,7 @@ impl TenantDirectory {
             state: Latch::new(DirState {
                 ledger: BudgetLedger::new(config.machine_budget_bytes),
                 tenants: BTreeMap::new(),
-                donations: DonationLog::new(config.donation_log_capacity),
+                donations: RingLog::new(DONATION_LOG_CAPACITY),
             }),
             faults,
             started: Instant::now(),

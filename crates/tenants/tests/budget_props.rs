@@ -6,8 +6,8 @@
 //! tenants subsystem safe to compose with chaos: whatever the arbiter
 //! or the churn path does, budget cannot leak.
 
+use locktune_sim::check::{self as proptest, prelude::*};
 use locktune_tenants::{BudgetLedger, LedgerError};
-use proptest::prelude::*;
 
 const MIB: u64 = 1024 * 1024;
 

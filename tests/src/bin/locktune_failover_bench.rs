@@ -4,9 +4,11 @@
 //! workers; its three times are polled from the published epoch map
 //! at millisecond granularity.
 //!
-//! Writes one CSV row per trial to `results/failover_recovery.csv`
-//! and a JSON summary (medians per node count) to
-//! `BENCH_failover.json`.
+//! Prints one CSV row per trial and a JSON summary (medians per node
+//! count), and writes them to `--out-csv` / `--out-json` when given.
+//! Nothing is written by default; the committed figures regenerate
+//! with `--out-csv results/failover_recovery.csv --out-json
+//! BENCH_failover.json` (EXPERIMENTS "Failover recovery").
 
 use std::process::exit;
 use std::time::Duration;
@@ -22,8 +24,8 @@ const USAGE: &str = "usage: locktune-failover-bench [options]
   --trials N             trials per cluster size (default 5)
   --probe-interval-ms N  supervisor probe interval (default 25)
   --seed N               workload seed (default 42)
-  --out-csv PATH         per-trial rows (default results/failover_recovery.csv)
-  --out-json PATH        median summary (default BENCH_failover.json)";
+  --out-csv PATH         also write the per-trial rows to PATH
+  --out-json PATH        also write the median summary to PATH";
 
 locktune_cli::config! {
     Args {
@@ -31,8 +33,8 @@ locktune_cli::config! {
         trials: u64 = 5, value "--trials";
         probe_interval_ms: u64 = 25, value "--probe-interval-ms";
         seed: u64 = 42, value "--seed";
-        out_csv: String = "results/failover_recovery.csv".into(), value "--out-csv";
-        out_json: String = "BENCH_failover.json".into(), value "--out-json";
+        out_csv: Option<String> = None, opt "--out-csv";
+        out_json: Option<String> = None, opt "--out-json";
     }
 }
 
@@ -88,9 +90,6 @@ fn main() {
         ));
     }
 
-    if let Some(dir) = std::path::Path::new(&args.out_csv).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
     let sup = SupervisorConfig::default();
     let json = format!(
         "{{\"bench\":\"failover_recovery\",\"probe_interval_ms\":{},\
@@ -101,12 +100,16 @@ fn main() {
         args.seed,
         summaries.join(",")
     );
+    print!("{rows}{json}");
     for (path, body) in [(&args.out_csv, &rows), (&args.out_json, &json)] {
+        let Some(path) = path else { continue };
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
         if let Err(e) = std::fs::write(path, body) {
             eprintln!("write {path}: {e}");
             exit(1);
         }
+        println!("wrote {path}");
     }
-    print!("{rows}");
-    println!("wrote {} and {}", args.out_csv, args.out_json);
 }

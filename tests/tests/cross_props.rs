@@ -4,7 +4,7 @@
 
 use locktune_core::TunerParams;
 use locktune_engine::{Policy, Scenario};
-use proptest::prelude::*;
+use locktune_sim::check::prelude::*;
 
 proptest! {
     // Full-engine runs are comparatively expensive; keep the case count
